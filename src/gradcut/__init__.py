@@ -2,6 +2,10 @@
 constraints, hybridized with projected-gradient local search, plus the
 residue-based benchmarking toolkit."""
 
+import logging
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
+
 from .bench import (
     Instance,
     ProfileBand,
@@ -38,6 +42,7 @@ from .local import (
     tr_solve,
 )
 from .milp import (
+    AutoBackend,
     BruteForceBackend,
     HighsBackend,
     MilpBackend,

@@ -1,14 +1,15 @@
 """Command-line entry point: solve one instance, run benchmark sweeps over the
 five solver configurations, and turn trace files into residue reports.
 
-Exit codes: 0 success / eps-optimal, 2 finished on a time or iteration limit,
-1 usage or data error.
+Exit codes: 0 success / eps-optimal, 2 stopped uncertified (time or iteration
+limit, or stalled), 1 usage or data error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 import traceback
@@ -20,19 +21,45 @@ import numpy as np
 from . import bench
 from .bench import Instance, ParseError, RunTrace, default_x0, parse_instance, synth_instance
 from .engine import CONFIG_NAMES, SolveStatus, SolverConfig, run
-from .milp import BruteForceBackend, HighsBackend
+from .logs import NO_CELL
+from .milp import AUTO_ENUM_ENTRIES, AutoBackend, BruteForceBackend, HighsBackend
 
 BACKEND_ENV = "GRADCUT_BACKEND"
+BACKENDS = {"auto": AutoBackend, "highs": HighsBackend, "bruteforce": BruteForceBackend}
 
 
 def make_backend(name: str):
+    """The backend called name; "auto" defers to GRADCUT_BACKEND when it is set."""
     if name == "auto":
-        name = os.environ.get(BACKEND_ENV, "highs")
-    if name == "highs":
-        return HighsBackend()
-    if name == "bruteforce":
-        return BruteForceBackend()
-    raise ValueError(f"unknown backend {name!r} (choose highs or bruteforce)")
+        name = os.environ.get(BACKEND_ENV, "auto")
+    if name not in BACKENDS:
+        raise ValueError(f"unknown backend {name!r} (choose {', '.join(BACKENDS)})")
+    return BACKENDS[name]()
+
+
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to sys.stderr as it is when the record comes."""
+
+    def __init__(self):
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
+def _log_to_stderr() -> None:
+    """One stderr handler on the gradcut logger, whose lines name the cell."""
+    logger = logging.getLogger("gradcut")
+    if any(isinstance(h, _StderrHandler) for h in logger.handlers):
+        return
+    handler = _StderrHandler()
+    handler.setFormatter(
+        logging.Formatter(
+            "gradcut %(levelname)s [%(cell)s] %(message)s", defaults={"cell": NO_CELL}
+        )
+    )
+    logger.addHandler(handler)
 
 
 def _detect_format(path: Path) -> str:
@@ -73,9 +100,11 @@ def _add_common(p: argparse.ArgumentParser):
     )
     p.add_argument(
         "--backend",
-        choices=("auto", "highs", "bruteforce"),
+        choices=tuple(BACKENDS),
         default="auto",
-        help=f"MILP backend (env {BACKEND_ENV} overrides 'auto')",
+        help="MILP backend: auto enumerates slices with C(n,m)*n <= "
+        f"{AUTO_ENUM_ENTRIES:,} and uses HiGHS otherwise; highs or bruteforce "
+        f"forces one (env {BACKEND_ENV} overrides auto)",
     )
     p.add_argument(
         "--input-format",
@@ -89,9 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gradcut",
         description="Cutting planes with gradient-based local search for binary "
         "quadratic problems under a cardinality constraint.",
-        epilog="Exit codes: 0 success/eps-optimal, 2 stopped on a time or "
-        f"iteration limit, 1 usage or data error. Env: {BACKEND_ENV} picks the "
-        "default MILP backend (highs or bruteforce).",
+        epilog="Exit codes: 0 success/eps-optimal, 2 stopped uncertified (time or "
+        "iteration limit, or stalled), 1 usage or data error. Env: "
+        f"{BACKEND_ENV} (auto, highs or bruteforce) replaces the default backend, "
+        "auto, which enumerates small slices and uses HiGHS on the rest.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -144,6 +174,8 @@ def cmd_solve(args) -> int:
     )
     print(f"instance   {inst.name} (n={inst.dom.n}, m={inst.dom.m})")
     print(f"config     {args.config}")
+    used = backend.for_domain(inst.dom)
+    print(f"backend    {used.name}" + (f" ({backend.name})" if used is not backend else ""))
     print(f"f_best     {outcome.f_best:.12g}")
     print(f"gap        {outcome.gap:.6g}")
     print(f"status     {outcome.status.value}")
@@ -332,6 +364,7 @@ def cmd_report(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _log_to_stderr()
     try:
         if args.command == "solve":
             return cmd_solve(args)

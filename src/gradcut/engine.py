@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import logs
 from .bench import RunTrace, TraceRecord
 from .local import LocalResult, PgmParams, pgm_solve, tr_solve
 from .milp import MilpBackend, StatusKind, check_nonempty, project, solve_cp_model
@@ -105,6 +106,8 @@ class SolveStatus(Enum):
     EPS_OPTIMAL = "eps_optimal"
     TIME_LIMIT = "time_limit"
     ITER_LIMIT = "iter_limit"
+    # a deterministic fixed point: no new cut and no movement, gap still open
+    STALLED = "stalled"
 
 
 # relative slack for the PSD test deciding whether to shift, and the margin the
@@ -250,7 +253,21 @@ def run(
 
     Nonconvex objectives are regularized on entry (exact on the cardinality
     slice); all reported values are converted back to the original scale.
+    Records logged during the run name the cell: instance and configuration.
     """
+    with logs.cell(instance_name, config_name or cfg.name):
+        return _run(obj, dom, x0, cfg, backend, instance_name, config_name)
+
+
+def _run(
+    obj: QuadraticObjective,
+    dom: FeasibleDomain,
+    x0: np.ndarray,
+    cfg: SolverConfig,
+    backend: MilpBackend,
+    instance_name: str,
+    config_name: str,
+) -> SolveOutcome:
     x0 = np.asarray(x0, dtype=float)
     if not is_feasible(dom, x0):
         raise ValueError("x0 is not feasible for the domain")
@@ -377,7 +394,7 @@ def run(
         # every later iteration would repeat verbatim, so stop early
         signature = (len(oracle), state.ub, state.lb, state.tau, state.increase_offset)
         if not new_cut and not added_lb_cut and signature == prev_signature:
-            status = SolveStatus.ITER_LIMIT
+            status = SolveStatus.STALLED
             break
         prev_signature = signature
 

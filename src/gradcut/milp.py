@@ -7,29 +7,35 @@ two; the module-level functions pose the concrete models (lower bound,
 projection, feasibility, trust-region step) so that engine code never touches
 solver types.
 
-Two backends ship: a brute-force enumerator (exact, n <= ~20, used as test
-oracle and fallback) and an adapter to the HiGHS solver via scipy.optimize.milp.
+Three backends ship: a brute-force enumerator (exact, small slices, also the
+test oracle), an adapter to the HiGHS solver via scipy.optimize.milp, and the
+default, which picks one of the two per call from the size of the slice.
 """
 
 from __future__ import annotations
 
 import abc
 import itertools
-import logging
 import time
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .logs import get_logger
 from .model import Cut, FeasibleDomain, LinearRow
 
-log = logging.getLogger(__name__)
+log = get_logger(__name__)
 
 # refuse brute-force enumeration beyond this many points
 _ENUM_CAP = 2_000_000
+
+# AutoBackend enumerates a slice whose point table, C(n,m) x n float64
+# entries, stays within this many entries (16 MB)
+AUTO_ENUM_ENTRIES = 2_000_000
 
 # relative slack by which a reported lower bound may exceed the upper limit on
 # the model optimum before it counts as impossible
@@ -87,6 +93,12 @@ def _timeout_result(message: str = "budget exhausted before solve") -> MilpResul
 class MilpBackend(abc.ABC):
     """One handle per engine run; a handle performs one solve at a time."""
 
+    name: str  # as chosen on the command line
+
+    def for_domain(self, dom: FeasibleDomain) -> "MilpBackend":
+        """The backend that answers the subproblems posed on dom."""
+        return self
+
     def solve_linear(
         self, cost: np.ndarray, dom: FeasibleDomain, rows: Sequence[LinearRow], budget: float
     ) -> MilpResult:
@@ -139,50 +151,38 @@ class BruteForceBackend(MilpBackend):
     tuples, so ties always resolve to the first minimizer.
     """
 
+    name = "bruteforce"
+
     def __init__(self):
         self._combo_cache: dict[tuple[int, int], np.ndarray] = {}
-        # per-domain running max of cut values over all points, extended
-        # incrementally as the oracle grows (solve_cp is called with an
-        # append-only cut list during an engine run)
-        self._cp_cache: dict[tuple, tuple[list, np.ndarray]] = {}
+        # running max of cut values over all points for the latest domain and
+        # cut list, extended incrementally as the oracle grows (solve_cp is
+        # called with an append-only cut list during an engine run)
+        self._cp_last: Optional[tuple[FeasibleDomain, list, np.ndarray]] = None
 
     def _points(self, dom: FeasibleDomain) -> np.ndarray:
         key = (dom.n, dom.m)
         pts = self._combo_cache.get(key)
         if pts is None:
-            from math import comb
-
-            if comb(dom.n, dom.m) > _ENUM_CAP:
+            count = comb(dom.n, dom.m)
+            if count > _ENUM_CAP:
                 raise ValueError(
                     f"C({dom.n},{dom.m}) exceeds the brute-force enumeration cap"
                 )
-            pts = np.zeros((comb(dom.n, dom.m), dom.n))
-            for i, idx in enumerate(itertools.combinations(range(dom.n), dom.m)):
-                pts[i, list(idx)] = 1.0
+            idx = np.fromiter(
+                itertools.chain.from_iterable(itertools.combinations(range(dom.n), dom.m)),
+                dtype=np.intp,
+                count=count * dom.m,
+            ).reshape(count, dom.m)
+            pts = np.zeros((count, dom.n))
+            pts[np.arange(count)[:, None], idx] = 1.0
             pts.setflags(write=False)
             self._combo_cache[key] = pts
-        if not dom.extra_rows:
-            return pts
-        mask = np.ones(len(pts), dtype=bool)
-        for row in dom.extra_rows:
-            mask &= _row_mask(pts, row)
-        return pts[mask]
+        return _satisfying(pts, dom.extra_rows)
 
     def _solve_linear(self, cost, dom, rows, budget):
         t0 = time.perf_counter()
-        pts = self._points(dom)
-        rows = list(rows)
-        if rows:
-            lhs = pts @ np.stack([row.coeffs for row in rows]).T
-            mask = np.ones(len(pts), dtype=bool)
-            for j, row in enumerate(rows):
-                if row.sense == "<=":
-                    mask &= lhs[:, j] <= row.rhs + 1e-9
-                elif row.sense == ">=":
-                    mask &= lhs[:, j] >= row.rhs - 1e-9
-                else:
-                    mask &= np.abs(lhs[:, j] - row.rhs) <= 1e-9
-            pts = pts[mask]
+        pts = _satisfying(self._points(dom), rows)
         if len(pts) == 0:
             return MilpResult(
                 status=MilpStatus(StatusKind.INFEASIBLE, "no feasible point"),
@@ -211,22 +211,22 @@ class BruteForceBackend(MilpBackend):
                 status=MilpStatus(StatusKind.INFEASIBLE, "empty domain"),
                 solve_time=time.perf_counter() - t0,
             )
-        key = (id(dom), dom.n, dom.m)
-        cached = self._cp_cache.get(key)
         start = 0
         theta = None
-        if cached is not None:
-            prev_cuts, prev_theta = cached
-            if len(cuts) >= len(prev_cuts) and all(
-                a is b for a, b in zip(prev_cuts, cuts)
-            ) and len(prev_theta) == len(pts):
-                theta = prev_theta.copy()
+        if self._cp_last is not None:
+            last_dom, prev_cuts, prev_theta = self._cp_last
+            if (
+                last_dom is dom
+                and len(cuts) >= len(prev_cuts)
+                and all(a is b for a, b in zip(prev_cuts, cuts))
+            ):
+                theta = prev_theta
                 start = len(prev_cuts)
         if theta is None:
             theta = np.full(len(pts), -np.inf)
         for cut in cuts[start:]:
             np.maximum(theta, pts @ cut.grad + cut.intercept, out=theta)
-        self._cp_cache[key] = (cuts, theta)
+        self._cp_last = (dom, cuts, theta)
         i = int(np.argmin(theta))
         obj = float(theta[i])
         return MilpResult(
@@ -248,6 +248,16 @@ def _row_mask(pts: np.ndarray, row: LinearRow, tol: float = 1e-9) -> np.ndarray:
     return np.abs(lhs - row.rhs) <= tol
 
 
+def _satisfying(pts: np.ndarray, rows: Sequence[LinearRow]) -> np.ndarray:
+    """The points that satisfy every row; pts itself when there are no rows."""
+    if not rows:
+        return pts
+    mask = np.ones(len(pts), dtype=bool)
+    for row in rows:
+        mask &= _row_mask(pts, row)
+    return pts[mask]
+
+
 class HighsBackend(MilpBackend):
     """HiGHS via scipy.optimize.milp.
 
@@ -265,6 +275,8 @@ class HighsBackend(MilpBackend):
     also unusable, MilpSolveError names the subproblem kind and model size.
     Other options stay at solver defaults.
     """
+
+    name = "highs"
 
     def __init__(self, exact_gaps: bool = True):
         from scipy.optimize import milp  # defer so brute-force use never needs scipy
@@ -378,6 +390,36 @@ class HighsBackend(MilpBackend):
         lo = np.concatenate([lo_dom, np.full(len(cuts), -np.inf)])
         hi = np.concatenate([hi_dom, np.array([-c_.intercept for c_ in cuts])])
         return self._run("cp", c, a, lo, hi, n, budget, upper_limit)
+
+
+class AutoBackend(MilpBackend):
+    """Enumeration on small slices, HiGHS on the rest; the default backend.
+
+    The choice is made per call from the domain: a slice whose point table,
+    C(n,m) x n float64 entries, fits in AUTO_ENUM_ENTRIES is answered exactly
+    by one BruteForceBackend scan, which on such slices costs a fraction of a
+    HiGHS call's overhead. Larger slices go to a HighsBackend, constructed on
+    first use.
+    """
+
+    name = "auto"
+
+    def __init__(self):
+        self._brute = BruteForceBackend()
+        self._highs: Optional[HighsBackend] = None
+
+    def for_domain(self, dom: FeasibleDomain) -> MilpBackend:
+        if comb(dom.n, dom.m) * dom.n <= AUTO_ENUM_ENTRIES:
+            return self._brute
+        if self._highs is None:
+            self._highs = HighsBackend()
+        return self._highs
+
+    def _solve_linear(self, cost, dom, rows, budget):
+        return self.for_domain(dom)._solve_linear(cost, dom, rows, budget)
+
+    def solve_cp(self, cuts, dom, budget, upper_limit=None):
+        return self.for_domain(dom).solve_cp(cuts, dom, budget, upper_limit)
 
 
 def _unusable(res: MilpResult, upper_limit: Optional[float]) -> Optional[str]:

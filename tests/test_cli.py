@@ -1,10 +1,14 @@
 import json
+import logging
+import threading
 
 import numpy as np
 import pytest
 
+from gradcut import cli, milp
 from gradcut.bench import Instance, write_instance_json
-from gradcut.cli import main
+from gradcut.cli import main, make_backend
+from gradcut.milp import AutoBackend, BruteForceBackend, HighsBackend
 from gradcut.model import FeasibleDomain, QuadraticObjective
 
 from conftest import Q_DIAG
@@ -213,3 +217,86 @@ def test_solve_agrees_with_enumeration(tmp_path, capsys):
         assert code == 0
         f_line = next(ln for ln in out.splitlines() if ln.startswith("f_best"))
         assert abs(float(f_line.split()[1]) - f_star) <= 1e-9
+
+
+class TestBackendChoice:
+    def test_auto_is_the_default(self, monkeypatch):
+        monkeypatch.delenv("GRADCUT_BACKEND", raising=False)
+        assert type(make_backend("auto")) is AutoBackend
+
+    @pytest.mark.parametrize("name, cls", [("highs", HighsBackend), ("bruteforce", BruteForceBackend)])
+    def test_env_and_flag_force_one_backend(self, monkeypatch, name, cls):
+        monkeypatch.setenv("GRADCUT_BACKEND", name)
+        assert type(make_backend("auto")) is cls
+        monkeypatch.delenv("GRADCUT_BACKEND")
+        assert type(make_backend(name)) is cls
+
+    def test_unknown_env_backend_rejected(self, monkeypatch):
+        monkeypatch.setenv("GRADCUT_BACKEND", "cplex")
+        with pytest.raises(ValueError, match="unknown backend 'cplex'"):
+            make_backend("auto")
+
+    def test_solve_prints_the_backend_used(self, e1_json, monkeypatch, capsys):
+        monkeypatch.delenv("GRADCUT_BACKEND", raising=False)
+        assert main(["solve", str(e1_json), "--config", "cpm"]) == 0
+        assert "backend    bruteforce (auto)" in capsys.readouterr().out
+        assert main(["solve", str(e1_json), "--config", "cpm", "--backend", "highs"]) == 0
+        assert "backend    highs\n" in capsys.readouterr().out
+        monkeypatch.setenv("GRADCUT_BACKEND", "highs")
+        assert main(["solve", str(e1_json), "--config", "cpm"]) == 0
+        assert "backend    highs\n" in capsys.readouterr().out
+
+
+def test_stalled_run_exits_two(e1_json, monkeypatch, capsys):
+    from test_engine import UndershootingBackend
+
+    monkeypatch.setattr(cli, "make_backend", lambda name: UndershootingBackend())
+    code = main(["solve", str(e1_json), "--config", "cpm"])
+    assert code == 2
+    assert "status     stalled" in capsys.readouterr().out
+
+
+class BarrierBackend(BruteForceBackend):
+    """Logs one warning per lower bound, naming the slice size. Before each of
+    its first two, it waits for the other cell: so both cells have set their
+    labels before either logs, and neither ends before both have logged."""
+
+    def __init__(self, barrier):
+        super().__init__()
+        self.barrier = barrier
+        self.waits = 2
+
+    def solve_cp(self, cuts, dom, budget, upper_limit=None):
+        if self.waits:
+            self.waits -= 1
+            self.barrier.wait()
+        milp.log.warning("lower bound on n=%d", dom.n)
+        return super().solve_cp(cuts, dom, budget, upper_limit)
+
+
+def test_parallel_cells_keep_their_own_log_labels(e1_json, tmp_path, monkeypatch, capsys, caplog):
+    inst = Instance(
+        name="e4",
+        obj=QuadraticObjective(np.diag([1.0, 2.0, 3.0, 4.0])),
+        dom=FeasibleDomain(n=4, m=2),
+        source="canonical_json",
+    )
+    e4_json = tmp_path / "e4.json"
+    write_instance_json(inst, e4_json)
+    barrier = threading.Barrier(2, timeout=10)
+    monkeypatch.setattr(cli, "make_backend", lambda name: BarrierBackend(barrier))
+    caplog.set_level(logging.WARNING, logger="gradcut")
+    code = main(
+        ["bench", str(e1_json), str(e4_json), "--config", "cpm", "--parallel", "2",
+         "--out", str(tmp_path / "sweep")]
+    )
+    assert code == 0
+    manifest = json.loads((tmp_path / "sweep" / "manifest.json").read_text())
+    assert all(cell["status"] == "eps_optimal" for cell in manifest["cells"])
+    labels = {"lower bound on n=3": "e1/cpm", "lower bound on n=4": "e4/cpm"}
+    assert {r.getMessage() for r in caplog.records} == set(labels)
+    for record in caplog.records:
+        assert record.cell == labels[record.getMessage()]
+    err = capsys.readouterr().err
+    assert "gradcut WARNING [e1/cpm] lower bound on n=3" in err
+    assert "gradcut WARNING [e4/cpm] lower bound on n=4" in err

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradcut.bench import RunTrace, default_x0, validate_trace
+from gradcut import milp
+from gradcut.bench import RunTrace, default_x0, synth_instance, validate_trace
 from gradcut.engine import (
     CONFIG_FLAGS,
     CONFIG_NAMES,
@@ -18,7 +20,7 @@ from gradcut.engine import (
     run,
     select_offset,
 )
-from gradcut.milp import BruteForceBackend, HighsBackend, solve_cp_model
+from gradcut.milp import AutoBackend, BruteForceBackend, HighsBackend, solve_cp_model
 from gradcut.model import (
     CutOracle,
     FeasibleDomain,
@@ -436,3 +438,67 @@ def test_cpm_config_equals_reference_implementation(seed):
     for (ub_a, lb_a), (ub_b, lb_b) in zip(bounds_run, bounds_ref):
         assert ub_a == pytest.approx(ub_b, abs=1e-12)
         assert lb_a == pytest.approx(lb_b, abs=1e-12)
+
+
+class UndershootingBackend(BruteForceBackend):
+    """Exact, but reports every lower bound 1e-6 too low, as a MIP solver
+    working at a feasibility tolerance of 1e-6 may."""
+
+    def solve_cp(self, cuts, dom, budget, upper_limit=None):
+        res = super().solve_cp(cuts, dom, budget, upper_limit)
+        return dataclasses.replace(res, dual_bound=res.dual_bound - 1e-6)
+
+
+def test_fixed_point_reported_as_stalled():
+    out = run(
+        QuadraticObjective(Q_DIAG),
+        FeasibleDomain(n=3, m=1),
+        e(2),
+        SolverConfig.from_name("cpm"),
+        UndershootingBackend(),
+    )
+    assert out.status is SolveStatus.STALLED
+    assert out.status.value == "stalled"
+    assert out.f_best == 1.0
+    assert out.gap == pytest.approx(1e-6, rel=1e-9)
+    assert out.iterations < SolverConfig().max_outer_iters
+
+
+@pytest.mark.parametrize("config", CONFIG_NAMES)
+@pytest.mark.parametrize(
+    "kind, seed", [("nonconvex_random", 0), ("psd_random", 1)], ids=["nonconvex12", "psd14"]
+)
+def test_auto_backend_matches_enumeration(kind, seed, config):
+    n = 12 if kind == "nonconvex_random" else 14
+    inst = synth_instance(n, 4, kind, seed)
+    f_star, _ = enumerate_min(inst.obj.q, inst.dom)
+    cfg = SolverConfig.from_name(config)
+    out = run(inst.obj, inst.dom, default_x0(inst.dom), cfg, AutoBackend())
+    ref = run(inst.obj, inst.dom, default_x0(inst.dom), cfg, BruteForceBackend())
+    assert out.status is SolveStatus.EPS_OPTIMAL
+    assert out.f_best == ref.f_best
+    assert out.f_best == pytest.approx(f_star, abs=1e-9)
+
+
+class WarningBackend(BruteForceBackend):
+    """Logs one warning through the milp logger per lower-bound solve."""
+
+    def solve_cp(self, cuts, dom, budget, upper_limit=None):
+        milp.log.warning("lower bound on n=%d", dom.n)
+        return super().solve_cp(cuts, dom, budget, upper_limit)
+
+
+def test_records_name_their_cell(caplog):
+    caplog.set_level(logging.WARNING, logger="gradcut")
+    run(
+        QuadraticObjective(Q_DIAG),
+        FeasibleDomain(n=3, m=1),
+        e(2),
+        SolverConfig.from_name("pgm-lb"),
+        WarningBackend(),
+        instance_name="diag3",
+    )
+    milp.log.warning("after the run")
+    assert len(caplog.records) >= 2
+    assert {r.cell for r in caplog.records[:-1]} == {"diag3/pgm-lb"}
+    assert caplog.records[-1].cell == "-"

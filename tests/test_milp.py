@@ -1,3 +1,4 @@
+import itertools
 import time
 from types import SimpleNamespace
 
@@ -6,8 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradcut.engine import build_cut_constraints
+from gradcut import milp
+from gradcut.bench import default_x0, synth_instance
+from gradcut.cli import make_backend
+from gradcut.engine import CONFIG_NAMES, SolverConfig, build_cut_constraints, run
 from gradcut.milp import (
+    AutoBackend,
     BruteForceBackend,
     HighsBackend,
     MilpResult,
@@ -388,3 +393,118 @@ def test_bruteforce_ignores_the_upper_limit():
     res = BruteForceBackend().solve_cp(list(oracle), FeasibleDomain(n=3, m=1), 30.0, -10.0)
     assert res.ok
     assert res.bound == pytest.approx(1.0, abs=1e-12)
+
+
+class TestPointTable:
+    @pytest.mark.parametrize("n, m", [(3, 1), (5, 2), (6, 3), (8, 4), (9, 8)])
+    def test_matches_itertools_in_lexicographic_order(self, n, m):
+        want = np.zeros((len(list(itertools.combinations(range(n), m))), n))
+        for i, idx in enumerate(itertools.combinations(range(n), m)):
+            want[i, list(idx)] = 1.0
+        got = BruteForceBackend()._points(FeasibleDomain(n=n, m=m))
+        np.testing.assert_array_equal(got, want)
+
+    def test_extra_rows_filter_in_order(self):
+        row = LinearRow(np.array([1.0, 1.0, 0.0, 0.0, 0.0]), "<=", 1.0)
+        dom = FeasibleDomain(n=5, m=2, extra_rows=(row,))
+        np.testing.assert_array_equal(
+            BruteForceBackend()._points(dom), np.array(feasible_points(dom))
+        )
+
+
+class TestCutValueCache:
+    def test_one_domain_held_and_answers_unchanged(self):
+        backend = BruteForceBackend()
+        dom_a, dom_b = FeasibleDomain(n=3, m=1), FeasibleDomain(n=4, m=2)
+        obj_b = random_psd_objective(np.random.default_rng(0), 4)
+        cuts_a = list(oracle_at(Q_DIAG, [e(0), e(1), e(2)]))
+        cuts_b = [make_cut(obj_b, x) for x in feasible_points(dom_b)[:3]]
+        for k in (1, 2, 3):
+            for cuts, dom in ((cuts_a, dom_a), (cuts_b, dom_b)):
+                got = backend.solve_cp(cuts[:k], dom, 30.0)
+                want = BruteForceBackend().solve_cp(cuts[:k], dom, 30.0)
+                assert got.theta == want.theta
+                np.testing.assert_array_equal(got.x, want.x)
+                held_dom, held_cuts, _ = backend._cp_last
+                assert held_dom is dom and held_cuts == cuts[:k]
+
+    def test_grown_cut_list_extends_the_held_values(self):
+        backend = BruteForceBackend()
+        dom = FeasibleDomain(n=3, m=1)
+        cuts = list(oracle_at(Q_DIAG, [e(2), e(1), e(0)]))
+        for k in (1, 2, 3):
+            res = backend.solve_cp(cuts[:k], dom, 30.0)
+        assert res.theta == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(backend._cp_last[2], [1.0, 2.0, 3.0])
+
+
+def cp_answer_at(n, m, theta):
+    """A milp result for a cp model on n binaries: the first m chosen, and theta."""
+    x = np.zeros(n + 1)
+    x[:m] = 1.0
+    x[n] = theta
+    return SimpleNamespace(status=0, message="scripted", x=x, fun=theta, mip_dual_bound=theta)
+
+
+def scipy_milp(monkeypatch, *answers):
+    """A ScriptedMilp in place of scipy.optimize.milp, which a HighsBackend
+    binds when it is constructed, and the default backend choice restored."""
+    import scipy.optimize
+
+    stub = ScriptedMilp(*answers)
+    monkeypatch.setattr(scipy.optimize, "milp", stub)
+    monkeypatch.delenv("GRADCUT_BACKEND", raising=False)
+    return stub
+
+
+class TestAutoBackend:
+    @pytest.mark.parametrize(
+        "n, m, chosen",
+        [
+            (12, 4, BruteForceBackend),  # nonconvex12: 495 x 12 entries
+            (14, 4, BruteForceBackend),  # psd14: 1001 x 14
+            (30, 6, HighsBackend),  # mdp30: 593,775 x 30 = 17.8 M
+            (447, 2, HighsBackend),  # under 1e5 points, 44.6 M entries
+        ],
+    )
+    def test_choice_counts_table_entries(self, n, m, chosen):
+        assert type(AutoBackend().for_domain(FeasibleDomain(n=n, m=m))) is chosen
+
+    def test_cutoff_is_inclusive(self, monkeypatch):
+        dom = FeasibleDomain(n=8, m=3)  # 56 points x 8 = 448 entries
+        monkeypatch.setattr(milp, "AUTO_ENUM_ENTRIES", 448)
+        assert isinstance(AutoBackend().for_domain(dom), BruteForceBackend)
+        monkeypatch.setattr(milp, "AUTO_ENUM_ENTRIES", 447)
+        assert isinstance(AutoBackend().for_domain(dom), HighsBackend)
+
+    def test_highs_built_once_and_only_when_needed(self):
+        backend = AutoBackend()
+        backend.for_domain(FeasibleDomain(n=5, m=2))
+        assert backend._highs is None
+        big = FeasibleDomain(n=30, m=6)
+        assert backend.for_domain(big) is backend.for_domain(big)
+
+    def test_small_slice_never_reaches_highs(self, monkeypatch):
+        stub = scipy_milp(monkeypatch)  # no answers: a call would fail
+        inst = synth_instance(8, 3, "nonconvex_random", 0)
+        # a domain row puts the linear solves past the cardinality shortcut
+        row = LinearRow(np.array([1.0, 1.0] + [0.0] * 6), "<=", 1.0)
+        for dom in (inst.dom, FeasibleDomain(n=8, m=3, extra_rows=(row,))):
+            f_star, _ = enumerate_min(inst.obj.q, dom)
+            for config in CONFIG_NAMES:
+                backend = make_backend("auto")
+                out = run(inst.obj, dom, default_x0(dom, backend),
+                          SolverConfig.from_name(config), backend)
+                assert out.status.value == "eps_optimal"
+                assert out.f_best == pytest.approx(f_star, abs=1e-9)
+        assert stub.options == []
+
+    def test_large_slice_reaches_highs(self, monkeypatch):
+        stub = scipy_milp(monkeypatch, cp_answer_at(30, 6, -2.5))
+        dom = FeasibleDomain(n=30, m=6)
+        obj = QuadraticObjective(np.eye(30))
+        oracle = CutOracle()
+        oracle.add(make_cut(obj, default_x0(dom)))
+        res = solve_cp_model(oracle, dom, 30.0, make_backend("auto"))
+        assert res.theta == -2.5
+        assert len(stub.options) == 1
