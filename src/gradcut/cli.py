@@ -22,7 +22,7 @@ from . import bench
 from .bench import Instance, ParseError, RunTrace, default_x0, parse_instance, synth_instance
 from .engine import CONFIG_NAMES, SolveStatus, SolverConfig, run
 from .logs import NO_CELL
-from .milp import AUTO_ENUM_ENTRIES, AutoBackend, BruteForceBackend, HighsBackend
+from .milp import ENUM_STATE_BYTES, AutoBackend, BruteForceBackend, HighsBackend
 
 BACKEND_ENV = "GRADCUT_BACKEND"
 BACKENDS = {"auto": AutoBackend, "highs": HighsBackend, "bruteforce": BruteForceBackend}
@@ -93,7 +93,9 @@ def _parse_x0(spec: str, n: int) -> np.ndarray:
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--epsilon", type=float, default=1e-9, help="optimality gap tolerance")
+    p.add_argument(
+        "--epsilon", type=float, default=SolverConfig.epsilon, help="optimality gap tolerance"
+    )
     p.add_argument("--time-limit", type=float, default=100.0, help="wall-clock limit, seconds")
     p.add_argument(
         "--cardinality", type=int, default=None, help="override instance cardinality m"
@@ -102,9 +104,9 @@ def _add_common(p: argparse.ArgumentParser):
         "--backend",
         choices=tuple(BACKENDS),
         default="auto",
-        help="MILP backend: auto enumerates slices with C(n,m)*n <= "
-        f"{AUTO_ENUM_ENTRIES:,} and uses HiGHS otherwise; highs or bruteforce "
-        f"forces one (env {BACKEND_ENV} overrides auto)",
+        help="MILP backend: auto enumerates a slice when its C(n,m) points, at "
+        f"ceil(n/8)+8 bytes each, fit in {ENUM_STATE_BYTES:,} bytes and uses HiGHS "
+        f"otherwise; highs or bruteforce forces one (env {BACKEND_ENV} overrides auto)",
     )
     p.add_argument(
         "--input-format",
@@ -121,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Exit codes: 0 success/eps-optimal, 2 stopped uncertified (time or "
         "iteration limit, or stalled), 1 usage or data error. Env: "
         f"{BACKEND_ENV} (auto, highs or bruteforce) replaces the default backend, "
-        "auto, which enumerates small slices and uses HiGHS on the rest.",
+        "auto, which enumerates a slice whose enumerator state (a packed bit row "
+        "and a cut value per point) fits in 16 MB and uses HiGHS on the rest.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

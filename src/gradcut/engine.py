@@ -24,9 +24,11 @@ import numpy as np
 from . import logs
 from .bench import RunTrace, TraceRecord
 from .local import LocalResult, PgmParams, pgm_solve, tr_solve
-from .milp import MilpBackend, StatusKind, check_nonempty, project, solve_cp_model
+from .milp import HIGHS_FEAS_TOL, MilpBackend, StatusKind, check_nonempty, project, solve_cp_model
 from .model import (
+    FEAS_TOL,
     CutOracle,
+    CutRows,
     FeasibleDomain,
     LinearRow,
     QuadraticObjective,
@@ -37,6 +39,8 @@ from .model import (
     is_feasible,
     make_cut,
 )
+
+log = logs.get_logger(__name__)
 
 # the five canonical configurations: (use_local_solver, use_offset, use_lb_cuts)
 CONFIG_FLAGS = {
@@ -61,7 +65,7 @@ class SolverConfig:
     use_local_solver: bool = False
     use_offset: bool = False
     use_lb_cuts: bool = False
-    epsilon: float = 1e-9
+    epsilon: float = FEAS_TOL
     tau0: float = math.inf
     kappa_g: float = 0.1
     kappa_tau: float = 0.5
@@ -179,16 +183,14 @@ class SolveOutcome:
     offset_backtracks: int = 0
 
 
-def build_cut_constraints(oracle: CutOracle, ub: float, tau: float) -> list[LinearRow]:
-    """Theta-free rows forcing every tangent plane at most ub - tau."""
+def build_cut_constraints(oracle: CutOracle, ub: float, tau: float) -> CutRows:
+    """Theta-free rows forcing every tangent plane at most ub - tau: the level
+    set of the cut model at ub - tau."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     if not math.isfinite(ub):
         raise ValueError("ub must be finite")
-    return [
-        LinearRow(cut.grad, "<=", ub - tau - cut.value + float(cut.grad @ cut.anchor))
-        for cut in oracle
-    ]
+    return CutRows(oracle, ub - tau)
 
 
 def select_offset(
@@ -304,6 +306,8 @@ def _run(
     offset_backtracks = 0
     tau_used = 0.0
     prev_signature = None
+    tight = False  # solve the next lower bound at the backend's tightest tolerance
+    tightened = False
 
     def record():
         trace.records.append(
@@ -321,12 +325,20 @@ def _run(
         if remaining() <= 0:
             status = SolveStatus.TIME_LIMIT
             break
-        res = solve_cp_model(oracle, dom, remaining(), backend, incumbent=state.x_ub)
+        res = solve_cp_model(
+            oracle, dom, remaining(), backend, incumbent=state.x_ub, ub=state.ub, tight=tight
+        )
+        tight = False
         if res.status.kind not in (StatusKind.OPTIMAL, StatusKind.TIME_LIMIT):
             raise RuntimeError(f"lower-bound solve failed: {res.status}")
         if res.bound is not None:
             # the backend rejects bounds above the cut model at the incumbent,
-            # which never exceeds ub; what remains above ub is rounding
+            # which never exceeds ub; what remains above ub should be rounding
+            if res.bound > state.ub + FEAS_TOL * max(1.0, abs(state.ub)):
+                log.warning(
+                    "lower bound %.12g exceeds the incumbent value %.12g; clipped to it",
+                    res.bound - shift, state.ub - shift,
+                )
             state.lb = max(state.lb, min(res.bound, state.ub))
         if res.status.kind is StatusKind.TIME_LIMIT:
             status = SolveStatus.TIME_LIMIT
@@ -394,8 +406,14 @@ def _run(
         # every later iteration would repeat verbatim, so stop early
         signature = (len(oracle), state.ub, state.lb, state.tau, state.increase_offset)
         if not new_cut and not added_lb_cut and signature == prev_signature:
-            status = SolveStatus.STALLED
-            break
+            # a gap within HiGHS's feasibility tolerance, scaled as the values
+            # it bounds and give or take rounding, may be the solver's own
+            # error: solve the lower bound once more, tightly, before giving up
+            within = HIGHS_FEAS_TOL * max(1.0, abs(state.ub)) + FEAS_TOL
+            if tightened or state.ub - state.lb > within:
+                status = SolveStatus.STALLED
+                break
+            tight = tightened = True
         prev_signature = signature
 
     return SolveOutcome(

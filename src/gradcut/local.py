@@ -16,10 +16,14 @@ from typing import Sequence
 import numpy as np
 
 from .milp import MilpBackend, project, solve_tr_subproblem
-from .model import FeasibleDomain, LinearRow, QuadraticObjective, eval_gradient, eval_objective
-
-# slack for "this point attains the projection optimum" membership tests
-CRITICALITY_TOL = 1e-9
+from .model import (
+    FEAS_TOL,
+    FeasibleDomain,
+    LinearRow,
+    QuadraticObjective,
+    eval_gradient,
+    eval_objective,
+)
 
 
 @dataclass(frozen=True)
@@ -99,7 +103,7 @@ def is_critical(
     if not res.ok:
         raise RuntimeError(f"projection failed during criticality check: {res.status}")
     own_score = float((1.0 - 2.0 * z) @ x)
-    return own_score <= res.objective + CRITICALITY_TOL
+    return own_score <= res.objective + FEAS_TOL
 
 
 def pgm_solve(
@@ -135,7 +139,7 @@ def pgm_solve(
             if not res.ok:
                 return LocalResult(x, fx, iters, critical=False, eta=gamma)
             own_score = float((1.0 - 2.0 * z) @ x)
-            if own_score <= res.objective + CRITICALITY_TOL:
+            if own_score <= res.objective + FEAS_TOL:
                 return LocalResult(x, fx, iters, critical=True, eta=gamma)
             x_new = res.x
             f_new = eval_objective(obj, x_new)
@@ -185,7 +189,7 @@ def tr_solve(
             res = solve_tr_subproblem(grad, x, delta, norm_p, dom, cut_rows, remaining, backend)
             if not res.ok:
                 return LocalResult(x, fx, iters, critical=False, eta=delta)
-            if res.objective >= base - CRITICALITY_TOL:
+            if res.objective >= base - FEAS_TOL:
                 return LocalResult(x, fx, iters, critical=False, eta=delta, tr_stationary=True)
             x_new = res.x
             f_new = eval_objective(obj, x_new)

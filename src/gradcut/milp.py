@@ -26,16 +26,18 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .logs import get_logger
-from .model import Cut, FeasibleDomain, LinearRow
+from .model import FEAS_TOL, Cut, CutOracle, CutRows, FeasibleDomain, LinearRow
 
 log = get_logger(__name__)
 
-# refuse brute-force enumeration beyond this many points
-_ENUM_CAP = 2_000_000
+# the enumerator's state for a slice -- a packed bit row of ceil(n/8) bytes
+# and a float64 cut value per point -- may take this many bytes; AutoBackend
+# enumerates the slices within it and BruteForceBackend refuses the others
+ENUM_STATE_BYTES = 16_000_000
 
-# AutoBackend enumerates a slice whose point table, C(n,m) x n float64
-# entries, stays within this many entries (16 MB)
-AUTO_ENUM_ENTRIES = 2_000_000
+# HiGHS's default mip_feasibility_tolerance: a lower bound it reports may sit
+# this far below the model optimum
+HIGHS_FEAS_TOL = 1e-6
 
 # relative slack by which a reported lower bound may exceed the upper limit on
 # the model optimum before it counts as impossible
@@ -94,6 +96,7 @@ class MilpBackend(abc.ABC):
     """One handle per engine run; a handle performs one solve at a time."""
 
     name: str  # as chosen on the command line
+    exact = False  # an exact backend's bounds need no upper limit to check them
 
     def for_domain(self, dom: FeasibleDomain) -> "MilpBackend":
         """The backend that answers the subproblems posed on dom."""
@@ -136,102 +139,91 @@ class MilpBackend(abc.ABC):
         dom: FeasibleDomain,
         budget: float,
         upper_limit: Optional[float] = None,
+        ub: Optional[float] = None,
+        tight: bool = False,
     ) -> MilpResult:
         """min theta over x in dom, theta >= <grad, x> + intercept for each cut.
 
         upper_limit, when given, is a value the model optimum cannot exceed; a
-        backend may use it to reject a bound that is provably wrong.
+        backend may use it to reject a bound that is provably wrong. ub, when
+        given, is the incumbent value of the run whose oracle cuts is; it never
+        rises during a run, and a backend may forget every point whose cut
+        model exceeds it. tight asks for the solve at the backend's tightest
+        feasibility tolerance.
         """
 
 
 class BruteForceBackend(MilpBackend):
     """Exhaustive enumeration of the cardinality slice; exact and deterministic.
 
-    Feasible points are enumerated in lexicographic order of chosen index
-    tuples, so ties always resolve to the first minimizer.
+    Points are scanned in lexicographic order of their chosen index tuples, so
+    ties always resolve to the first minimizer. The backend holds the
+    _LevelSets of one run: the lower bound is the argmin of its theta, and the
+    cut rows of that run (CutRows at a level no higher than the run's ub) are
+    answered from theta without reading a row. Any other rows take one masked
+    pass over a freshly built table of the slice.
     """
 
     name = "bruteforce"
+    exact = True
 
     def __init__(self):
-        self._combo_cache: dict[tuple[int, int], np.ndarray] = {}
-        # running max of cut values over all points for the latest domain and
-        # cut list, extended incrementally as the oracle grows (solve_cp is
-        # called with an append-only cut list during an engine run)
-        self._cp_last: Optional[tuple[FeasibleDomain, list, np.ndarray]] = None
-
-    def _points(self, dom: FeasibleDomain) -> np.ndarray:
-        key = (dom.n, dom.m)
-        pts = self._combo_cache.get(key)
-        if pts is None:
-            count = comb(dom.n, dom.m)
-            if count > _ENUM_CAP:
-                raise ValueError(
-                    f"C({dom.n},{dom.m}) exceeds the brute-force enumeration cap"
-                )
-            idx = np.fromiter(
-                itertools.chain.from_iterable(itertools.combinations(range(dom.n), dom.m)),
-                dtype=np.intp,
-                count=count * dom.m,
-            ).reshape(count, dom.m)
-            pts = np.zeros((count, dom.n))
-            pts[np.arange(count)[:, None], idx] = 1.0
-            pts.setflags(write=False)
-            self._combo_cache[key] = pts
-        return _satisfying(pts, dom.extra_rows)
+        self._sets: Optional[_LevelSets] = None
 
     def _solve_linear(self, cost, dom, rows, budget):
         t0 = time.perf_counter()
-        pts = _satisfying(self._points(dom), rows)
-        if len(pts) == 0:
+        sets = self._sets
+        if sets is not None and sets.reads(rows, dom):
+            found = sets.argmin(cost, rows.level)
+        else:
+            table = _packed_table(dom)
+            checks = _row_checks(dom.n, rows)
+            found = _first_minimum(
+                (
+                    table[:, b][:, _satisfying(table[:, b], checks)]
+                    for b in _blocks(table.shape[1])
+                ),
+                cost,
+                dom.n,
+            )
+        if found is None:
             return MilpResult(
                 status=MilpStatus(StatusKind.INFEASIBLE, "no feasible point"),
                 solve_time=time.perf_counter() - t0,
             )
-        scores = pts @ np.asarray(cost, dtype=float)
-        i = int(np.argmin(scores))
-        obj = float(scores[i])
+        x, obj = found
         return MilpResult(
             status=MilpStatus(StatusKind.OPTIMAL),
-            x=pts[i].copy(),
+            x=x,
             objective=obj,
             dual_bound=obj,
             solve_time=time.perf_counter() - t0,
         )
 
-    def solve_cp(self, cuts, dom, budget, upper_limit=None):
-        # exact: the limit can never be violated, so it is not consulted
+    def solve_cp(self, cuts, dom, budget, upper_limit=None, ub=None, tight=False):
+        # exact: the limit can never be violated and there is no tolerance to
+        # tighten, so neither upper_limit nor tight is consulted
         t0 = time.perf_counter()
-        cuts = list(cuts)
-        if not cuts:
+        if len(cuts) == 0:
             raise ValueError("cutting-plane model requires a nonempty oracle")
-        pts = self._points(dom)
-        if len(pts) == 0:
+        sets = self._sets
+        if sets is None or not sets.holds(cuts, dom) or (ub is not None and ub > sets.ub):
+            sets = self._sets = None  # free the old state before building the new one
+            sets = self._sets = _LevelSets(dom, cuts)
+        sets.extend(itertools.islice(cuts, sets.n_cuts, None))
+        if len(sets.theta) == 0:
             return MilpResult(
                 status=MilpStatus(StatusKind.INFEASIBLE, "empty domain"),
                 solve_time=time.perf_counter() - t0,
             )
-        start = 0
-        theta = None
-        if self._cp_last is not None:
-            last_dom, prev_cuts, prev_theta = self._cp_last
-            if (
-                last_dom is dom
-                and len(cuts) >= len(prev_cuts)
-                and all(a is b for a, b in zip(prev_cuts, cuts))
-            ):
-                theta = prev_theta
-                start = len(prev_cuts)
-        if theta is None:
-            theta = np.full(len(pts), -np.inf)
-        for cut in cuts[start:]:
-            np.maximum(theta, pts @ cut.grad + cut.intercept, out=theta)
-        self._cp_last = (dom, cuts, theta)
-        i = int(np.argmin(theta))
-        obj = float(theta[i])
+        i = int(np.argmin(sets.theta))
+        obj = sets.theta_min = float(sets.theta[i])
+        x = _decode(sets.table[:, i], dom.n)
+        if ub is not None:
+            sets.prune(max(ub, obj))
         return MilpResult(
             status=MilpStatus(StatusKind.OPTIMAL),
-            x=pts[i].copy(),
+            x=x,
             theta=obj,
             objective=obj,
             dual_bound=obj,
@@ -239,23 +231,199 @@ class BruteForceBackend(MilpBackend):
         )
 
 
-def _row_mask(pts: np.ndarray, row: LinearRow, tol: float = 1e-9) -> np.ndarray:
-    lhs = pts @ row.coeffs
-    if row.sense == "<=":
-        return lhs <= row.rhs + tol
-    if row.sense == ">=":
-        return lhs >= row.rhs - tol
-    return np.abs(lhs - row.rhs) <= tol
+class _LevelSets:
+    """An enumerator's state for one run: the surviving points of its domain
+    and the cut model theta at each of them.
+
+    table holds the points in lexicographic order as packed bit rows (the
+    np.packbits layout, ceil(n/8) bytes each), one column per point, and
+    theta[i] is the max over the first n_cuts cuts of the oracle of
+    <grad, x_i> + intercept. A point whose theta exceeds ub + FEAS_TOL is
+    dead: theta only grows and ub only falls during a run, so it can never
+    again be a lower-bound argmin or lie in a level set theta <= ub - tau.
+    Only a CutOracle, whose cuts can only be appended, has its state serve
+    later calls.
+    """
+
+    def __init__(self, dom: FeasibleDomain, cuts: Sequence[Cut]):
+        self.dom = dom
+        self.oracle = cuts if isinstance(cuts, CutOracle) else None
+        self.table = _packed_table(dom)
+        self.theta = np.full(self.table.shape[1], -np.inf)
+        self.theta_min = -np.inf  # set by each lower bound
+        self.n_cuts = 0
+        self.ub = np.inf
+
+    def holds(self, cuts, dom: FeasibleDomain) -> bool:
+        """Whether this is the state of the run whose oracle is cuts, on dom."""
+        return self.oracle is not None and cuts is self.oracle and dom is self.dom
+
+    def reads(self, rows, dom: FeasibleDomain) -> bool:
+        """Whether rows are a level set of theta: the cut rows of this run, of
+        the cuts folded in so far, at a level no higher than ub."""
+        return (
+            isinstance(rows, CutRows)
+            and self.holds(rows.cuts, dom)
+            and len(rows) == self.n_cuts
+            and rows.level <= self.ub
+        )
+
+    def extend(self, cuts) -> None:
+        """Fold new cuts into theta."""
+        for cut in cuts:
+            lut = _lut(cut.grad, len(self.table))
+            for block in _blocks(len(self.theta)):
+                theta = self.theta[block]
+                np.maximum(theta, _scores(self.table[:, block], lut) + cut.intercept, out=theta)
+            self.n_cuts += 1
+
+    def prune(self, ub: float) -> None:
+        """Lower ub, and drop the dead points once they are an eighth of those
+        held: until then no answer reads them, and keeping them costs less
+        than moving the others."""
+        limit = ub + FEAS_TOL
+        dead = sum(int(np.count_nonzero(self.theta[b] > limit)) for b in _blocks(len(self.theta)))
+        if 8 * dead >= len(self.theta):
+            self.table, self.theta = _compact(
+                lambda block: self.theta[block] <= limit, self.table, self.theta
+            )
+        self.ub = ub
+
+    def argmin(self, cost: np.ndarray, level: float):
+        """min <cost, x> over the level set theta <= level, or None when empty.
+
+        The set is empty exactly when the model minimum exceeds the level, and
+        then no point is read.
+        """
+        if self.theta_min > level + FEAS_TOL:
+            return None
+        inside = (
+            self.table[:, block][:, self.theta[block] <= level + FEAS_TOL]
+            for block in _blocks(len(self.theta))
+        )
+        return _first_minimum(inside, cost, self.dom.n)
 
 
-def _satisfying(pts: np.ndarray, rows: Sequence[LinearRow]) -> np.ndarray:
-    """The points that satisfy every row; pts itself when there are no rows."""
-    if not rows:
-        return pts
-    mask = np.ones(len(pts), dtype=bool)
-    for row in rows:
-        mask &= _row_mask(pts, row)
-    return pts[mask]
+# points read at a time, so that no array the size of the slice is made
+# besides the packed table and theta
+_BLOCK = 8192
+
+# _BITS[b] is the byte b unpacked, most significant bit first: np.packbits
+# packs coordinates 8j .. 8j+7 into byte j, and _BIT[k] is the bit of 8j+k
+_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(float)
+_BIT = np.array([128 >> k for k in range(8)], dtype=np.uint8)
+
+
+def enumerable(n: int, m: int) -> bool:
+    """Whether the enumerator's state for the slice, a packed bit row and a
+    float64 cut value per point, fits in ENUM_STATE_BYTES."""
+    return comb(n, m) * ((n + 7) // 8 + 8) <= ENUM_STATE_BYTES
+
+
+def _blocks(count: int):
+    return (slice(s, s + _BLOCK) for s in range(0, count, _BLOCK))
+
+
+def _packed_table(dom: FeasibleDomain) -> np.ndarray:
+    """The points of dom as packed bit rows, one column per point, in
+    lexicographic order of their index tuples.
+
+    Built one index at a time from the back: level k holds the k-subsets of
+    range(m - k, n), the last k indices of every point, in lexicographic
+    order. Those starting above i are a tail of level k, so level k + 1 is
+    the tails of level k, each prefixed with its index i.
+    """
+    n, m = dom.n, dom.m
+    if not enumerable(n, m):
+        raise ValueError(f"C({n},{m}) exceeds the enumeration budget of {ENUM_STATE_BYTES:,} bytes")
+    level = np.zeros(((n + 7) // 8, n - m + 1), dtype=np.uint8)
+    for col, i in enumerate(range(m - 1, n)):
+        level[i >> 3, col] = _BIT[i & 7]
+    for k in range(2, m + 1):
+        out = np.empty((len(level), comb(n - m + k, k)), dtype=np.uint8)
+        filled = 0
+        for i in range(m - k, n - k + 1):
+            count = comb(n - i - 1, k - 1)
+            out[:, filled : filled + count] = level[:, level.shape[1] - count :]
+            out[i >> 3, filled : filled + count] |= _BIT[i & 7]
+            filled += count
+        level = out
+    if dom.extra_rows:
+        checks = _row_checks(n, dom.extra_rows)
+        (level,) = _compact(lambda block: _satisfying(level[:, block], checks), level)
+    return level
+
+
+def _compact(keep, *arrays):
+    """Keep the points (last-axis entries) where keep(block) holds, moved
+    forward block by block in place; returns the arrays cut to the kept
+    points. Once at most 1/16 of them is kept they are copied, so that the
+    memory of the rest is returned at the cost of a small copy held beside
+    it for a moment."""
+    total = arrays[0].shape[-1]
+    kept = 0
+    for block in _blocks(total):
+        mask = keep(block)
+        count = int(np.count_nonzero(mask))
+        for a in arrays:
+            a[..., kept : kept + count] = a[..., block][..., mask]
+        kept += count
+    if 16 * kept > total:
+        return tuple(a[..., :kept] for a in arrays)
+    return tuple(a[..., :kept].copy() for a in arrays)
+
+
+def _lut(v: np.ndarray, n_bytes: int) -> np.ndarray:
+    """Lookup tables of <v, x> on packed rows: lut[j, b] is the share of byte j
+    when it holds the value b."""
+    padded = np.zeros(8 * n_bytes)
+    padded[: len(v)] = v
+    return padded.reshape(n_bytes, 8) @ _BITS.T
+
+
+def _scores(packed: np.ndarray, lut: np.ndarray) -> np.ndarray:
+    """<v, x> for every packed point (column) x, from the lookup tables of v."""
+    s = lut[0].take(packed[0])
+    for j in range(1, len(lut)):
+        s += lut[j].take(packed[j])
+    return s
+
+
+def _decode(row: np.ndarray, n: int) -> np.ndarray:
+    return np.unpackbits(row, count=n).astype(float)
+
+
+def _row_checks(n: int, rows: Sequence[LinearRow]) -> list:
+    return [(_lut(row.coeffs, (n + 7) // 8), row) for row in rows]
+
+
+def _satisfying(packed: np.ndarray, checks: list) -> np.ndarray:
+    """Mask of the packed points that satisfy every checked row."""
+    keep = np.ones(packed.shape[1], dtype=bool)
+    for lut, row in checks:
+        lhs = _scores(packed, lut)
+        if row.sense == "<=":
+            keep &= lhs <= row.rhs + FEAS_TOL
+        elif row.sense == ">=":
+            keep &= lhs >= row.rhs - FEAS_TOL
+        else:
+            keep &= np.abs(lhs - row.rhs) <= FEAS_TOL
+    return keep
+
+
+def _first_minimum(blocks, cost: np.ndarray, n: int):
+    """The lexicographically first minimizer of <cost, x> over packed blocks
+    given in lexicographic order, with its objective; None when all are empty."""
+    lut = _lut(np.asarray(cost, dtype=float), (n + 7) // 8)
+    best_row, best = None, np.inf
+    for block in blocks:
+        if block.shape[1] == 0:
+            continue
+        s = _scores(block, lut)
+        i = int(np.argmin(s))
+        if best_row is None or s[i] < best:
+            best_row, best = block[:, i].copy(), float(s[i])
+    return None if best_row is None else (_decode(best_row, n), best)
 
 
 class HighsBackend(MilpBackend):
@@ -272,8 +440,10 @@ class HighsBackend(MilpBackend):
     presolved model's solution violates the original rows), or whose lower
     bound exceeds the caller's upper limit by more than BOUND_RTOL, is solved
     once more with presolve off inside the remaining budget. If that answer is
-    also unusable, MilpSolveError names the subproblem kind and model size.
-    Other options stay at solver defaults.
+    also unusable, MilpSolveError names the subproblem kind and model size. A
+    tight lower-bound solve goes straight to that second solve, with
+    mip_feasibility_tolerance lowered from HIGHS_FEAS_TOL to FEAS_TOL. Other
+    options stay at solver defaults.
     """
 
     name = "highs"
@@ -284,9 +454,11 @@ class HighsBackend(MilpBackend):
         self._milp = milp
         self.exact_gaps = exact_gaps
 
-    def _solve_once(self, c, constraints, integrality, bounds, budget, n, presolve):
+    def _solve_once(self, c, constraints, integrality, bounds, budget, n, presolve, tight=False):
         t0 = time.perf_counter()
         options = {"time_limit": float(budget), "presolve": presolve}
+        if tight:
+            options["mip_feasibility_tolerance"] = FEAS_TOL
         if self.exact_gaps:
             options["mip_rel_gap"] = 0.0
             options["mip_abs_gap"] = 0.0
@@ -322,7 +494,7 @@ class HighsBackend(MilpBackend):
             dual_bound=float(dual) if dual is not None else None,
         )
 
-    def _run(self, kind, c, a, lo, hi, n, budget, upper_limit=None) -> MilpResult:
+    def _run(self, kind, c, a, lo, hi, n, budget, upper_limit=None, tight=False) -> MilpResult:
         """Solve with binary x[:n] and free continuous columns after it."""
         from scipy.optimize import Bounds, LinearConstraint
 
@@ -334,18 +506,24 @@ class HighsBackend(MilpBackend):
             np.concatenate([np.ones(n), np.full(n_free, np.inf)]),
         )
         deadline = time.perf_counter() + budget
-        res = self._solve_once(c, constraints, integrality, bounds, budget, n, presolve=True)
-        reason = _unusable(res, upper_limit)
-        if reason is None:
-            return res
+        if tight:
+            why = f"a tight solve, at mip_feasibility_tolerance {FEAS_TOL:g}"
+        else:
+            res = self._solve_once(c, constraints, integrality, bounds, budget, n, presolve=True)
+            reason = _unusable(res, upper_limit)
+            if reason is None:
+                return res
+            why = f"unusable: {reason}"
         log.warning(
-            "HiGHS %s solve (%d rows x %d cols) unusable, re-solving with presolve off: %s",
-            kind, a.shape[0], len(c), reason,
+            "HiGHS %s solve (%d rows x %d cols) re-solving with presolve off; %s",
+            kind, a.shape[0], len(c), why,
         )
         remaining = deadline - time.perf_counter()
         if remaining <= 0:
-            return _timeout_result(f"budget exhausted before re-solving: {reason}")
-        res = self._solve_once(c, constraints, integrality, bounds, remaining, n, presolve=False)
+            return _timeout_result(f"budget exhausted before re-solving; {why}")
+        res = self._solve_once(
+            c, constraints, integrality, bounds, remaining, n, presolve=False, tight=tight
+        )
         reason = _unusable(res, upper_limit)
         if reason is None:
             return res
@@ -374,7 +552,7 @@ class HighsBackend(MilpBackend):
         a, lo, hi = self._stack_rows(dom, rows, dom.n)
         return self._run("linear", np.asarray(cost, dtype=float), a, lo, hi, dom.n, budget)
 
-    def solve_cp(self, cuts, dom, budget, upper_limit=None):
+    def solve_cp(self, cuts, dom, budget, upper_limit=None, ub=None, tight=False):
         cuts = list(cuts)
         if not cuts:
             raise ValueError("cutting-plane model requires a nonempty oracle")
@@ -389,17 +567,16 @@ class HighsBackend(MilpBackend):
         a = np.vstack([a_dom, a_cut])
         lo = np.concatenate([lo_dom, np.full(len(cuts), -np.inf)])
         hi = np.concatenate([hi_dom, np.array([-c_.intercept for c_ in cuts])])
-        return self._run("cp", c, a, lo, hi, n, budget, upper_limit)
+        return self._run("cp", c, a, lo, hi, n, budget, upper_limit, tight)
 
 
 class AutoBackend(MilpBackend):
     """Enumeration on small slices, HiGHS on the rest; the default backend.
 
-    The choice is made per call from the domain: a slice whose point table,
-    C(n,m) x n float64 entries, fits in AUTO_ENUM_ENTRIES is answered exactly
-    by one BruteForceBackend scan, which on such slices costs a fraction of a
-    HiGHS call's overhead. Larger slices go to a HighsBackend, constructed on
-    first use.
+    The choice is made per call from the domain: a slice whose enumerator
+    state fits in ENUM_STATE_BYTES (see enumerable) is answered exactly by a
+    BruteForceBackend, whose level sets cost a fraction of a HiGHS call. Larger
+    slices go to a HighsBackend, constructed on first use.
     """
 
     name = "auto"
@@ -409,7 +586,7 @@ class AutoBackend(MilpBackend):
         self._highs: Optional[HighsBackend] = None
 
     def for_domain(self, dom: FeasibleDomain) -> MilpBackend:
-        if comb(dom.n, dom.m) * dom.n <= AUTO_ENUM_ENTRIES:
+        if enumerable(dom.n, dom.m):
             return self._brute
         if self._highs is None:
             self._highs = HighsBackend()
@@ -418,8 +595,8 @@ class AutoBackend(MilpBackend):
     def _solve_linear(self, cost, dom, rows, budget):
         return self.for_domain(dom)._solve_linear(cost, dom, rows, budget)
 
-    def solve_cp(self, cuts, dom, budget, upper_limit=None):
-        return self.for_domain(dom).solve_cp(cuts, dom, budget, upper_limit)
+    def solve_cp(self, cuts, dom, budget, upper_limit=None, ub=None, tight=False):
+        return self.for_domain(dom).solve_cp(cuts, dom, budget, upper_limit, ub, tight)
 
 
 def _unusable(res: MilpResult, upper_limit: Optional[float]) -> Optional[str]:
@@ -437,28 +614,30 @@ def _unusable(res: MilpResult, upper_limit: Optional[float]) -> Optional[str]:
 
 
 def solve_cp_model(
-    oracle,
+    oracle: CutOracle,
     dom: FeasibleDomain,
     budget: float,
     backend: MilpBackend,
     incumbent: Optional[np.ndarray] = None,
+    ub: Optional[float] = None,
+    tight: bool = False,
 ) -> MilpResult:
     """Lower-bound problem: min theta subject to every cut in the oracle.
 
     With an incumbent, the cut model evaluated there -- max over cuts of
     value + <grad, incumbent - anchor> -- bounds the model optimum from above
-    and is handed to the backend as its upper limit.
+    and is handed to a backend that is not exact as its upper limit. ub and
+    tight are handed on as MilpBackend.solve_cp describes them.
     """
     if len(oracle) == 0:
         raise ValueError("cutting-plane model requires a nonempty oracle")
     if budget <= 0:
         return _timeout_result()
-    cuts = list(oracle)
     upper_limit = None
-    if incumbent is not None:
+    if incumbent is not None and not backend.for_domain(dom).exact:
         x = np.asarray(incumbent, dtype=float)
-        upper_limit = max(cut.value + float(cut.grad @ (x - cut.anchor)) for cut in cuts)
-    return backend.solve_cp(cuts, dom, budget, upper_limit)
+        upper_limit = max(cut.value + float(cut.grad @ (x - cut.anchor)) for cut in oracle)
+    return backend.solve_cp(oracle, dom, budget, upper_limit, ub, tight)
 
 
 def project(

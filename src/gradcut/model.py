@@ -15,6 +15,8 @@ import numpy as np
 
 SENSES = ("<=", ">=", "==")
 
+# the one absolute tolerance: slack on row and level-set membership, on the
+# criticality test of the local solver, and the default optimality gap
 FEAS_TOL = 1e-9
 
 
@@ -165,6 +167,25 @@ class CutOracle:
 
     def __iter__(self) -> Iterator[Cut]:
         return iter(self.cuts)
+
+
+class CutRows(list):
+    """The rows <grad, x> <= level - intercept, one per cut of an oracle.
+
+    Together they cut out the level set {x : theta(x) <= level} of the cut
+    model theta(x) = max over cuts of <grad, x> + intercept. A MILP solver
+    reads the rows; an enumerator that holds theta for the oracle's cuts reads
+    `cuts` (the oracle) and `level` instead. The rows are those of the cuts
+    present when they were built, so len(rows) counts those cuts.
+    """
+
+    def __init__(self, oracle: CutOracle, level: float):
+        super().__init__(
+            LinearRow(cut.grad, "<=", level - cut.value + float(cut.grad @ cut.anchor))
+            for cut in oracle
+        )
+        self.cuts = oracle
+        self.level = level
 
 
 def _check_dim(obj: QuadraticObjective, x) -> np.ndarray:

@@ -266,12 +266,12 @@ class BarrierBackend(BruteForceBackend):
         self.barrier = barrier
         self.waits = 2
 
-    def solve_cp(self, cuts, dom, budget, upper_limit=None):
+    def solve_cp(self, cuts, dom, budget, *args):
         if self.waits:
             self.waits -= 1
             self.barrier.wait()
         milp.log.warning("lower bound on n=%d", dom.n)
-        return super().solve_cp(cuts, dom, budget, upper_limit)
+        return super().solve_cp(cuts, dom, budget, *args)
 
 
 def test_parallel_cells_keep_their_own_log_labels(e1_json, tmp_path, monkeypatch, capsys, caplog):

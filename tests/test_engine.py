@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import itertools
 import logging
 import math
 
@@ -371,11 +373,16 @@ def test_highs_run_survives_unusable_lower_bound_solves(name, config):
 
 
 class OvershootingBackend(BruteForceBackend):
-    """Exact, but reports every lower bound a rounding error too high."""
+    """Exact, but reports every lower bound too high: by a rounding error,
+    unless told otherwise."""
 
-    def solve_cp(self, cuts, dom, budget, upper_limit=None):
-        res = super().solve_cp(cuts, dom, budget, upper_limit)
-        return dataclasses.replace(res, dual_bound=res.dual_bound + 1e-12)
+    def __init__(self, excess=1e-12):
+        super().__init__()
+        self.excess = excess
+
+    def solve_cp(self, cuts, dom, budget, *args):
+        res = super().solve_cp(cuts, dom, budget, *args)
+        return dataclasses.replace(res, dual_bound=res.dual_bound + self.excess)
 
 
 def test_rounding_above_incumbent_reports_zero_gap():
@@ -444,8 +451,8 @@ class UndershootingBackend(BruteForceBackend):
     """Exact, but reports every lower bound 1e-6 too low, as a MIP solver
     working at a feasibility tolerance of 1e-6 may."""
 
-    def solve_cp(self, cuts, dom, budget, upper_limit=None):
-        res = super().solve_cp(cuts, dom, budget, upper_limit)
+    def solve_cp(self, cuts, dom, budget, *args):
+        res = super().solve_cp(cuts, dom, budget, *args)
         return dataclasses.replace(res, dual_bound=res.dual_bound - 1e-6)
 
 
@@ -464,14 +471,99 @@ def test_fixed_point_reported_as_stalled():
     assert out.iterations < SolverConfig().max_outer_iters
 
 
+class ToleranceBackend(BruteForceBackend):
+    """Exact, but reports every lower bound 1e-6 too low unless asked for a
+    tight solve, as HiGHS at its default and at a tight feasibility tolerance."""
+
+    def __init__(self):
+        super().__init__()
+        self.tight_solves = 0
+
+    def solve_cp(self, cuts, dom, budget, upper_limit=None, ub=None, tight=False):
+        res = super().solve_cp(cuts, dom, budget, upper_limit, ub, tight)
+        if tight:
+            self.tight_solves += 1
+            return res
+        return dataclasses.replace(res, dual_bound=res.dual_bound - 1e-6)
+
+
+def test_stall_within_the_solver_tolerance_resolved_once_tightly():
+    backend = ToleranceBackend()
+    out = run(
+        QuadraticObjective(Q_DIAG),
+        FeasibleDomain(n=3, m=1),
+        e(2),
+        SolverConfig.from_name("cpm"),
+        backend,
+    )
+    assert out.status is SolveStatus.EPS_OPTIMAL
+    assert out.gap == 0.0
+    assert backend.tight_solves == 1
+
+
+def test_highs_stall_at_its_feasibility_tolerance_mended(caplog):
+    # at HiGHS's default mip_feasibility_tolerance of 1e-6 this cell's lower
+    # bound settles exactly 1e-6 below its optimal incumbent, short of the
+    # 1e-9 certificate, and the run stalls after 17 iterations
+    caplog.set_level(logging.WARNING, logger="gradcut")
+    inst = synth_instance(30, 6, "mdp_like", 2)
+    out = run(
+        inst.obj,
+        inst.dom,
+        default_x0(inst.dom),
+        SolverConfig.from_name("pgm-tau"),
+        HighsBackend(),
+        instance_name=inst.name,
+    )
+    assert out.status is SolveStatus.EPS_OPTIMAL
+    assert out.f_best == pytest.approx(synth_minimum(30, 6, "mdp_like", 2), abs=1e-9)
+    retries = [r for r in caplog.records if "mip_feasibility_tolerance" in r.getMessage()]
+    assert len(retries) == 1
+    assert retries[0].cell == f"{inst.name}/pgm-tau"
+
+
+@pytest.mark.parametrize("excess, warned", [(1e-12, False), (1e-3, True)])
+def test_bound_above_the_incumbent_is_clipped_and_warned_of(excess, warned, caplog):
+    caplog.set_level(logging.WARNING, logger="gradcut")
+    out = run(
+        QuadraticObjective(Q_DIAG),
+        FeasibleDomain(n=3, m=1),
+        e(0),  # optimal: every lower bound overshoots it
+        SolverConfig.from_name("cpm"),
+        OvershootingBackend(excess),
+        instance_name="diag3",
+    )
+    assert all(rec.lb <= rec.ub for rec in out.trace.records)
+    assert out.gap == 0.0
+    clipped = [r for r in caplog.records if "exceeds the incumbent" in r.getMessage()]
+    assert bool(clipped) is warned
+    assert all(r.cell == "diag3/cpm" for r in clipped)
+
+
+@functools.lru_cache(maxsize=None)
+def synth_minimum(n, m, kind, seed):
+    """Exhaustive minimum of a synthetic instance over its slice, summed from
+    the entries of Q at every m-subset of itertools.combinations."""
+    q = synth_instance(n, m, kind, seed).obj.q
+    count = math.comb(n, m)
+    idx = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n), m)),
+        dtype=np.intp,
+        count=count * m,
+    ).reshape(count, m)
+    values = sum(q[idx[:, a], idx[:, b]] for a in range(m) for b in range(m))
+    return 0.5 * float(values.min())
+
+
 @pytest.mark.parametrize("config", CONFIG_NAMES)
 @pytest.mark.parametrize(
-    "kind, seed", [("nonconvex_random", 0), ("psd_random", 1)], ids=["nonconvex12", "psd14"]
+    "kind, n, m, seed",
+    [("nonconvex_random", 12, 4, 0), ("psd_random", 14, 4, 1), ("mdp_like", 30, 6, 2)],
+    ids=["nonconvex12", "psd14", "mdp30"],
 )
-def test_auto_backend_matches_enumeration(kind, seed, config):
-    n = 12 if kind == "nonconvex_random" else 14
-    inst = synth_instance(n, 4, kind, seed)
-    f_star, _ = enumerate_min(inst.obj.q, inst.dom)
+def test_auto_backend_matches_enumeration(kind, n, m, seed, config):
+    inst = synth_instance(n, m, kind, seed)
+    f_star = synth_minimum(n, m, kind, seed)
     cfg = SolverConfig.from_name(config)
     out = run(inst.obj, inst.dom, default_x0(inst.dom), cfg, AutoBackend())
     ref = run(inst.obj, inst.dom, default_x0(inst.dom), cfg, BruteForceBackend())
@@ -483,9 +575,9 @@ def test_auto_backend_matches_enumeration(kind, seed, config):
 class WarningBackend(BruteForceBackend):
     """Logs one warning through the milp logger per lower-bound solve."""
 
-    def solve_cp(self, cuts, dom, budget, upper_limit=None):
+    def solve_cp(self, cuts, dom, budget, *args):
         milp.log.warning("lower bound on n=%d", dom.n)
-        return super().solve_cp(cuts, dom, budget, upper_limit)
+        return super().solve_cp(cuts, dom, budget, *args)
 
 
 def test_records_name_their_cell(caplog):

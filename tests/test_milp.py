@@ -25,6 +25,7 @@ from gradcut.milp import (
     solve_tr_subproblem,
 )
 from gradcut.model import (
+    FEAS_TOL,
     CutOracle,
     FeasibleDomain,
     LinearRow,
@@ -395,47 +396,155 @@ def test_bruteforce_ignores_the_upper_limit():
     assert res.bound == pytest.approx(1.0, abs=1e-12)
 
 
+def decoded(table, n):
+    """The points of an enumerator table, one packed bit row per column, as
+    rows of 0/1."""
+    return np.unpackbits(table.T, axis=1, count=n).astype(float)
+
+
 class TestPointTable:
-    @pytest.mark.parametrize("n, m", [(3, 1), (5, 2), (6, 3), (8, 4), (9, 8)])
+    @pytest.mark.parametrize("n, m", [(3, 1), (5, 2), (6, 3), (8, 4), (9, 8), (17, 3)])
     def test_matches_itertools_in_lexicographic_order(self, n, m):
         want = np.zeros((len(list(itertools.combinations(range(n), m))), n))
         for i, idx in enumerate(itertools.combinations(range(n), m)):
             want[i, list(idx)] = 1.0
-        got = BruteForceBackend()._points(FeasibleDomain(n=n, m=m))
-        np.testing.assert_array_equal(got, want)
+        table = milp._packed_table(FeasibleDomain(n=n, m=m))
+        assert table.dtype == np.uint8
+        assert table.shape == ((n + 7) // 8, len(want))
+        np.testing.assert_array_equal(decoded(table, n), want)
 
     def test_extra_rows_filter_in_order(self):
         row = LinearRow(np.array([1.0, 1.0, 0.0, 0.0, 0.0]), "<=", 1.0)
         dom = FeasibleDomain(n=5, m=2, extra_rows=(row,))
         np.testing.assert_array_equal(
-            BruteForceBackend()._points(dom), np.array(feasible_points(dom))
+            decoded(milp._packed_table(dom), 5), np.array(feasible_points(dom))
         )
 
 
 class TestCutValueCache:
     def test_one_domain_held_and_answers_unchanged(self):
+        # two runs, each with its own oracle, take turns on one backend: each
+        # call starts its run's state afresh, and answers as a new backend does
         backend = BruteForceBackend()
         dom_a, dom_b = FeasibleDomain(n=3, m=1), FeasibleDomain(n=4, m=2)
         obj_b = random_psd_objective(np.random.default_rng(0), 4)
         cuts_a = list(oracle_at(Q_DIAG, [e(0), e(1), e(2)]))
         cuts_b = [make_cut(obj_b, x) for x in feasible_points(dom_b)[:3]]
-        for k in (1, 2, 3):
-            for cuts, dom in ((cuts_a, dom_a), (cuts_b, dom_b)):
-                got = backend.solve_cp(cuts[:k], dom, 30.0)
-                want = BruteForceBackend().solve_cp(cuts[:k], dom, 30.0)
+        oracle_a, oracle_b = CutOracle(), CutOracle()
+        for k in range(3):
+            for oracle, cuts, dom in ((oracle_a, cuts_a, dom_a), (oracle_b, cuts_b, dom_b)):
+                oracle.add(cuts[k])
+                got = backend.solve_cp(oracle, dom, 30.0)
+                want = BruteForceBackend().solve_cp(cuts[: k + 1], dom, 30.0)
                 assert got.theta == want.theta
                 np.testing.assert_array_equal(got.x, want.x)
-                held_dom, held_cuts, _ = backend._cp_last
-                assert held_dom is dom and held_cuts == cuts[:k]
+                assert backend._sets.holds(oracle, dom)
+                assert backend._sets.n_cuts == k + 1
+        # an equal domain that is another object is another run's
+        held = backend._sets
+        backend.solve_cp(oracle_b, FeasibleDomain(n=4, m=2), 30.0)
+        assert backend._sets is not held
 
     def test_grown_cut_list_extends_the_held_values(self):
         backend = BruteForceBackend()
         dom = FeasibleDomain(n=3, m=1)
-        cuts = list(oracle_at(Q_DIAG, [e(2), e(1), e(0)]))
-        for k in (1, 2, 3):
-            res = backend.solve_cp(cuts[:k], dom, 30.0)
+        oracle = CutOracle()
+        held = None
+        for anchor in (e(2), e(1), e(0)):
+            oracle.add(make_cut(QuadraticObjective(Q_DIAG), anchor))
+            res = backend.solve_cp(oracle, dom, 30.0)
+            assert held is None or backend._sets is held
+            held = backend._sets
         assert res.theta == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(backend._cp_last[2], [1.0, 2.0, 3.0])
+        np.testing.assert_allclose(held.theta, [1.0, 2.0, 3.0])
+        assert held.n_cuts == 3
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_a_point_with_theta_at_most_ub_is_never_dropped(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 9))
+        m = int(rng.integers(1, n))
+        obj = random_psd_objective(rng, n)
+        dom = FeasibleDomain(n=n, m=m)
+        pts = feasible_points(dom)
+        backend = BruteForceBackend()
+        oracle = CutOracle()
+        ub = np.inf
+        for x in rng.permutation(pts)[:6]:
+            oracle.add(make_cut(obj, x))
+            ub = min(ub, 0.5 * float(x @ obj.q @ x))
+            backend.solve_cp(oracle, dom, 30.0, ub=ub)
+            theta = {tuple(p): max(c.grad @ p + c.intercept for c in oracle) for p in pts}
+            held = backend._sets
+            kept = {tuple(p): t for p, t in zip(decoded(held.table, n), held.theta)}
+            alive = {p for p, t in theta.items() if t <= ub + FEAS_TOL}
+            # every live point is held; the dead ones go once they are an eighth
+            assert alive <= set(kept)
+            assert 8 * (len(kept) - len(alive)) < len(kept)
+            for p, t in kept.items():
+                assert t == pytest.approx(theta[p], abs=1e-12)
+
+
+def plain_scan(cost, dom, rows):
+    """The lexicographically first minimizer of <cost, x> over the points of
+    dom that satisfy every row, with its objective; None when there is none."""
+    best = None
+    for idx in itertools.combinations(range(dom.n), dom.m):
+        x = np.zeros(dom.n)
+        x[list(idx)] = 1.0
+        if all(row.satisfied_by(x) for row in itertools.chain(dom.extra_rows, rows)):
+            value = float(cost @ x)
+            if best is None or value < best[1]:
+                best = (x, value)
+    return best
+
+
+@pytest.mark.parametrize("with_domain_row", [False, True])
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_level_sets_replay_an_engine_run_like_a_plain_scan(with_domain_row, seed):
+    """Lower bounds, projections and nonemptiness checks at levels ub - tau, as
+    a run asks for them while cuts grow and ub falls, answered as a plain
+    itertools scan answers them, with the points above ub dropped."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 11))
+    m = int(rng.integers(1, n))
+    obj = random_psd_objective(rng, n)
+    rows = ()
+    if with_domain_row:
+        coeffs = rng.uniform(-1.0, 1.0, size=n)
+        lhs = [float(coeffs @ x) for x in feasible_points(FeasibleDomain(n=n, m=m))]
+        rows = (LinearRow(coeffs, "<=", float(np.median(lhs))),)
+    dom = FeasibleDomain(n=n, m=m, extra_rows=rows)
+    pts = feasible_points(dom)
+    backend = BruteForceBackend()
+    oracle = CutOracle()
+    x = pts[int(rng.integers(len(pts)))]
+    ub = np.inf
+    for _ in range(8):
+        oracle.add(make_cut(obj, x))
+        ub = min(ub, 0.5 * float(x @ obj.q @ x))
+        res = backend.solve_cp(oracle, dom, 30.0, ub=ub)
+        want = min((max(c.grad @ p + c.intercept for c in oracle), i) for i, p in enumerate(pts))
+        assert res.theta == pytest.approx(want[0], abs=1e-12)
+        np.testing.assert_array_equal(res.x, pts[want[1]])
+        gap = max(0.0, ub - res.theta)
+        for tau in (0.0, 0.5 * gap, gap + 0.1):
+            cut_rows = build_cut_constraints(oracle, ub, tau)
+            cost = 1.0 - 2.0 * rng.uniform(-1.0, 2.0, size=n)
+            got = backend._solve_linear(cost, dom, cut_rows, 30.0)
+            want = plain_scan(cost, dom, cut_rows)
+            assert got.ok == (want is not None)
+            if want is not None:
+                np.testing.assert_array_equal(got.x, want[0])
+                assert got.objective == pytest.approx(want[1], abs=1e-12)
+            assert check_nonempty(dom, cut_rows, 30.0, backend) == (want is not None)
+        x = res.x if rng.random() < 0.5 else pts[int(rng.integers(len(pts)))]
+    theta = [max(c.grad @ p + c.intercept for c in oracle) for p in pts]
+    alive = sum(t <= backend._sets.ub + FEAS_TOL for t in theta)
+    held = len(backend._sets.theta)
+    assert alive <= held and 8 * (held - alive) < held
 
 
 def cp_answer_at(n, m, theta):
@@ -461,27 +570,30 @@ class TestAutoBackend:
     @pytest.mark.parametrize(
         "n, m, chosen",
         [
-            (12, 4, BruteForceBackend),  # nonconvex12: 495 x 12 entries
-            (14, 4, BruteForceBackend),  # psd14: 1001 x 14
-            (30, 6, HighsBackend),  # mdp30: 593,775 x 30 = 17.8 M
-            (447, 2, HighsBackend),  # under 1e5 points, 44.6 M entries
+            # points x (packed row + float64 cut value) bytes
+            (12, 4, BruteForceBackend),  # nonconvex12: 495 x (2 + 8)
+            (14, 4, BruteForceBackend),  # psd14: 1001 x (2 + 8)
+            (30, 6, BruteForceBackend),  # mdp30: 593,775 x (4 + 8) = 7.1 MB
+            (30, 7, HighsBackend),  # 2,035,800 x (4 + 8) = 24.4 MB
+            (447, 2, BruteForceBackend),  # 99,681 x (56 + 8) = 6.4 MB
+            (700, 2, HighsBackend),  # 244,650 x (88 + 8) = 23.5 MB
         ],
     )
     def test_choice_counts_table_entries(self, n, m, chosen):
         assert type(AutoBackend().for_domain(FeasibleDomain(n=n, m=m))) is chosen
 
     def test_cutoff_is_inclusive(self, monkeypatch):
-        dom = FeasibleDomain(n=8, m=3)  # 56 points x 8 = 448 entries
-        monkeypatch.setattr(milp, "AUTO_ENUM_ENTRIES", 448)
+        dom = FeasibleDomain(n=8, m=3)  # 56 points x (1 + 8) bytes = 504
+        monkeypatch.setattr(milp, "ENUM_STATE_BYTES", 504)
         assert isinstance(AutoBackend().for_domain(dom), BruteForceBackend)
-        monkeypatch.setattr(milp, "AUTO_ENUM_ENTRIES", 447)
+        monkeypatch.setattr(milp, "ENUM_STATE_BYTES", 503)
         assert isinstance(AutoBackend().for_domain(dom), HighsBackend)
 
     def test_highs_built_once_and_only_when_needed(self):
         backend = AutoBackend()
         backend.for_domain(FeasibleDomain(n=5, m=2))
         assert backend._highs is None
-        big = FeasibleDomain(n=30, m=6)
+        big = FeasibleDomain(n=30, m=7)
         assert backend.for_domain(big) is backend.for_domain(big)
 
     def test_small_slice_never_reaches_highs(self, monkeypatch):
@@ -500,8 +612,8 @@ class TestAutoBackend:
         assert stub.options == []
 
     def test_large_slice_reaches_highs(self, monkeypatch):
-        stub = scipy_milp(monkeypatch, cp_answer_at(30, 6, -2.5))
-        dom = FeasibleDomain(n=30, m=6)
+        stub = scipy_milp(monkeypatch, cp_answer_at(30, 7, -2.5))
+        dom = FeasibleDomain(n=30, m=7)
         obj = QuadraticObjective(np.eye(30))
         oracle = CutOracle()
         oracle.add(make_cut(obj, default_x0(dom)))
