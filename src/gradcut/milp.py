@@ -115,7 +115,7 @@ class MilpBackend(abc.ABC):
         cost = np.asarray(cost, dtype=float)
         x = np.zeros(dom.n)
         x[np.argsort(cost, kind="stable")[: dom.m]] = 1.0
-        if all(row.satisfied_by(x) for row in itertools.chain(dom.extra_rows, rows)):
+        if all(row.satisfied_by(x) for row in dom.extra_rows) and _satisfied(rows, x):
             obj = float(cost @ x)
             return MilpResult(
                 status=MilpStatus(StatusKind.OPTIMAL),
@@ -160,8 +160,11 @@ class BruteForceBackend(MilpBackend):
     ties always resolve to the first minimizer. The backend holds the
     _LevelSets of one run: the lower bound is the argmin of its theta, and the
     cut rows of that run (CutRows at a level no higher than the run's ub) are
-    answered from theta without reading a row. Any other rows take one masked
-    pass over a freshly built table of the slice.
+    answered from theta without reading a row. The points of the level last
+    asked for are extracted once and held, so the offset check, the start
+    projection, the descent steps and the criticality test posed at one level
+    scan only that set. Any other rows take one masked pass over a freshly
+    built table of the slice.
     """
 
     name = "bruteforce"
@@ -180,7 +183,7 @@ class BruteForceBackend(MilpBackend):
             checks = _row_checks(dom.n, rows)
             found = _first_minimum(
                 (
-                    table[:, b][:, _satisfying(table[:, b], checks)]
+                    np.compress(_satisfying(table[:, b], checks), table[:, b], axis=1)
                     for b in _blocks(table.shape[1])
                 ),
                 cost,
@@ -243,6 +246,10 @@ class _LevelSets:
     again be a lower-bound argmin or lie in a level set theta <= ub - tau.
     Only a CutOracle, whose cuts can only be appended, has its state serve
     later calls.
+
+    The level set last asked for, its points copied out of table in the same
+    order, is held with its level until a cut is folded in, the points are
+    compacted or another level is asked for.
     """
 
     def __init__(self, dom: FeasibleDomain, cuts: Sequence[Cut]):
@@ -253,6 +260,7 @@ class _LevelSets:
         self.theta_min = -np.inf  # set by each lower bound
         self.n_cuts = 0
         self.ub = np.inf
+        self._held: Optional[tuple] = None  # (level, points) of the last level set
 
     def holds(self, cuts, dom: FeasibleDomain) -> bool:
         """Whether this is the state of the run whose oracle is cuts, on dom."""
@@ -271,6 +279,7 @@ class _LevelSets:
     def extend(self, cuts) -> None:
         """Fold new cuts into theta."""
         for cut in cuts:
+            self._held = None
             lut = _lut(cut.grad, len(self.table))
             for block in _blocks(len(self.theta)):
                 theta = self.theta[block]
@@ -284,6 +293,7 @@ class _LevelSets:
         limit = ub + FEAS_TOL
         dead = sum(int(np.count_nonzero(self.theta[b] > limit)) for b in _blocks(len(self.theta)))
         if 8 * dead >= len(self.theta):
+            self._held = None
             self.table, self.theta = _compact(
                 lambda block: self.theta[block] <= limit, self.table, self.theta
             )
@@ -297,11 +307,27 @@ class _LevelSets:
         """
         if self.theta_min > level + FEAS_TOL:
             return None
-        inside = (
-            self.table[:, block][:, self.theta[block] <= level + FEAS_TOL]
-            for block in _blocks(len(self.theta))
+        points = self._level_set(level)
+        return _first_minimum(
+            (points[:, block] for block in _blocks(points.shape[1])), cost, self.dom.n
         )
-        return _first_minimum(inside, cost, self.dom.n)
+
+    def _level_set(self, level: float) -> np.ndarray:
+        """The packed points with theta <= level + FEAS_TOL, in table order;
+        extracted on the first request at a level and held for the next."""
+        if self._held is None or self._held[0] != level:
+            self._held = None  # free the old set before extracting the new one
+            limit = level + FEAS_TOL
+            blocks = list(_blocks(len(self.theta)))
+            count = sum(int(np.count_nonzero(self.theta[b] <= limit)) for b in blocks)
+            points = np.empty((len(self.table), count), dtype=np.uint8)
+            filled = 0
+            for b in blocks:
+                part = np.compress(self.theta[b] <= limit, self.table[:, b], axis=1)
+                points[:, filled : filled + part.shape[1]] = part
+                filled += part.shape[1]
+            self._held = (level, points)
+        return self._held[1]
 
 
 # points read at a time, so that no array the size of the slice is made
@@ -366,7 +392,7 @@ def _compact(keep, *arrays):
         mask = keep(block)
         count = int(np.count_nonzero(mask))
         for a in arrays:
-            a[..., kept : kept + count] = a[..., block][..., mask]
+            a[..., kept : kept + count] = np.compress(mask, a[..., block], axis=-1)
         kept += count
     if 16 * kept > total:
         return tuple(a[..., :kept] for a in arrays)
@@ -409,6 +435,13 @@ def _satisfying(packed: np.ndarray, checks: list) -> np.ndarray:
         else:
             keep &= np.abs(lhs - row.rhs) <= FEAS_TOL
     return keep
+
+
+def _satisfied(rows: Sequence[LinearRow], x: np.ndarray) -> bool:
+    """Whether x satisfies every row; CutRows check theirs in one product."""
+    if isinstance(rows, CutRows):
+        return rows.satisfied_by(x)
+    return all(row.satisfied_by(x) for row in rows)
 
 
 def _first_minimum(blocks, cost: np.ndarray, n: int):
@@ -479,8 +512,8 @@ class HighsBackend(MilpBackend):
             kind = StatusKind.ERROR
         x = theta = obj = None
         if res.x is not None:
-            x = np.round(res.x[:n])
-            np.clip(x, 0.0, 1.0, out=x)
+            # + 0.0 turns the -0.0 that rounding a slightly negative value gives into 0.0
+            x = np.clip(np.round(res.x[:n]), 0.0, 1.0) + 0.0
             if len(res.x) > n:
                 theta = float(res.x[n])
             obj = float(res.fun)
@@ -674,7 +707,7 @@ def check_nonempty(
     (the offset search treats that as "reduce the offset"); a failed solve
     raises MilpSolveError rather than passing for an empty set.
     """
-    if witness is not None and all(row.satisfied_by(witness) for row in cut_rows):
+    if witness is not None and _satisfied(cut_rows, witness):
         return True
     if budget <= 0:
         log.warning("feasibility check hit the time budget; treating set as empty")

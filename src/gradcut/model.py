@@ -139,7 +139,13 @@ class Cut:
         return self.value - float(self.grad @ self.anchor)
 
     def key(self) -> tuple:
-        return tuple(int(round(v)) for v in self.anchor)
+        return anchor_key(self.anchor)
+
+
+def anchor_key(x) -> tuple:
+    """The binary point nearest x, as the tuple of ints that identifies a cut's
+    anchor; halves round to even."""
+    return tuple(np.rint(np.asarray(x, dtype=float)).astype(int).tolist())
 
 
 class CutOracle:
@@ -160,7 +166,7 @@ class CutOracle:
         return True
 
     def __contains__(self, anchor) -> bool:
-        return tuple(int(round(v)) for v in np.asarray(anchor)) in self._seen
+        return anchor_key(anchor) in self._seen
 
     def __len__(self) -> int:
         return len(self.cuts)
@@ -176,7 +182,8 @@ class CutRows(list):
     model theta(x) = max over cuts of <grad, x> + intercept. A MILP solver
     reads the rows; an enumerator that holds theta for the oracle's cuts reads
     `cuts` (the oracle) and `level` instead. The rows are those of the cuts
-    present when they were built, so len(rows) counts those cuts.
+    present when they were built, so len(rows) counts those cuts; their
+    coefficients and right-hand sides are also stacked, for satisfied_by.
     """
 
     def __init__(self, oracle: CutOracle, level: float):
@@ -186,6 +193,12 @@ class CutRows(list):
         )
         self.cuts = oracle
         self.level = level
+        self.coeffs = np.array([row.coeffs for row in self])
+        self.rhs = np.array([row.rhs for row in self])
+
+    def satisfied_by(self, x: np.ndarray) -> bool:
+        """Whether x satisfies every row, as LinearRow.satisfied_by judges each."""
+        return len(self) == 0 or bool(np.all(self.coeffs @ x <= self.rhs + FEAS_TOL))
 
 
 def _check_dim(obj: QuadraticObjective, x) -> np.ndarray:

@@ -148,12 +148,14 @@ def test_oracle_equivalence_bruteforce_backend(sweep_brute):
     report("oracle equivalence (brute-force backend, 750 runs)")
 
 
+@pytest.mark.slow
 def test_oracle_equivalence_highs_backend(sweep_highs):
     assert len(sweep_highs) == 150 * 5
     assert_oracle_equivalence(sweep_highs)
     report("oracle equivalence (HiGHS backend, 750 runs)")
 
 
+@pytest.mark.slow
 def test_cut_validity_and_bound_sandwich(sweep_brute, sweep_highs):
     """Every generated cut respects the gradient inequality at the true
     optimum, and LB_k <= f* <= UB_k at every recorded iteration."""
@@ -237,6 +239,7 @@ def test_offset_backtracking_bound():
     report("offset backtracking bound on optimal-incumbent fixtures")
 
 
+@pytest.mark.slow
 def test_directional_performance_on_mdp_instances():
     """On synthetic diversity instances the fully tightened configuration
     reaches residue 1e-6 in no more median iterations than the plain method.
@@ -377,6 +380,7 @@ def test_metrics_against_naive_oracle(sweep_brute):
     report("metrics oracle agreement (200 random inputs) and trace invariants")
 
 
+@pytest.mark.slow
 def test_lb_cut_instrumentation(sweep_brute, sweep_highs):
     """LB cuts appear exactly when the flag is set, the angle condition holds,
     the two points differ, and the anchor is new; never otherwise. On

@@ -1,6 +1,7 @@
 import itertools
 import time
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,13 +28,14 @@ from gradcut.milp import (
 from gradcut.model import (
     FEAS_TOL,
     CutOracle,
+    CutRows,
     FeasibleDomain,
     LinearRow,
     QuadraticObjective,
     make_cut,
 )
 
-from conftest import Q_DIAG, e, enumerate_min, feasible_points, random_psd_objective
+from conftest import Q_DIAG, Q_FULL, e, enumerate_min, feasible_points, random_psd_objective
 
 
 def oracle_at(q, anchors):
@@ -368,6 +370,17 @@ class TestHighsRetryLadder:
         assert len(stub.options) == 1
 
 
+def test_highs_points_carry_no_negative_zero(monkeypatch):
+    # rounding a slightly negative solver value gives -0.0, which tolist()
+    # would carry into manifests
+    answer = cp_answer(0, 1.0)
+    answer.x = np.array([1.0 + 1e-10, -1e-10, -3e-12, 1.0])
+    backend, _ = scripted_highs(monkeypatch, answer)
+    res = backend.solve_cp(list(oracle_at(Q_DIAG, [e(0)])), FeasibleDomain(n=3, m=1), 30.0)
+    np.testing.assert_array_equal(res.x, e(0))
+    assert not np.signbit(res.x).any()
+
+
 class ErroringBackend(BruteForceBackend):
     def solve_linear(self, cost, dom, rows, budget):
         return MilpResult(status=MilpStatus(StatusKind.ERROR, "scripted failure"))
@@ -506,7 +519,10 @@ def plain_scan(cost, dom, rows):
 def test_level_sets_replay_an_engine_run_like_a_plain_scan(with_domain_row, seed):
     """Lower bounds, projections and nonemptiness checks at levels ub - tau, as
     a run asks for them while cuts grow and ub falls, answered as a plain
-    itertools scan answers them, with the points above ub dropped."""
+    itertools scan answers them, with the points above ub dropped. Each level
+    takes projections with several costs, and is asked again after the next
+    fold and compaction, latest first; its set is extracted once for all of
+    them. The scans read blocks of a few points, so their multi-block paths run."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 11))
     m = int(rng.integers(1, n))
@@ -516,35 +532,81 @@ def test_level_sets_replay_an_engine_run_like_a_plain_scan(with_domain_row, seed
         coeffs = rng.uniform(-1.0, 1.0, size=n)
         lhs = [float(coeffs @ x) for x in feasible_points(FeasibleDomain(n=n, m=m))]
         rows = (LinearRow(coeffs, "<=", float(np.median(lhs))),)
-    dom = FeasibleDomain(n=n, m=m, extra_rows=rows)
-    pts = feasible_points(dom)
-    backend = BruteForceBackend()
-    oracle = CutOracle()
-    x = pts[int(rng.integers(len(pts)))]
-    ub = np.inf
-    for _ in range(8):
-        oracle.add(make_cut(obj, x))
-        ub = min(ub, 0.5 * float(x @ obj.q @ x))
-        res = backend.solve_cp(oracle, dom, 30.0, ub=ub)
-        want = min((max(c.grad @ p + c.intercept for c in oracle), i) for i, p in enumerate(pts))
-        assert res.theta == pytest.approx(want[0], abs=1e-12)
-        np.testing.assert_array_equal(res.x, pts[want[1]])
-        gap = max(0.0, ub - res.theta)
-        for tau in (0.0, 0.5 * gap, gap + 0.1):
-            cut_rows = build_cut_constraints(oracle, ub, tau)
-            cost = 1.0 - 2.0 * rng.uniform(-1.0, 2.0, size=n)
-            got = backend._solve_linear(cost, dom, cut_rows, 30.0)
-            want = plain_scan(cost, dom, cut_rows)
-            assert got.ok == (want is not None)
-            if want is not None:
-                np.testing.assert_array_equal(got.x, want[0])
-                assert got.objective == pytest.approx(want[1], abs=1e-12)
-            assert check_nonempty(dom, cut_rows, 30.0, backend) == (want is not None)
-        x = res.x if rng.random() < 0.5 else pts[int(rng.integers(len(pts)))]
-    theta = [max(c.grad @ p + c.intercept for c in oracle) for p in pts]
-    alive = sum(t <= backend._sets.ub + FEAS_TOL for t in theta)
-    held = len(backend._sets.theta)
-    assert alive <= held and 8 * (held - alive) < held
+    with mock.patch.object(milp, "_BLOCK", int(rng.integers(1, 5))):
+        dom = FeasibleDomain(n=n, m=m, extra_rows=rows)
+        pts = feasible_points(dom)
+        np.testing.assert_array_equal(decoded(milp._packed_table(dom), n), np.array(pts))
+        backend = BruteForceBackend()
+        oracle = CutOracle()
+        x = pts[int(rng.integers(len(pts)))]
+        ub = np.inf
+        last = []
+        for _ in range(8):
+            oracle.add(make_cut(obj, x))
+            ub = min(ub, 0.5 * float(x @ obj.q @ x))
+            res = backend.solve_cp(oracle, dom, 30.0, ub=ub)
+            want = min(
+                (max(c.grad @ p + c.intercept for c in oracle), i) for i, p in enumerate(pts)
+            )
+            assert res.theta == pytest.approx(want[0], abs=1e-12)
+            np.testing.assert_array_equal(res.x, pts[want[1]])
+            gap = max(0.0, ub - res.theta)
+            # tau past the gap, 0 and half the gap; the last is asked again first
+            fresh = [ub - gap - 0.1, ub, ub - 0.5 * gap]
+            for level in [lv for lv in reversed(last) if lv <= ub] + fresh:
+                cut_rows = CutRows(oracle, level)
+                held = None
+                # the whole-number cost ties points across blocks
+                for cost in (
+                    1.0 - 2.0 * rng.uniform(-1.0, 2.0, size=n),
+                    1.0 - 2.0 * rng.uniform(-1.0, 2.0, size=n),
+                    rng.integers(-1, 2, size=n).astype(float),
+                ):
+                    got = backend._solve_linear(cost, dom, cut_rows, 30.0)
+                    want = plain_scan(cost, dom, cut_rows)
+                    assert got.ok == (want is not None)
+                    if want is not None:
+                        np.testing.assert_array_equal(got.x, want[0])
+                        assert got.objective == pytest.approx(want[1], abs=1e-12)
+                    assert held is None or backend._sets._held is held
+                    held = backend._sets._held
+                assert check_nonempty(dom, cut_rows, 30.0, backend) == (want is not None)
+            last = fresh
+            x = res.x if rng.random() < 0.5 else pts[int(rng.integers(len(pts)))]
+        theta = [max(c.grad @ p + c.intercept for c in oracle) for p in pts]
+        alive = sum(t <= backend._sets.ub + FEAS_TOL for t in theta)
+        held = len(backend._sets.theta)
+        assert alive <= held and 8 * (held - alive) < held
+
+
+class TestCutRowsCheck:
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=50, deadline=None)
+    def test_agrees_with_each_row_at_random_points(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        obj = random_psd_objective(rng, n)
+        points = rng.integers(0, 2, size=(8, n)).astype(float)
+        oracle = CutOracle(make_cut(obj, p) for p in points[:4])
+        for level in rng.uniform(-1.0, 2.0, size=4):
+            rows = CutRows(oracle, float(level))
+            for x in points:
+                assert rows.satisfied_by(x) == all(row.satisfied_by(x) for row in rows)
+
+    @pytest.mark.parametrize("slack, satisfied", [(-2.0, False), (-1.0, True), (0.0, True)])
+    def test_agrees_with_each_row_at_the_tolerance(self, slack, satisfied):
+        # integer data: theta is exact, and the binding cut sits slack *
+        # FEAS_TOL beyond the level, at the edge of the tolerance for -1
+        obj = QuadraticObjective(Q_FULL)
+        oracle = CutOracle(make_cut(obj, a) for a in (e(0), e(1), e(2)))
+        x = np.array([1.0, 1.0, 0.0])
+        theta = max(c.grad @ x + c.intercept for c in oracle)
+        rows = CutRows(oracle, theta + slack * FEAS_TOL)
+        assert rows.satisfied_by(x) is satisfied
+        assert all(row.satisfied_by(x) for row in rows) is satisfied
+
+    def test_no_cuts_no_rows(self):
+        assert CutRows(CutOracle(), 0.0).satisfied_by(np.zeros(3)) is True
 
 
 def cp_answer_at(n, m, theta):

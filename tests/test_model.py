@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcut.model import (
+    Cut,
     CutOracle,
     FeasibleDomain,
     QuadraticObjective,
     add_cut,
+    anchor_key,
     eval_gradient,
     eval_objective,
     is_feasible,
@@ -130,6 +132,16 @@ class TestCuts:
         assert len(oracle) == 1
         assert add_cut(oracle, make_cut(obj, e(0))) is True
         assert len(oracle) == 2
+
+    def test_anchor_key_rounds_as_int_round(self):
+        # both round halves to even and read -0.0 and near-binary noise as 0 or 1
+        x = np.array([0.5, 1.5, -0.0, 1.0 - 1e-12, 1e-12, 2.5, -0.5])
+        want = tuple(int(round(v)) for v in x)
+        assert anchor_key(x) == want == (0, 2, 0, 1, 0, 2, 0)
+        oracle = CutOracle([Cut(anchor=np.array([1.0, -0.0, 0.0]), grad=np.zeros(3), value=0.0)])
+        assert oracle.cuts[0].key() == (1, 0, 0)
+        assert np.array([1.0 - 1e-12, 1e-12, -0.0]) in oracle
+        assert e(1) not in oracle
 
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 10))
     @settings(max_examples=80, deadline=None)
