@@ -61,12 +61,10 @@ from .model import (
     LinearRow,
     QuadraticObjective,
     Regularization,
-    add_cut,
     eval_gradient,
     eval_objective,
     is_feasible,
     make_cut,
-    regularize,
     symmetrize,
 )
 

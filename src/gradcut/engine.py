@@ -33,7 +33,6 @@ from .model import (
     LinearRow,
     QuadraticObjective,
     Regularization,
-    add_cut,
     eval_gradient,
     eval_objective,
     is_feasible,
@@ -114,33 +113,39 @@ class SolveStatus(Enum):
     STALLED = "stalled"
 
 
-# relative slack for the PSD test deciding whether to shift, and the margin the
-# shift leaves above it
+# relative margin the shift leaves above the smallest eigenvalue on the slice
 _PSD_TOL = 1e-12
 
 
+def _complement_basis(n: int) -> np.ndarray:
+    """Orthonormal basis of the complement of the all-ones vector, as n x (n-1)
+    columns: the Householder reflector H mapping 1/sqrt(n) to e1 is orthogonal
+    and symmetric, so its columns past the first are orthogonal to H e1, the
+    normalized all-ones vector."""
+    w = np.full(n, 1.0 / math.sqrt(n))
+    w[0] -= 1.0
+    reflector = np.eye(n) - np.outer(w, w) * (2.0 / float(w @ w))
+    return reflector[:, 1:]
+
+
 def effective_objective(obj: QuadraticObjective, dom: FeasibleDomain) -> QuadraticObjective:
-    """The objective the engine cuts on: Q shifted by the smallest diagonal
-    that makes every tangent cut valid on the domain.
+    """The objective the engine cuts on: Q + rho I with the smallest signed
+    rho that keeps every tangent cut valid on the domain.
 
     Two points of the cardinality slice differ by a vector orthogonal to the
     all-ones vector, so a tangent cut of 0.5 x'(Q + rho I)x is valid on the
     domain once Q + rho I is PSD on that complement; it need not be PSD
-    everywhere. A Q already PSD there, every convex Q among them, is returned
-    unchanged. Otherwise rho = -lambda_min(P Q P), with P the projector onto
-    the complement, plus a relative margin. On the slice the shift adds the
-    constant rho*m/2, so the argmin is unchanged. The Gershgorin shift of
-    regularize() makes Q + rho I PSD everywhere and so weakens every cut for
-    nothing; on negated distance matrices it is orders of magnitude larger.
+    everywhere. With V an orthonormal basis of the complement, rho is
+    -lambda_min(V'QV) plus a relative margin. It is negative where Q is
+    already PSD there, as for negated distance matrices and every convex Q,
+    and then tightens each cut by shrinking its slack 0.5 (x-a)'Q(x-a). On
+    the slice the shift adds the constant rho*m/2, so the argmin is unchanged.
     """
     if obj.n != dom.n:
         raise ValueError("objective and domain dimensions differ")
     scale = max(1.0, float(np.max(np.abs(obj.q), initial=0.0)))
-    proj = np.eye(obj.n) - 1.0 / obj.n
-    lam = float(np.linalg.eigvalsh(proj @ obj.q @ proj)[0])
-    if lam >= -_PSD_TOL * scale:
-        return obj
-    rho = -lam + _PSD_TOL * scale
+    basis = _complement_basis(obj.n)
+    rho = -float(np.linalg.eigvalsh(basis.T @ obj.q @ basis)[0]) + _PSD_TOL * scale
     return QuadraticObjective(
         q=obj.q + rho * np.eye(obj.n),
         regularization=Regularization(rho=rho, shift=obj.shift + rho * dom.m / 2.0),
@@ -229,17 +234,13 @@ def select_offset(
         backtracks += 1
 
 
-def lb_cut_condition(grad_next: np.ndarray, x_lb: np.ndarray, x_next: np.ndarray) -> bool:
+def lb_cut_condition(inner_product: float, anchors_equal: bool) -> bool:
     """Angle test for adding a second cut at the relaxation solution.
 
-    True when <grad f(x_next), x_lb - x_next> <= 0 and the points differ
-    (identical points would only duplicate the cut just added).
+    True when inner_product = <grad f(x_next), x_lb - x_next> <= 0 and the
+    points differ (identical points would only duplicate the cut just added).
     """
-    x_lb = np.asarray(x_lb, dtype=float)
-    x_next = np.asarray(x_next, dtype=float)
-    if np.array_equal(x_lb, x_next):
-        return False
-    return float(np.asarray(grad_next) @ (x_lb - x_next)) <= 0.0
+    return not anchors_equal and inner_product <= 0.0
 
 
 def run(
@@ -253,8 +254,9 @@ def run(
 ) -> SolveOutcome:
     """Solve min 0.5 x'Qx over the binary domain to eps-optimality.
 
-    Nonconvex objectives are regularized on entry (exact on the cardinality
-    slice); all reported values are converted back to the original scale.
+    The engine cuts on effective_objective(obj, dom), Q plus a signed diagonal
+    shift that is a constant on the cardinality slice; all reported values
+    are converted back to the original scale.
     Records logged during the run name the cell: instance and configuration.
     """
     with logs.cell(instance_name, config_name or cfg.name):
@@ -284,7 +286,7 @@ def _run(
         return cfg.time_limit - elapsed()
 
     oracle = CutOracle()
-    add_cut(oracle, make_cut(work, x0))
+    oracle.add(make_cut(work, x0))
     trace = RunTrace(
         records=[],
         config_name=config_name or cfg.name,
@@ -380,16 +382,15 @@ def _run(
         if f_next <= state.ub:
             state.x_ub = x_next
             state.ub = f_next
-        new_cut = add_cut(oracle, make_cut(work, x_next))
+        new_cut = oracle.add(make_cut(work, x_next))
         added_lb_cut = False
         if cfg.use_lb_cuts:
-            grad_next = eval_gradient(work, x_next)
-            ip = float(grad_next @ (np.asarray(x_lb) - np.asarray(x_next)))
+            ip = float(eval_gradient(work, x_next) @ (x_lb - x_next))
             anchors_equal = bool(np.array_equal(x_lb, x_next))
-            predicate = lb_cut_condition(grad_next, x_lb, x_next)
+            predicate = lb_cut_condition(ip, anchors_equal)
             already_present = x_lb in oracle
             if predicate:
-                added_lb_cut = add_cut(oracle, make_cut(work, x_lb))
+                added_lb_cut = oracle.add(make_cut(work, x_lb))
             lb_cut_events.append(
                 LbCutEvent(
                     k=state.k,

@@ -220,34 +220,8 @@ def eval_gradient(obj: QuadraticObjective, x) -> np.ndarray:
     return obj.q @ x
 
 
-def regularize(obj: QuadraticObjective, dom: FeasibleDomain) -> QuadraticObjective:
-    """Diagonal shift making Q diagonally dominant PSD, exact on the cardinality slice.
-
-    rho is the Gershgorin bound max(0, max_i(sum_{j != i} |q_ij| - q_ii)); the
-    shifted objective differs from the original by the constant rho*m/2 at every
-    binary x with sum(x) == m, so the argmin over the domain is unchanged.
-    """
-    if obj.n != dom.n:
-        raise ValueError("objective and domain dimensions differ")
-    q = obj.q
-    off_diag = np.sum(np.abs(q), axis=1) - np.abs(np.diag(q))
-    rho = float(max(0.0, np.max(off_diag - np.diag(q))))
-    if rho == 0.0:
-        return obj
-    q_shifted = q + rho * np.eye(obj.n)
-    base_shift = obj.shift
-    return QuadraticObjective(
-        q=q_shifted,
-        regularization=Regularization(rho=rho, shift=base_shift + rho * dom.m / 2.0),
-    )
-
-
 def make_cut(obj: QuadraticObjective, x_a) -> Cut:
     """Tangent plane of the quadratic at a binary anchor."""
     x_a = _check_dim(obj, x_a)
     return Cut(anchor=x_a, grad=eval_gradient(obj, x_a), value=eval_objective(obj, x_a))
 
-
-def add_cut(oracle: CutOracle, cut: Cut) -> bool:
-    """Set-union insert; False when the anchor is already present."""
-    return oracle.add(cut)

@@ -29,7 +29,6 @@ from gradcut.model import (
     CutOracle,
     FeasibleDomain,
     QuadraticObjective,
-    add_cut,
     eval_objective,
     is_feasible,
     make_cut,
@@ -215,7 +214,7 @@ def test_offset_backtracking_bound():
         # own row for any tau > 0, so no positive offset can be accepted
         oracle = CutOracle()
         for p in all_points(n, m):
-            add_cut(oracle, make_cut(obj, p))
+            oracle.add(make_cut(obj, p))
         tau_init = float(rng.uniform(0.1, 5.0))
         cfg = SolverConfig.from_name("pgm-tau")
         state = SolveState(

@@ -28,8 +28,9 @@ from gradcut.bench import (
     write_trace_csv,
     write_trace_json,
 )
+from gradcut.engine import effective_objective
 from gradcut.milp import BruteForceBackend
-from gradcut.model import FeasibleDomain, LinearRow, QuadraticObjective, regularize
+from gradcut.model import FeasibleDomain, LinearRow, QuadraticObjective
 
 from conftest import Q_DIAG
 
@@ -393,9 +394,8 @@ class TestSynthInstance:
 
     def test_nonconvex_random_triggers_regularization(self):
         inst = synth_instance(10, 3, "nonconvex_random", seed=2)
-        reg = regularize(inst.obj, inst.dom)
-        assert reg.regularization is not None
-        assert reg.regularization.rho > 0.0
+        # indefinite on 1-perp, so the engine shifts it up
+        assert effective_objective(inst.obj, inst.dom).regularization.rho > 0.0
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -274,29 +274,32 @@ class BarrierBackend(BruteForceBackend):
         return super().solve_cp(cuts, dom, budget, *args)
 
 
-def test_parallel_cells_keep_their_own_log_labels(e1_json, tmp_path, monkeypatch, capsys, caplog):
-    inst = Instance(
-        name="e4",
-        obj=QuadraticObjective(np.diag([1.0, 2.0, 3.0, 4.0])),
-        dom=FeasibleDomain(n=4, m=2),
-        source="canonical_json",
-    )
-    e4_json = tmp_path / "e4.json"
-    write_instance_json(inst, e4_json)
+def test_parallel_cells_keep_their_own_log_labels(tmp_path, monkeypatch, capsys, caplog):
+    # from its default start each cell needs three lower bounds under cpm, so
+    # neither ends between the two waits of the other
+    paths = []
+    for name, diag, m in (("e3", [6.0, 4.0, 2.0], 1), ("e4", [1.0, 2.0, 3.0, 4.0], 2)):
+        inst = Instance(
+            name=name,
+            obj=QuadraticObjective(np.diag(diag)),
+            dom=FeasibleDomain(n=len(diag), m=m),
+            source="canonical_json",
+        )
+        paths.append(str(tmp_path / f"{name}.json"))
+        write_instance_json(inst, paths[-1])
     barrier = threading.Barrier(2, timeout=10)
     monkeypatch.setattr(cli, "make_backend", lambda name: BarrierBackend(barrier))
     caplog.set_level(logging.WARNING, logger="gradcut")
     code = main(
-        ["bench", str(e1_json), str(e4_json), "--config", "cpm", "--parallel", "2",
-         "--out", str(tmp_path / "sweep")]
+        ["bench", *paths, "--config", "cpm", "--parallel", "2", "--out", str(tmp_path / "sweep")]
     )
     assert code == 0
     manifest = json.loads((tmp_path / "sweep" / "manifest.json").read_text())
     assert all(cell["status"] == "eps_optimal" for cell in manifest["cells"])
-    labels = {"lower bound on n=3": "e1/cpm", "lower bound on n=4": "e4/cpm"}
+    labels = {"lower bound on n=3": "e3/cpm", "lower bound on n=4": "e4/cpm"}
     assert {r.getMessage() for r in caplog.records} == set(labels)
     for record in caplog.records:
         assert record.cell == labels[record.getMessage()]
     err = capsys.readouterr().err
-    assert "gradcut WARNING [e1/cpm] lower bound on n=3" in err
+    assert "gradcut WARNING [e3/cpm] lower bound on n=3" in err
     assert "gradcut WARNING [e4/cpm] lower bound on n=4" in err

@@ -6,18 +6,21 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcut import milp
 from gradcut.bench import RunTrace, default_x0, synth_instance, validate_trace
 from gradcut.engine import (
+    _PSD_TOL,
     CONFIG_FLAGS,
     CONFIG_NAMES,
     SolveState,
     SolveStatus,
     SolverConfig,
     build_cut_constraints,
+    effective_objective,
     lb_cut_condition,
     run,
     select_offset,
@@ -27,7 +30,6 @@ from gradcut.model import (
     CutOracle,
     FeasibleDomain,
     QuadraticObjective,
-    add_cut,
     eval_objective,
     make_cut,
 )
@@ -149,16 +151,18 @@ class NoLinearSolves(BruteForceBackend):
 
 class TestLbCutCondition:
     def test_negative_inner_product(self):
-        assert lb_cut_condition(np.array([2.0, 0.0, 0.0]), e(1), e(0)) is True
+        ip = float(np.array([2.0, 0.0, 0.0]) @ (e(1) - e(0)))
+        assert ip == -2.0
+        assert lb_cut_condition(ip, anchors_equal=False) is True
 
     def test_positive_inner_product(self):
-        assert (
-            lb_cut_condition(np.array([2.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-            is False
-        )
+        ip = float(np.array([2.0, 0.0]) @ (np.array([1.0, 0.0]) - np.array([0.0, 1.0])))
+        assert ip == 2.0
+        assert lb_cut_condition(ip, anchors_equal=False) is False
 
     def test_equal_points_always_skipped(self):
-        assert lb_cut_condition(np.array([-5.0, 1.0, 3.0]), e(1), e(1)) is False
+        assert lb_cut_condition(0.0, anchors_equal=True) is False
+        assert lb_cut_condition(-5.0, anchors_equal=True) is False
 
 
 class TestConfigTable:
@@ -205,9 +209,13 @@ class TestRun:
         assert out.f_best == pytest.approx(3.0)
         np.testing.assert_array_equal(out.x_best, e(2))
         assert out.iterations == 1
-        # after the first lower-bound solve: UB=3, LB=-3
+        # On 1-perp, diag(2, 4, 6) has the eigenvalues that solve
+        # 1/(2-l) + 1/(4-l) + 1/(6-l) = 0, i.e. 3l^2 - 24l + 44 = 0, the
+        # smaller being 4 - 2/sqrt(3); so rho = -(4 - 2/sqrt(3)). The one cut,
+        # at e3, is theta >= (6+rho)/2 + (6+rho)(x3 - 1), least at e1 and e2:
+        # -(6+rho)/2, or -3 - rho = 1 - 2/sqrt(3) after the shift rho*m/2.
         assert out.trace.records[0].ub == pytest.approx(3.0)
-        assert out.trace.records[0].lb == pytest.approx(-3.0)
+        assert out.trace.records[0].lb == pytest.approx(1.0 - 2.0 / math.sqrt(3.0))
 
     def test_infeasible_start_rejected(self, brute_backend):
         obj = QuadraticObjective(Q_DIAG)
@@ -262,8 +270,6 @@ class TestRun:
     def test_cuts_never_exclude_the_optimum(self, brute_backend, convex):
         # cuts live in the engine's working scale, so compare against the
         # correspondingly shifted optimum
-        from gradcut.engine import effective_objective
-
         rng = np.random.default_rng(11)
         make = random_psd_objective if convex else random_symmetric_objective
         obj = make(rng, 9)
@@ -310,44 +316,69 @@ class TestRun:
         assert out.f_best == pytest.approx(f_star, abs=1e-9)
 
 
+def assert_shift_contract(obj, dom):
+    """effective_objective's three promises on the domain: the shift is a
+    constant on the slice, every tangent cut is valid at every point of it,
+    and rho is the least such shift: lambda_min(V'(Q + rho I)V) is the
+    margin, with V an orthonormal basis of 1-perp. Returns rho."""
+    work = effective_objective(obj, dom)
+    rho = work.regularization.rho
+    pts = np.array(feasible_points(dom))
+    f = 0.5 * np.einsum("ij,jk,ik->i", pts, obj.q, pts)
+    f_work = 0.5 * np.einsum("ij,jk,ik->i", pts, work.q, pts)
+    np.testing.assert_allclose(f_work - f, work.shift, rtol=0, atol=1e-9)
+    grads = pts @ work.q
+    # cuts[a, x]: the tangent plane at anchor a evaluated at x
+    cuts = (f_work - np.einsum("ij,ij->i", grads, pts))[:, None] + grads @ pts.T
+    assert np.all(cuts <= f_work[None, :] + 1e-9)
+    basis = scipy.linalg.null_space(np.ones((1, obj.n)))
+    scale = max(1.0, float(np.max(np.abs(obj.q))))
+    assert np.linalg.eigvalsh(basis.T @ work.q @ basis)[0] == pytest.approx(
+        _PSD_TOL * scale, rel=0, abs=1e-10 * scale
+    )
+    return rho
+
+
 class TestEffectiveObjective:
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 8))
     @settings(max_examples=40, deadline=None)
     def test_constant_shift_and_valid_cuts_on_the_slice(self, seed, n):
-        from gradcut.engine import effective_objective
-        from gradcut.model import regularize
-
         rng = np.random.default_rng(seed)
         obj = random_symmetric_objective(rng, n)
-        dom = FeasibleDomain(n=n, m=int(rng.integers(1, n)))
-        work = effective_objective(obj, dom)
-        pts = feasible_points(dom)
-        for x in pts:
-            assert abs(eval_objective(work, x) - eval_objective(obj, x) - work.shift) <= 1e-9
-        for a in pts:
-            cut = make_cut(work, a)
-            for x in pts:
-                assert cut.value + float(cut.grad @ (x - a)) <= eval_objective(work, x) + 1e-9
-        # never more than the Gershgorin shift, which is PSD everywhere
-        rho = work.regularization.rho if work.regularization is not None else 0.0
-        gershgorin = regularize(obj, dom).regularization
-        assert rho <= (gershgorin.rho if gershgorin is not None else 0.0) + 1e-9
+        rho = assert_shift_contract(obj, FeasibleDomain(n=n, m=int(rng.integers(1, n))))
+        # never more than the Gershgorin shift, which makes Q PSD everywhere
+        q = obj.q
+        off_diag = np.sum(np.abs(q), axis=1) - np.abs(np.diag(q))
+        assert rho <= max(0.0, float(np.max(off_diag - np.diag(q)))) + 1e-9
 
     def test_negated_distances_need_no_shift(self):
         # Euclidean distance matrices are conditionally negative definite, so
-        # -D is PSD orthogonal to the all-ones vector although indefinite
-        from gradcut.bench import synth_instance
-        from gradcut.engine import effective_objective
-
-        inst = synth_instance(20, 4, "mdp_like", seed=0)
+        # -D is PSD on 1-perp although indefinite: it needs no positive shift,
+        # and the negative one it gets tightens every cut
+        inst = synth_instance(12, 4, "mdp_like", seed=0)
         assert np.linalg.eigvalsh(inst.obj.q)[0] < -1.0
-        assert effective_objective(inst.obj, inst.dom) is inst.obj
+        assert assert_shift_contract(inst.obj, inst.dom) < 0.0
 
     def test_convex_objective_unchanged(self):
-        from gradcut.engine import effective_objective
-
+        # convex Q keeps its argmin on the slice; the shift is still negative
         obj = random_psd_objective(np.random.default_rng(4), 6)
-        assert effective_objective(obj, FeasibleDomain(n=6, m=2)) is obj
+        assert assert_shift_contract(obj, FeasibleDomain(n=6, m=2)) < 0.0
+
+    def test_one_direction_zero_mid_spectrum(self):
+        # Q has the eigenvalues -3, -1, 2, 5, 7, 9 on 1-perp, so rho is 3, and
+        # P Q P has those and the zero of the 1-direction, between -1 and 2:
+        # skipping the first eigenvalue of P Q P would take rho = 1 and lose
+        # validity
+        rng = np.random.default_rng(8)
+        basis = scipy.linalg.null_space(np.ones((1, 7)))
+        rot, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        half = basis @ rot
+        q = half @ np.diag([-3.0, -1.0, 2.0, 5.0, 7.0, 9.0]) @ half.T + 0.25
+        obj = QuadraticObjective((q + q.T) / 2.0)
+        pqp = np.linalg.eigvalsh(basis @ basis.T @ obj.q @ basis @ basis.T)
+        assert pqp[0] < pqp[1] < -0.5 and 0.5 < pqp[3]
+        rho = assert_shift_contract(obj, FeasibleDomain(n=7, m=3))
+        assert rho == pytest.approx(3.0, abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -401,7 +432,7 @@ def test_rounding_above_incumbent_reports_zero_gap():
 def classical_cutting_planes(obj, dom, x0, eps, backend, max_iters=500):
     """Straight-line reference implementation of the plain method."""
     oracle = CutOracle()
-    add_cut(oracle, make_cut(obj, x0))
+    oracle.add(make_cut(obj, x0))
     anchors = [tuple(x0)]
     ub = eval_objective(obj, x0)
     bounds = []
@@ -412,7 +443,7 @@ def classical_cutting_planes(obj, dom, x0, eps, backend, max_iters=500):
             bounds.append((ub, lb))
             return anchors, bounds, ub
         x = res.x
-        if add_cut(oracle, make_cut(obj, x)):
+        if oracle.add(make_cut(obj, x)):
             anchors.append(tuple(x))
         ub = min(ub, eval_objective(obj, x))
         bounds.append((ub, lb))
@@ -422,29 +453,29 @@ def classical_cutting_planes(obj, dom, x0, eps, backend, max_iters=500):
 @given(seed=st.integers(0, 100_000))
 @settings(max_examples=25, deadline=None)
 def test_cpm_config_equals_reference_implementation(seed):
-    from gradcut.model import regularize
-
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 11))
     m = int(rng.integers(1, n))
     dom = FeasibleDomain(n=n, m=m)
-    # compare in the scale the engine works in: hand it a pre-regularized
-    # objective so both sides build identical cuts
-    obj = regularize(random_psd_objective(rng, n), dom)
+    obj = random_psd_objective(rng, n)
     pts = feasible_points(dom)
     x0 = pts[int(rng.integers(len(pts)))]
     out = run(obj, dom, x0, SolverConfig.from_name("cpm"), BruteForceBackend())
+    # the reference cuts on the objective the engine works with, and so
+    # reports in that scale: compare after the shift
+    work = effective_objective(obj, dom)
+    shift = work.shift
     anchors_ref, bounds_ref, ub_ref = classical_cutting_planes(
-        obj, dom, x0, 1e-9, BruteForceBackend()
+        work, dom, x0, 1e-9, BruteForceBackend()
     )
     anchors_run = [tuple(cut.anchor) for cut in out.oracle]
     assert anchors_run == anchors_ref
-    assert out.f_best == pytest.approx(ub_ref, abs=1e-12)
+    assert out.f_best + shift == pytest.approx(ub_ref, abs=1e-12)
     bounds_run = [(rec.ub, rec.lb) for rec in out.trace.records]
     assert len(bounds_run) == len(bounds_ref)
     for (ub_a, lb_a), (ub_b, lb_b) in zip(bounds_run, bounds_ref):
-        assert ub_a == pytest.approx(ub_b, abs=1e-12)
-        assert lb_a == pytest.approx(lb_b, abs=1e-12)
+        assert ub_a + shift == pytest.approx(ub_b, abs=1e-12)
+        assert lb_a + shift == pytest.approx(lb_b, abs=1e-12)
 
 
 class UndershootingBackend(BruteForceBackend):
@@ -503,23 +534,24 @@ def test_stall_within_the_solver_tolerance_resolved_once_tightly():
 
 def test_highs_stall_at_its_feasibility_tolerance_mended(caplog):
     # at HiGHS's default mip_feasibility_tolerance of 1e-6 this cell's lower
-    # bound settles exactly 1e-6 below its optimal incumbent, short of the
-    # 1e-9 certificate, and the run stalls after 17 iterations
+    # bound settles 1e-6 below its optimal incumbent from iteration 11 on,
+    # short of the 1e-9 certificate; the fixed point at iteration 12 takes one
+    # tight re-solve, which certifies at iteration 13
     caplog.set_level(logging.WARNING, logger="gradcut")
-    inst = synth_instance(30, 6, "mdp_like", 2)
+    inst = synth_instance(30, 6, "mdp_like", 5)
     out = run(
         inst.obj,
         inst.dom,
         default_x0(inst.dom),
-        SolverConfig.from_name("pgm-tau"),
+        SolverConfig.from_name("cpm"),
         HighsBackend(),
         instance_name=inst.name,
     )
     assert out.status is SolveStatus.EPS_OPTIMAL
-    assert out.f_best == pytest.approx(synth_minimum(30, 6, "mdp_like", 2), abs=1e-9)
+    assert out.f_best == pytest.approx(synth_minimum(30, 6, "mdp_like", 5), abs=1e-9)
     retries = [r for r in caplog.records if "mip_feasibility_tolerance" in r.getMessage()]
     assert len(retries) == 1
-    assert retries[0].cell == f"{inst.name}/pgm-tau"
+    assert retries[0].cell == f"{inst.name}/cpm"
 
 
 @pytest.mark.parametrize("excess, warned", [(1e-12, False), (1e-3, True)])

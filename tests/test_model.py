@@ -8,17 +8,15 @@ from gradcut.model import (
     CutOracle,
     FeasibleDomain,
     QuadraticObjective,
-    add_cut,
     anchor_key,
     eval_gradient,
     eval_objective,
     is_feasible,
     make_cut,
-    regularize,
     symmetrize,
 )
 
-from conftest import Q_DIAG, Q_FULL, e, feasible_points, random_psd_objective
+from conftest import Q_DIAG, Q_FULL, e, random_psd_objective
 
 
 class TestEvalObjective:
@@ -58,52 +56,6 @@ class TestEvalGradient:
             eval_gradient(QuadraticObjective(Q_DIAG), np.ones(2))
 
 
-class TestRegularize:
-    def test_indefinite_two_by_two(self):
-        obj = QuadraticObjective(np.array([[0.0, -2.0], [-2.0, 0.0]]))
-        dom = FeasibleDomain(n=2, m=1)
-        reg = regularize(obj, dom)
-        assert reg.regularization.rho == 2.0
-        assert reg.regularization.shift == 1.0
-        np.testing.assert_array_equal(reg.q, [[2.0, -2.0], [-2.0, 2.0]])
-        x = np.array([1.0, 0.0])
-        assert eval_objective(reg, x) == eval_objective(obj, x) + 1.0
-
-    def test_already_dominant_is_identity(self):
-        obj = QuadraticObjective(Q_DIAG)
-        reg = regularize(obj, FeasibleDomain(n=3, m=1))
-        assert reg is obj
-        assert reg.shift == 0.0
-
-    def test_gershgorin_row_sum(self):
-        obj = QuadraticObjective(np.array([[1.0, 3.0], [3.0, 1.0]]))
-        reg = regularize(obj, FeasibleDomain(n=2, m=1))
-        assert reg.regularization.rho == 2.0
-        assert reg.regularization.shift == 1.0
-        np.testing.assert_array_equal(reg.q, [[3.0, 3.0], [3.0, 3.0]])
-
-    @given(seed=st.integers(0, 10_000), n=st.integers(2, 8))
-    @settings(max_examples=60, deadline=None)
-    def test_exact_shift_on_slice(self, seed, n):
-        rng = np.random.default_rng(seed)
-        a = rng.uniform(-1.0, 1.0, size=(n, n))
-        obj = QuadraticObjective((a + a.T) / 2.0)
-        m = int(rng.integers(1, n))
-        dom = FeasibleDomain(n=n, m=m)
-        reg = regularize(obj, dom)
-        for x in feasible_points(dom):
-            assert abs(eval_objective(reg, x) - eval_objective(obj, x) - reg.shift) <= 1e-9
-
-    @given(seed=st.integers(0, 10_000), n=st.integers(2, 8))
-    @settings(max_examples=40, deadline=None)
-    def test_result_is_psd(self, seed, n):
-        rng = np.random.default_rng(seed)
-        a = rng.uniform(-1.0, 1.0, size=(n, n))
-        obj = QuadraticObjective((a + a.T) / 2.0)
-        reg = regularize(obj, FeasibleDomain(n=n, m=1))
-        assert np.min(np.linalg.eigvalsh(reg.q)) >= -1e-9
-
-
 class TestCuts:
     def test_make_cut_diagonal(self):
         # tangent at e2: theta >= 4 x2 - 2
@@ -126,11 +78,11 @@ class TestCuts:
     def test_add_cut_union_semantics(self):
         obj = QuadraticObjective(Q_DIAG)
         oracle = CutOracle()
-        assert add_cut(oracle, make_cut(obj, e(1))) is True
+        assert oracle.add(make_cut(obj, e(1))) is True
         assert len(oracle) == 1
-        assert add_cut(oracle, make_cut(obj, e(1))) is False
+        assert oracle.add(make_cut(obj, e(1))) is False
         assert len(oracle) == 1
-        assert add_cut(oracle, make_cut(obj, e(0))) is True
+        assert oracle.add(make_cut(obj, e(0))) is True
         assert len(oracle) == 2
 
     def test_anchor_key_rounds_as_int_round(self):
