@@ -17,7 +17,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -190,7 +190,8 @@ class SolveOutcome:
 
 def build_cut_constraints(oracle: CutOracle, ub: float, tau: float) -> CutRows:
     """Theta-free rows forcing every tangent plane at most ub - tau: the level
-    set of the cut model at ub - tau."""
+    set of the cut model at ub - tau, as a view of the oracle's stacked cuts
+    (no row is built per cut)."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     if not math.isfinite(ub):
@@ -434,7 +435,7 @@ def _run(
 def _local_solve(
     work: QuadraticObjective,
     dom: FeasibleDomain,
-    rows: list[LinearRow],
+    rows: Sequence[LinearRow],
     x_start: np.ndarray,
     cfg: SolverConfig,
     backend: MilpBackend,

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .logs import get_logger
-from .model import FEAS_TOL, Cut, CutOracle, CutRows, FeasibleDomain, LinearRow
+from .model import FEAS_TOL, Cut, CutOracle, CutRows, FeasibleDomain, LinearRow, stack_cuts
 
 log = get_logger(__name__)
 
@@ -213,7 +213,9 @@ class BruteForceBackend(MilpBackend):
         if sets is None or not sets.holds(cuts, dom) or (ub is not None and ub > sets.ub):
             sets = self._sets = None  # free the old state before building the new one
             sets = self._sets = _LevelSets(dom, cuts)
-        sets.extend(itertools.islice(cuts, sets.n_cuts, None))
+        grads, values, grad_dot_anchor = stack_cuts(cuts)
+        new = slice(sets.n_cuts, None)
+        sets.extend(grads[new], values[new] - grad_dot_anchor[new])
         if len(sets.theta) == 0:
             return MilpResult(
                 status=MilpStatus(StatusKind.INFEASIBLE, "empty domain"),
@@ -276,14 +278,22 @@ class _LevelSets:
             and rows.level <= self.ub
         )
 
-    def extend(self, cuts) -> None:
-        """Fold new cuts into theta."""
-        for cut in cuts:
+    def extend(self, grads: np.ndarray, intercepts: np.ndarray) -> None:
+        """Fold new cuts, given as gradient rows and intercepts, into theta.
+
+        While the table is still the whole slice (nothing filtered or
+        compacted away) and spans several blocks, <grad, x> is summed by
+        _fold_by_tails instead of looked up byte by byte."""
+        n, m = self.dom.n, self.dom.m
+        for grad, intercept in zip(grads, intercepts):
             self._held = None
-            lut = _lut(cut.grad, len(self.table))
-            for block in _blocks(len(self.theta)):
-                theta = self.theta[block]
-                np.maximum(theta, _scores(self.table[:, block], lut) + cut.intercept, out=theta)
+            if len(self.theta) == comb(n, m) > _BLOCK:
+                _fold_by_tails(self.theta, grad, intercept, n, m)
+            else:
+                lut = _lut(grad, len(self.table))
+                for block in _blocks(len(self.theta)):
+                    theta = self.theta[block]
+                    np.maximum(theta, _scores(self.table[:, block], lut) + intercept, out=theta)
             self.n_cuts += 1
 
     def prune(self, ub: float) -> None:
@@ -378,6 +388,35 @@ def _packed_table(dom: FeasibleDomain) -> np.ndarray:
         checks = _row_checks(n, dom.extra_rows)
         (level,) = _compact(lambda block: _satisfying(level[:, block], checks), level)
     return level
+
+
+def _fold_by_tails(theta: np.ndarray, v: np.ndarray, intercept: float, n: int, m: int) -> None:
+    """theta = max(theta, <v, x> + intercept) at every point x of the whole
+    slice, in the order of _packed_table.
+
+    The sums follow the recursion that builds the table: level k holds <v, x>
+    over the k-subsets of range(m - k, n), and level k + 1 is the tails of
+    level k, each plus v[i]. Level m is never built: it is folded into theta
+    one first index i and one block at a time, so besides theta the largest
+    array held is level m - 1, C(n - 1, m - 1) values.
+    """
+    level = np.zeros(1)  # the empty subset
+    for k in range(1, m):
+        out = np.empty(comb(n - m + k, k))
+        filled = 0
+        for i in range(m - k, n - k + 1):
+            count = comb(n - i - 1, k - 1)
+            np.add(level[len(level) - count :], v[i], out=out[filled : filled + count])
+            filled += count
+        level = out
+    level += intercept
+    filled = 0
+    for i in range(n - m + 1):
+        tails = level[len(level) - comb(n - i - 1, m - 1) :]
+        for block in _blocks(len(tails)):
+            part = theta[filled : filled + len(tails)][block]
+            np.maximum(part, tails[block] + v[i], out=part)
+        filled += len(tails)
 
 
 def _compact(keep, *arrays):
@@ -564,14 +603,17 @@ class HighsBackend(MilpBackend):
 
     @staticmethod
     def _stack_rows(dom: FeasibleDomain, rows: Sequence[LinearRow], n_cols: int):
-        """Cardinality equality plus all rows as one (A, lb, ub) block."""
-        all_rows = list(dom.extra_rows) + list(rows)
-        a = np.zeros((1 + len(all_rows), n_cols))
-        lo = np.empty(1 + len(all_rows))
-        hi = np.empty(1 + len(all_rows))
+        """Cardinality equality, the domain's rows and rows as one (A, lb, ub)
+        block; CutRows fill theirs as one slice of it, from the oracle's stack."""
+        stacked = isinstance(rows, CutRows)
+        listed = list(dom.extra_rows) + ([] if stacked else list(rows))
+        size = 1 + len(listed) + (len(rows) if stacked else 0)
+        a = np.zeros((size, n_cols))
+        lo = np.empty(size)
+        hi = np.empty(size)
         a[0, : dom.n] = 1.0
         lo[0] = hi[0] = dom.m
-        for i, row in enumerate(all_rows, start=1):
+        for i, row in enumerate(listed, start=1):
             a[i, : dom.n] = row.coeffs
             if row.sense == "<=":
                 lo[i], hi[i] = -np.inf, row.rhs
@@ -579,6 +621,11 @@ class HighsBackend(MilpBackend):
                 lo[i], hi[i] = row.rhs, np.inf
             else:
                 lo[i] = hi[i] = row.rhs
+        if stacked and len(rows):
+            cut = slice(1 + len(listed), None)
+            a[cut, : dom.n] = rows.coeffs
+            lo[cut] = -np.inf
+            hi[cut] = rows.rhs
         return a, lo, hi
 
     def _solve_linear(self, cost, dom, rows, budget):
@@ -586,20 +633,19 @@ class HighsBackend(MilpBackend):
         return self._run("linear", np.asarray(cost, dtype=float), a, lo, hi, dom.n, budget)
 
     def solve_cp(self, cuts, dom, budget, upper_limit=None, ub=None, tight=False):
-        cuts = list(cuts)
-        if not cuts:
+        if len(cuts) == 0:
             raise ValueError("cutting-plane model requires a nonempty oracle")
+        grads, values, grad_dot_anchor = stack_cuts(cuts)
         n = dom.n
         c = np.zeros(n + 1)
         c[n] = 1.0
         a_dom, lo_dom, hi_dom = self._stack_rows(dom, [], n + 1)
-        a_cut = np.zeros((len(cuts), n + 1))
-        for i, cut in enumerate(cuts):
-            a_cut[i, :n] = cut.grad
-            a_cut[i, n] = -1.0
+        a_cut = np.empty((len(values), n + 1))
+        a_cut[:, :n] = grads
+        a_cut[:, n] = -1.0
         a = np.vstack([a_dom, a_cut])
-        lo = np.concatenate([lo_dom, np.full(len(cuts), -np.inf)])
-        hi = np.concatenate([hi_dom, np.array([-c_.intercept for c_ in cuts])])
+        lo = np.concatenate([lo_dom, np.full(len(values), -np.inf)])
+        hi = np.concatenate([hi_dom, -(values - grad_dot_anchor)])
         return self._run("cp", c, a, lo, hi, n, budget, upper_limit, tight)
 
 
@@ -668,8 +714,9 @@ def solve_cp_model(
         return _timeout_result()
     upper_limit = None
     if incumbent is not None and not backend.for_domain(dom).exact:
+        grads, values, grad_dot_anchor = stack_cuts(oracle)
         x = np.asarray(incumbent, dtype=float)
-        upper_limit = max(cut.value + float(cut.grad @ (x - cut.anchor)) for cut in oracle)
+        upper_limit = float(np.max(values + (grads @ x - grad_dot_anchor)))
     return backend.solve_cp(oracle, dom, budget, upper_limit, ub, tight)
 
 

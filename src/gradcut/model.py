@@ -9,7 +9,8 @@ growing, deduplicated collection of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from collections.abc import Iterator, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -149,11 +150,19 @@ def anchor_key(x) -> tuple:
 
 
 class CutOracle:
-    """Ordered, anchor-deduplicated cut collection."""
+    """Ordered, anchor-deduplicated cut collection.
+
+    Each cut is stacked once, as it is added: its gradient row, its value and
+    <grad, anchor>, in arrays that double when full. Growth allocates new
+    arrays and never writes to the rows already stacked, so the views that
+    stacked() hands out (and the CutRows built on them) keep reading the same
+    cuts while the oracle grows.
+    """
 
     def __init__(self, cuts: Sequence[Cut] = ()):
         self.cuts: list[Cut] = []
         self._seen: set[tuple] = set()
+        self._grads = self._values = self._grad_dot_anchor = np.empty(0)
         for cut in cuts:
             self.add(cut)
 
@@ -161,9 +170,27 @@ class CutOracle:
         key = cut.key()
         if key in self._seen:
             return False
+        k = len(self.cuts)
+        if k == len(self._values):
+            size = max(8, 2 * k)
+            self._grads = _grown(self._grads, k, (size, len(cut.grad)))
+            self._values = _grown(self._values, k, (size,))
+            self._grad_dot_anchor = _grown(self._grad_dot_anchor, k, (size,))
+        self._grads[k] = cut.grad
+        self._values[k] = cut.value
+        self._grad_dot_anchor[k] = float(cut.grad @ cut.anchor)
         self._seen.add(key)
         self.cuts.append(cut)
         return True
+
+    def stacked(self) -> tuple:
+        """(grads, values, grad_dot_anchor) of the cuts added so far, one row or
+        entry per cut, as read-only views of the stack."""
+        k = len(self.cuts)
+        views = (self._grads[:k], self._values[:k], self._grad_dot_anchor[:k])
+        for v in views:
+            v.flags.writeable = False
+        return views
 
     def __contains__(self, anchor) -> bool:
         return anchor_key(anchor) in self._seen
@@ -175,26 +202,54 @@ class CutOracle:
         return iter(self.cuts)
 
 
-class CutRows(list):
+def _grown(a: np.ndarray, k: int, shape: tuple) -> np.ndarray:
+    """A new array of the given shape whose first k rows are those of a."""
+    out = np.empty(shape)
+    if k:
+        out[:k] = a[:k]
+    return out
+
+
+def stack_cuts(cuts: Sequence[Cut]) -> tuple:
+    """(grads, values, grad_dot_anchor) of cuts, as CutOracle.stacked gives
+    them: the oracle's own views, or arrays stacked afresh from any other
+    sequence of cuts."""
+    if isinstance(cuts, CutOracle):
+        return cuts.stacked()
+    grads = np.array([cut.grad for cut in cuts], dtype=float).reshape(len(cuts), -1)
+    values = np.array([cut.value for cut in cuts], dtype=float)
+    grad_dot_anchor = np.array([float(cut.grad @ cut.anchor) for cut in cuts])
+    return grads, values, grad_dot_anchor
+
+
+class CutRows(Sequence):
     """The rows <grad, x> <= level - intercept, one per cut of an oracle.
 
     Together they cut out the level set {x : theta(x) <= level} of the cut
-    model theta(x) = max over cuts of <grad, x> + intercept. A MILP solver
-    reads the rows; an enumerator that holds theta for the oracle's cuts reads
-    `cuts` (the oracle) and `level` instead. The rows are those of the cuts
-    present when they were built, so len(rows) counts those cuts; their
-    coefficients and right-hand sides are also stacked, for satisfied_by.
+    model theta(x) = max over cuts of <grad, x> + intercept. The rows are a
+    read-only view of the oracle's stack: coeffs is its gradient rows and rhs
+    is level - value + <grad, anchor>, for the cuts present when the view was
+    made; len(rows) counts those cuts, and a LinearRow is built only when a
+    row is indexed or iterated. A MILP solver reads coeffs and rhs; an
+    enumerator that holds theta for the oracle's cuts reads `cuts` (the
+    oracle) and `level` instead.
     """
 
     def __init__(self, oracle: CutOracle, level: float):
-        super().__init__(
-            LinearRow(cut.grad, "<=", level - cut.value + float(cut.grad @ cut.anchor))
-            for cut in oracle
-        )
+        grads, values, grad_dot_anchor = oracle.stacked()
         self.cuts = oracle
         self.level = level
-        self.coeffs = np.array([row.coeffs for row in self])
-        self.rhs = np.array([row.rhs for row in self])
+        self.coeffs = grads
+        self.rhs = level - values + grad_dot_anchor
+        self.rhs.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.rhs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return LinearRow(self.coeffs[i], "<=", float(self.rhs[i]))
 
     def satisfied_by(self, x: np.ndarray) -> bool:
         """Whether x satisfies every row, as LinearRow.satisfied_by judges each."""

@@ -260,15 +260,17 @@ class TestCardinalityOptimumFirst:
 
 class ScriptedMilp:
     """Stands in for scipy.optimize.milp: replays scripted answers in order and
-    records the options of every call."""
+    records the options and the constraints of every call."""
 
     def __init__(self, *answers, delay=0.0):
         self.answers = list(answers)
         self.options = []
+        self.constraints = []
         self.delay = delay
 
     def __call__(self, c, constraints, integrality, bounds, options):
         self.options.append(dict(options))
+        self.constraints.append(constraints)
         time.sleep(self.delay)
         return self.answers.pop(0)
 
@@ -368,6 +370,75 @@ class TestHighsRetryLadder:
         assert res.status.kind is StatusKind.TIME_LIMIT
         assert res.bound is None
         assert len(stub.options) == 1
+
+
+def rows_one_by_one(dom, rows, n_cols):
+    """The (A, lo, hi) of the cardinality row, the domain's rows and rows, one
+    row at a time: the block a HiGHS model is built from."""
+    a, lo, hi = [np.r_[np.ones(dom.n), np.zeros(n_cols - dom.n)]], [dom.m], [dom.m]
+    for coeffs, sense, rhs in rows:
+        a.append(np.r_[coeffs, np.zeros(n_cols - dom.n)])
+        lo.append(-np.inf if sense == "<=" else rhs)
+        hi.append(np.inf if sense == ">=" else rhs)
+    return np.array(a), np.array(lo), np.array(hi)
+
+
+def cuts_on_six():
+    obj = random_psd_objective(np.random.default_rng(4), 6)
+    return [make_cut(obj, x) for x in feasible_points(FeasibleDomain(n=6, m=2))[3:9]]
+
+
+class TestHighsInputFromTheStack:
+    """The model HiGHS is handed, built from the oracle's stack, equals the one
+    written out cut by cut."""
+
+    dom = FeasibleDomain(
+        n=6,
+        m=2,
+        extra_rows=(
+            LinearRow(np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0]), "<=", 1.0),
+            LinearRow(np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0]), ">=", 0.0),
+        ),
+    )
+    cuts = cuts_on_six()
+    domain_terms = [(r.coeffs, r.sense, r.rhs) for r in dom.extra_rows]
+
+    @staticmethod
+    def handed(stub):
+        (constraint,) = stub.constraints[-1]
+        return constraint.A, constraint.lb, constraint.ub
+
+    def want_cp(self, cuts):
+        a, lo, hi = rows_one_by_one(self.dom, self.domain_terms, 7)
+        for cut in cuts:
+            a = np.vstack([a, np.r_[cut.grad, -1.0]])
+            lo = np.r_[lo, -np.inf]
+            hi = np.r_[hi, -(cut.value - float(cut.grad @ cut.anchor))]
+        return a, lo, hi
+
+    @pytest.mark.parametrize("as_oracle", [True, False])
+    def test_cp_model(self, monkeypatch, as_oracle):
+        backend, stub = scripted_highs(monkeypatch, cp_answer_at(6, 2, 0.0))
+        cuts = CutOracle(self.cuts) if as_oracle else list(self.cuts)
+        backend.solve_cp(cuts, self.dom, 30.0)
+        for got, want in zip(self.handed(stub), self.want_cp(self.cuts), strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    def test_projection_on_cut_rows(self, monkeypatch):
+        oracle = CutOracle(self.cuts)
+        z = np.array([0.9, 0.8, 0.1, 0.2, 0.3, 0.0])
+        x = np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0])  # the cardinality-only optimum
+        level = max(c.grad @ x + c.intercept for c in self.cuts) - 0.5  # cuts x off
+        rows = CutRows(oracle, level)
+        answer = cp_answer_at(6, 2, 0.0)
+        answer.x = answer.x[:6]
+        backend, stub = scripted_highs(monkeypatch, answer)
+        project(z, self.dom, rows, 30.0, backend)
+        terms = self.domain_terms + [
+            (c.grad, "<=", level - c.value + float(c.grad @ c.anchor)) for c in self.cuts
+        ]
+        for got, want in zip(self.handed(stub), rows_one_by_one(self.dom, terms, 6), strict=True):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_highs_points_carry_no_negative_zero(monkeypatch):
@@ -607,6 +678,50 @@ class TestCutRowsCheck:
 
     def test_no_cuts_no_rows(self):
         assert CutRows(CutOracle(), 0.0).satisfied_by(np.zeros(3)) is True
+
+
+def test_runs_on_the_enumerator_build_no_linear_row(monkeypatch):
+    # every reader of the cut rows takes them from the oracle's stack
+    built = []
+    post_init = LinearRow.__post_init__
+
+    def counted(row):
+        built.append(row)
+        post_init(row)
+
+    monkeypatch.setattr(LinearRow, "__post_init__", counted)
+    inst = synth_instance(14, 4, "psd_random", 1)
+    for config in CONFIG_NAMES:
+        backend = AutoBackend()
+        out = run(inst.obj, inst.dom, default_x0(inst.dom, backend),
+                  SolverConfig.from_name(config), backend)
+        assert out.status.value == "eps_optimal"
+    assert built == []
+
+
+@pytest.mark.parametrize("n, m", [(10, 4), (9, 1), (9, 8), (17, 3)])
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=10, deadline=None)
+def test_whole_slice_fold_by_tails_matches_the_byte_lookup(n, m, seed):
+    """With blocks of 7 points the whole slice spans several blocks, and cuts
+    fold by tail sums; with one block they fold by byte lookup."""
+    rng = np.random.default_rng(seed)
+    obj = random_psd_objective(rng, n)
+    dom = FeasibleDomain(n=n, m=m)
+    pts = feasible_points(dom)
+    oracle = CutOracle(make_cut(obj, pts[i]) for i in rng.permutation(len(pts))[:5])
+    lookup = BruteForceBackend()
+    want = lookup.solve_cp(oracle, dom, 30.0)
+    tails = BruteForceBackend()
+    with (
+        mock.patch.object(milp, "_BLOCK", 7),
+        mock.patch.object(milp, "_fold_by_tails", wraps=milp._fold_by_tails) as fold,
+    ):
+        got = tails.solve_cp(oracle, dom, 30.0)
+    assert fold.call_count == len(oracle)
+    np.testing.assert_allclose(tails._sets.theta, lookup._sets.theta, rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(got.x, want.x)
+    assert got.theta == pytest.approx(want.theta, abs=1e-12)
 
 
 def cp_answer_at(n, m, theta):

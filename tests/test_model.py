@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from gradcut.model import (
     Cut,
     CutOracle,
+    CutRows,
     FeasibleDomain,
     QuadraticObjective,
     anchor_key,
@@ -106,6 +109,61 @@ class TestCuts:
         cut = make_cut(obj, y)
         lhs = cut.value + float(cut.grad @ (x - y))
         assert eval_objective(obj, x) >= lhs - 1e-9
+
+
+def distinct_points(n, m, count):
+    """The first count points of the (n, m) slice, in lexicographic order."""
+    pts = []
+    for idx in itertools.islice(itertools.combinations(range(n), m), count):
+        x = np.zeros(n)
+        x[list(idx)] = 1.0
+        pts.append(x)
+    return pts
+
+
+class TestCutRowsView:
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_rows_are_the_per_cut_formula_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        obj = random_psd_objective(rng, 9)
+        cuts = [make_cut(obj, x) for x in rng.permutation(distinct_points(9, 3, 84))[:20]]
+        oracle = CutOracle(cuts)
+        level = float(rng.uniform(-2.0, 2.0))
+        rows = CutRows(oracle, level)
+        assert len(rows) == len(cuts)
+        for i, (cut, row) in enumerate(zip(cuts, rows, strict=True)):
+            rhs = level - cut.value + float(cut.grad @ cut.anchor)
+            assert row.sense == "<="
+            assert row.rhs == rhs and rows.rhs[i] == rhs
+            np.testing.assert_array_equal(row.coeffs, cut.grad)
+            np.testing.assert_array_equal(rows.coeffs[i], cut.grad)
+            assert rows[i - len(cuts)].rhs == rhs
+
+    def test_a_view_keeps_its_rows_while_the_oracle_grows(self):
+        obj = random_psd_objective(np.random.default_rng(3), 10)
+        points = distinct_points(10, 3, 60)
+        oracle = CutOracle(make_cut(obj, x) for x in points[:3])
+        rows = CutRows(oracle, 1.5)
+        coeffs, rhs = rows.coeffs.copy(), rows.rhs.copy()
+        first = oracle.stacked()[0]
+        for x in points[3:]:  # the stack reallocates at 8, 16 and 32 cuts
+            oracle.add(make_cut(obj, x))
+        assert oracle.stacked()[0] is not first and oracle.stacked()[0].base is not first.base
+        assert len(rows) == 3 and len(oracle) == 60
+        np.testing.assert_array_equal(rows.coeffs, coeffs)
+        np.testing.assert_array_equal(rows.rhs, rhs)
+        np.testing.assert_array_equal(CutRows(oracle, 1.5).rhs[:3], rhs)
+        with pytest.raises(ValueError):
+            rows.coeffs[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            rows.rhs[0] = 1.0
+
+    def test_empty_oracle_gives_no_rows(self):
+        rows = CutRows(CutOracle(), 0.0)
+        assert len(rows) == 0
+        assert list(rows) == []
+        assert rows.satisfied_by(np.ones(4)) is True
 
 
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 10))
