@@ -172,34 +172,52 @@ def residue_distribution(
 
 
 def parse_instance(path, fmt: str, m_override: Optional[int] = None) -> Instance:
+    """The instance in path, read in fmt: mdplib_triplet, dense_matrix,
+    canonical_json or auto. Auto reads a .json file as canonical JSON, and any
+    other file as a dense matrix when its header's n is followed by n rows of
+    n entries, else as triplets."""
     path = Path(path)
-    if fmt == "mdplib_triplet":
-        return _parse_triplet(path, m_override)
-    if fmt == "dense_matrix":
-        return _parse_dense(path, m_override)
+    if fmt == "auto" and path.suffix.lower() == ".json":
+        fmt = "canonical_json"
     if fmt == "canonical_json":
         return _parse_json(path, m_override)
-    raise ValueError(f"unknown instance format {fmt!r}")
+    if fmt not in ("auto", "mdplib_triplet", "dense_matrix"):
+        raise ValueError(f"unknown instance format {fmt!r}")
+    data, n, m = _read_text(path)
+    if fmt == "auto":
+        body = data[1:]
+        dense = bool(body) and len(body) == n and all(len(ln.split()) == n for _, ln in body)
+        fmt = "dense_matrix" if dense else "mdplib_triplet"
+    m = m_override if m_override is not None else m
+    if fmt == "dense_matrix":
+        return _parse_dense(path, data, n, m)
+    return _parse_triplet(path, data, n, m)
 
 
-def _read_header_ints(path: Path, line: str, lineno: int) -> list[int]:
-    try:
-        return [int(float(tok)) for tok in line.split()]
-    except ValueError as exc:
-        raise ParseError(path, lineno, f"bad header: {exc}") from None
-
-
-def _parse_triplet(path: Path, m_override: Optional[int]) -> Instance:
+def _read_text(path: Path) -> tuple[list[tuple[int, str]], int, Optional[int]]:
+    """The nonblank lines of a text instance, header first, with their line
+    numbers, and the n and m (None when absent) of its 'n' or 'n m' header."""
     lines = path.read_text().splitlines()
     data = [(i + 1, ln.strip()) for i, ln in enumerate(lines) if ln.strip()]
     if not data:
         raise ParseError(path, None, "empty file")
     lineno, header = data[0]
-    head = _read_header_ints(path, header, lineno)
+    try:
+        head = [int(float(tok)) for tok in header.split()]
+    except ValueError as exc:
+        raise ParseError(path, lineno, f"bad header: {exc}") from None
     if len(head) not in (1, 2):
         raise ParseError(path, lineno, f"expected 'n' or 'n m' header, got {len(head)} fields")
-    n = head[0]
-    m = head[1] if len(head) == 2 else None
+    return data, head[0], head[1] if len(head) == 2 else None
+
+
+def _domain(path: Path, n: int, m: Optional[int]) -> FeasibleDomain:
+    if m is None:
+        raise ValueError(f"{path}: no cardinality in file and no override given")
+    return FeasibleDomain(n=n, m=m)
+
+
+def _parse_triplet(path: Path, data: list, n: int, m: Optional[int]) -> Instance:
     entries = []
     for lineno, line in data[1:]:
         toks = line.split()
@@ -222,28 +240,15 @@ def _parse_triplet(path: Path, m_override: Optional[int]) -> Instance:
         dist[i, j] = d
         dist[j, i] = d
     np.fill_diagonal(dist, 0.0)
-    m = m_override if m_override is not None else m
-    if m is None:
-        raise ValueError(f"{path}: no cardinality in file and no override given")
     return Instance(
         name=path.stem,
         obj=QuadraticObjective(q=-dist),
-        dom=FeasibleDomain(n=n, m=m),
+        dom=_domain(path, n, m),
         source="mdplib_triplet",
     )
 
 
-def _parse_dense(path: Path, m_override: Optional[int]) -> Instance:
-    lines = path.read_text().splitlines()
-    data = [(i + 1, ln.strip()) for i, ln in enumerate(lines) if ln.strip()]
-    if not data:
-        raise ParseError(path, None, "empty file")
-    lineno, header = data[0]
-    head = _read_header_ints(path, header, lineno)
-    if len(head) not in (1, 2):
-        raise ParseError(path, lineno, f"expected 'n' or 'n m' header, got {len(head)} fields")
-    n = head[0]
-    m = head[1] if len(head) == 2 else None
+def _parse_dense(path: Path, data: list, n: int, m: Optional[int]) -> Instance:
     if len(data) - 1 != n:
         raise ParseError(path, data[-1][0], f"expected {n} matrix rows, found {len(data) - 1}")
     q = np.zeros((n, n))
@@ -259,13 +264,10 @@ def _parse_dense(path: Path, m_override: Optional[int]) -> Instance:
         q = symmetrize(q)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
-    m = m_override if m_override is not None else m
-    if m is None:
-        raise ValueError(f"{path}: no cardinality in file and no override given")
     return Instance(
         name=path.stem,
         obj=QuadraticObjective(q=q),
-        dom=FeasibleDomain(n=n, m=m),
+        dom=_domain(path, n, m),
         source="dense_matrix",
     )
 
@@ -374,45 +376,6 @@ def default_x0(dom: FeasibleDomain, backend=None) -> np.ndarray:
 TRACE_COLUMNS = ("k", "t", "ub", "lb", "n_cuts", "tau")
 
 
-def export(data, path, fmt: str) -> None:
-    """Write traces, profiles, or distributions in csv / json / svg form."""
-    path = Path(path)
-    try:
-        if isinstance(data, RunTrace):
-            if fmt == "csv":
-                write_trace_csv(data, path)
-            elif fmt == "json":
-                write_trace_json(data, path)
-            else:
-                raise ValueError(f"traces export as csv or json, not {fmt!r}")
-        elif isinstance(data, ProfileBand) or (
-            isinstance(data, dict) and all(isinstance(v, ProfileBand) for v in data.values())
-        ):
-            bands = data if isinstance(data, dict) else {"profile": data}
-            if fmt == "svg":
-                write_profile_svg(bands, path)
-            elif fmt == "csv":
-                write_profile_csv(bands, path)
-            elif fmt == "json":
-                write_profile_json(bands, path)
-            else:
-                raise ValueError(f"profiles export as csv, json or svg, not {fmt!r}")
-        elif isinstance(data, (list, dict)):
-            curves = data if isinstance(data, dict) else {"cdf": data}
-            if fmt == "svg":
-                write_distribution_svg(curves, path)
-            elif fmt == "csv":
-                write_distribution_csv(curves, path)
-            elif fmt == "json":
-                path.write_text(json.dumps({k: list(map(list, v)) for k, v in curves.items()}))
-            else:
-                raise ValueError(f"distributions export as csv, json or svg, not {fmt!r}")
-        else:
-            raise ValueError(f"cannot export object of type {type(data).__name__}")
-    except OSError as exc:
-        raise OSError(f"failed writing {path}: {exc}") from exc
-
-
 def write_trace_csv(trace: RunTrace, path) -> None:
     lines = [",".join(TRACE_COLUMNS)]
     for rec in trace.records:
@@ -475,19 +438,6 @@ def write_profile_csv(bands: dict, path) -> None:
         for b, med, q1, q3 in zip(band.grid, band.median, band.q1, band.q3):
             lines.append(f"{name},{float(b)!r},{float(med)!r},{float(q1)!r},{float(q3)!r}")
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_profile_json(bands: dict, path) -> None:
-    payload = {
-        name: {
-            "grid": list(map(float, band.grid)),
-            "median": list(map(float, band.median)),
-            "q1": list(map(float, band.q1)),
-            "q3": list(map(float, band.q3)),
-        }
-        for name, band in bands.items()
-    }
-    Path(path).write_text(json.dumps(payload))
 
 
 def write_distribution_csv(curves: dict, path) -> None:

@@ -62,29 +62,6 @@ def _log_to_stderr() -> None:
     logger.addHandler(handler)
 
 
-def _detect_format(path: Path) -> str:
-    if path.suffix.lower() == ".json":
-        return "canonical_json"
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    if len(lines) < 2:
-        return "mdplib_triplet"
-    head = lines[0].split()
-    n = int(float(head[0]))
-    body = [ln.split() for ln in lines[1:]]
-    if len(body) == n and all(len(toks) == n for toks in body):
-        return "dense_matrix"
-    return "mdplib_triplet"
-
-
-def load_instance(path_str: str, fmt: str, m_override) -> Instance:
-    path = Path(path_str)
-    if not path.exists():
-        raise FileNotFoundError(f"instance file not found: {path}")
-    if fmt == "auto":
-        fmt = _detect_format(path)
-    return parse_instance(path, fmt, m_override=m_override)
-
-
 def _parse_x0(spec: str, n: int) -> np.ndarray:
     bits = [c for c in spec if not c.isspace()]
     if len(bits) != n or any(c not in "01" for c in bits):
@@ -166,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_solve(args) -> int:
-    inst = load_instance(args.instance, args.input_format, args.cardinality)
+    inst = parse_instance(args.instance, args.input_format, args.cardinality)
     backend = make_backend(args.backend)
     cfg = SolverConfig.from_name(
         args.config, epsilon=args.epsilon, time_limit=args.time_limit
@@ -185,7 +162,8 @@ def cmd_solve(args) -> int:
     print(f"iterations {outcome.iterations}")
     print(f"runtime    {outcome.runtime:.3f} s")
     if args.out:
-        bench.export(outcome.trace, args.out, args.format)
+        write = bench.write_trace_json if args.format == "json" else bench.write_trace_csv
+        write(outcome.trace, args.out)
         print(f"trace      {args.out}")
     return 0 if outcome.status is SolveStatus.EPS_OPTIMAL else 2
 
@@ -195,7 +173,7 @@ def _bench_instances(args) -> tuple[list[Instance], list[dict]]:
     failures = []
     for path in args.instances:
         try:
-            instances.append(load_instance(path, args.input_format, args.cardinality))
+            instances.append(parse_instance(path, args.input_format, args.cardinality))
         except Exception as exc:
             failures.append(
                 {

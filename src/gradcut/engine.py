@@ -2,10 +2,10 @@
 
 Each iteration solves the MILP cutting-plane relaxation for a lower bound,
 stops when the UB-LB gap closes, and otherwise generates the next cut anchor:
-either the relaxation solution itself, or the output of a local solver run on
-the feasible set tightened by offset cut rows. An extra cut at the relaxation
-solution is added when the angle condition suggests the two points straddle
-the optimum.
+either the relaxation solution itself, or the output of the projected-gradient
+local solver (local.pgm_solve) run on the feasible set tightened by offset cut
+rows. An extra cut at the relaxation solution is added when the angle
+condition suggests the two points straddle the optimum.
 
 With all three feature flags off this reduces exactly to the classical
 cutting-plane method.
@@ -17,20 +17,19 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import logs
 from .bench import RunTrace, TraceRecord
-from .local import LocalResult, PgmParams, pgm_solve, tr_solve
+from .local import PgmParams, pgm_solve
 from .milp import HIGHS_FEAS_TOL, MilpBackend, StatusKind, check_nonempty, project, solve_cp_model
 from .model import (
     FEAS_TOL,
     CutOracle,
     CutRows,
     FeasibleDomain,
-    LinearRow,
     QuadraticObjective,
     Regularization,
     eval_gradient,
@@ -54,12 +53,6 @@ CONFIG_NAMES = tuple(CONFIG_FLAGS)
 
 
 @dataclass(frozen=True)
-class TrParams:
-    norm_p: object = 1
-    delta0: Optional[float] = None  # None -> 2 * m (whole-slice moves)
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     use_local_solver: bool = False
     use_offset: bool = False
@@ -69,9 +62,7 @@ class SolverConfig:
     kappa_g: float = 0.1
     kappa_tau: float = 0.5
     time_limit: float = 100.0
-    local_solver: str = "pgm"  # pgm | trust_region
     pgm_params: PgmParams = field(default_factory=PgmParams)
-    tr_params: TrParams = field(default_factory=TrParams)
     max_outer_iters: int = 10_000
 
     def __post_init__(self):
@@ -85,8 +76,6 @@ class SolverConfig:
             raise ValueError("tau0 must be positive")
         if (self.use_offset or self.use_lb_cuts) and not self.use_local_solver:
             raise ValueError("offset and LB cuts require the local solver")
-        if self.local_solver not in ("pgm", "trust_region"):
-            raise ValueError(f"unknown local solver {self.local_solver!r}")
 
     @classmethod
     def from_name(cls, name: str, **overrides) -> "SolverConfig":
@@ -366,7 +355,9 @@ def _run(
             tau_used = state.tau if cfg.use_offset else 0.0
             start = project(x_lb, dom, rows, remaining(), backend)
             if start.ok:
-                x_next = _local_solve(work, dom, rows, start.x, cfg, backend, remaining()).x_final
+                x_next = pgm_solve(
+                    work, dom, rows, start.x, cfg.pgm_params, backend, remaining()
+                ).x_final
             else:
                 x_next = x_lb  # tightened set unavailable; fall back to the plain step
             # a local point whose cut already exists makes the iteration a
@@ -430,20 +421,3 @@ def _run(
         lb_cut_events=tuple(lb_cut_events),
         offset_backtracks=offset_backtracks,
     )
-
-
-def _local_solve(
-    work: QuadraticObjective,
-    dom: FeasibleDomain,
-    rows: Sequence[LinearRow],
-    x_start: np.ndarray,
-    cfg: SolverConfig,
-    backend: MilpBackend,
-    budget: float,
-) -> LocalResult:
-    if cfg.local_solver == "trust_region":
-        delta0 = cfg.tr_params.delta0 if cfg.tr_params.delta0 is not None else 2.0 * dom.m
-        return tr_solve(
-            work, dom, rows, x_start, cfg.tr_params.norm_p, delta0, cfg.pgm_params, backend, budget
-        )
-    return pgm_solve(work, dom, rows, x_start, cfg.pgm_params, backend, budget)

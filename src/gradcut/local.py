@@ -1,10 +1,10 @@
-"""Discrete local solvers driven through MILP projections.
+"""The discrete local solver: projected gradient descent driven through MILP
+projections.
 
-The projected gradient method iterates x+ in Proj(x - gamma * grad f(x)) with
-backtracking on gamma until a sufficient-decrease test holds; it stops at a
-critical point, i.e. a fixed point of the projected gradient map for some
-positive step. The trust-region variant replaces the projection with a linear
-model minimized inside a polyhedral-norm ball and backtracks on the radius.
+The method iterates x+ in Proj(x - gamma * grad f(x)) with backtracking on
+gamma until a sufficient-decrease test holds; it stops at a critical point,
+i.e. a fixed point of the projected gradient map for some positive step.
+Each projection is a linear MILP over the binary domain (milp.project).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .milp import MilpBackend, project, solve_tr_subproblem
+from .milp import MilpBackend, project
 from .model import (
     FEAS_TOL,
     FeasibleDomain,
@@ -51,7 +51,6 @@ class LocalResult:
     iters: int
     critical: bool
     eta: float
-    tr_stationary: bool = False
 
 
 def sufficient_decrease(
@@ -152,54 +151,3 @@ def pgm_solve(
         x, fx = x_new, f_new
         iters += 1
     return LocalResult(x, fx, iters, critical=False, eta=gamma)
-
-
-def tr_solve(
-    obj: QuadraticObjective,
-    dom: FeasibleDomain,
-    cut_rows: Sequence[LinearRow],
-    x0: np.ndarray,
-    norm_p,
-    delta0: float,
-    params: PgmParams,
-    backend: MilpBackend,
-    budget: float = float("inf"),
-) -> LocalResult:
-    """Trust-region descent on the linear model, radius halving on rejection.
-
-    The radius stays constant after accepted steps. The loop stops when the
-    subproblem cannot improve its own linear objective within the current
-    radius; such a point is labeled TR-stationary (weaker than critical).
-    """
-    if delta0 <= 0:
-        raise ValueError("delta0 must be positive")
-    x = np.asarray(x0, dtype=float)
-    fx = eval_objective(obj, x)
-    delta = delta0
-    deadline = time.perf_counter() + budget
-    iters = 0
-    while iters < params.max_iters:
-        grad = eval_gradient(obj, x)
-        base = float(grad @ x)
-        accepted = False
-        x_new = x
-        f_new = fx
-        for _ in range(params.max_backtracks + 1):
-            remaining = deadline - time.perf_counter()
-            res = solve_tr_subproblem(grad, x, delta, norm_p, dom, cut_rows, remaining, backend)
-            if not res.ok:
-                return LocalResult(x, fx, iters, critical=False, eta=delta)
-            if res.objective >= base - FEAS_TOL:
-                return LocalResult(x, fx, iters, critical=False, eta=delta, tr_stationary=True)
-            x_new = res.x
-            f_new = eval_objective(obj, x_new)
-            # unit scaling stands in for gamma in the quadratic decrease form
-            if sufficient_decrease(fx, f_new, x, x_new, grad, 1.0, params):
-                accepted = True
-                break
-            delta *= params.beta
-        if not accepted:
-            return LocalResult(x, fx, iters, critical=False, eta=delta)
-        x, fx = x_new, f_new
-        iters += 1
-    return LocalResult(x, fx, iters, critical=False, eta=delta)

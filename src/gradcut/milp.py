@@ -1,10 +1,10 @@
-"""MILP backend contract and the four subproblem builders.
+"""MILP backend contract and the three subproblem builders.
 
 Every subproblem the solver needs boils down to one of two primitives over the
 binary domain: minimizing a linear objective, or minimizing the epigraph
 variable theta of the cutting-plane model. Backends implement exactly those
 two; the module-level functions pose the concrete models (lower bound,
-projection, feasibility, trust-region step) so that engine code never touches
+projection, feasibility) so that engine and local-solver code never touches
 solver types.
 
 Three backends ship: a brute-force enumerator (exact, small slices, also the
@@ -15,7 +15,6 @@ default, which picks one of the two per call from the size of the slice.
 from __future__ import annotations
 
 import abc
-import itertools
 import time
 import warnings
 from dataclasses import dataclass
@@ -767,39 +766,3 @@ def check_nonempty(
         log.warning("feasibility check hit the time budget; treating set as empty")
         return False
     return res.status.kind is StatusKind.OPTIMAL
-
-
-def solve_tr_subproblem(
-    grad: np.ndarray,
-    x_center: np.ndarray,
-    radius: float,
-    norm_p,
-    dom: FeasibleDomain,
-    cut_rows: Sequence[LinearRow],
-    budget: float,
-    backend: MilpBackend,
-) -> MilpResult:
-    """min <grad, x> over dom and cut rows within a polyhedral-norm ball.
-
-    On binaries the l1 ball is the single row sum_i [c_i(1-x_i) + (1-c_i)x_i]
-    <= radius; an l-inf ball with radius < 1 pins x to the center and with
-    radius >= 1 is vacuous.
-    """
-    if radius <= 0:
-        raise ValueError("trust-region radius must be positive")
-    x_center = np.asarray(x_center, dtype=float)
-    if budget <= 0:
-        return _timeout_result()
-    rows = list(cut_rows)
-    if norm_p == 1:
-        coeffs = 1.0 - 2.0 * x_center
-        rows.append(LinearRow(coeffs, "<=", radius - float(np.sum(x_center))))
-    elif norm_p in ("inf", np.inf):
-        if radius < 1:
-            for i in range(dom.n):
-                e = np.zeros(dom.n)
-                e[i] = 1.0
-                rows.append(LinearRow(e, "==", float(x_center[i])))
-    else:
-        raise ValueError(f"unsupported trust-region norm {norm_p!r}")
-    return backend.solve_linear(np.asarray(grad, dtype=float), dom, rows, budget)

@@ -156,13 +156,15 @@ class CutOracle:
     <grad, anchor>, in arrays that double when full. Growth allocates new
     arrays and never writes to the rows already stacked, so the views that
     stacked() hands out (and the CutRows built on them) keep reading the same
-    cuts while the oracle grows.
+    cuts while the oracle grows. One read-only view of each whole array is
+    made when it is allocated; stacked() slices those.
     """
 
     def __init__(self, cuts: Sequence[Cut] = ()):
         self.cuts: list[Cut] = []
         self._seen: set[tuple] = set()
         self._grads = self._values = self._grad_dot_anchor = np.empty(0)
+        self._views = (_read_only(self._grads),) * 3
         for cut in cuts:
             self.add(cut)
 
@@ -176,6 +178,9 @@ class CutOracle:
             self._grads = _grown(self._grads, k, (size, len(cut.grad)))
             self._values = _grown(self._values, k, (size,))
             self._grad_dot_anchor = _grown(self._grad_dot_anchor, k, (size,))
+            self._views = tuple(
+                _read_only(a) for a in (self._grads, self._values, self._grad_dot_anchor)
+            )
         self._grads[k] = cut.grad
         self._values[k] = cut.value
         self._grad_dot_anchor[k] = float(cut.grad @ cut.anchor)
@@ -187,10 +192,8 @@ class CutOracle:
         """(grads, values, grad_dot_anchor) of the cuts added so far, one row or
         entry per cut, as read-only views of the stack."""
         k = len(self.cuts)
-        views = (self._grads[:k], self._values[:k], self._grad_dot_anchor[:k])
-        for v in views:
-            v.flags.writeable = False
-        return views
+        grads, values, grad_dot_anchor = self._views
+        return grads[:k], values[:k], grad_dot_anchor[:k]
 
     def __contains__(self, anchor) -> bool:
         return anchor_key(anchor) in self._seen
@@ -208,6 +211,12 @@ def _grown(a: np.ndarray, k: int, shape: tuple) -> np.ndarray:
     if k:
         out[:k] = a[:k]
     return out
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def stack_cuts(cuts: Sequence[Cut]) -> tuple:

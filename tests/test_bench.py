@@ -14,7 +14,6 @@ from gradcut.bench import (
     RunTrace,
     TraceRecord,
     default_x0,
-    export,
     instance_to_json,
     median_profile,
     parse_instance,
@@ -24,7 +23,9 @@ from gradcut.bench import (
     residue_distribution,
     synth_instance,
     validate_trace,
+    write_distribution_svg,
     write_instance_json,
+    write_profile_svg,
     write_trace_csv,
     write_trace_json,
 )
@@ -103,6 +104,29 @@ class TestParseDense:
         path.write_text("3 1\n1 0 0\n0 1 0\n")
         with pytest.raises(ParseError, match="matrix rows"):
             parse_instance(path, "dense_matrix")
+
+
+class TestParseAuto:
+    @pytest.mark.parametrize(
+        "name, text, source",
+        [
+            ("d.txt", "3 1\n2 0 0\n0 4 0\n0 0 6\n", "dense_matrix"),
+            # fewer rows of three than n: a triplet file, not a matrix
+            ("t.txt", "3 1\n1 2 5.0\n2 3 1.0\n", "mdplib_triplet"),
+            ("j.json", json.dumps({"n": 2, "m": 1, "q": [1.0, 0.0, 0.0, 2.0]}), "canonical_json"),
+        ],
+        ids=["dense", "triplet", "json"],
+    )
+    def test_detects_each_format(self, tmp_path, name, text, source):
+        path = tmp_path / name
+        path.write_text(text)
+        assert parse_instance(path, "auto").source == source
+
+    def test_bad_header_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("abc 3\n1 2 5.0\n")
+        with pytest.raises(ParseError, match=r"bad\.txt:1: bad header"):
+            parse_instance(path, "auto")
 
 
 class TestParseJson:
@@ -325,7 +349,7 @@ class TestExport:
     def test_csv_header_and_single_row(self, tmp_path):
         trace = trace_of([2.0], f0=3.0)
         path = tmp_path / "t.csv"
-        export(trace, path, "csv")
+        write_trace_csv(trace, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "k,t,ub,lb,n_cuts,tau"
         assert len(lines) == 2
@@ -352,7 +376,7 @@ class TestExport:
         ]
         band = median_profile(series, [0.0, 1.0, 2.0, 3.0])
         path = tmp_path / "p.svg"
-        export(band, path, "svg")
+        write_profile_svg({"profile": band}, path)
         text = path.read_text()
         assert text.count('class="median"') == 1
         assert text.count('class="band"') == 1
@@ -361,7 +385,7 @@ class TestExport:
     def test_distribution_svg_structure(self, tmp_path):
         curves = {"cpm": [(0.0, 0.5), (1.0, 1.0)], "pgm": [(0.0, 1.0)]}
         path = tmp_path / "c.svg"
-        export(curves, path, "svg")
+        write_distribution_svg(curves, path)
         text = path.read_text()
         assert text.count('class="cdf"') == 2
 

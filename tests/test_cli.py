@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gradcut import cli, milp
-from gradcut.bench import Instance, write_instance_json
+from gradcut.bench import Instance, read_trace_json, write_instance_json
 from gradcut.cli import main, make_backend
 from gradcut.milp import AutoBackend, BruteForceBackend, HighsBackend
 from gradcut.model import FeasibleDomain, QuadraticObjective
@@ -80,6 +80,28 @@ class TestSolve:
         lines = trace.read_text().strip().splitlines()
         assert lines[0] == "k,t,ub,lb,n_cuts,tau"
         assert len(lines) >= 2
+
+    def test_writes_json_trace(self, e2_json, tmp_path, capsys):
+        path = tmp_path / "trace.json"
+        code = main(
+            ["solve", str(e2_json), "--config", "pgm-tau-lb", "--backend", "bruteforce",
+             "--out", str(path), "--format", "json"]
+        )
+        assert code == 0
+        printed = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+        trace = read_trace_json(path)
+        assert (trace.instance_name, trace.config_name) == ("e2", "pgm-tau-lb")
+        assert trace.f0 == 1.0  # the default start e0
+        assert [r.k for r in trace.records] == list(range(1, int(printed["iterations"]) + 1))
+        last = trace.records[-1]
+        assert last.ub == pytest.approx(float(printed["f_best"]), abs=1e-9)
+        assert last.ub - last.lb <= 1e-9  # the run's eps-optimal certificate
+
+    def test_bad_header_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("abc 3\n1 2 5.0\n")
+        assert main(["solve", str(path)]) == 1
+        assert f"error: {path}:1: bad header" in capsys.readouterr().err
 
     def test_time_limit_zero_exits_two(self, e1_json, capsys):
         code = main(

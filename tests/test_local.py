@@ -8,7 +8,6 @@ from gradcut.local import (
     is_critical,
     pgm_solve,
     sufficient_decrease,
-    tr_solve,
 )
 from gradcut.milp import BruteForceBackend
 from gradcut.model import (
@@ -183,45 +182,3 @@ class TestPgmSolve:
 
         best = min(model(y) for y in pts)
         assert model(res.x) <= best + 1e-9
-
-
-class TestTrSolve:
-    def test_walkthrough_on_dense_instance(self):
-        # step e2 -> e1, then radius backtracks and no reachable point improves
-        obj = QuadraticObjective(Q_FULL)
-        dom = FeasibleDomain(n=3, m=1)
-        res = tr_solve(obj, dom, [], e(1), 1, 2.0, PgmParams(), BruteForceBackend())
-        assert res.tr_stationary is True
-        assert res.critical is False
-        np.testing.assert_array_equal(res.x_final, e(0))
-        assert res.f_final == 1.0
-        assert res.iters == 1
-
-    def test_radius_below_slice_spacing_terminates_at_start(self):
-        obj = QuadraticObjective(Q_FULL)
-        dom = FeasibleDomain(n=3, m=1)
-        res = tr_solve(obj, dom, [], e(1), 1, 1.5, PgmParams(), BruteForceBackend())
-        assert res.tr_stationary is True
-        assert res.iters == 0
-        np.testing.assert_array_equal(res.x_final, e(1))
-
-    def test_zero_gradient_terminates_at_start(self):
-        obj = QuadraticObjective(np.zeros((3, 3)))
-        dom = FeasibleDomain(n=3, m=1)
-        res = tr_solve(obj, dom, [], e(1), 1, 2.0, PgmParams(), BruteForceBackend())
-        assert res.tr_stationary is True
-        np.testing.assert_array_equal(res.x_final, e(1))
-
-    @given(seed=st.integers(0, 100_000))
-    @settings(max_examples=40, deadline=None)
-    def test_monotone_feasible_descent(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(3, 10))
-        m = int(rng.integers(1, n))
-        obj = random_psd_objective(rng, n)
-        dom = FeasibleDomain(n=n, m=m)
-        pts = feasible_points(dom)
-        x0 = pts[int(rng.integers(len(pts)))]
-        res = tr_solve(obj, dom, [], x0, 1, 2.0 * m, PgmParams(), BruteForceBackend())
-        assert is_feasible(dom, res.x_final)
-        assert res.f_final <= eval_objective(obj, x0) + 1e-12

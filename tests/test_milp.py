@@ -23,7 +23,6 @@ from gradcut.milp import (
     check_nonempty,
     project,
     solve_cp_model,
-    solve_tr_subproblem,
 )
 from gradcut.model import (
     FEAS_TOL,
@@ -145,41 +144,6 @@ class TestCheckNonempty:
 
     def test_exhausted_budget_is_conservative(self, backend):
         assert check_nonempty(FeasibleDomain(n=3, m=1), [], 0.0, backend) is False
-
-
-class TestTrustRegionSubproblem:
-    def test_radius_two_reaches_neighbors(self, backend):
-        dom = FeasibleDomain(n=3, m=1)
-        res = solve_tr_subproblem(
-            np.array([1.0, 4.0, 2.0]), e(1), 2.0, 1, dom, [], 30.0, backend
-        )
-        np.testing.assert_allclose(res.x, e(0), atol=1e-9)
-
-    def test_radius_one_pins_center(self, backend):
-        dom = FeasibleDomain(n=3, m=1)
-        res = solve_tr_subproblem(
-            np.array([1.0, 4.0, 2.0]), e(1), 1.0, 1, dom, [], 30.0, backend
-        )
-        np.testing.assert_allclose(res.x, e(1), atol=1e-9)
-
-    def test_zero_gradient_constant_objective(self, backend):
-        dom = FeasibleDomain(n=3, m=1)
-        res = solve_tr_subproblem(np.zeros(3), e(1), 2.0, 1, dom, [], 30.0, backend)
-        assert res.objective == pytest.approx(0.0, abs=1e-9)
-
-    def test_small_inf_ball_fixes_point(self, backend):
-        dom = FeasibleDomain(n=3, m=1)
-        res = solve_tr_subproblem(
-            np.array([1.0, 4.0, 2.0]), e(1), 0.5, "inf", dom, [], 30.0, backend
-        )
-        np.testing.assert_allclose(res.x, e(1), atol=1e-9)
-
-    def test_wide_inf_ball_is_vacuous(self, backend):
-        dom = FeasibleDomain(n=3, m=1)
-        res = solve_tr_subproblem(
-            np.array([1.0, 4.0, 2.0]), e(1), 1.0, "inf", dom, [], 30.0, backend
-        )
-        np.testing.assert_allclose(res.x, e(0), atol=1e-9)
 
 
 @given(seed=st.integers(0, 10_000))
