@@ -175,23 +175,41 @@ def parse_instance(path, fmt: str, m_override: Optional[int] = None) -> Instance
     """The instance in path, read in fmt: mdplib_triplet, dense_matrix,
     canonical_json or auto. Auto reads a .json file as canonical JSON, and any
     other file as a dense matrix when its header's n is followed by n rows of
-    n entries, else as triplets."""
+    n entries, else as triplets. At n = 3 such a file may also be a complete
+    triplet file: auto then reads it in the one format it parses in, and
+    raises ParseError, naming --input-format, when it parses in both."""
     path = Path(path)
     if fmt == "auto" and path.suffix.lower() == ".json":
         fmt = "canonical_json"
     if fmt == "canonical_json":
         return _parse_json(path, m_override)
-    if fmt not in ("auto", "mdplib_triplet", "dense_matrix"):
+    parsers = {"dense_matrix": _parse_dense, "mdplib_triplet": _parse_triplet}
+    if fmt not in ("auto", *parsers):
         raise ValueError(f"unknown instance format {fmt!r}")
     data, n, m = _read_text(path)
+    m = m_override if m_override is not None else m
     if fmt == "auto":
         body = data[1:]
         dense = bool(body) and len(body) == n and all(len(ln.split()) == n for _, ln in body)
         fmt = "dense_matrix" if dense else "mdplib_triplet"
-    m = m_override if m_override is not None else m
-    if fmt == "dense_matrix":
-        return _parse_dense(path, data, n, m)
-    return _parse_triplet(path, data, n, m)
+        if dense and n == 3:
+            fits = [name for name, parse in parsers.items() if _parses(parse, path, data, n, m)]
+            if len(fits) == 2:
+                raise ParseError(
+                    path, None,
+                    "reads both as a dense matrix and as triplets; "
+                    "choose one with --input-format",
+                )
+            fmt = fits[0] if fits else fmt
+    return parsers[fmt](path, data, n, m)
+
+
+def _parses(parse, path: Path, data: list, n: int, m: Optional[int]) -> bool:
+    try:
+        parse(path, data, n, m)
+    except ValueError:
+        return False
+    return True
 
 
 def _read_text(path: Path) -> tuple[list[tuple[int, str]], int, Optional[int]]:

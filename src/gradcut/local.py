@@ -101,8 +101,13 @@ def is_critical(
     res = project(z, dom, cut_rows, budget, backend)
     if not res.ok:
         raise RuntimeError(f"projection failed during criticality check: {res.status}")
-    own_score = float((1.0 - 2.0 * z) @ x)
-    return own_score <= res.objective + FEAS_TOL
+    return _attains_projection(x, z, res.objective)
+
+
+def _attains_projection(x: np.ndarray, z: np.ndarray, optimum: float) -> bool:
+    """Whether x scores the projection optimum of z, the least (1 - 2z)'y over
+    the binary points y of the projection's domain, within FEAS_TOL."""
+    return float((1.0 - 2.0 * z) @ x) <= optimum + FEAS_TOL
 
 
 def pgm_solve(
@@ -137,8 +142,7 @@ def pgm_solve(
             res = project(z, dom, cut_rows, remaining, backend)
             if not res.ok:
                 return LocalResult(x, fx, iters, critical=False, eta=gamma)
-            own_score = float((1.0 - 2.0 * z) @ x)
-            if own_score <= res.objective + FEAS_TOL:
+            if _attains_projection(x, z, res.objective):
                 return LocalResult(x, fx, iters, critical=True, eta=gamma)
             x_new = res.x
             f_new = eval_objective(obj, x_new)

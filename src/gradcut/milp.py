@@ -60,7 +60,6 @@ class MilpStatus:
 class MilpResult:
     status: MilpStatus
     x: Optional[np.ndarray] = None
-    theta: Optional[float] = None
     objective: Optional[float] = None
     solve_time: float = 0.0
     dual_bound: Optional[float] = None
@@ -228,7 +227,6 @@ class BruteForceBackend(MilpBackend):
         return MilpResult(
             status=MilpStatus(StatusKind.OPTIMAL),
             x=x,
-            theta=obj,
             objective=obj,
             dual_bound=obj,
             solve_time=time.perf_counter() - t0,
@@ -548,18 +546,15 @@ class HighsBackend(MilpBackend):
             kind = StatusKind.TIME_LIMIT
         else:
             kind = StatusKind.ERROR
-        x = theta = obj = None
+        x = obj = None
         if res.x is not None:
             # + 0.0 turns the -0.0 that rounding a slightly negative value gives into 0.0
             x = np.clip(np.round(res.x[:n]), 0.0, 1.0) + 0.0
-            if len(res.x) > n:
-                theta = float(res.x[n])
             obj = float(res.fun)
         dual = getattr(res, "mip_dual_bound", None)
         return MilpResult(
             status=MilpStatus(kind, str(res.message)),
             x=x,
-            theta=theta,
             objective=obj,
             solve_time=elapsed,
             dual_bound=float(dual) if dual is not None else None,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Iterator, Sequence
-from typing import Optional
 
 import numpy as np
 
@@ -45,19 +44,10 @@ class LinearRow:
 
 
 @dataclass(frozen=True)
-class Regularization:
-    """Record of an exact diagonal shift applied to make tangent cuts valid."""
-
-    rho: float
-    shift: float
-
-
-@dataclass(frozen=True)
 class QuadraticObjective:
     """f(x) = 0.5 * x'Qx with Q dense symmetric."""
 
     q: np.ndarray
-    regularization: Optional[Regularization] = None
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
@@ -72,11 +62,6 @@ class QuadraticObjective:
     @property
     def n(self) -> int:
         return self.q.shape[0]
-
-    @property
-    def shift(self) -> float:
-        """Constant offset between this objective and the unregularized one."""
-        return self.regularization.shift if self.regularization is not None else 0.0
 
 
 def symmetrize(q: np.ndarray, tol: float = FEAS_TOL) -> np.ndarray:

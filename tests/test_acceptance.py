@@ -18,7 +18,6 @@ from gradcut.engine import (
     SolveState,
     SolveStatus,
     SolverConfig,
-    effective_objective,
     run,
     select_offset,
 )
@@ -140,7 +139,7 @@ def assert_oracle_equivalence(cells):
 
 
 def test_oracle_equivalence_bruteforce_backend(sweep_brute):
-    """100 convex + 50 regularized-nonconvex instances, all five
+    """100 convex + 50 nonconvex instances, all five
     configurations, against exhaustive enumeration, within 1e-9."""
     assert len(sweep_brute) == 150 * 5
     assert_oracle_equivalence(sweep_brute)
@@ -161,10 +160,9 @@ def test_cut_validity_and_bound_sandwich(sweep_brute, sweep_highs):
     for cell in itertools.chain(sweep_brute, sweep_highs):
         out = cell["outcome"]
         f_star, x_star = cell["f_star"], cell["x_star"]
-        shift = effective_objective(cell["obj"], cell["dom"]).shift
         for cut in out.oracle:
             lhs = cut.value + float(cut.grad @ (x_star - cut.anchor))
-            assert lhs <= f_star + shift + GAP_TOL
+            assert lhs <= f_star + GAP_TOL
         for rec in out.trace.records:
             assert rec.lb <= f_star + GAP_TOL
             assert rec.ub >= f_star - GAP_TOL
@@ -282,40 +280,6 @@ def test_directional_performance_on_mdp_instances():
         f"directional claim: median iterations to residue 1e-6, "
         f"pgm-tau-lb {med_tight} <= cpm {med_plain}"
     )
-
-
-def test_residue_invariant_under_constant_shift(sweep_brute):
-    """Residues computed in regularized scale equal those in original scale:
-    the constant shift cancels, within 1e-12."""
-    checked = 0
-    for cell in sweep_brute:
-        if cell["config"] != "pgm-tau-lb" or cell["kind"] != "nonconvex":
-            continue
-        trace = cell["outcome"].trace
-        shift = effective_objective(cell["obj"], cell["dom"]).shift
-        if shift == 0.0 or not trace.records:
-            continue
-        f_star = cell["f_star"]
-        shifted = RunTrace(
-            records=[
-                type(r)(k=r.k, t=r.t, ub=r.ub + shift, lb=r.lb + shift,
-                        n_cuts=r.n_cuts, tau=r.tau)
-                for r in trace.records
-            ],
-            config_name=trace.config_name,
-            instance_name=trace.instance_name,
-            f0=trace.f0 + shift,
-        )
-        for kind in ("iterations", "runtime"):
-            base = residue(trace, f_star, kind)
-            reg = residue(shifted, f_star + shift, kind)
-            assert len(base.points) == len(reg.points)
-            for (b0, v0), (b1, v1) in zip(base.points, reg.points):
-                assert b0 == b1
-                assert abs(v0 - v1) <= METRIC_TOL
-        checked += 1
-    assert checked >= 10
-    report(f"residue invariance under exact regularization ({checked} traces)")
 
 
 def naive_quantile(values, q):

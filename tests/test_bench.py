@@ -29,7 +29,7 @@ from gradcut.bench import (
     write_trace_csv,
     write_trace_json,
 )
-from gradcut.engine import effective_objective
+from gradcut.engine import slice_shift
 from gradcut.milp import BruteForceBackend
 from gradcut.model import FeasibleDomain, LinearRow, QuadraticObjective
 
@@ -121,6 +121,24 @@ class TestParseAuto:
         path = tmp_path / name
         path.write_text(text)
         assert parse_instance(path, "auto").source == source
+
+    def test_complete_triplet_file_of_three_points_read_as_triplets(self, tmp_path):
+        # three rows of three fields, as a dense 3x3 matrix has; read as a
+        # matrix it is asymmetric, so only the triplet reading holds
+        path = tmp_path / "t3.txt"
+        path.write_text("3 1\n1 2 5\n1 3 4\n2 3 3\n")
+        inst = parse_instance(path, "auto")
+        assert inst.source == "mdplib_triplet"
+        np.testing.assert_array_equal(-inst.obj.q, [[0, 5, 4], [5, 0, 3], [4, 3, 0]])
+
+    def test_file_that_reads_in_both_formats_names_the_option(self, tmp_path):
+        # the pairs (2,1), (1,3), (3,2) are complete, and the rows symmetric
+        path = tmp_path / "both.txt"
+        path.write_text("3 1\n2 1 3\n1 3 2\n3 2 1\n")
+        with pytest.raises(ParseError, match="--input-format"):
+            parse_instance(path, "auto")
+        assert parse_instance(path, "dense_matrix").source == "dense_matrix"
+        assert parse_instance(path, "mdplib_triplet").source == "mdplib_triplet"
 
     def test_bad_header_names_file_and_line(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -418,8 +436,8 @@ class TestSynthInstance:
 
     def test_nonconvex_random_triggers_regularization(self):
         inst = synth_instance(10, 3, "nonconvex_random", seed=2)
-        # indefinite on 1-perp, so the engine shifts it up
-        assert effective_objective(inst.obj, inst.dom).regularization.rho > 0.0
+        # indefinite on 1-perp, so the engine's diagonal shift is positive in sum
+        assert np.sum(slice_shift(inst.obj.q)) > 0.0
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

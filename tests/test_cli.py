@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gradcut import cli, milp
-from gradcut.bench import Instance, read_trace_json, write_instance_json
+from gradcut.bench import Instance, read_trace_json, synth_instance, write_instance_json
 from gradcut.cli import main, make_backend
 from gradcut.milp import AutoBackend, BruteForceBackend, HighsBackend
 from gradcut.model import FeasibleDomain, QuadraticObjective
@@ -297,17 +297,13 @@ class BarrierBackend(BruteForceBackend):
 
 
 def test_parallel_cells_keep_their_own_log_labels(tmp_path, monkeypatch, capsys, caplog):
-    # from its default start each cell needs three lower bounds under cpm, so
-    # neither ends between the two waits of the other
+    # from its default start each cell needs at least four lower bounds under
+    # cpm, so neither ends between the two waits of the other; non-separable Q,
+    # as a diagonal one is linear on the slice and certifies in two
     paths = []
-    for name, diag, m in (("e3", [6.0, 4.0, 2.0], 1), ("e4", [1.0, 2.0, 3.0, 4.0], 2)):
-        inst = Instance(
-            name=name,
-            obj=QuadraticObjective(np.diag(diag)),
-            dom=FeasibleDomain(n=len(diag), m=m),
-            source="canonical_json",
-        )
-        paths.append(str(tmp_path / f"{name}.json"))
+    for n, m, seed in ((6, 2, 0), (7, 3, 1)):
+        inst = synth_instance(n, m, "nonconvex_random", seed)
+        paths.append(str(tmp_path / f"{inst.name}.json"))
         write_instance_json(inst, paths[-1])
     barrier = threading.Barrier(2, timeout=10)
     monkeypatch.setattr(cli, "make_backend", lambda name: BarrierBackend(barrier))
@@ -318,10 +314,13 @@ def test_parallel_cells_keep_their_own_log_labels(tmp_path, monkeypatch, capsys,
     assert code == 0
     manifest = json.loads((tmp_path / "sweep" / "manifest.json").read_text())
     assert all(cell["status"] == "eps_optimal" for cell in manifest["cells"])
-    labels = {"lower bound on n=3": "e3/cpm", "lower bound on n=4": "e4/cpm"}
+    labels = {
+        "lower bound on n=6": "nonconvex_random-n6-m2-s0/cpm",
+        "lower bound on n=7": "nonconvex_random-n7-m3-s1/cpm",
+    }
     assert {r.getMessage() for r in caplog.records} == set(labels)
     for record in caplog.records:
         assert record.cell == labels[record.getMessage()]
     err = capsys.readouterr().err
-    assert "gradcut WARNING [e3/cpm] lower bound on n=3" in err
-    assert "gradcut WARNING [e4/cpm] lower bound on n=4" in err
+    for message, cell in labels.items():
+        assert f"gradcut WARNING [{cell}] {message}" in err

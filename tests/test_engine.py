@@ -24,6 +24,7 @@ from gradcut.engine import (
     lb_cut_condition,
     run,
     select_offset,
+    slice_shift,
 )
 from gradcut.milp import AutoBackend, BruteForceBackend, HighsBackend, solve_cp_model
 from gradcut.model import (
@@ -209,13 +210,14 @@ class TestRun:
         assert out.f_best == pytest.approx(3.0)
         np.testing.assert_array_equal(out.x_best, e(2))
         assert out.iterations == 1
-        # On 1-perp, diag(2, 4, 6) has the eigenvalues that solve
-        # 1/(2-l) + 1/(4-l) + 1/(6-l) = 0, i.e. 3l^2 - 24l + 44 = 0, the
-        # smaller being 4 - 2/sqrt(3); so rho = -(4 - 2/sqrt(3)). The one cut,
-        # at e3, is theta >= (6+rho)/2 + (6+rho)(x3 - 1), least at e1 and e2:
-        # -(6+rho)/2, or -3 - rho = 1 - 2/sqrt(3) after the shift rho*m/2.
+        # Q_DIAG is separable, so u is about -diag(Q) and Q' about linear on
+        # the slice. The one cut, at e3, falls short of f at e_j by half of
+        # (e_j - e3)'(Q + diag u)(e_j - e3) = (q_jj + u_j) + (q_33 + u_3)
+        d = np.diag(Q_DIAG) + slice_shift(Q_DIAG)
+        lb = min(0.5 * Q_DIAG[j, j] - 0.5 * (d[j] + d[2]) for j in (0, 1))
         assert out.trace.records[0].ub == pytest.approx(3.0)
-        assert out.trace.records[0].lb == pytest.approx(1.0 - 2.0 / math.sqrt(3.0))
+        assert out.trace.records[0].lb == pytest.approx(lb, abs=1e-12)
+        assert out.trace.records[0].lb == pytest.approx(1.0, abs=1e-3)
 
     def test_infeasible_start_rejected(self, brute_backend):
         obj = QuadraticObjective(Q_DIAG)
@@ -238,9 +240,7 @@ class TestRun:
             assert out.status is SolveStatus.EPS_OPTIMAL
             assert out.f_best == pytest.approx(f_star, abs=1e-9)
 
-    def test_nonconvex_instance_regularized_and_reported_in_original_scale(
-        self, brute_backend
-    ):
+    def test_nonconvex_instance_convexified_on_the_slice(self, brute_backend):
         rng = np.random.default_rng(21)
         obj = random_symmetric_objective(rng, 8)
         dom = FeasibleDomain(n=8, m=3)
@@ -250,7 +250,7 @@ class TestRun:
         assert out.status is SolveStatus.EPS_OPTIMAL
         assert out.f_best == pytest.approx(f_star, abs=1e-9)
         assert out.trace.f0 == pytest.approx(eval_objective(obj, x0))
-        # reported bounds sandwich the original-scale optimum
+        # Q' has f's values on the slice, so every bound sandwiches f's optimum
         for rec in out.trace.records:
             assert rec.lb <= f_star + 1e-9
             assert rec.ub >= f_star - 1e-9
@@ -268,8 +268,7 @@ class TestRun:
 
     @pytest.mark.parametrize("convex", [True, False])
     def test_cuts_never_exclude_the_optimum(self, brute_backend, convex):
-        # cuts live in the engine's working scale, so compare against the
-        # correspondingly shifted optimum
+        # cuts are tangent to Q', which has f's values on the slice
         rng = np.random.default_rng(11)
         make = random_psd_objective if convex else random_symmetric_objective
         obj = make(rng, 9)
@@ -278,9 +277,8 @@ class TestRun:
             obj, dom, feasible_points(dom)[0], SolverConfig.from_name("pgm-lb"), brute_backend
         )
         f_star, x_star = enumerate_min(obj.q, dom)
-        f_star_internal = f_star + effective_objective(obj, dom).shift
         for cut in out.oracle:
-            assert cut.value + float(cut.grad @ (x_star - cut.anchor)) <= f_star_internal + 1e-9
+            assert cut.value + float(cut.grad @ (x_star - cut.anchor)) <= f_star + 1e-9
 
     def test_time_limit_returns_incumbent(self, brute_backend):
         obj = QuadraticObjective(Q_DIAG)
@@ -306,39 +304,51 @@ class TestRun:
             assert event.added == (event.predicate and not event.already_present)
 
 def assert_shift_contract(obj, dom):
-    """effective_objective's three promises on the domain: the shift is a
-    constant on the slice, every tangent cut is valid at every point of it,
-    and rho is the least such shift: lambda_min(V'(Q + rho I)V) is the
-    margin, with V an orthonormal basis of 1-perp. Returns rho."""
+    """effective_objective's promises on the domain: 0.5 x'Q'x equals
+    0.5 x'Qx at every point of the slice, with no constant offset; every
+    tangent cut of Q' is valid at every point of it; lambda_min(V'Q'V) is the
+    margin _PSD_TOL, with V an orthonormal basis of 1-perp; and Q' is Q +
+    diag(u) - (u1' + 1u')/(2m) with u = slice_shift(Q), whose sum is at most
+    that of the uniform shift rho*1, rho = -lambda_min(V'QV). Returns u."""
     work = effective_objective(obj, dom)
-    rho = work.regularization.rho
+    u = slice_shift(obj.q)
+    n, m = obj.n, dom.m
+    ones = np.ones(n)
+    np.testing.assert_array_equal(
+        work.q, obj.q + np.diag(u) - (np.outer(u, ones) + np.outer(ones, u)) / (2.0 * m)
+    )
+    scale = max(1.0, float(np.max(np.abs(obj.q))))
     pts = np.array(feasible_points(dom))
     f = 0.5 * np.einsum("ij,jk,ik->i", pts, obj.q, pts)
     f_work = 0.5 * np.einsum("ij,jk,ik->i", pts, work.q, pts)
-    np.testing.assert_allclose(f_work - f, work.shift, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(f_work, f, rtol=0, atol=1e-9 * scale)
     grads = pts @ work.q
     # cuts[a, x]: the tangent plane at anchor a evaluated at x
     cuts = (f_work - np.einsum("ij,ij->i", grads, pts))[:, None] + grads @ pts.T
-    assert np.all(cuts <= f_work[None, :] + 1e-9)
-    basis = scipy.linalg.null_space(np.ones((1, obj.n)))
-    scale = max(1.0, float(np.max(np.abs(obj.q))))
-    assert np.linalg.eigvalsh(basis.T @ work.q @ basis)[0] == pytest.approx(
-        _PSD_TOL * scale, rel=0, abs=1e-10 * scale
-    )
-    return rho
+    assert np.all(cuts <= f_work[None, :] + 1e-9 * scale)
+    basis = scipy.linalg.null_space(np.ones((1, n)))
+    lam = np.linalg.eigvalsh(basis.T @ work.q @ basis)[0]
+    assert lam >= 0.0
+    assert lam == pytest.approx(_PSD_TOL * scale, rel=0, abs=1e-10 * scale)
+    rho = -np.linalg.eigvalsh(basis.T @ obj.q @ basis)[0]
+    assert float(np.sum(u)) <= n * rho + n * 1e-10 * scale
+    return u
 
 
 class TestEffectiveObjective:
-    @given(seed=st.integers(0, 10_000), n=st.integers(2, 8))
-    @settings(max_examples=40, deadline=None)
-    def test_constant_shift_and_valid_cuts_on_the_slice(self, seed, n):
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 10),
+        kind=st.sampled_from(["symmetric", "psd"]),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_constant_shift_and_valid_cuts_on_the_slice(self, seed, n, kind, scale):
+        # the constant shift is zero: Q' and Q agree on every slice point
         rng = np.random.default_rng(seed)
-        obj = random_symmetric_objective(rng, n)
-        rho = assert_shift_contract(obj, FeasibleDomain(n=n, m=int(rng.integers(1, n))))
-        # never more than the Gershgorin shift, which makes Q PSD everywhere
-        q = obj.q
-        off_diag = np.sum(np.abs(q), axis=1) - np.abs(np.diag(q))
-        assert rho <= max(0.0, float(np.max(off_diag - np.diag(q)))) + 1e-9
+        make = random_symmetric_objective if kind == "symmetric" else random_psd_objective
+        obj = QuadraticObjective(scale * make(rng, n).q)
+        assert_shift_contract(obj, FeasibleDomain(n=n, m=int(rng.integers(1, n))))
 
     def test_negated_distances_need_no_shift(self):
         # Euclidean distance matrices are conditionally negative definite, so
@@ -346,18 +356,18 @@ class TestEffectiveObjective:
         # and the negative one it gets tightens every cut
         inst = synth_instance(12, 4, "mdp_like", seed=0)
         assert np.linalg.eigvalsh(inst.obj.q)[0] < -1.0
-        assert assert_shift_contract(inst.obj, inst.dom) < 0.0
+        assert np.sum(assert_shift_contract(inst.obj, inst.dom)) < 0.0
 
     def test_convex_objective_unchanged(self):
         # convex Q keeps its argmin on the slice; the shift is still negative
         obj = random_psd_objective(np.random.default_rng(4), 6)
-        assert assert_shift_contract(obj, FeasibleDomain(n=6, m=2)) < 0.0
+        assert np.sum(assert_shift_contract(obj, FeasibleDomain(n=6, m=2))) < 0.0
 
     def test_one_direction_zero_mid_spectrum(self):
-        # Q has the eigenvalues -3, -1, 2, 5, 7, 9 on 1-perp, so rho is 3, and
-        # P Q P has those and the zero of the 1-direction, between -1 and 2:
-        # skipping the first eigenvalue of P Q P would take rho = 1 and lose
-        # validity
+        # Q has the eigenvalues -3, -1, 2, 5, 7, 9 on 1-perp, so the uniform
+        # shift is 3, and P Q P has those and the zero of the 1-direction,
+        # between -1 and 2: a shift that skipped the first eigenvalue of P Q P
+        # would lose validity, which the contract checks on every slice point
         rng = np.random.default_rng(8)
         basis = scipy.linalg.null_space(np.ones((1, 7)))
         rot, _ = np.linalg.qr(rng.standard_normal((6, 6)))
@@ -366,8 +376,29 @@ class TestEffectiveObjective:
         obj = QuadraticObjective((q + q.T) / 2.0)
         pqp = np.linalg.eigvalsh(basis @ basis.T @ obj.q @ basis @ basis.T)
         assert pqp[0] < pqp[1] < -0.5 and 0.5 < pqp[3]
-        rho = assert_shift_contract(obj, FeasibleDomain(n=7, m=3))
-        assert rho == pytest.approx(3.0, abs=1e-9)
+        u = assert_shift_contract(obj, FeasibleDomain(n=7, m=3))
+        assert np.sum(u) < 7 * 3.0
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(3, 10))
+    @settings(max_examples=30, deadline=None)
+    def test_separable_objective_certified_by_its_first_lower_bound(self, seed, n):
+        # diagonal Q gets u = -diag(Q), up to the solve's accuracy, so Q' is
+        # linear on the slice: the first lower bound lands on the optimum and
+        # the run certifies at the latest when it is the anchor
+        rng = np.random.default_rng(seed)
+        obj = QuadraticObjective(np.diag(rng.standard_normal(n)))
+        dom = FeasibleDomain(n=n, m=int(rng.integers(1, n)))
+        u = assert_shift_contract(obj, dom)
+        np.testing.assert_allclose(u, -np.diag(obj.q), rtol=0, atol=1e-3)
+        pts = feasible_points(dom)
+        out = run(
+            obj, dom, pts[int(rng.integers(len(pts)))], SolverConfig.from_name("cpm"),
+            BruteForceBackend(),
+        )
+        f_star, _ = enumerate_min(obj.q, dom)
+        assert out.status is SolveStatus.EPS_OPTIMAL
+        assert out.f_best == pytest.approx(f_star, abs=1e-9)
+        assert out.iterations <= 2
 
 
 @pytest.mark.parametrize(
@@ -427,7 +458,7 @@ def classical_cutting_planes(obj, dom, x0, eps, backend, max_iters=500):
     bounds = []
     for _ in range(max_iters):
         res = solve_cp_model(oracle, dom, math.inf, backend)
-        lb = res.theta
+        lb = res.objective
         if ub - lb <= eps:
             bounds.append((ub, lb))
             return anchors, bounds, ub
@@ -450,21 +481,19 @@ def test_cpm_config_equals_reference_implementation(seed):
     pts = feasible_points(dom)
     x0 = pts[int(rng.integers(len(pts)))]
     out = run(obj, dom, x0, SolverConfig.from_name("cpm"), BruteForceBackend())
-    # the reference cuts on the objective the engine works with, and so
-    # reports in that scale: compare after the shift
-    work = effective_objective(obj, dom)
-    shift = work.shift
+    # the reference cuts on the objective the engine works with, whose values
+    # are f's on the slice: the bounds match as they are
     anchors_ref, bounds_ref, ub_ref = classical_cutting_planes(
-        work, dom, x0, 1e-9, BruteForceBackend()
+        effective_objective(obj, dom), dom, x0, 1e-9, BruteForceBackend()
     )
     anchors_run = [tuple(cut.anchor) for cut in out.oracle]
     assert anchors_run == anchors_ref
-    assert out.f_best + shift == pytest.approx(ub_ref, abs=1e-12)
+    assert out.f_best == pytest.approx(ub_ref, abs=1e-12)
     bounds_run = [(rec.ub, rec.lb) for rec in out.trace.records]
     assert len(bounds_run) == len(bounds_ref)
     for (ub_a, lb_a), (ub_b, lb_b) in zip(bounds_run, bounds_ref):
-        assert ub_a + shift == pytest.approx(ub_b, abs=1e-12)
-        assert lb_a + shift == pytest.approx(lb_b, abs=1e-12)
+        assert ub_a == pytest.approx(ub_b, abs=1e-12)
+        assert lb_a == pytest.approx(lb_b, abs=1e-12)
 
 
 class UndershootingBackend(BruteForceBackend):
@@ -523,24 +552,24 @@ def test_stall_within_the_solver_tolerance_resolved_once_tightly():
 
 def test_highs_stall_at_its_feasibility_tolerance_mended(caplog):
     # at HiGHS's default mip_feasibility_tolerance of 1e-6 this cell's lower
-    # bound settles 1e-6 below its optimal incumbent from iteration 11 on,
-    # short of the 1e-9 certificate; the fixed point at iteration 12 takes one
-    # tight re-solve, which certifies at iteration 13
+    # bound settles 1e-6 below its optimal incumbent from iteration 10 on,
+    # short of the 1e-9 certificate; the fixed point at iteration 11 takes one
+    # tight re-solve, which certifies at iteration 12
     caplog.set_level(logging.WARNING, logger="gradcut")
-    inst = synth_instance(30, 6, "mdp_like", 5)
+    inst = synth_instance(30, 6, "mdp_like", 9)
     out = run(
         inst.obj,
         inst.dom,
         default_x0(inst.dom),
-        SolverConfig.from_name("cpm"),
+        SolverConfig.from_name("pgm-tau-lb"),
         HighsBackend(),
         instance_name=inst.name,
     )
     assert out.status is SolveStatus.EPS_OPTIMAL
-    assert out.f_best == pytest.approx(synth_minimum(30, 6, "mdp_like", 5), abs=1e-9)
+    assert out.f_best == pytest.approx(synth_minimum(30, 6, "mdp_like", 9), abs=1e-9)
     retries = [r for r in caplog.records if "mip_feasibility_tolerance" in r.getMessage()]
     assert len(retries) == 1
-    assert retries[0].cell == f"{inst.name}/cpm"
+    assert retries[0].cell == f"{inst.name}/pgm-tau-lb"
 
 
 @pytest.mark.parametrize("excess, warned", [(1e-12, False), (1e-3, True)])
@@ -591,6 +620,32 @@ def test_auto_backend_matches_enumeration(kind, n, m, seed, config):
     assert out.status is SolveStatus.EPS_OPTIMAL
     assert out.f_best == ref.f_best
     assert out.f_best == pytest.approx(f_star, abs=1e-9)
+
+
+# outer iterations summed over the five configurations on the benchmark's
+# three workloads (perfbench/suite.py), as the diagonal shift of slice_shift
+# gives them: 60, 160 and 207 under the uniform shift it replaced
+@pytest.mark.parametrize(
+    "kind, n, m, seed, most",
+    [
+        ("mdp_like", 30, 6, 2, 40),
+        ("nonconvex_random", 12, 4, 0, 99),
+        ("psd_random", 14, 4, 1, 165),
+    ],
+    ids=["mdp30", "nonconvex12", "psd14"],
+)
+def test_outer_iterations_on_the_benchmark_workloads(kind, n, m, seed, most):
+    inst = synth_instance(n, m, kind, seed)
+    total = 0
+    for config in CONFIG_NAMES:
+        backend = AutoBackend()
+        out = run(
+            inst.obj, inst.dom, default_x0(inst.dom, backend), SolverConfig.from_name(config),
+            backend,
+        )
+        assert out.status is SolveStatus.EPS_OPTIMAL
+        total += out.iterations
+    assert total <= most
 
 
 class WarningBackend(BruteForceBackend):

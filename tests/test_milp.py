@@ -50,20 +50,20 @@ class TestSolveCpModel:
         _, dom = diag_instance
         res = solve_cp_model(oracle_at(Q_DIAG, [e(2)]), dom, 30.0, backend)
         assert res.ok
-        assert res.theta == pytest.approx(-3.0, abs=1e-9)
+        assert res.objective == pytest.approx(-3.0, abs=1e-9)
 
     def test_three_cuts_close_the_model(self, backend, diag_instance):
         # brute force: theta(e1)=max(1,-2,-3)=1, theta(e2)=2, theta(e3)=3
         _, dom = diag_instance
         res = solve_cp_model(oracle_at(Q_DIAG, [e(0), e(1), e(2)]), dom, 30.0, backend)
         assert res.ok
-        assert res.theta == pytest.approx(1.0, abs=1e-9)
+        assert res.objective == pytest.approx(1.0, abs=1e-9)
         np.testing.assert_allclose(res.x, e(0), atol=1e-9)
 
     def test_zero_objective(self, backend):
         dom = FeasibleDomain(n=3, m=1)
         res = solve_cp_model(oracle_at(np.zeros((3, 3)), [e(1)]), dom, 30.0, backend)
-        assert res.theta == pytest.approx(0.0, abs=1e-9)
+        assert res.objective == pytest.approx(0.0, abs=1e-9)
 
     def test_empty_oracle_rejected(self, backend):
         with pytest.raises(ValueError):
@@ -87,7 +87,7 @@ class TestSolveCpModel:
             oracle.add(make_cut(obj, a))
         res = solve_cp_model(oracle, dom, 30.0, BruteForceBackend())
         f_star, _ = enumerate_min(obj.q, dom)
-        assert res.theta <= f_star + 1e-9
+        assert res.objective <= f_star + 1e-9
 
 
 class TestProject:
@@ -484,7 +484,7 @@ class TestCutValueCache:
                 oracle.add(cuts[k])
                 got = backend.solve_cp(oracle, dom, 30.0)
                 want = BruteForceBackend().solve_cp(cuts[: k + 1], dom, 30.0)
-                assert got.theta == want.theta
+                assert got.objective == want.objective
                 np.testing.assert_array_equal(got.x, want.x)
                 assert backend._sets.holds(oracle, dom)
                 assert backend._sets.n_cuts == k + 1
@@ -503,7 +503,7 @@ class TestCutValueCache:
             res = backend.solve_cp(oracle, dom, 30.0)
             assert held is None or backend._sets is held
             held = backend._sets
-        assert res.theta == pytest.approx(1.0, abs=1e-12)
+        assert res.objective == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(held.theta, [1.0, 2.0, 3.0])
         assert held.n_cuts == 3
 
@@ -583,9 +583,9 @@ def test_level_sets_replay_an_engine_run_like_a_plain_scan(with_domain_row, seed
             want = min(
                 (max(c.grad @ p + c.intercept for c in oracle), i) for i, p in enumerate(pts)
             )
-            assert res.theta == pytest.approx(want[0], abs=1e-12)
+            assert res.objective == pytest.approx(want[0], abs=1e-12)
             np.testing.assert_array_equal(res.x, pts[want[1]])
-            gap = max(0.0, ub - res.theta)
+            gap = max(0.0, ub - res.objective)
             # tau past the gap, 0 and half the gap; the last is asked again first
             fresh = [ub - gap - 0.1, ub, ub - 0.5 * gap]
             for level in [lv for lv in reversed(last) if lv <= ub] + fresh:
@@ -685,7 +685,7 @@ def test_whole_slice_fold_by_tails_matches_the_byte_lookup(n, m, seed):
     assert fold.call_count == len(oracle)
     np.testing.assert_allclose(tails._sets.theta, lookup._sets.theta, rtol=0.0, atol=1e-12)
     np.testing.assert_array_equal(got.x, want.x)
-    assert got.theta == pytest.approx(want.theta, abs=1e-12)
+    assert got.objective == pytest.approx(want.objective, abs=1e-12)
 
 
 def cp_answer_at(n, m, theta):
@@ -759,5 +759,5 @@ class TestAutoBackend:
         oracle = CutOracle()
         oracle.add(make_cut(obj, default_x0(dom)))
         res = solve_cp_model(oracle, dom, 30.0, make_backend("auto"))
-        assert res.theta == -2.5
+        assert res.objective == -2.5
         assert len(stub.options) == 1
