@@ -160,6 +160,7 @@ def cmd_solve(args) -> int:
     print(f"gap        {outcome.gap:.6g}")
     print(f"status     {outcome.status.value}")
     print(f"iterations {outcome.iterations}")
+    print(f"local_steps {outcome.local_steps}")
     print(f"runtime    {outcome.runtime:.3f} s")
     if args.out:
         write = bench.write_trace_json if args.format == "json" else bench.write_trace_csv
@@ -204,6 +205,7 @@ def _run_cell(inst: Instance, config: str, args) -> dict:
         "f_best": outcome.f_best,
         "gap": outcome.gap,
         "iterations": outcome.iterations,
+        "local_steps": outcome.local_steps,
         "runtime": outcome.runtime,
         "f0": outcome.trace.f0,
         "trace": f"{_safe(inst.name)}__{config}.csv",

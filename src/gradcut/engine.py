@@ -101,86 +101,9 @@ class SolveStatus(Enum):
     STALLED = "stalled"
 
 
-# relative margin the shift leaves above the smallest eigenvalue on the slice
-_PSD_TOL = 1e-12
-
-
-def _complement_basis(n: int) -> np.ndarray:
-    """Orthonormal basis of the complement of the all-ones vector, as n x (n-1)
-    columns: the Householder reflector H mapping 1/sqrt(n) to e1 is orthogonal
-    and symmetric, so its columns past the first are orthogonal to H e1, the
-    normalized all-ones vector."""
-    w = np.full(n, 1.0 / math.sqrt(n))
-    w[0] -= 1.0
-    reflector = np.eye(n) - np.outer(w, w) * (2.0 / float(w @ w))
-    return reflector[:, 1:]
-
-
-def slice_shift(q: np.ndarray) -> np.ndarray:
-    """A diagonal u with V'(Q + diag u)V PSD and sum(u) about least, where V
-    is an orthonormal basis of the complement of the all-ones vector.
-
-    This is the diagonal variant of QCR's convexification (Billionnet,
-    Elloumi and Plateau, Discrete Appl. Math. 157, 2009), solved by a
-    barrier method on sum(u) - mu*log det S(u), S(u) = V'(Q + diag u)V.
-    The uniform shift rho = -lambda_min(V'QV) is feasible; the method starts
-    at rho + mu, where the least eigenvalue of S is mu, since from the
-    boundary itself Newton steps stay short. mu falls tenfold per round in
-    five rounds, from max(1, |rho|) to 1e-4 of that, with two Newton steps a
-    round; measured on the benchmark's workloads, fewer steps left u short
-    enough of the least sum to cost outer iterations. Any feasible u is
-    valid, so a singular system ends the method where it stands. At n = 2 S
-    is the scalar V'QV + sum(u)/2, so the uniform shift is already least and
-    no step is taken. Last, u moves uniformly until the least eigenvalue of S
-    is the relative margin _PSD_TOL.
-    """
-    n = len(q)
-    scale = max(1.0, float(np.max(np.abs(q), initial=0.0)))
-    basis = _complement_basis(n)
-    base = basis.T @ q @ basis
-    rho = -float(np.linalg.eigvalsh(base)[0])
-    mu = max(1.0, abs(rho))
-    u = np.full(n, rho + mu)
-    try:
-        for _ in range(5 if n > 2 else 0):
-            for _ in range(2):
-                u = _barrier_step(base, basis, u, mu)
-            mu *= 0.1
-    except np.linalg.LinAlgError:
-        pass
-    lam = float(np.linalg.eigvalsh(base + (basis.T * u) @ basis)[0])
-    return u - (lam - _PSD_TOL * scale)
-
-
-def _barrier_step(base: np.ndarray, basis: np.ndarray, u: np.ndarray, mu: float) -> np.ndarray:
-    """u after one Newton step on sum(u) - mu*log det S(u), S(u) = base +
-    V'diag(u)V, with an exact line search; LinAlgError where S(u) is not
-    positive definite (by Cholesky) or the Newton system is singular.
-
-    With S = LL' and W = V S^-1 V', the gradient is 1 - mu*diag(W) and the
-    Hessian mu*(W o W). Along the step d, S(u + t*d) = L(I + t*G)L' with G =
-    L^-1 V'diag(d)V L^-T, so the objective moves by t*sum(d) - mu*sum(log(1 +
-    t*g)) over the eigenvalues g of G: convex in t, and feasible while every
-    1 + t*g stays positive. A few Newton iterations on that line pick t,
-    kept at most 1 and short of the boundary.
-    """
-    chol = np.linalg.cholesky(base + (basis.T * u) @ basis)
-    half = np.linalg.solve(chol, basis.T)  # L^-1 V', so that W = half'half
-    w = half.T @ half
-    step = np.linalg.solve(mu * w * w, mu * np.diag(w) - 1.0)
-    g = np.linalg.eigvalsh((half * step) @ half.T)
-    cap = min(1.0, -0.99 / g[0]) if g[0] < 0 else 1.0
-    total = float(np.sum(step))
-    t = cap / 2.0
-    for _ in range(4):
-        r = g / (1.0 + t * g)
-        t = min(max(t - (total - mu * float(np.sum(r))) / (mu * float(r @ r)), t / 2.0), cap)
-    return u + t * step
-
-
 def effective_objective(obj: QuadraticObjective, dom: FeasibleDomain) -> QuadraticObjective:
     """The objective the engine cuts on: Q' = Q + diag(u) - (u1' + 1u')/(2m),
-    with u = slice_shift(Q).
+    with u = obj.diag_shift, which is slice_shift(Q) solved once per objective.
 
     On the cardinality slice 0.5 x'Q'x equals 0.5 x'Qx: 0.5 x'diag(u)x is
     0.5 u'x for binary x, and the rank-two term takes it back off once
@@ -193,7 +116,7 @@ def effective_objective(obj: QuadraticObjective, dom: FeasibleDomain) -> Quadrat
     """
     if obj.n != dom.n:
         raise ValueError("objective and domain dimensions differ")
-    u = slice_shift(obj.q)
+    u = obj.diag_shift
     return QuadraticObjective(obj.q + np.diag(u) - (u[:, None] + u[None, :]) / (2.0 * dom.m))
 
 
@@ -231,6 +154,8 @@ class SolveOutcome:
     runtime: float
     lb_cut_events: tuple = ()
     offset_backtracks: int = 0
+    # accepted projected-gradient steps over all local solver calls
+    local_steps: int = 0
 
 
 def build_cut_constraints(oracle: CutOracle, ub: float, tau: float) -> CutRows:
@@ -350,6 +275,7 @@ def _run(
     status = SolveStatus.ITER_LIMIT
     lb_cut_events: list[LbCutEvent] = []
     offset_backtracks = 0
+    local_steps = 0
     tau_used = 0.0
     prev_signature = None
     tight = False  # solve the next lower bound at the backend's tightest tolerance
@@ -409,9 +335,9 @@ def _run(
             tau_used = state.tau if cfg.use_offset else 0.0
             start = project(x_lb, dom, rows, remaining(), backend)
             if start.ok:
-                x_next = pgm_solve(
-                    work, dom, rows, start.x, cfg.pgm_params, backend, remaining()
-                ).x_final
+                local = pgm_solve(work, dom, rows, start.x, cfg.pgm_params, backend, remaining())
+                x_next = local.x_final
+                local_steps += local.iters
             else:
                 x_next = x_lb  # tightened set unavailable; fall back to the plain step
             # a local point whose cut already exists makes the iteration a
@@ -474,4 +400,5 @@ def _run(
         runtime=elapsed(),
         lb_cut_events=tuple(lb_cut_events),
         offset_backtracks=offset_backtracks,
+        local_steps=local_steps,
     )

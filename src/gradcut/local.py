@@ -5,6 +5,12 @@ The method iterates x+ in Proj(x - gamma * grad f(x)) with backtracking on
 gamma until a sufficient-decrease test holds; it stops at a critical point,
 i.e. a fixed point of the projected gradient map for some positive step.
 Each projection is a linear MILP over the binary domain (milp.project).
+
+On the cardinality slice no step below 1/spread(x) moves the projection of
+x - gamma * grad f(x), where spread(x) is the largest gradient entry on the
+support of x less the smallest one off it: every point is a fixed point at
+such a step (Beck and Eldar, SIAM J. Optim. 23(3), 2013). So each iteration
+starts its step just past that first breakpoint.
 """
 
 from __future__ import annotations
@@ -24,6 +30,10 @@ from .model import (
     eval_gradient,
     eval_objective,
 )
+
+# an iteration's step starts at least this multiple of 1/spread(x), the step at
+# which the cardinality projection of x - gamma * grad f(x) first moves
+PAST_BREAKPOINT = 1.01
 
 
 @dataclass(frozen=True)
@@ -121,10 +131,14 @@ def pgm_solve(
 ) -> LocalResult:
     """Projected gradient descent from a feasible x0; monotone, finite.
 
-    The step size carries over between iterations and halves on failed
-    decrease tests. Termination fires when the current point itself attains
-    the projection optimum (criticality), or on iteration/backtrack/time caps,
-    in which case the best iterate so far is returned with critical=False.
+    Each iteration's step is the one carried over from the last iteration
+    (gamma0 for the first), raised to PAST_BREAKPOINT / spread(x) when the
+    spread is positive, and halved on failed decrease tests. A spread of zero
+    or less means x already minimizes the linearization on the slice, and the
+    step is left as it is. Termination fires when the current point itself
+    attains the projection optimum (criticality), or on iteration/backtrack/
+    time caps, in which case the best iterate so far is returned with
+    critical=False.
     """
     x = np.asarray(x0, dtype=float)
     fx = eval_objective(obj, x)
@@ -133,6 +147,9 @@ def pgm_solve(
     iters = 0
     while iters < params.max_iters:
         grad = eval_gradient(obj, x)
+        spread = _spread(x, grad)
+        if spread > 0:
+            gamma = max(gamma, PAST_BREAKPOINT / spread)
         accepted = False
         x_new = x
         f_new = fx
@@ -155,3 +172,11 @@ def pgm_solve(
         x, fx = x_new, f_new
         iters += 1
     return LocalResult(x, fx, iters, critical=False, eta=gamma)
+
+
+def _spread(x: np.ndarray, grad: np.ndarray) -> float:
+    """The largest gradient entry on the support of the binary point x less the
+    smallest one off it; the projection of x - gamma * grad first moves at
+    gamma = 1 / spread, when a swap of one such pair starts to pay."""
+    on = x > 0.5
+    return float(np.max(grad[on], initial=-np.inf) - np.min(grad[~on], initial=np.inf))

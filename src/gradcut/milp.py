@@ -38,6 +38,10 @@ ENUM_STATE_BYTES = 16_000_000
 # this far below the model optimum
 HIGHS_FEAS_TOL = 1e-6
 
+# the least mip_feasibility_tolerance HiGHS accepts, used by tight solves: a
+# bound that may sit FEAS_TOL below the optimum cannot close a FEAS_TOL gap
+HIGHS_TIGHT_FEAS_TOL = 1e-10
+
 # relative slack by which a reported lower bound may exceed the upper limit on
 # the model optimum before it counts as impossible
 BOUND_RTOL = 1e-9
@@ -498,11 +502,9 @@ def _first_minimum(blocks, cost: np.ndarray, n: int):
 class HighsBackend(MilpBackend):
     """HiGHS via scipy.optimize.milp.
 
-    With exact_gaps (the default) the MIP gap tolerances are pinned to zero so
-    the reported dual bound is the exact model optimum whenever HiGHS claims
-    optimality; this is what makes 1e-9 outer gaps closable. Passing
-    exact_gaps=False keeps the solver's own gap defaults, which is much faster
-    on large instances and still yields valid (if looser) dual bounds.
+    The MIP gap tolerances are pinned to zero so the reported dual bound is
+    the exact model optimum whenever HiGHS claims optimality; this is what
+    makes 1e-9 outer gaps closable.
 
     No answer is trusted blindly. A solve that ends in any status other than
     optimal, infeasible or time limit (HiGHS reports "Solve error" when its
@@ -511,26 +513,28 @@ class HighsBackend(MilpBackend):
     once more with presolve off inside the remaining budget. If that answer is
     also unusable, MilpSolveError names the subproblem kind and model size. A
     tight lower-bound solve goes straight to that second solve, with
-    mip_feasibility_tolerance lowered from HIGHS_FEAS_TOL to FEAS_TOL. Other
-    options stay at solver defaults.
+    mip_feasibility_tolerance lowered from HIGHS_FEAS_TOL to
+    HIGHS_TIGHT_FEAS_TOL, and an unusable answer there is solved once more at
+    FEAS_TOL. Other options stay at solver defaults.
     """
 
     name = "highs"
 
-    def __init__(self, exact_gaps: bool = True):
+    def __init__(self):
         from scipy.optimize import milp  # defer so brute-force use never needs scipy
 
         self._milp = milp
-        self.exact_gaps = exact_gaps
 
-    def _solve_once(self, c, constraints, integrality, bounds, budget, n, presolve, tight=False):
+    def _solve_once(self, c, constraints, integrality, bounds, budget, n, presolve, feas_tol=None):
         t0 = time.perf_counter()
-        options = {"time_limit": float(budget), "presolve": presolve}
-        if tight:
-            options["mip_feasibility_tolerance"] = FEAS_TOL
-        if self.exact_gaps:
-            options["mip_rel_gap"] = 0.0
-            options["mip_abs_gap"] = 0.0
+        options = {
+            "time_limit": float(budget),
+            "presolve": presolve,
+            "mip_rel_gap": 0.0,
+            "mip_abs_gap": 0.0,
+        }
+        if feas_tol is not None:
+            options["mip_feasibility_tolerance"] = feas_tol
         with warnings.catch_warnings():
             # mip_abs_gap is forwarded to HiGHS verbatim; silence scipy's note
             warnings.filterwarnings("ignore", message="Unrecognized options detected")
@@ -573,26 +577,32 @@ class HighsBackend(MilpBackend):
         )
         deadline = time.perf_counter() + budget
         if tight:
-            why = f"a tight solve, at mip_feasibility_tolerance {FEAS_TOL:g}"
+            # the least tolerance can end in a solve error where the values
+            # are large; FEAS_TOL is the tightest one to fall back on
+            why = f"a tight solve, at mip_feasibility_tolerance {HIGHS_TIGHT_FEAS_TOL:g}"
+            retries = (HIGHS_TIGHT_FEAS_TOL, FEAS_TOL)
         else:
             res = self._solve_once(c, constraints, integrality, bounds, budget, n, presolve=True)
             reason = _unusable(res, upper_limit)
             if reason is None:
                 return res
             why = f"unusable: {reason}"
-        log.warning(
-            "HiGHS %s solve (%d rows x %d cols) re-solving with presolve off; %s",
-            kind, a.shape[0], len(c), why,
-        )
-        remaining = deadline - time.perf_counter()
-        if remaining <= 0:
-            return _timeout_result(f"budget exhausted before re-solving; {why}")
-        res = self._solve_once(
-            c, constraints, integrality, bounds, remaining, n, presolve=False, tight=tight
-        )
-        reason = _unusable(res, upper_limit)
-        if reason is None:
-            return res
+            retries = (None,)
+        for feas_tol in retries:
+            log.warning(
+                "HiGHS %s solve (%d rows x %d cols) re-solving with presolve off; %s",
+                kind, a.shape[0], len(c), why,
+            )
+            remaining = deadline - time.perf_counter()
+            if remaining <= 0:
+                return _timeout_result(f"budget exhausted before re-solving; {why}")
+            res = self._solve_once(
+                c, constraints, integrality, bounds, remaining, n, presolve=False, feas_tol=feas_tol
+            )
+            reason = _unusable(res, upper_limit)
+            if reason is None:
+                return res
+            why = f"unusable: {reason}; now at mip_feasibility_tolerance {FEAS_TOL:g}"
         raise MilpSolveError(kind, a.shape[0], len(c), f"{reason}, also with presolve off")
 
     @staticmethod

@@ -259,7 +259,7 @@ def test_directional_performance_on_mdp_instances():
                 inst.dom,
                 x0,
                 cfg,
-                HighsBackend(exact_gaps=False),
+                HighsBackend(),
                 instance_name=inst.name,
                 config_name=config,
             )

@@ -29,9 +29,8 @@ from gradcut.bench import (
     write_trace_csv,
     write_trace_json,
 )
-from gradcut.engine import slice_shift
 from gradcut.milp import BruteForceBackend
-from gradcut.model import FeasibleDomain, LinearRow, QuadraticObjective
+from gradcut.model import FeasibleDomain, LinearRow, QuadraticObjective, slice_shift
 
 from conftest import Q_DIAG
 

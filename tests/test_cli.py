@@ -93,6 +93,7 @@ class TestSolve:
         assert (trace.instance_name, trace.config_name) == ("e2", "pgm-tau-lb")
         assert trace.f0 == 1.0  # the default start e0
         assert [r.k for r in trace.records] == list(range(1, int(printed["iterations"]) + 1))
+        assert int(printed["local_steps"]) >= 0
         last = trace.records[-1]
         assert last.ub == pytest.approx(float(printed["f_best"]), abs=1e-9)
         assert last.ub - last.lb <= 1e-9  # the run's eps-optimal certificate
@@ -124,6 +125,9 @@ class TestBench:
         traces = list(out_dir.glob("*.csv"))
         assert len(traces) == 10
         assert all(cell["status"] == "eps_optimal" for cell in manifest["cells"])
+        steps = {(c["instance"], c["config"]): c["local_steps"] for c in manifest["cells"]}
+        assert all(isinstance(s, int) and s >= 0 for s in steps.values())
+        assert steps["e1", "cpm"] == steps["e2", "cpm"] == 0
 
     def test_synthetic_sweep_is_deterministic(self, tmp_path):
         outs = []

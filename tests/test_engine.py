@@ -7,13 +7,12 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gradcut import milp
+from gradcut import milp, model
 from gradcut.bench import RunTrace, default_x0, synth_instance, validate_trace
 from gradcut.engine import (
-    _PSD_TOL,
     CONFIG_FLAGS,
     CONFIG_NAMES,
     SolveState,
@@ -24,15 +23,17 @@ from gradcut.engine import (
     lb_cut_condition,
     run,
     select_offset,
-    slice_shift,
 )
 from gradcut.milp import AutoBackend, BruteForceBackend, HighsBackend, solve_cp_model
 from gradcut.model import (
+    _PSD_TOL,
     CutOracle,
     FeasibleDomain,
+    LinearRow,
     QuadraticObjective,
     eval_objective,
     make_cut,
+    slice_shift,
 )
 
 from conftest import (
@@ -219,6 +220,21 @@ class TestRun:
         assert out.trace.records[0].lb == pytest.approx(lb, abs=1e-12)
         assert out.trace.records[0].lb == pytest.approx(1.0, abs=1e-3)
 
+    def test_local_steps_counted(self):
+        # cpm runs no local solver; pgm on psd14's instance takes real steps
+        inst = synth_instance(14, 4, "psd_random", 1)
+        steps = {}
+        for config in ("cpm", "pgm"):
+            backend = AutoBackend()
+            out = run(
+                inst.obj, inst.dom, default_x0(inst.dom, backend),
+                SolverConfig.from_name(config), backend,
+            )
+            assert out.status is SolveStatus.EPS_OPTIMAL
+            steps[config] = out.local_steps
+        assert steps["cpm"] == 0
+        assert steps["pgm"] > 0
+
     def test_infeasible_start_rejected(self, brute_backend):
         obj = QuadraticObjective(Q_DIAG)
         dom = FeasibleDomain(n=3, m=1)
@@ -399,6 +415,30 @@ class TestEffectiveObjective:
         assert out.status is SolveStatus.EPS_OPTIMAL
         assert out.f_best == pytest.approx(f_star, abs=1e-9)
         assert out.iterations <= 2
+
+
+def test_shift_solved_once_per_objective(monkeypatch):
+    # u depends on Q alone: two runs of one objective, on two domains, pay
+    # for one barrier solve, and the cached u is slice_shift's bit for bit
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return slice_shift(q)
+
+    monkeypatch.setattr(model, "slice_shift", counted)
+    inst = synth_instance(10, 3, "nonconvex_random", 4)
+    obj = QuadraticObjective(inst.obj.q)
+    before = repr(obj)
+    for dom in (inst.dom, FeasibleDomain(n=10, m=4)):
+        out = run(obj, dom, default_x0(dom), SolverConfig.from_name("cpm"), BruteForceBackend())
+        assert out.status is SolveStatus.EPS_OPTIMAL
+    assert len(calls) == 1
+    assert obj.diag_shift.tobytes() == slice_shift(obj.q).tobytes()
+    assert not obj.diag_shift.flags.writeable
+    assert repr(obj) == before
+    assert obj == obj
+    assert [f.name for f in dataclasses.fields(obj)] == ["q"]
 
 
 @pytest.mark.parametrize(
@@ -622,15 +662,52 @@ def test_auto_backend_matches_enumeration(kind, n, m, seed, config):
     assert out.f_best == pytest.approx(f_star, abs=1e-9)
 
 
+@pytest.mark.slow
+@given(
+    seed=st.integers(0, 100_000),
+    n=st.integers(4, 12),
+    convex=st.booleans(),
+)
+@example(seed=65535, n=4, convex=False)
+@example(seed=12, n=12, convex=False)
+@settings(max_examples=25, deadline=None)
+def test_highs_certifies_what_enumeration_certifies(seed, n, convex):
+    # Q at norm 1e3 with one extra <= row that the start satisfies: under
+    # every configuration HiGHS and the enumerator certify the same optimum.
+    # In the first example a tight re-solve at mip_feasibility_tolerance 1e-9
+    # left the lower bound 1.04e-9 below f* = -758.378, and every run stalled
+    # just short of its 1e-9 gap. In the second, pgm-tau-lb's tight re-solve
+    # at 1e-10 ends in a solve error, and only the fallback to 1e-9 certifies
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, n))
+    obj = (random_psd_objective if convex else random_symmetric_objective)(rng, n)
+    obj = QuadraticObjective(obj.q * (1e3 / np.linalg.norm(obj.q, 2)))
+    x0 = np.zeros(n)
+    x0[rng.permutation(n)[:m]] = 1.0
+    coeffs = rng.uniform(-1.0, 1.0, n)
+    row = LinearRow(coeffs, "<=", float(coeffs @ x0) + float(rng.uniform(0.0, 1.0)))
+    dom = FeasibleDomain(n=n, m=m, extra_rows=(row,))
+    f_star, _ = enumerate_min(obj.q, dom)
+    tol = 1e-9 * max(1.0, abs(f_star))
+    for config in CONFIG_NAMES:
+        cfg = SolverConfig.from_name(config)
+        highs, brute = (run(obj, dom, x0, cfg, b) for b in (HighsBackend(), BruteForceBackend()))
+        assert highs.status is SolveStatus.EPS_OPTIMAL, config
+        assert brute.status is SolveStatus.EPS_OPTIMAL, config
+        assert abs(highs.f_best - brute.f_best) <= tol, config
+        assert abs(brute.f_best - f_star) <= tol, config
+
+
 # outer iterations summed over the five configurations on the benchmark's
 # three workloads (perfbench/suite.py), as the diagonal shift of slice_shift
-# gives them: 60, 160 and 207 under the uniform shift it replaced
+# and the local solver's breakpoint-relative step give them: 40, 99 and 165
+# with a fixed first step gamma0, and 60, 160 and 207 under the uniform shift
 @pytest.mark.parametrize(
     "kind, n, m, seed, most",
     [
-        ("mdp_like", 30, 6, 2, 40),
+        ("mdp_like", 30, 6, 2, 33),
         ("nonconvex_random", 12, 4, 0, 99),
-        ("psd_random", 14, 4, 1, 165),
+        ("psd_random", 14, 4, 1, 155),
     ],
     ids=["mdp30", "nonconvex12", "psd14"],
 )

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradcut.local import (
@@ -19,7 +19,14 @@ from gradcut.model import (
     is_feasible,
 )
 
-from conftest import Q_FULL, e, feasible_points, random_psd_objective
+from conftest import (
+    Q_DIAG,
+    Q_FULL,
+    e,
+    feasible_points,
+    random_psd_objective,
+    random_symmetric_objective,
+)
 
 
 class RecordingBackend(BruteForceBackend):
@@ -182,3 +189,57 @@ class TestPgmSolve:
 
         best = min(model(y) for y in pts)
         assert model(res.x) <= best + 1e-9
+
+
+def spread(obj, x):
+    """The largest gradient entry on the support of x less the smallest off it."""
+    g = eval_gradient(obj, x)
+    return float(np.max(g[x == 1.0]) - np.min(g[x == 0.0]))
+
+
+class TestBreakpointStep:
+    """Each step starts past the first breakpoint of the slice, 1/spread."""
+
+    @given(seed=st.integers(0, 100_000), k=st.integers(-6, 6), convex=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_scale_invariant_where_the_floor_never_binds(self, seed, k, convex):
+        # scaling Q by 2^k scales the gradient, the spread and the objective
+        # exactly and the step by 2^-k, so every projection sees the same point
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 11))
+        m = int(rng.integers(1, n))
+        obj = (random_psd_objective if convex else random_symmetric_objective)(rng, n)
+        dom = FeasibleDomain(n=n, m=m)
+        pts = feasible_points(dom)
+        x0 = pts[int(rng.integers(len(pts)))]
+        params = PgmParams(gamma0=1e-30)
+        results = []
+        for q in (obj.q, obj.q * 2.0**k):
+            backend = RecordingBackend()
+            res = pgm_solve(QuadraticObjective(q), dom, [], x0, params, backend)
+            results.append((res.x_final.tolist(), res.iters, res.critical, len(backend.returned)))
+        assert results[0] == results[1]
+
+    @given(seed=st.integers(0, 100_000))
+    @settings(max_examples=60, deadline=None)
+    def test_first_projection_moves_when_the_spread_is_positive(self, seed):
+        # at norm 1/10 the spread stays below 1, so gamma0 = 1 alone would sit
+        # at or below the breakpoint, where the projection returns x itself
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 11))
+        m = int(rng.integers(1, n))
+        obj = QuadraticObjective(random_psd_objective(rng, n).q / 10.0)
+        dom = FeasibleDomain(n=n, m=m)
+        pts = feasible_points(dom)
+        x0 = pts[int(rng.integers(len(pts)))]
+        assume(spread(obj, x0) > 0)
+        backend = RecordingBackend()
+        pgm_solve(obj, dom, [], x0, PgmParams(), backend)
+        assert not np.array_equal(backend.returned[0], x0)
+
+    def test_step_left_alone_where_x_minimizes_the_linearization(self):
+        # at e2 the gradient of -Q_DIAG is (0, 0, -6), a spread of -6
+        obj = QuadraticObjective(-Q_DIAG)
+        dom = FeasibleDomain(n=3, m=1)
+        res = pgm_solve(obj, dom, [], e(2), PgmParams(gamma0=0.25), BruteForceBackend())
+        assert (res.critical, res.iters, res.eta) == (True, 0, 0.25)

@@ -13,6 +13,7 @@ from gradcut.bench import default_x0, synth_instance
 from gradcut.cli import make_backend
 from gradcut.engine import CONFIG_NAMES, SolverConfig, build_cut_constraints, run
 from gradcut.milp import (
+    HIGHS_TIGHT_FEAS_TOL,
     AutoBackend,
     BruteForceBackend,
     HighsBackend,
@@ -334,6 +335,30 @@ class TestHighsRetryLadder:
         assert res.status.kind is StatusKind.TIME_LIMIT
         assert res.bound is None
         assert len(stub.options) == 1
+
+    def test_tight_solve_falls_back_to_feas_tol(self, monkeypatch):
+        # the least tolerance HiGHS accepts can end in a solve error at large
+        # values; the tight solve then takes the tightest one left
+        backend, stub = scripted_highs(
+            monkeypatch, cp_answer(4, 0.999999, message=SOLVE_ERROR), cp_answer(0, 1.0)
+        )
+        res = solve_cp_model(self.oracle, self.dom, 30.0, backend, tight=True)
+        assert res.ok
+        assert res.bound == 1.0
+        assert [o["presolve"] for o in stub.options] == [False, False]
+        assert [o["mip_feasibility_tolerance"] for o in stub.options] == [
+            HIGHS_TIGHT_FEAS_TOL, FEAS_TOL
+        ]
+
+    def test_repeated_tight_solve_error_raises(self, monkeypatch):
+        backend, stub = scripted_highs(
+            monkeypatch,
+            cp_answer(4, 0.999999, message=SOLVE_ERROR),
+            cp_answer(4, 0.999999, message=SOLVE_ERROR),
+        )
+        with pytest.raises(MilpSolveError, match="also with presolve off"):
+            solve_cp_model(self.oracle, self.dom, 30.0, backend, tight=True)
+        assert len(stub.options) == 2
 
 
 def rows_one_by_one(dom, rows, n_cols):
