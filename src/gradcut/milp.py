@@ -29,8 +29,9 @@ from .model import FEAS_TOL, Cut, CutOracle, CutRows, FeasibleDomain, LinearRow,
 
 log = get_logger(__name__)
 
-# the enumerator's state for a slice -- a packed bit row of ceil(n/8) bytes
-# and a float64 cut value per point -- may take this many bytes; AutoBackend
+# the enumerator's state for a slice may take this many bytes, counted at
+# ceil(n/8) + 8 bytes a point: a packed bit row and a float64 cut value, the
+# most a point costs (the whole state holds the cut values alone); AutoBackend
 # enumerates the slices within it and BruteForceBackend refuses the others
 ENUM_STATE_BYTES = 16_000_000
 
@@ -162,11 +163,14 @@ class BruteForceBackend(MilpBackend):
     ties always resolve to the first minimizer. The backend holds the
     _LevelSets of one run: the lower bound is the argmin of its theta, and the
     cut rows of that run (CutRows at a level no higher than the run's ub) are
-    answered from theta without reading a row. The points of the level last
-    asked for are extracted once and held, so the offset check, the start
-    projection, the descent steps and the criticality test posed at one level
-    scan only that set. Any other rows take one masked pass over a freshly
-    built table of the slice.
+    answered from theta without reading a row. Until the run first drops
+    points, that state is theta alone, and a level set is one masked pass of
+    tail sums over the whole slice. After it, the state holds the survivors
+    as packed rows, and the points of the level last asked for are
+    extracted once and held, so the offset check, the start projection, the
+    descent steps and the criticality test posed at one level scan only that
+    set. Either state fits the ENUM_STATE_BYTES budget. Any other rows take
+    one masked pass over a freshly built table of the slice.
     """
 
     name = "bruteforce"
@@ -225,7 +229,7 @@ class BruteForceBackend(MilpBackend):
             )
         i = int(np.argmin(sets.theta))
         obj = sets.theta_min = float(sets.theta[i])
-        x = _decode(sets.table[:, i], dom.n)
+        x = sets.point(i)
         if ub is not None:
             sets.prune(max(ub, obj))
         return MilpResult(
@@ -241,25 +245,45 @@ class _LevelSets:
     """An enumerator's state for one run: the surviving points of its domain
     and the cut model theta at each of them.
 
-    table holds the points in lexicographic order as packed bit rows (the
-    np.packbits layout, ceil(n/8) bytes each), one column per point, and
     theta[i] is the max over the first n_cuts cuts of the oracle of
-    <grad, x_i> + intercept. A point whose theta exceeds ub + FEAS_TOL is
-    dead: theta only grows and ub only falls during a run, so it can never
-    again be a lower-bound argmin or lie in a level set theta <= ub - tau.
-    Only a CutOracle, whose cuts can only be appended, has its state serve
-    later calls.
+    <grad, x_i> + intercept at the i-th surviving point, in lexicographic
+    order. A point whose theta exceeds ub + FEAS_TOL is dead: theta only
+    grows and ub only falls during a run, so it can never again be a
+    lower-bound argmin or lie in a level set theta <= ub - tau. Only a
+    CutOracle, whose cuts can only be appended, has its state serve later
+    calls.
 
-    The level set last asked for, its points copied out of table in the same
-    order, is held with its level until a cut is folded in, the points are
-    compacted or another level is asked for.
+    The state has two forms:
+
+    - whole (table is None): every point of the slice is held, and theta[r]
+      is the cut model at the point of lexicographic rank r. Cuts fold by
+      the tail sums of _tail_sums, the lower bound's argmin is unranked, and
+      a level set is answered by one pass of the tail sums of its cost,
+      masked by theta. No point is stored.
+    - compacted: from the prune that first drops points (from the start on a
+      domain with extra rows), table holds the surviving points as packed
+      bit rows (the np.packbits layout, ceil(n/8) bytes each), one column
+      per point. The first compaction unranks only the survivors into it.
+      Cuts fold by byte lookup, and the level set last asked for, its points
+      copied out of table in the same order, is held with its level until a
+      cut is folded in, the points are compacted or another level is asked
+      for.
+
+    Either way theta and table never take more than ceil(n/8) + 8 bytes per
+    point of the slice, the size enumerable() admits.
     """
 
     def __init__(self, dom: FeasibleDomain, cuts: Sequence[Cut]):
         self.dom = dom
         self.oracle = cuts if isinstance(cuts, CutOracle) else None
-        self.table = _packed_table(dom)
-        self.theta = np.full(self.table.shape[1], -np.inf)
+        if dom.extra_rows:
+            self.table = _packed_table(dom)
+            count = self.table.shape[1]
+        else:
+            _require_enumerable(dom.n, dom.m)
+            self.table = None
+            count = comb(dom.n, dom.m)
+        self.theta = np.full(count, -np.inf)
         self.theta_min = -np.inf  # set by each lower bound
         self.n_cuts = 0
         self.ub = np.inf
@@ -279,16 +303,19 @@ class _LevelSets:
             and rows.level <= self.ub
         )
 
-    def extend(self, grads: np.ndarray, intercepts: np.ndarray) -> None:
-        """Fold new cuts, given as gradient rows and intercepts, into theta.
+    def point(self, i: int) -> np.ndarray:
+        """The i-th held point, as 0/1 floats; unranked while the whole slice
+        is held."""
+        if self.table is None:
+            return _point(i, self.dom.n, self.dom.m)
+        return _decode(self.table[:, i], self.dom.n)
 
-        While the table is still the whole slice (nothing filtered or
-        compacted away) and spans several blocks, <grad, x> is summed by
-        _fold_by_tails instead of looked up byte by byte."""
+    def extend(self, grads: np.ndarray, intercepts: np.ndarray) -> None:
+        """Fold new cuts, given as gradient rows and intercepts, into theta."""
         n, m = self.dom.n, self.dom.m
         for grad, intercept in zip(grads, intercepts):
             self._held = None
-            if len(self.theta) == comb(n, m) > _BLOCK:
+            if self.table is None:
                 _fold_by_tails(self.theta, grad, intercept, n, m)
             else:
                 lut = _lut(grad, len(self.table))
@@ -300,14 +327,20 @@ class _LevelSets:
     def prune(self, ub: float) -> None:
         """Lower ub, and drop the dead points once they are an eighth of those
         held: until then no answer reads them, and keeping them costs less
-        than moving the others."""
+        than moving the others. The first drop from the whole slice builds
+        the table, of the survivors only."""
         limit = ub + FEAS_TOL
         dead = sum(int(np.count_nonzero(self.theta[b] > limit)) for b in _blocks(len(self.theta)))
         if 8 * dead >= len(self.theta):
             self._held = None
-            self.table, self.theta = _compact(
-                lambda block: self.theta[block] <= limit, self.table, self.theta
-            )
+            if self.table is None:
+                self.table, self.theta = _compact_whole(
+                    self.theta, limit, len(self.theta) - dead, self.dom.n, self.dom.m
+                )
+            else:
+                self.table, self.theta = _compact(
+                    lambda block: self.theta[block] <= limit, self.table, self.theta
+                )
         self.ub = ub
 
     def argmin(self, cost: np.ndarray, level: float):
@@ -318,10 +351,11 @@ class _LevelSets:
         """
         if self.theta_min > level + FEAS_TOL:
             return None
+        n, m = self.dom.n, self.dom.m
+        if self.table is None:
+            return _masked_minimum(self.theta, level + FEAS_TOL, cost, n, m)
         points = self._level_set(level)
-        return _first_minimum(
-            (points[:, block] for block in _blocks(points.shape[1])), cost, self.dom.n
-        )
+        return _first_minimum((points[:, block] for block in _blocks(points.shape[1])), cost, n)
 
     def _level_set(self, level: float) -> np.ndarray:
         """The packed points with theta <= level + FEAS_TOL, in table order;
@@ -342,7 +376,7 @@ class _LevelSets:
 
 
 # points read at a time, so that no array the size of the slice is made
-# besides the packed table and theta
+# besides theta and the packed table
 _BLOCK = 8192
 
 # _BITS[b] is the byte b unpacked, most significant bit first: np.packbits
@@ -355,6 +389,11 @@ def enumerable(n: int, m: int) -> bool:
     """Whether the enumerator's state for the slice, a packed bit row and a
     float64 cut value per point, fits in ENUM_STATE_BYTES."""
     return comb(n, m) * ((n + 7) // 8 + 8) <= ENUM_STATE_BYTES
+
+
+def _require_enumerable(n: int, m: int) -> None:
+    if not enumerable(n, m):
+        raise ValueError(f"C({n},{m}) exceeds the enumeration budget of {ENUM_STATE_BYTES:,} bytes")
 
 
 def _blocks(count: int):
@@ -371,8 +410,7 @@ def _packed_table(dom: FeasibleDomain) -> np.ndarray:
     the tails of level k, each prefixed with its index i.
     """
     n, m = dom.n, dom.m
-    if not enumerable(n, m):
-        raise ValueError(f"C({n},{m}) exceeds the enumeration budget of {ENUM_STATE_BYTES:,} bytes")
+    _require_enumerable(n, m)
     level = np.zeros(((n + 7) // 8, n - m + 1), dtype=np.uint8)
     for col, i in enumerate(range(m - 1, n)):
         level[i >> 3, col] = _BIT[i & 7]
@@ -391,18 +429,21 @@ def _packed_table(dom: FeasibleDomain) -> np.ndarray:
     return level
 
 
-def _fold_by_tails(theta: np.ndarray, v: np.ndarray, intercept: float, n: int, m: int) -> None:
-    """theta = max(theta, <v, x> + intercept) at every point x of the whole
-    slice, in the order of _packed_table.
+def _tail_sums(v: np.ndarray, n: int, m: int, base: float = 0.0):
+    """Yield (rank, sums): sums[j] is <v, x> + base at the point x of the
+    whole slice of lexicographic rank rank + j, in blocks of _BLOCK points
+    (the last may be shorter), in rank order. sums is one buffer, which the
+    next block overwrites.
 
-    The sums follow the recursion that builds the table: level k holds <v, x>
-    over the k-subsets of range(m - k, n), and level k + 1 is the tails of
-    level k, each plus v[i]. Level m is never built: it is folded into theta
-    one first index i and one block at a time, so besides theta the largest
-    array held is level m - 1, C(n - 1, m - 1) values.
+    The sums follow the recursion that builds _packed_table: level k holds
+    <v, x> over the k-subsets of range(m - k, n), and level k + 1 is the tails
+    of level k, each plus v[i]. Level m is never built: it is written into
+    the buffer one block at a time, so besides it the largest array held is
+    level m - 1, C(n - 1, m - 1) values.
     """
-    level = np.zeros(1)  # the empty subset
-    for k in range(1, m):
+    # level 1 is v over range(m - 1, n); level 0, the empty subset, is 0
+    level = np.array(v[m - 1 :], dtype=float) if m > 1 else np.zeros(1)
+    for k in range(2, m):
         out = np.empty(comb(n - m + k, k))
         filled = 0
         for i in range(m - k, n - k + 1):
@@ -410,14 +451,120 @@ def _fold_by_tails(theta: np.ndarray, v: np.ndarray, intercept: float, n: int, m
             np.add(level[len(level) - count :], v[i], out=out[filled : filled + count])
             filled += count
         level = out
-    level += intercept
-    filled = 0
+    level += base
+    sums = np.empty(min(_BLOCK, comb(n, m)))
+    rank = filled = 0
     for i in range(n - m + 1):
         tails = level[len(level) - comb(n - i - 1, m - 1) :]
-        for block in _blocks(len(tails)):
-            part = theta[filled : filled + len(tails)][block]
-            np.maximum(part, tails[block] + v[i], out=part)
-        filled += len(tails)
+        while len(tails):
+            count = min(len(tails), len(sums) - filled)
+            np.add(tails[:count], v[i], out=sums[filled : filled + count])
+            tails = tails[count:]
+            filled += count
+            if filled == len(sums):
+                yield rank, sums
+                rank += filled
+                filled = 0
+    if filled:
+        yield rank, sums[:filled]
+
+
+def _fold_by_tails(theta: np.ndarray, v: np.ndarray, intercept: float, n: int, m: int) -> None:
+    """theta = max(theta, <v, x> + intercept) at every point x of the whole
+    slice, theta in rank order."""
+    for rank, sums in _tail_sums(v, n, m, intercept):
+        part = theta[rank : rank + len(sums)]
+        np.maximum(part, sums, out=part)
+
+
+def _masked_minimum(theta: np.ndarray, limit: float, cost: np.ndarray, n: int, m: int):
+    """The lexicographically first minimizer of <cost, x> over the points of
+    the whole slice with theta <= limit, theta in rank order, with its
+    objective; None when there is none."""
+    best_rank, best = None, np.inf
+    for rank, sums in _tail_sums(np.asarray(cost, dtype=float), n, m):
+        np.copyto(sums, np.inf, where=theta[rank : rank + len(sums)] > limit)
+        i = int(np.argmin(sums))
+        if sums[i] < best:
+            best_rank, best = rank + i, float(sums[i])
+    return None if best_rank is None else (_point(best_rank, n, m), best)
+
+
+def _unrank(ranks: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The points of the whole slice of lexicographic rank ranks, as packed
+    bit rows, one column per point, as _packed_table holds them.
+
+    The point c_1 < ... < c_m of rank r has C(n, m) - 1 - r = sum over j of
+    C(n - 1 - c_j, m - j + 1), which the combinatorial number system writes
+    one way only: each a_j = n - 1 - c_j is, in turn, the largest a with
+    C(a, m - j + 1) no more than what is left.
+    """
+    # counts[k, a] = C(a, k), the sum of C(b, k - 1) over b < a, capped at the
+    # slice size, which nothing left reaches, so that int64 holds them
+    total = comb(n, m)
+    counts = np.zeros((m + 1, n), dtype=np.int64)
+    counts[0] = 1
+    for k in range(1, m + 1):
+        np.minimum(np.cumsum(counts[k - 1, :-1]), total, out=counts[k, 1:])
+    left = total - 1 - np.asarray(ranks, dtype=np.int64)
+    chosen = np.empty((m, len(left)), dtype=np.intp)  # the a_j of every point
+    for j, k in enumerate(range(m, 0, -1)):
+        # counts[k, 0] = 0 is never above what is left
+        chosen[j] = np.searchsorted(counts[k, 1:], left, side="right")
+        left -= counts[k].take(chosen[j])
+    # bits[i, a]: the bit that coordinate n - 1 - a sets in byte i
+    coord = n - 1 - np.arange(n)
+    bits = np.zeros(((n + 7) // 8, n), dtype=np.uint8)
+    bits[coord >> 3, np.arange(n)] = _BIT[coord & 7]
+    packed = np.empty((len(bits), len(left)), dtype=np.uint8)
+    for i, row in enumerate(bits):
+        np.bitwise_or.reduce(row.take(chosen), axis=0, out=packed[i])
+    return packed
+
+
+def _point(rank: int, n: int, m: int) -> np.ndarray:
+    """The point of the whole slice of lexicographic rank rank, as 0/1
+    floats: _unrank for one rank, in Python integers, which for the one
+    point that a lower bound or a projection decodes cost a fraction of
+    _unrank's array calls."""
+    x = np.zeros(n)
+    left = comb(n, m) - 1 - rank
+    a = n
+    for k in range(m, 0, -1):
+        a -= 1
+        while comb(a, k) > left:
+            a -= 1
+        left -= comb(a, k)
+        x[n - 1 - a] = 1.0
+    return x
+
+
+def _compact_whole(theta: np.ndarray, limit: float, count: int, n: int, m: int):
+    """_compact for the whole slice: theta cut to the count points with
+    theta <= limit, and their packed rows, unranked into a table of their
+    size some _BLOCK ranks at a time."""
+    table = np.empty(((n + 7) // 8, count), dtype=np.uint8)
+    pending: list = []  # kept ranks not yet unranked
+    filled = 0
+
+    def unrank_pending():
+        nonlocal filled
+        ranks = np.concatenate(pending)
+        table[:, filled : filled + len(ranks)] = _unrank(ranks, n, m)
+        filled += len(ranks)
+        pending.clear()
+
+    def keep(block):
+        mask = theta[block] <= limit
+        pending.append(np.flatnonzero(mask) + block.start)
+        if sum(map(len, pending)) >= _BLOCK:
+            unrank_pending()
+        return mask
+
+    (theta,) = _compact(keep, theta)
+    if pending:
+        unrank_pending()
+    return table, theta
 
 
 def _compact(keep, *arrays):

@@ -17,12 +17,16 @@ import numpy as np
 
 SENSES = ("<=", ">=", "==")
 
+# LinearRow, QuadraticObjective and Cut hold arrays, whose == is elementwise;
+# they are dataclasses with eq=False, so == and hash are by identity, as a
+# run's state is keyed by the objects it was built from
+
 # the one absolute tolerance: slack on row and level-set membership, on the
 # criticality test of the local solver, and the default optimality gap
 FEAS_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearRow:
     """One linear constraint over the binary variables: <coeffs, x> sense rhs."""
 
@@ -45,7 +49,7 @@ class LinearRow:
         return abs(lhs - self.rhs) <= tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticObjective:
     """f(x) = 0.5 * x'Qx with Q dense symmetric."""
 
@@ -190,7 +194,7 @@ def is_feasible(dom: FeasibleDomain, x: np.ndarray, tol: float = FEAS_TOL) -> bo
     return all(row.satisfied_by(x, tol) for row in dom.extra_rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cut:
     """Tangent-plane data anchored at a binary point: theta >= value + <grad, x - anchor>."""
 

@@ -1,5 +1,7 @@
 import itertools
 import time
+import tracemalloc
+from math import comb
 from types import SimpleNamespace
 from unittest import mock
 
@@ -475,8 +477,11 @@ def decoded(table, n):
     return np.unpackbits(table.T, axis=1, count=n).astype(float)
 
 
+POINT_TABLE_GRID = [(3, 1), (5, 2), (6, 3), (8, 4), (9, 1), (9, 8), (17, 3)]
+
+
 class TestPointTable:
-    @pytest.mark.parametrize("n, m", [(3, 1), (5, 2), (6, 3), (8, 4), (9, 8), (17, 3)])
+    @pytest.mark.parametrize("n, m", POINT_TABLE_GRID)
     def test_matches_itertools_in_lexicographic_order(self, n, m):
         want = np.zeros((len(list(itertools.combinations(range(n), m))), n))
         for i, idx in enumerate(itertools.combinations(range(n), m)):
@@ -485,6 +490,17 @@ class TestPointTable:
         assert table.dtype == np.uint8
         assert table.shape == ((n + 7) // 8, len(want))
         np.testing.assert_array_equal(decoded(table, n), want)
+
+    @pytest.mark.parametrize("n, m", POINT_TABLE_GRID)
+    def test_unranking_every_rank_gives_the_table(self, n, m):
+        table = milp._packed_table(FeasibleDomain(n=n, m=m))
+        np.testing.assert_array_equal(milp._unrank(np.arange(comb(n, m)), n, m), table)
+        # any subset, in any order, column for column
+        ranks = np.random.default_rng(n * m).permutation(comb(n, m))[: comb(n, m) // 2 + 1]
+        np.testing.assert_array_equal(milp._unrank(ranks, n, m), table[:, ranks])
+        # and one rank at a time
+        points = np.array([milp._point(r, n, m) for r in range(comb(n, m))])
+        np.testing.assert_array_equal(points, decoded(table, n))
 
     def test_extra_rows_filter_in_order(self):
         row = LinearRow(np.array([1.0, 1.0, 0.0, 0.0, 0.0]), "<=", 1.0)
@@ -550,7 +566,7 @@ class TestCutValueCache:
             backend.solve_cp(oracle, dom, 30.0, ub=ub)
             theta = {tuple(p): max(c.grad @ p + c.intercept for c in oracle) for p in pts}
             held = backend._sets
-            kept = {tuple(p): t for p, t in zip(decoded(held.table, n), held.theta)}
+            kept = {tuple(held.point(i)): t for i, t in enumerate(held.theta)}
             alive = {p for p, t in theta.items() if t <= ub + FEAS_TOL}
             # every live point is held; the dead ones go once they are an eighth
             assert alive <= set(kept)
@@ -692,15 +708,18 @@ def test_runs_on_the_enumerator_build_no_linear_row(monkeypatch):
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=10, deadline=None)
 def test_whole_slice_fold_by_tails_matches_the_byte_lookup(n, m, seed):
-    """With blocks of 7 points the whole slice spans several blocks, and cuts
-    fold by tail sums; with one block they fold by byte lookup."""
+    """With blocks of 7 points the whole slice spans several blocks; every cut
+    folds by tail sums, to the values the byte lookup of the packed table
+    gives, and the lower bound is the first minimizer of a plain scan."""
     rng = np.random.default_rng(seed)
     obj = random_psd_objective(rng, n)
     dom = FeasibleDomain(n=n, m=m)
     pts = feasible_points(dom)
     oracle = CutOracle(make_cut(obj, pts[i]) for i in rng.permutation(len(pts))[:5])
-    lookup = BruteForceBackend()
-    want = lookup.solve_cp(oracle, dom, 30.0)
+    table = milp._packed_table(dom)
+    lookup = np.max(
+        [milp._scores(table, milp._lut(c.grad, len(table))) + c.intercept for c in oracle], axis=0
+    )
     tails = BruteForceBackend()
     with (
         mock.patch.object(milp, "_BLOCK", 7),
@@ -708,9 +727,57 @@ def test_whole_slice_fold_by_tails_matches_the_byte_lookup(n, m, seed):
     ):
         got = tails.solve_cp(oracle, dom, 30.0)
     assert fold.call_count == len(oracle)
-    np.testing.assert_allclose(tails._sets.theta, lookup._sets.theta, rtol=0.0, atol=1e-12)
-    np.testing.assert_array_equal(got.x, want.x)
-    assert got.objective == pytest.approx(want.objective, abs=1e-12)
+    assert tails._sets.table is None
+    np.testing.assert_allclose(tails._sets.theta, lookup, rtol=0.0, atol=1e-12)
+    want = min((max(c.grad @ p + c.intercept for c in oracle), i) for i, p in enumerate(pts))
+    np.testing.assert_array_equal(got.x, pts[want[1]])
+    assert got.objective == pytest.approx(want[0], abs=1e-12)
+
+
+def test_whole_slice_builds_no_packed_table(monkeypatch):
+    """Every configuration on an n=30 m=6 diversity slice runs with no table of
+    the whole slice: the lower bounds and level sets read theta and tail sums
+    until the first compaction, which unranks only the survivors."""
+    monkeypatch.setattr(
+        milp, "_packed_table", mock.Mock(side_effect=AssertionError("whole table built"))
+    )
+    inst = synth_instance(30, 6, "mdp_like", 0)
+    for config in CONFIG_NAMES:
+        backend = BruteForceBackend()
+        out = run(inst.obj, inst.dom, default_x0(inst.dom, backend),
+                  SolverConfig.from_name(config), backend)
+        assert out.status.value == "eps_optimal"
+        assert backend._sets.table is not None  # the run compacted
+    assert milp._packed_table.call_count == 0
+
+
+def test_first_compaction_stays_within_the_state_budget():
+    """A lower bound, a level-set query and a first compaction that keeps
+    about 7/8 of a multi-block slice peak within the (ceil(n/8) + 8) bytes
+    per point that enumerable() admits: theta and a table of the survivors
+    only, never a table of the whole slice beside them."""
+    n, m = 28, 5
+    dom = FeasibleDomain(n=n, m=m)
+    size = comb(n, m)
+    cut = make_cut(random_psd_objective(np.random.default_rng(3), n), default_x0(dom))
+    whole = BruteForceBackend()
+    whole.solve_cp([cut], dom, 30.0)
+    ub = float(np.quantile(whole._sets.theta, 0.86))
+    del whole
+    backend = BruteForceBackend()
+    oracle = CutOracle([cut])
+    with mock.patch.object(milp, "_BLOCK", 256):
+        tracemalloc.start()
+        try:
+            backend.solve_cp(oracle, dom, 30.0)
+            assert backend._solve_linear(np.linspace(-1.0, 1.0, n), dom, CutRows(oracle, ub), 30.0).ok
+            backend.solve_cp(oracle, dom, 30.0, ub=ub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    kept = backend._sets.table.shape[1]
+    assert 0.8 * size < kept < 7 / 8 * size
+    assert peak <= ((n + 7) // 8 + 8) * size + 64_000
 
 
 def cp_answer_at(n, m, theta):

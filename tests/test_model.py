@@ -10,6 +10,7 @@ from gradcut.model import (
     CutOracle,
     CutRows,
     FeasibleDomain,
+    LinearRow,
     QuadraticObjective,
     anchor_key,
     eval_gradient,
@@ -204,3 +205,23 @@ class TestDomainsAndValidation:
         assert is_feasible(dom, e(0))
         assert not is_feasible(dom, np.array([1.0, 1.0, 0.0]))
         assert not is_feasible(dom, np.array([0.5, 0.5, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: QuadraticObjective(np.eye(3)),
+        lambda: LinearRow(np.ones(3), "<=", 1.0),
+        lambda: Cut(np.array([1.0, 0.0, 0.0]), np.ones(3), 0.5),
+        lambda: FeasibleDomain(n=3, m=1, extra_rows=(LinearRow(np.ones(3), "<=", 1.0),)),
+    ],
+)
+def test_equality_of_array_holders_is_identity_and_never_raises(make):
+    """Two objects built from equal arrays compare, search and hash without
+    the elementwise == of their arrays; each still equals itself."""
+    a, b = make(), make()
+    assert a == a
+    assert not a == b and a != b
+    assert a in [b, a] and b not in [a]
+    assert [b, a].index(a) == 1
+    assert len({a, b}) == 2
