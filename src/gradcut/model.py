@@ -109,7 +109,10 @@ def slice_shift(q: np.ndarray) -> np.ndarray:
     valid, so a singular system ends the method where it stands. At n = 2 S
     is the scalar V'QV + sum(u)/2, so the uniform shift is already least and
     no step is taken. Last, u moves uniformly until the least eigenvalue of S
-    is the relative margin _PSD_TOL.
+    is the relative margin _PSD_TOL. The schedule's floor of 1 is absolute:
+    on a spectrum much smaller than 1 the method ends far from the least sum,
+    and where that leaves sum(u) above the uniform shift's, the uniform shift
+    is returned.
     """
     n = len(q)
     scale = max(1.0, float(np.max(np.abs(q), initial=0.0)))
@@ -126,7 +129,9 @@ def slice_shift(q: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         pass
     lam = float(np.linalg.eigvalsh(base + (basis.T * u) @ basis)[0])
-    return u - (lam - _PSD_TOL * scale)
+    u = u - (lam - _PSD_TOL * scale)
+    uniform = rho + _PSD_TOL * scale
+    return u if float(np.sum(u)) <= n * uniform else np.full(n, uniform)
 
 
 def _barrier_step(base: np.ndarray, basis: np.ndarray, u: np.ndarray, mu: float) -> np.ndarray:
