@@ -8,8 +8,9 @@ projection, feasibility) so that engine and local-solver code never touches
 solver types.
 
 Three backends ship: a brute-force enumerator (exact, small slices, also the
-test oracle), an adapter to the HiGHS solver via scipy.optimize.milp, and the
-default, which picks one of the two per call from the size of the slice.
+test oracle), which answers every query by one masked pass over the slice; an
+adapter to the HiGHS solver via scipy.optimize.milp; and the default, which
+picks one of the two per call from the size of the slice.
 """
 
 from __future__ import annotations
@@ -161,16 +162,16 @@ class BruteForceBackend(MilpBackend):
 
     Points are scanned in lexicographic order of their chosen index tuples, so
     ties always resolve to the first minimizer. The backend holds the
-    _LevelSets of one run: the lower bound is the argmin of its theta, and the
-    cut rows of that run (CutRows at a level no higher than the run's ub) are
-    answered from theta without reading a row. Until the run first drops
-    points, that state is theta alone, and a level set is one masked pass of
-    tail sums over the whole slice. After it, the state holds the survivors
-    as packed rows, and the points of the level last asked for are
-    extracted once and held, so the offset check, the start projection, the
-    descent steps and the criticality test posed at one level scan only that
-    set. Either state fits the ENUM_STATE_BYTES budget. Any other rows take
-    one masked pass over a freshly built table of the slice.
+    _LevelSets of one run: theta, the cut model at every point of the slice,
+    +inf where a point violates a row of the domain. The lower bound is the
+    argmin of theta, and every other query is one masked pass: the cost's
+    value at each point, a block at a time, masked by a limit on theta. The
+    cut rows of the run (CutRows at a level no higher than its ub) are that
+    level set of theta, answered without reading a row. Any other rows are
+    folded, as +inf where a point violates one, into a temporary theta of
+    zeros over the whole slice, which is masked at 0. The state fits the
+    ENUM_STATE_BYTES budget, and a pass over it allocates block-sized buffers
+    only.
     """
 
     name = "bruteforce"
@@ -185,16 +186,13 @@ class BruteForceBackend(MilpBackend):
         if sets is not None and sets.reads(rows, dom):
             found = sets.argmin(cost, rows.level)
         else:
-            table = _packed_table(dom)
-            checks = _row_checks(dom.n, rows)
-            found = _first_minimum(
-                (
-                    np.compress(_satisfying(table[:, b], checks), table[:, b], axis=1)
-                    for b in _blocks(table.shape[1])
-                ),
-                cost,
-                dom.n,
-            )
+            n, m = dom.n, dom.m
+            _require_enumerable(n, m)
+            theta = np.zeros(comb(n, m))
+            _fold_rows(theta, [*dom.extra_rows, *rows], n, m)
+            found = _masked_minimum(_tail_sums(cost, n, m), theta, 0.0)
+            if found is not None:
+                found = (_point(found[0], n, m), found[1])
         if found is None:
             return MilpResult(
                 status=MilpStatus(StatusKind.INFEASIBLE, "no feasible point"),
@@ -222,13 +220,13 @@ class BruteForceBackend(MilpBackend):
         grads, values, grad_dot_anchor = stack_cuts(cuts)
         new = slice(sets.n_cuts, None)
         sets.extend(grads[new], values[new] - grad_dot_anchor[new])
-        if len(sets.theta) == 0:
+        i = int(np.argmin(sets.theta))
+        obj = sets.theta_min = float(sets.theta[i])
+        if obj == np.inf:
             return MilpResult(
                 status=MilpStatus(StatusKind.INFEASIBLE, "empty domain"),
                 solve_time=time.perf_counter() - t0,
             )
-        i = int(np.argmin(sets.theta))
-        obj = sets.theta_min = float(sets.theta[i])
         x = sets.point(i)
         if ub is not None:
             sets.prune(max(ub, obj))
@@ -242,52 +240,46 @@ class BruteForceBackend(MilpBackend):
 
 
 class _LevelSets:
-    """An enumerator's state for one run: the surviving points of its domain
+    """An enumerator's state for one run: the surviving points of its slice
     and the cut model theta at each of them.
 
     theta[i] is the max over the first n_cuts cuts of the oracle of
     <grad, x_i> + intercept at the i-th surviving point, in lexicographic
-    order. A point whose theta exceeds ub + FEAS_TOL is dead: theta only
-    grows and ub only falls during a run, so it can never again be a
-    lower-bound argmin or lie in a level set theta <= ub - tau. Only a
-    CutOracle, whose cuts can only be appended, has its state serve later
-    calls.
+    order, or +inf where x_i violates a row of the domain. A point whose
+    theta exceeds ub + FEAS_TOL is dead: theta only grows and ub only falls
+    during a run, so it can never again be a lower-bound argmin or lie in a
+    level set theta <= ub - tau. Only a CutOracle, whose cuts can only be
+    appended, has its state serve later calls.
 
     The state has two forms:
 
-    - whole (table is None): every point of the slice is held, and theta[r]
-      is the cut model at the point of lexicographic rank r. Cuts fold by
+    - whole (table is None): from construction until the prune that first
+      drops points, every point of the slice is held, and theta[r] is at the
+      point of lexicographic rank r. The domain's rows and the cuts fold by
       the tail sums of _tail_sums, the lower bound's argmin is unranked, and
-      a level set is answered by one pass of the tail sums of its cost,
-      masked by theta. No point is stored.
-    - compacted: from the prune that first drops points (from the start on a
-      domain with extra rows), table holds the surviving points as packed
-      bit rows (the np.packbits layout, ceil(n/8) bytes each), one column
-      per point. The first compaction unranks only the survivors into it.
-      Cuts fold by byte lookup, and the level set last asked for, its points
-      copied out of table in the same order, is held with its level until a
-      cut is folded in, the points are compacted or another level is asked
-      for.
+      no point is stored.
+    - compacted: from that prune on, table holds the surviving points as
+      packed bit rows (the np.packbits layout, ceil(n/8) bytes each), one
+      column per point; the first compaction unranks only the survivors into
+      it. Cuts fold by byte lookup.
 
-    Either way theta and table never take more than ceil(n/8) + 8 bytes per
-    point of the slice, the size enumerable() admits.
+    Either way a level set theta <= level is read by one masked pass,
+    _masked_minimum over the cost's value at each point: its tail sums in the
+    whole form, its byte lookup in the compacted one. theta and table never
+    take more than ceil(n/8) + 8 bytes per point of the slice, the size
+    enumerable() admits, and a pass adds block-sized buffers only.
     """
 
     def __init__(self, dom: FeasibleDomain, cuts: Sequence[Cut]):
+        _require_enumerable(dom.n, dom.m)
         self.dom = dom
         self.oracle = cuts if isinstance(cuts, CutOracle) else None
-        if dom.extra_rows:
-            self.table = _packed_table(dom)
-            count = self.table.shape[1]
-        else:
-            _require_enumerable(dom.n, dom.m)
-            self.table = None
-            count = comb(dom.n, dom.m)
-        self.theta = np.full(count, -np.inf)
+        self.table = None
+        self.theta = np.full(comb(dom.n, dom.m), -np.inf)
+        _fold_rows(self.theta, dom.extra_rows, dom.n, dom.m)
         self.theta_min = -np.inf  # set by each lower bound
         self.n_cuts = 0
         self.ub = np.inf
-        self._held: Optional[tuple] = None  # (level, points) of the last level set
 
     def holds(self, cuts, dom: FeasibleDomain) -> bool:
         """Whether this is the state of the run whose oracle is cuts, on dom."""
@@ -314,7 +306,6 @@ class _LevelSets:
         """Fold new cuts, given as gradient rows and intercepts, into theta."""
         n, m = self.dom.n, self.dom.m
         for grad, intercept in zip(grads, intercepts):
-            self._held = None
             if self.table is None:
                 _fold_by_tails(self.theta, grad, intercept, n, m)
             else:
@@ -332,7 +323,6 @@ class _LevelSets:
         limit = ub + FEAS_TOL
         dead = sum(int(np.count_nonzero(self.theta[b] > limit)) for b in _blocks(len(self.theta)))
         if 8 * dead >= len(self.theta):
-            self._held = None
             if self.table is None:
                 self.table, self.theta = _compact_whole(
                     self.theta, limit, len(self.theta) - dead, self.dom.n, self.dom.m
@@ -351,28 +341,13 @@ class _LevelSets:
         """
         if self.theta_min > level + FEAS_TOL:
             return None
-        n, m = self.dom.n, self.dom.m
         if self.table is None:
-            return _masked_minimum(self.theta, level + FEAS_TOL, cost, n, m)
-        points = self._level_set(level)
-        return _first_minimum((points[:, block] for block in _blocks(points.shape[1])), cost, n)
-
-    def _level_set(self, level: float) -> np.ndarray:
-        """The packed points with theta <= level + FEAS_TOL, in table order;
-        extracted on the first request at a level and held for the next."""
-        if self._held is None or self._held[0] != level:
-            self._held = None  # free the old set before extracting the new one
-            limit = level + FEAS_TOL
-            blocks = list(_blocks(len(self.theta)))
-            count = sum(int(np.count_nonzero(self.theta[b] <= limit)) for b in blocks)
-            points = np.empty((len(self.table), count), dtype=np.uint8)
-            filled = 0
-            for b in blocks:
-                part = np.compress(self.theta[b] <= limit, self.table[:, b], axis=1)
-                points[:, filled : filled + part.shape[1]] = part
-                filled += part.shape[1]
-            self._held = (level, points)
-        return self._held[1]
+            scores = _tail_sums(cost, self.dom.n, self.dom.m)
+        else:
+            lut = _lut(cost, len(self.table))
+            scores = ((b.start, _scores(self.table[:, b], lut)) for b in _blocks(len(self.theta)))
+        found = _masked_minimum(scores, self.theta, level + FEAS_TOL)
+        return None if found is None else (self.point(found[0]), found[1])
 
 
 # points read at a time, so that no array the size of the slice is made
@@ -400,46 +375,18 @@ def _blocks(count: int):
     return (slice(s, s + _BLOCK) for s in range(0, count, _BLOCK))
 
 
-def _packed_table(dom: FeasibleDomain) -> np.ndarray:
-    """The points of dom as packed bit rows, one column per point, in
-    lexicographic order of their index tuples.
-
-    Built one index at a time from the back: level k holds the k-subsets of
-    range(m - k, n), the last k indices of every point, in lexicographic
-    order. Those starting above i are a tail of level k, so level k + 1 is
-    the tails of level k, each prefixed with its index i.
-    """
-    n, m = dom.n, dom.m
-    _require_enumerable(n, m)
-    level = np.zeros(((n + 7) // 8, n - m + 1), dtype=np.uint8)
-    for col, i in enumerate(range(m - 1, n)):
-        level[i >> 3, col] = _BIT[i & 7]
-    for k in range(2, m + 1):
-        out = np.empty((len(level), comb(n - m + k, k)), dtype=np.uint8)
-        filled = 0
-        for i in range(m - k, n - k + 1):
-            count = comb(n - i - 1, k - 1)
-            out[:, filled : filled + count] = level[:, level.shape[1] - count :]
-            out[i >> 3, filled : filled + count] |= _BIT[i & 7]
-            filled += count
-        level = out
-    if dom.extra_rows:
-        checks = _row_checks(n, dom.extra_rows)
-        (level,) = _compact(lambda block: _satisfying(level[:, block], checks), level)
-    return level
-
-
 def _tail_sums(v: np.ndarray, n: int, m: int, base: float = 0.0):
     """Yield (rank, sums): sums[j] is <v, x> + base at the point x of the
     whole slice of lexicographic rank rank + j, in blocks of _BLOCK points
     (the last may be shorter), in rank order. sums is one buffer, which the
     next block overwrites.
 
-    The sums follow the recursion that builds _packed_table: level k holds
-    <v, x> over the k-subsets of range(m - k, n), and level k + 1 is the tails
-    of level k, each plus v[i]. Level m is never built: it is written into
-    the buffer one block at a time, so besides it the largest array held is
-    level m - 1, C(n - 1, m - 1) values.
+    The sums are built one index at a time from the back: level k holds
+    <v, x> over the k-subsets of range(m - k, n), the last k indices of every
+    point, in lexicographic order. Those starting above i are a tail of level
+    k, so level k + 1 is the tails of level k, each plus v[i]. Level m is
+    never built: it is written into the buffer one block at a time, so
+    besides it the largest array held is level m - 1, C(n - 1, m - 1) values.
     """
     # level 1 is v over range(m - 1, n); level 0, the empty subset, is 0
     level = np.array(v[m - 1 :], dtype=float) if m > 1 else np.zeros(1)
@@ -477,22 +424,32 @@ def _fold_by_tails(theta: np.ndarray, v: np.ndarray, intercept: float, n: int, m
         np.maximum(part, sums, out=part)
 
 
-def _masked_minimum(theta: np.ndarray, limit: float, cost: np.ndarray, n: int, m: int):
-    """The lexicographically first minimizer of <cost, x> over the points of
-    the whole slice with theta <= limit, theta in rank order, with its
-    objective; None when there is none."""
-    best_rank, best = None, np.inf
-    for rank, sums in _tail_sums(np.asarray(cost, dtype=float), n, m):
-        np.copyto(sums, np.inf, where=theta[rank : rank + len(sums)] > limit)
-        i = int(np.argmin(sums))
-        if sums[i] < best:
-            best_rank, best = rank + i, float(sums[i])
-    return None if best_rank is None else (_point(best_rank, n, m), best)
+def _fold_rows(theta: np.ndarray, rows: Sequence[LinearRow], n: int, m: int) -> None:
+    """theta = +inf at every point of the whole slice that violates one of
+    rows, theta in rank order."""
+    for row in rows:
+        for rank, lhs in _tail_sums(row.coeffs, n, m):
+            np.copyto(theta[rank : rank + len(lhs)], np.inf, where=~row.holds(lhs))
+
+
+def _masked_minimum(scores, theta: np.ndarray, limit: float):
+    """(i, s): s is the least of scores[i] over the indices i with
+    theta[i] <= limit, and i the first index that reaches it; None when there
+    is no such index. scores come as (start, block) pairs in index order,
+    block holding scores[start : start + len(block)], and are overwritten."""
+    best_i, best = None, np.inf
+    for start, block in scores:
+        np.copyto(block, np.inf, where=theta[start : start + len(block)] > limit)
+        i = int(np.argmin(block))
+        if block[i] < best:
+            best_i, best = start + i, float(block[i])
+    return None if best_i is None else (best_i, best)
 
 
 def _unrank(ranks: np.ndarray, n: int, m: int) -> np.ndarray:
     """The points of the whole slice of lexicographic rank ranks, as packed
-    bit rows, one column per point, as _packed_table holds them.
+    bit rows (the np.packbits layout, ceil(n/8) bytes each), one column per
+    point.
 
     The point c_1 < ... < c_m of rank r has C(n, m) - 1 - r = sum over j of
     C(n - 1 - c_j, m - j + 1), which the combinatorial number system writes
@@ -606,44 +563,11 @@ def _decode(row: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(row, count=n).astype(float)
 
 
-def _row_checks(n: int, rows: Sequence[LinearRow]) -> list:
-    return [(_lut(row.coeffs, (n + 7) // 8), row) for row in rows]
-
-
-def _satisfying(packed: np.ndarray, checks: list) -> np.ndarray:
-    """Mask of the packed points that satisfy every checked row."""
-    keep = np.ones(packed.shape[1], dtype=bool)
-    for lut, row in checks:
-        lhs = _scores(packed, lut)
-        if row.sense == "<=":
-            keep &= lhs <= row.rhs + FEAS_TOL
-        elif row.sense == ">=":
-            keep &= lhs >= row.rhs - FEAS_TOL
-        else:
-            keep &= np.abs(lhs - row.rhs) <= FEAS_TOL
-    return keep
-
-
 def _satisfied(rows: Sequence[LinearRow], x: np.ndarray) -> bool:
     """Whether x satisfies every row; CutRows check theirs in one product."""
     if isinstance(rows, CutRows):
         return rows.satisfied_by(x)
     return all(row.satisfied_by(x) for row in rows)
-
-
-def _first_minimum(blocks, cost: np.ndarray, n: int):
-    """The lexicographically first minimizer of <cost, x> over packed blocks
-    given in lexicographic order, with its objective; None when all are empty."""
-    lut = _lut(np.asarray(cost, dtype=float), (n + 7) // 8)
-    best_row, best = None, np.inf
-    for block in blocks:
-        if block.shape[1] == 0:
-            continue
-        s = _scores(block, lut)
-        i = int(np.argmin(s))
-        if best_row is None or s[i] < best:
-            best_row, best = block[:, i].copy(), float(s[i])
-    return None if best_row is None else (_decode(best_row, n), best)
 
 
 class HighsBackend(MilpBackend):
@@ -766,12 +690,7 @@ class HighsBackend(MilpBackend):
         lo[0] = hi[0] = dom.m
         for i, row in enumerate(listed, start=1):
             a[i, : dom.n] = row.coeffs
-            if row.sense == "<=":
-                lo[i], hi[i] = -np.inf, row.rhs
-            elif row.sense == ">=":
-                lo[i], hi[i] = row.rhs, np.inf
-            else:
-                lo[i] = hi[i] = row.rhs
+            lo[i], hi[i] = row.bounds
         if stacked and len(rows):
             cut = slice(1 + len(listed), None)
             a[cut, : dom.n] = rows.coeffs

@@ -40,13 +40,23 @@ class LinearRow:
         if self.sense not in SENSES:
             raise ValueError(f"unknown row sense {self.sense!r}, expected one of {SENSES}")
 
-    def satisfied_by(self, x: np.ndarray, tol: float = FEAS_TOL) -> bool:
-        lhs = float(self.coeffs @ x)
+    @property
+    def bounds(self) -> tuple:
+        """(lo, hi) with the row asking lo <= <coeffs, x> <= hi."""
         if self.sense == "<=":
-            return lhs <= self.rhs + tol
+            return -np.inf, self.rhs
         if self.sense == ">=":
-            return lhs >= self.rhs - tol
-        return abs(lhs - self.rhs) <= tol
+            return self.rhs, np.inf
+        return self.rhs, self.rhs
+
+    def holds(self, lhs, tol: float = FEAS_TOL):
+        """Whether left-hand sides lhs, one or an array of them, satisfy the
+        row within tol, elementwise."""
+        lo, hi = self.bounds
+        return (lhs >= lo - tol) & (lhs <= hi + tol)
+
+    def satisfied_by(self, x: np.ndarray, tol: float = FEAS_TOL) -> bool:
+        return bool(self.holds(float(self.coeffs @ x), tol))
 
 
 @dataclass(frozen=True, eq=False)

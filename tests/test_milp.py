@@ -172,6 +172,17 @@ def test_extra_domain_rows_respected(backend):
     np.testing.assert_allclose(res.x, e(1), atol=1e-9)
 
 
+def test_domain_with_no_feasible_point(backend):
+    # every point of the slice has x0 + x1 + x2 = 2
+    row = LinearRow(np.array([1.0, 1.0, 1.0]), "==", 1.0)
+    dom = FeasibleDomain(n=3, m=2, extra_rows=(row,))
+    oracle = oracle_at(Q_FULL, [np.array([1.0, 1.0, 0.0])])
+    assert solve_cp_model(oracle, dom, 30.0, backend).status.kind is StatusKind.INFEASIBLE
+    assert project(np.zeros(3), dom, [], 30.0, backend).status.kind is StatusKind.INFEASIBLE
+    with pytest.raises(ValueError, match="no feasible point"):
+        default_x0(dom, backend)
+
+
 class CountingBackend(BruteForceBackend):
     def __init__(self):
         super().__init__()
@@ -480,34 +491,48 @@ def decoded(table, n):
 POINT_TABLE_GRID = [(3, 1), (5, 2), (6, 3), (8, 4), (9, 1), (9, 8), (17, 3)]
 
 
+def slice_points(n, m):
+    return np.array(feasible_points(FeasibleDomain(n=n, m=m)))
+
+
 class TestPointTable:
     @pytest.mark.parametrize("n, m", POINT_TABLE_GRID)
     def test_matches_itertools_in_lexicographic_order(self, n, m):
-        want = np.zeros((len(list(itertools.combinations(range(n), m))), n))
-        for i, idx in enumerate(itertools.combinations(range(n), m)):
-            want[i, list(idx)] = 1.0
-        table = milp._packed_table(FeasibleDomain(n=n, m=m))
+        want = slice_points(n, m)
+        table = milp._unrank(np.arange(len(want)), n, m)
         assert table.dtype == np.uint8
         assert table.shape == ((n + 7) // 8, len(want))
         np.testing.assert_array_equal(decoded(table, n), want)
 
     @pytest.mark.parametrize("n, m", POINT_TABLE_GRID)
     def test_unranking_every_rank_gives_the_table(self, n, m):
-        table = milp._packed_table(FeasibleDomain(n=n, m=m))
-        np.testing.assert_array_equal(milp._unrank(np.arange(comb(n, m)), n, m), table)
+        want = slice_points(n, m)
         # any subset, in any order, column for column
         ranks = np.random.default_rng(n * m).permutation(comb(n, m))[: comb(n, m) // 2 + 1]
-        np.testing.assert_array_equal(milp._unrank(ranks, n, m), table[:, ranks])
+        np.testing.assert_array_equal(decoded(milp._unrank(ranks, n, m), n), want[ranks])
         # and one rank at a time
         points = np.array([milp._point(r, n, m) for r in range(comb(n, m))])
-        np.testing.assert_array_equal(points, decoded(table, n))
+        np.testing.assert_array_equal(points, want)
 
     def test_extra_rows_filter_in_order(self):
-        row = LinearRow(np.array([1.0, 1.0, 0.0, 0.0, 0.0]), "<=", 1.0)
-        dom = FeasibleDomain(n=5, m=2, extra_rows=(row,))
-        np.testing.assert_array_equal(
-            decoded(milp._packed_table(dom), 5), np.array(feasible_points(dom))
-        )
+        n, m = 5, 2
+        pts = slice_points(n, m)
+        # integer data, so each row's violations are exact
+        rows = [
+            LinearRow(np.array([1.0, 1.0, 0.0, 0.0, 0.0]), "<=", 1.0),
+            LinearRow(np.array([0.0, 1.0, 0.0, 1.0, 1.0]), ">=", 1.0),
+            LinearRow(np.array([1.0, 0.0, 1.0, 0.0, 1.0]), "==", 1.0),
+        ]
+        lhs = pts @ np.array([row.coeffs for row in rows]).T
+        violated = np.column_stack([lhs[:, 0] > 1.0, lhs[:, 1] < 1.0, lhs[:, 2] != 1.0])
+        # blocks of 3 points, so that a fold spans several
+        with mock.patch.object(milp, "_BLOCK", 3):
+            for fold in [[0], [1], [2], [0, 1, 2]]:
+                theta = np.zeros(len(pts))
+                milp._fold_rows(theta, [rows[j] for j in fold], n, m)
+                dropped = violated[:, fold].any(axis=1)
+                assert 0 < np.count_nonzero(dropped) < len(pts)
+                np.testing.assert_array_equal(theta, np.where(dropped, np.inf, 0.0))
 
 
 class TestCutValueCache:
@@ -589,7 +614,7 @@ def plain_scan(cost, dom, rows):
     return best
 
 
-@pytest.mark.parametrize("with_domain_row", [False, True])
+@pytest.mark.parametrize("with_domain_row", [False, True, "loose"])
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_level_sets_replay_an_engine_run_like_a_plain_scan(with_domain_row, seed):
@@ -597,8 +622,11 @@ def test_level_sets_replay_an_engine_run_like_a_plain_scan(with_domain_row, seed
     a run asks for them while cuts grow and ub falls, answered as a plain
     itertools scan answers them, with the points above ub dropped. Each level
     takes projections with several costs, and is asked again after the next
-    fold and compaction, latest first; its set is extracted once for all of
-    them. The scans read blocks of a few points, so their multi-block paths run."""
+    fold and compaction, latest first. The scans read blocks of a few points,
+    so their multi-block paths run. The state starts whole, with +inf at the
+    points a domain row drops: a row at the median drops half the slice, and
+    the first prune compacts; a loose one drops fewer than an eighth, and no
+    prune counts them enough to compact on their own."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 11))
     m = int(rng.integers(1, n))
@@ -606,12 +634,22 @@ def test_level_sets_replay_an_engine_run_like_a_plain_scan(with_domain_row, seed
     rows = ()
     if with_domain_row:
         coeffs = rng.uniform(-1.0, 1.0, size=n)
-        lhs = [float(coeffs @ x) for x in feasible_points(FeasibleDomain(n=n, m=m))]
-        rows = (LinearRow(coeffs, "<=", float(np.median(lhs))),)
+        lhs = np.sort([coeffs @ x for x in slice_points(n, m)])
+        if with_domain_row == "loose":
+            # at most (len - 1) // 8 points lie above this rhs
+            rhs = lhs[len(lhs) - 1 - (len(lhs) - 1) // 8]
+        else:
+            rhs = np.median(lhs)
+        rows = (LinearRow(coeffs, "<=", float(rhs)),)
     with mock.patch.object(milp, "_BLOCK", int(rng.integers(1, 5))):
         dom = FeasibleDomain(n=n, m=m, extra_rows=rows)
         pts = feasible_points(dom)
-        np.testing.assert_array_equal(decoded(milp._packed_table(dom), n), np.array(pts))
+        if with_domain_row == "loose":
+            # the first lower bound, with no ub yet, leaves the state whole
+            probe = BruteForceBackend()
+            assert probe.solve_cp(CutOracle([make_cut(obj, pts[0])]), dom, 30.0).ok
+            assert probe._sets.table is None
+            assert np.count_nonzero(probe._sets.theta == np.inf) == comb(n, m) - len(pts)
         backend = BruteForceBackend()
         oracle = CutOracle()
         x = pts[int(rng.integers(len(pts)))]
@@ -631,7 +669,6 @@ def test_level_sets_replay_an_engine_run_like_a_plain_scan(with_domain_row, seed
             fresh = [ub - gap - 0.1, ub, ub - 0.5 * gap]
             for level in [lv for lv in reversed(last) if lv <= ub] + fresh:
                 cut_rows = CutRows(oracle, level)
-                held = None
                 # the whole-number cost ties points across blocks
                 for cost in (
                     1.0 - 2.0 * rng.uniform(-1.0, 2.0, size=n),
@@ -644,8 +681,6 @@ def test_level_sets_replay_an_engine_run_like_a_plain_scan(with_domain_row, seed
                     if want is not None:
                         np.testing.assert_array_equal(got.x, want[0])
                         assert got.objective == pytest.approx(want[1], abs=1e-12)
-                    assert held is None or backend._sets._held is held
-                    held = backend._sets._held
                 assert check_nonempty(dom, cut_rows, 30.0, backend) == (want is not None)
             last = fresh
             x = res.x if rng.random() < 0.5 else pts[int(rng.integers(len(pts)))]
@@ -716,7 +751,7 @@ def test_whole_slice_fold_by_tails_matches_the_byte_lookup(n, m, seed):
     dom = FeasibleDomain(n=n, m=m)
     pts = feasible_points(dom)
     oracle = CutOracle(make_cut(obj, pts[i]) for i in rng.permutation(len(pts))[:5])
-    table = milp._packed_table(dom)
+    table = milp._unrank(np.arange(len(pts)), n, m)
     lookup = np.max(
         [milp._scores(table, milp._lut(c.grad, len(table))) + c.intercept for c in oracle], axis=0
     )
@@ -734,28 +769,33 @@ def test_whole_slice_fold_by_tails_matches_the_byte_lookup(n, m, seed):
     assert got.objective == pytest.approx(want[0], abs=1e-12)
 
 
-def test_whole_slice_builds_no_packed_table(monkeypatch):
+def test_whole_slice_builds_no_packed_table():
     """Every configuration on an n=30 m=6 diversity slice runs with no table of
     the whole slice: the lower bounds and level sets read theta and tail sums
-    until the first compaction, which unranks only the survivors."""
-    monkeypatch.setattr(
-        milp, "_packed_table", mock.Mock(side_effect=AssertionError("whole table built"))
-    )
+    until the first compaction, which unranks only the survivors, and no
+    point is unranked after it."""
     inst = synth_instance(30, 6, "mdp_like", 0)
     for config in CONFIG_NAMES:
         backend = BruteForceBackend()
-        out = run(inst.obj, inst.dom, default_x0(inst.dom, backend),
-                  SolverConfig.from_name(config), backend)
+        with (
+            mock.patch.object(milp, "_unrank", wraps=milp._unrank) as unrank,
+            mock.patch.object(milp, "_compact_whole", wraps=milp._compact_whole) as compact,
+        ):
+            out = run(inst.obj, inst.dom, default_x0(inst.dom, backend),
+                      SolverConfig.from_name(config), backend)
         assert out.status.value == "eps_optimal"
         assert backend._sets.table is not None  # the run compacted
-    assert milp._packed_table.call_count == 0
+        assert compact.call_count == 1
+        kept = compact.call_args.args[2]
+        assert 0 < sum(len(c.args[0]) for c in unrank.call_args_list) <= kept < comb(30, 6)
 
 
 def test_first_compaction_stays_within_the_state_budget():
-    """A lower bound, a level-set query and a first compaction that keeps
-    about 7/8 of a multi-block slice peak within the (ceil(n/8) + 8) bytes
-    per point that enumerable() admits: theta and a table of the survivors
-    only, never a table of the whole slice beside them."""
+    """A lower bound, a level-set query, a first compaction that keeps about
+    7/8 of a multi-block slice and a level-set query after it peak within the
+    (ceil(n/8) + 8) bytes per point that enumerable() admits: theta and a
+    table of the survivors only, never a table of the whole slice or a copy
+    of a level set beside them."""
     n, m = 28, 5
     dom = FeasibleDomain(n=n, m=m)
     size = comb(n, m)
@@ -772,6 +812,7 @@ def test_first_compaction_stays_within_the_state_budget():
             backend.solve_cp(oracle, dom, 30.0)
             assert backend._solve_linear(np.linspace(-1.0, 1.0, n), dom, CutRows(oracle, ub), 30.0).ok
             backend.solve_cp(oracle, dom, 30.0, ub=ub)
+            assert backend._solve_linear(np.linspace(1.0, -1.0, n), dom, CutRows(oracle, ub), 30.0).ok
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
