@@ -8,14 +8,20 @@ projection, feasibility) so that engine and local-solver code never touches
 solver types.
 
 Three backends ship: a brute-force enumerator (exact, small slices, also the
-test oracle), which answers every query by one masked pass over the slice; an
-adapter to the HiGHS solver via scipy.optimize.milp; and the default, which
-picks one of the two per call from the size of the slice.
+test oracle), which answers a lower bound by one sweep over the slice and
+every other query by one masked pass; an adapter to the HiGHS solver via
+scipy.optimize.milp; and the default, which picks one of the two per call
+from the size of the slice.
 """
 
 from __future__ import annotations
 
 import abc
+import contextlib
+import ctypes
+import os
+import sys
+import threading
 import time
 import warnings
 from dataclasses import dataclass
@@ -163,15 +169,17 @@ class BruteForceBackend(MilpBackend):
     Points are scanned in lexicographic order of their chosen index tuples, so
     ties always resolve to the first minimizer. The backend holds the
     _LevelSets of one run: theta, the cut model at every point of the slice,
-    +inf where a point violates a row of the domain. The lower bound is the
-    argmin of theta, and every other query is one masked pass: the cost's
-    value at each point, a block at a time, masked by a limit on theta. The
-    cut rows of the run (CutRows at a level no higher than its ub) are that
-    level set of theta, answered without reading a row. Any other rows are
-    folded, as +inf where a point violates one, into a temporary theta of
-    zeros over the whole slice, which is masked at 0. The state fits the
-    ENUM_STATE_BYTES budget, and a pass over it allocates block-sized buffers
-    only.
+    +inf where a point violates a row of the domain. A lower bound is one
+    sweep over theta's blocks (_LevelSets.lower_bound): it folds in the new
+    cuts, takes the first argmin and counts and records the points that
+    survive ub. Every other query is one masked pass: the cost's value at
+    each point, a block at a time, masked by a limit on theta. The cut rows
+    of the run (CutRows at a level no higher than its ub) are that level set
+    of theta, answered without reading a row. Any other rows are checked in
+    each block, against their own tail sums computed in step with the
+    cost's. The state fits the ENUM_STATE_BYTES budget. A pass over it
+    allocates block-sized buffers and, for each cost, cut or row it sums by
+    tails, one array of C(n - 1, m - 1) values.
     """
 
     name = "bruteforce"
@@ -188,9 +196,8 @@ class BruteForceBackend(MilpBackend):
         else:
             n, m = dom.n, dom.m
             _require_enumerable(n, m)
-            theta = np.zeros(comb(n, m))
-            _fold_rows(theta, [*dom.extra_rows, *rows], n, m)
-            found = _masked_minimum(_tail_sums(cost, n, m), theta, 0.0)
+            checked = [*dom.extra_rows, *rows]
+            found = _first_minimum(_row_masked(_tail_sums(cost, n, m), checked, n, m))
             if found is not None:
                 found = (_point(found[0], n, m), found[1])
         if found is None:
@@ -219,17 +226,13 @@ class BruteForceBackend(MilpBackend):
             sets = self._sets = _LevelSets(dom, cuts)
         grads, values, grad_dot_anchor = stack_cuts(cuts)
         new = slice(sets.n_cuts, None)
-        sets.extend(grads[new], values[new] - grad_dot_anchor[new])
-        i = int(np.argmin(sets.theta))
-        obj = sets.theta_min = float(sets.theta[i])
-        if obj == np.inf:
+        found = sets.lower_bound(grads[new], values[new] - grad_dot_anchor[new], ub)
+        if found is None:
             return MilpResult(
                 status=MilpStatus(StatusKind.INFEASIBLE, "empty domain"),
                 solve_time=time.perf_counter() - t0,
             )
-        x = sets.point(i)
-        if ub is not None:
-            sets.prune(max(ub, obj))
+        x, obj = found
         return MilpResult(
             status=MilpStatus(StatusKind.OPTIMAL),
             x=x,
@@ -253,21 +256,22 @@ class _LevelSets:
 
     The state has two forms:
 
-    - whole (table is None): from construction until the prune that first
-      drops points, every point of the slice is held, and theta[r] is at the
-      point of lexicographic rank r. The domain's rows and the cuts fold by
-      the tail sums of _tail_sums, the lower bound's argmin is unranked, and
-      no point is stored.
-    - compacted: from that prune on, table holds the surviving points as
-      packed bit rows (the np.packbits layout, ceil(n/8) bytes each), one
-      column per point; the first compaction unranks only the survivors into
-      it. Cuts fold by byte lookup.
+    - whole (table is None): from construction until the lower bound that
+      first drops points, every point of the slice is held, and theta[r] is
+      at the point of lexicographic rank r. Values at the points are the
+      tail sums of _tail_sums, the lower bound's argmin is unranked, and no
+      point is stored.
+    - compacted: from that lower bound on, table holds the surviving points
+      as packed bit rows (the np.packbits layout, ceil(n/8) bytes each), one
+      column per point; the first compaction unranks only the survivors
+      into it. Values at the points come by byte lookup.
 
-    Either way a level set theta <= level is read by one masked pass,
-    _masked_minimum over the cost's value at each point: its tail sums in the
-    whole form, its byte lookup in the compacted one. theta and table never
-    take more than ceil(n/8) + 8 bytes per point of the slice, the size
-    enumerable() admits, and a pass adds block-sized buffers only.
+    Each lower bound is one sweep over theta's blocks, fed by the new cuts'
+    values (scores), and each level set theta <= level one masked pass over
+    the cost's. theta and table never take more than ceil(n/8) + 8 bytes per
+    point of the slice, the size enumerable() admits; a sweep adds at most
+    the int64 ranks of 1/16 of the points, 0.5 bytes a point, and a pass
+    block-sized buffers only.
     """
 
     def __init__(self, dom: FeasibleDomain, cuts: Sequence[Cut]):
@@ -302,36 +306,72 @@ class _LevelSets:
             return _point(i, self.dom.n, self.dom.m)
         return _decode(self.table[:, i], self.dom.n)
 
-    def extend(self, grads: np.ndarray, intercepts: np.ndarray) -> None:
-        """Fold new cuts, given as gradient rows and intercepts, into theta."""
-        n, m = self.dom.n, self.dom.m
-        for grad, intercept in zip(grads, intercepts):
-            if self.table is None:
-                _fold_by_tails(self.theta, grad, intercept, n, m)
-            else:
-                lut = _lut(grad, len(self.table))
-                for block in _blocks(len(self.theta)):
-                    theta = self.theta[block]
-                    np.maximum(theta, _scores(self.table[:, block], lut) + intercept, out=theta)
-            self.n_cuts += 1
+    def scores(self, v: np.ndarray, base: float = 0.0):
+        """(start, block) pairs of <v, x> + base at the held points, in
+        order, _BLOCK points at a time: tail sums in the whole state, byte
+        lookup in the compacted one. Each block is a buffer the next one may
+        overwrite."""
+        if self.table is None:
+            return _tail_sums(v, self.dom.n, self.dom.m, base)
+        lut = _lut(v, len(self.table))
 
-    def prune(self, ub: float) -> None:
-        """Lower ub, and drop the dead points once they are an eighth of those
-        held: until then no answer reads them, and keeping them costs less
-        than moving the others. The first drop from the whole slice builds
-        the table, of the survivors only."""
-        limit = ub + FEAS_TOL
-        dead = sum(int(np.count_nonzero(self.theta[b] > limit)) for b in _blocks(len(self.theta)))
-        if 8 * dead >= len(self.theta):
-            if self.table is None:
-                self.table, self.theta = _compact_whole(
-                    self.theta, limit, len(self.theta) - dead, self.dom.n, self.dom.m
-                )
-            else:
+        def lookup():
+            for b in _blocks(len(self.theta)):
+                block = _scores(self.table[:, b], lut)
+                if base:
+                    block += base
+                yield b.start, block
+
+        return lookup()
+
+    def lower_bound(self, grads: np.ndarray, intercepts: np.ndarray, ub: Optional[float]):
+        """Fold new cuts, given as gradient rows and intercepts, into theta,
+        and return (x, theta(x)) at its first minimizer, or None when every
+        theta is +inf; in one sweep over theta's blocks.
+
+        With ub, lower the state's ub, and drop the dead points once they are
+        an eighth of those held: until then no answer reads them, and keeping
+        them costs less than moving the others. The sweep counts the
+        survivors, and records their indices while they are at most 1/16 of
+        the points, for the compaction to move; past that it rescans theta.
+        A minimum above ub + FEAS_TOL (rounding) drops nothing, which is
+        always valid.
+        """
+        total = len(self.theta)
+        limit = np.inf if ub is None else ub + FEAS_TOL
+        feeds = [self.scores(g, c) for g, c in zip(grads, intercepts)]
+        recorded: Optional[list] = []
+        kept = 0
+
+        def folded():
+            nonlocal recorded, kept
+            for b in _blocks(total):
+                theta = self.theta[b]
+                for feed in feeds:
+                    np.maximum(theta, next(feed)[1], out=theta)
+                if ub is not None:
+                    alive = theta <= limit
+                    count = int(np.count_nonzero(alive))
+                    if recorded is not None and 16 * (kept + count) <= total:
+                        recorded.append(alive.nonzero()[0] + b.start)
+                    else:
+                        recorded = None
+                    kept += count
+                yield b.start, theta
+
+        found = _first_minimum(folded())
+        self.n_cuts += len(intercepts)
+        self.theta_min = np.inf if found is None else found[1]
+        if found is not None:
+            found = (self.point(found[0]), found[1])
+        if ub is not None:
+            if self.theta_min <= limit and 8 * (total - kept) >= total:
+                chunks = recorded if recorded is not None else _survivors(self.theta, limit)
                 self.table, self.theta = _compact(
-                    lambda block: self.theta[block] <= limit, self.table, self.theta
+                    chunks, kept, self.theta, self.table, self.dom.n, self.dom.m
                 )
-        self.ub = ub
+            self.ub = ub
+        return found
 
     def argmin(self, cost: np.ndarray, level: float):
         """min <cost, x> over the level set theta <= level, or None when empty.
@@ -341,18 +381,16 @@ class _LevelSets:
         """
         if self.theta_min > level + FEAS_TOL:
             return None
-        if self.table is None:
-            scores = _tail_sums(cost, self.dom.n, self.dom.m)
-        else:
-            lut = _lut(cost, len(self.table))
-            scores = ((b.start, _scores(self.table[:, b], lut)) for b in _blocks(len(self.theta)))
-        found = _masked_minimum(scores, self.theta, level + FEAS_TOL)
+        found = _first_minimum(_masked(self.scores(cost), self.theta, level + FEAS_TOL))
         return None if found is None else (self.point(found[0]), found[1])
 
 
 # points read at a time, so that no array the size of the slice is made
-# besides theta and the packed table
-_BLOCK = 8192
+# besides theta and the packed table. On a 2-core machine, rounds of the five
+# configurations on an n=30 m=6 slice took 33.2, 32.2 and 31.4 ms (least of
+# 10) at 16k, 32k and 64k points, and 33.2, 32.5 and 32.4 ms in a second pass
+# of 16: past 32k the gain is within the noise, for twice the block buffers
+_BLOCK = 32768
 
 # _BITS[b] is the byte b unpacked, most significant bit first: np.packbits
 # packs coordinates 8j .. 8j+7 into byte j, and _BIT[k] is the bit of 8j+k
@@ -378,15 +416,16 @@ def _blocks(count: int):
 def _tail_sums(v: np.ndarray, n: int, m: int, base: float = 0.0):
     """Yield (rank, sums): sums[j] is <v, x> + base at the point x of the
     whole slice of lexicographic rank rank + j, in blocks of _BLOCK points
-    (the last may be shorter), in rank order. sums is one buffer, which the
-    next block overwrites.
+    (the last may be shorter), in rank order, the blocks of _blocks. sums is
+    one buffer, which the next block overwrites.
 
-    The sums are built one index at a time from the back: level k holds
-    <v, x> over the k-subsets of range(m - k, n), the last k indices of every
-    point, in lexicographic order. Those starting above i are a tail of level
-    k, so level k + 1 is the tails of level k, each plus v[i]. Level m is
-    never built: it is written into the buffer one block at a time, so
-    besides it the largest array held is level m - 1, C(n - 1, m - 1) values.
+    The sums are built one index at a time from the back, starting from
+    base: level k holds <v, x> + base over the k-subsets of range(m - k, n),
+    the last k indices of every point, in lexicographic order. Those
+    starting above i are a tail of level k, so level k + 1 is the tails of
+    level k, each plus v[i]. Level m is never built: it is written into the
+    buffer one block at a time, so besides it the largest array held is
+    level m - 1, C(n - 1, m - 1) values.
     """
     # level 1 is v over range(m - 1, n); level 0, the empty subset, is 0
     level = np.array(v[m - 1 :], dtype=float) if m > 1 else np.zeros(1)
@@ -416,31 +455,39 @@ def _tail_sums(v: np.ndarray, n: int, m: int, base: float = 0.0):
         yield rank, sums[:filled]
 
 
-def _fold_by_tails(theta: np.ndarray, v: np.ndarray, intercept: float, n: int, m: int) -> None:
-    """theta = max(theta, <v, x> + intercept) at every point x of the whole
-    slice, theta in rank order."""
-    for rank, sums in _tail_sums(v, n, m, intercept):
-        part = theta[rank : rank + len(sums)]
-        np.maximum(part, sums, out=part)
+def _row_masked(scores, rows: Sequence[LinearRow], n: int, m: int):
+    """scores, (start, block) pairs over the whole slice in rank order, with
+    +inf at every point that violates one of rows; each row's left-hand
+    sides are tail sums, computed in step with the blocks."""
+    feeds = [_tail_sums(row.coeffs, n, m) for row in rows]
+    for start, block in scores:
+        for row, feed in zip(rows, feeds):
+            np.putmask(block, ~row.holds(next(feed)[1]), np.inf)
+        yield start, block
 
 
 def _fold_rows(theta: np.ndarray, rows: Sequence[LinearRow], n: int, m: int) -> None:
     """theta = +inf at every point of the whole slice that violates one of
     rows, theta in rank order."""
-    for row in rows:
-        for rank, lhs in _tail_sums(row.coeffs, n, m):
-            np.copyto(theta[rank : rank + len(lhs)], np.inf, where=~row.holds(lhs))
+    for _ in _row_masked(((b.start, theta[b]) for b in _blocks(len(theta))), rows, n, m):
+        pass
 
 
-def _masked_minimum(scores, theta: np.ndarray, limit: float):
-    """(i, s): s is the least of scores[i] over the indices i with
-    theta[i] <= limit, and i the first index that reaches it; None when there
-    is no such index. scores come as (start, block) pairs in index order,
-    block holding scores[start : start + len(block)], and are overwritten."""
+def _masked(scores, theta: np.ndarray, limit: float):
+    """scores, (start, block) pairs in index order, with +inf at the indices
+    i with theta[i] > limit."""
+    for start, block in scores:
+        np.putmask(block, theta[start : start + len(block)] > limit, np.inf)
+        yield start, block
+
+
+def _first_minimum(scores):
+    """(i, s): s is the least of scores, and i the first index that reaches
+    it; None when every score is +inf. scores come as (start, block) pairs in
+    index order, block holding scores[start : start + len(block)]."""
     best_i, best = None, np.inf
     for start, block in scores:
-        np.copyto(block, np.inf, where=theta[start : start + len(block)] > limit)
-        i = int(np.argmin(block))
+        i = int(block.argmin())
         if block[i] < best:
             best_i, best = start + i, float(block[i])
     return None if best_i is None else (best_i, best)
@@ -496,51 +543,44 @@ def _point(rank: int, n: int, m: int) -> np.ndarray:
     return x
 
 
-def _compact_whole(theta: np.ndarray, limit: float, count: int, n: int, m: int):
-    """_compact for the whole slice: theta cut to the count points with
-    theta <= limit, and their packed rows, unranked into a table of their
-    size some _BLOCK ranks at a time."""
-    table = np.empty(((n + 7) // 8, count), dtype=np.uint8)
-    pending: list = []  # kept ranks not yet unranked
+def _survivors(theta: np.ndarray, limit: float):
+    """The indices i with theta[i] <= limit, in ascending chunks of a block
+    each; a block is read only when its chunk is asked for."""
+    for b in _blocks(len(theta)):
+        yield (theta[b] <= limit).nonzero()[0] + b.start
+
+
+def _compact(chunks, count: int, theta: np.ndarray, table, n: int, m: int):
+    """(table, theta) cut to the count kept points, whose indices come in
+    ascending chunks, which are moved _BLOCK or more at a time. Each kept
+    point moves forward in place, so that the chunks may be read off theta
+    as this runs. The whole slice (table None) gets a new table of the kept
+    points alone, unranked. Once at most 1/16 of the points is kept, what is
+    cut is copied, so that the memory of the rest is returned at the cost of
+    a small copy held beside it for a moment."""
+    whole = table is None
+    if whole:
+        table = np.empty(((n + 7) // 8, count), dtype=np.uint8)
     filled = 0
 
-    def unrank_pending():
+    def move(kept):
         nonlocal filled
-        ranks = np.concatenate(pending)
-        table[:, filled : filled + len(ranks)] = _unrank(ranks, n, m)
-        filled += len(ranks)
-        pending.clear()
+        moved = slice(filled, filled + len(kept))
+        theta[moved] = theta[kept]
+        table[:, moved] = _unrank(kept, n, m) if whole else table[:, kept]
+        filled = moved.stop
 
-    def keep(block):
-        mask = theta[block] <= limit
-        pending.append(np.flatnonzero(mask) + block.start)
+    pending: list = []
+    for chunk in chunks:
+        pending.append(chunk)
         if sum(map(len, pending)) >= _BLOCK:
-            unrank_pending()
-        return mask
-
-    (theta,) = _compact(keep, theta)
+            move(np.concatenate(pending))
+            pending.clear()
     if pending:
-        unrank_pending()
-    return table, theta
-
-
-def _compact(keep, *arrays):
-    """Keep the points (last-axis entries) where keep(block) holds, moved
-    forward block by block in place; returns the arrays cut to the kept
-    points. Once at most 1/16 of them is kept they are copied, so that the
-    memory of the rest is returned at the cost of a small copy held beside
-    it for a moment."""
-    total = arrays[0].shape[-1]
-    kept = 0
-    for block in _blocks(total):
-        mask = keep(block)
-        count = int(np.count_nonzero(mask))
-        for a in arrays:
-            a[..., kept : kept + count] = np.compress(mask, a[..., block], axis=-1)
-        kept += count
-    if 16 * kept > total:
-        return tuple(a[..., :kept] for a in arrays)
-    return tuple(a[..., :kept].copy() for a in arrays)
+        move(pending[0] if len(pending) == 1 else np.concatenate(pending))
+    if 16 * count > len(theta):
+        return table[:, :count], theta[:count]
+    return (table if whole else table[:, :count].copy()), theta[:count].copy()
 
 
 def _lut(v: np.ndarray, n_bytes: int) -> np.ndarray:
@@ -568,6 +608,50 @@ def _satisfied(rows: Sequence[LinearRow], x: np.ndarray) -> bool:
     if isinstance(rows, CutRows):
         return rows.satisfied_by(x)
     return all(row.satisfied_by(x) for row in rows)
+
+
+# fd 1 is pointed at fd 2 while any HiGHS solve runs: HiGHS prints stray
+# debug lines through C stdio even with output off. Solves on several threads
+# share one redirect, kept by a count of the solves inside it.
+_STDOUT_LOCK = threading.Lock()
+_stdout_users = 0
+_stdout_saved = -1  # a duplicate of fd 1 as it was before the redirect
+_LIBC = ctypes.CDLL(None) if os.name == "posix" else None
+if _LIBC is not None:
+    _LIBC.fflush.argtypes = [ctypes.c_void_p]
+    _LIBC.fflush.restype = ctypes.c_int
+
+
+def _flush_c_stdio() -> None:
+    """Flush every C stdio stream (fflush(NULL)), HiGHS's among them."""
+    if _LIBC is not None:
+        _LIBC.fflush(None)
+
+
+@contextlib.contextmanager
+def _stdout_to_stderr():
+    """Point fd 1 at fd 2 for the duration; the first of overlapping callers
+    saves fd 1 and the last one restores it. What is buffered for stdout is
+    flushed before the redirect, and C stdio after it, so that each line
+    lands on the stream that was fd 1 when it was printed."""
+    global _stdout_users, _stdout_saved
+    with _STDOUT_LOCK:
+        if _stdout_users == 0:
+            if sys.stdout is not None:
+                sys.stdout.flush()
+            _flush_c_stdio()
+            _stdout_saved = os.dup(1)
+            os.dup2(2, 1)
+        _stdout_users += 1
+    try:
+        yield
+    finally:
+        with _STDOUT_LOCK:
+            _stdout_users -= 1
+            if _stdout_users == 0:
+                _flush_c_stdio()
+                os.dup2(_stdout_saved, 1)
+                os.close(_stdout_saved)
 
 
 class HighsBackend(MilpBackend):
@@ -609,9 +693,14 @@ class HighsBackend(MilpBackend):
         with warnings.catch_warnings():
             # mip_abs_gap is forwarded to HiGHS verbatim; silence scipy's note
             warnings.filterwarnings("ignore", message="Unrecognized options detected")
-            res = self._milp(
-                c, constraints=constraints, integrality=integrality, bounds=bounds, options=options
-            )
+            with _stdout_to_stderr():
+                res = self._milp(
+                    c,
+                    constraints=constraints,
+                    integrality=integrality,
+                    bounds=bounds,
+                    options=options,
+                )
         elapsed = time.perf_counter() - t0
         if res.status == 0:
             kind = StatusKind.OPTIMAL

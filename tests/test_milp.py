@@ -1,4 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+import threading
 import time
 import tracemalloc
 from math import comb
@@ -29,6 +34,7 @@ from gradcut.milp import (
 )
 from gradcut.model import (
     FEAS_TOL,
+    Cut,
     CutOracle,
     CutRows,
     FeasibleDomain,
@@ -238,17 +244,22 @@ class TestCardinalityOptimumFirst:
 
 class ScriptedMilp:
     """Stands in for scipy.optimize.milp: replays scripted answers in order and
-    records the options and the constraints of every call."""
+    records the options and the constraints of every call; before, when
+    given, is called inside every call, as a solver's own output would be
+    printed."""
 
-    def __init__(self, *answers, delay=0.0):
+    def __init__(self, *answers, delay=0.0, before=None):
         self.answers = list(answers)
         self.options = []
         self.constraints = []
         self.delay = delay
+        self.before = before
 
     def __call__(self, c, constraints, integrality, bounds, options):
         self.options.append(dict(options))
         self.constraints.append(constraints)
+        if self.before is not None:
+            self.before()
         time.sleep(self.delay)
         return self.answers.pop(0)
 
@@ -267,9 +278,9 @@ def cp_answer(status, theta, dual=None, message="scripted"):
     )
 
 
-def scripted_highs(monkeypatch, *answers, delay=0.0):
+def scripted_highs(monkeypatch, *answers, delay=0.0, before=None):
     backend = HighsBackend()
-    stub = ScriptedMilp(*answers, delay=delay)
+    stub = ScriptedMilp(*answers, delay=delay, before=before)
     monkeypatch.setattr(backend, "_milp", stub)
     return backend, stub
 
@@ -457,6 +468,125 @@ def test_highs_points_carry_no_negative_zero(monkeypatch):
 class ErroringBackend(BruteForceBackend):
     def solve_linear(self, cost, dom, rows, budget):
         return MilpResult(status=MilpStatus(StatusKind.ERROR, "scripted failure"))
+
+
+def test_highs_output_lands_on_stderr(monkeypatch, capfd):
+    # what the solver writes to fd 1 goes to stderr; fd 1 is restored after
+    dom = FeasibleDomain(n=3, m=1)
+    backend, _ = scripted_highs(
+        monkeypatch, cp_answer(0, 1.0), before=lambda: os.write(1, b"stray solver line\n")
+    )
+    print("before")
+    assert backend.solve_cp(TestHighsRetryLadder.oracle, dom, 30.0).ok
+    print("after")
+    out, err = capfd.readouterr()
+    assert out == "before\nafter\n"
+    assert err == "stray solver line\n"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="prints through the C library's stdout")
+def test_buffered_c_output_of_a_solve_lands_on_stderr():
+    # C stdio holds what it prints to a pipe in a buffer (unless Python runs
+    # unbuffered, so a fresh process runs the check): that buffer is flushed
+    # onto stderr before fd 1 is restored, not later onto stdout
+    script = textwrap.dedent(
+        """
+        import ctypes
+        from gradcut import milp
+        libc = ctypes.CDLL(None)
+        libc.puts.argtypes = [ctypes.c_char_p]
+        with milp._stdout_to_stderr():
+            libc.puts(b"stray buffered line")
+        print("after")
+        """
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = os.path.dirname(os.path.dirname(milp.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, timeout=60, check=True
+    )
+    assert done.stdout == b"after\n"
+    assert done.stderr == b"stray buffered line\n"
+
+
+def test_overlapping_highs_solves_restore_stdout(monkeypatch, capfd):
+    # two solves on two threads are both inside the solver when either
+    # writes: the first one out must not restore fd 1 under the other, and
+    # the last one out must restore it
+    dom = FeasibleDomain(n=3, m=1)
+    inside = threading.Barrier(2, timeout=30.0)
+    first_out = threading.Event()
+
+    def chatter(name, wait_for=None):
+        def before():
+            inside.wait()
+            if wait_for is not None:
+                assert wait_for.wait(30.0)
+            os.write(1, f"stray line from {name}\n".encode())
+
+        return before
+
+    a, _ = scripted_highs(monkeypatch, cp_answer(0, 1.0), before=chatter("a"))
+    b, _ = scripted_highs(monkeypatch, cp_answer(0, 1.0), before=chatter("b", first_out))
+    results = {}
+
+    def solve(name, backend, done=None):
+        results[name] = backend.solve_cp(TestHighsRetryLadder.oracle, dom, 30.0)
+        if done is not None:
+            done.set()
+
+    threads = [
+        threading.Thread(target=solve, args=("a", a, first_out)),
+        threading.Thread(target=solve, args=("b", b)),
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60.0)
+        assert not t.is_alive()
+    assert results["a"].ok and results["b"].ok
+    print("after")
+    out, err = capfd.readouterr()
+    assert out == "after\n"
+    assert sorted(err.splitlines()) == ["stray line from a", "stray line from b"]
+
+
+def test_many_threads_of_highs_solves_restore_stdout(monkeypatch, capfd):
+    # more threads than cores, switching often: every solve's line lands on
+    # stderr, and fd 1 is stdout again once all are done
+    dom = FeasibleDomain(n=3, m=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        backends = [
+            scripted_highs(
+                monkeypatch,
+                *[cp_answer(0, 1.0)] * 50,
+                before=lambda k=k: os.write(1, f"stray line from {k}\n".encode()),
+            )[0]
+            for k in range(6)
+        ]
+        solved = []
+
+        def solve(backend):
+            for _ in range(50):
+                solved.append(backend.solve_cp(TestHighsRetryLadder.oracle, dom, 30.0).ok)
+
+        threads = [threading.Thread(target=solve, args=(b,)) for b in backends]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60.0)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert solved == [True] * 300
+    print("after")
+    out, err = capfd.readouterr()
+    assert out == "after\n"
+    lines = [f"stray line from {k}" for k in range(6) for _ in range(50)]
+    assert sorted(err.splitlines()) == lines
 
 
 def test_check_nonempty_raises_on_any_backend_error():
@@ -743,9 +873,10 @@ def test_runs_on_the_enumerator_build_no_linear_row(monkeypatch):
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=10, deadline=None)
 def test_whole_slice_fold_by_tails_matches_the_byte_lookup(n, m, seed):
-    """With blocks of 7 points the whole slice spans several blocks; every cut
-    folds by tail sums, to the values the byte lookup of the packed table
-    gives, and the lower bound is the first minimizer of a plain scan."""
+    """With blocks of 7 points the whole slice spans several blocks; the
+    lower bound's sweep folds every cut by tail sums, to the values the byte
+    lookup of the packed table gives, and its argmin is the first minimizer
+    of a plain scan."""
     rng = np.random.default_rng(seed)
     obj = random_psd_objective(rng, n)
     dom = FeasibleDomain(n=n, m=m)
@@ -756,13 +887,10 @@ def test_whole_slice_fold_by_tails_matches_the_byte_lookup(n, m, seed):
         [milp._scores(table, milp._lut(c.grad, len(table))) + c.intercept for c in oracle], axis=0
     )
     tails = BruteForceBackend()
-    with (
-        mock.patch.object(milp, "_BLOCK", 7),
-        mock.patch.object(milp, "_fold_by_tails", wraps=milp._fold_by_tails) as fold,
-    ):
+    with mock.patch.object(milp, "_BLOCK", 7):
         got = tails.solve_cp(oracle, dom, 30.0)
-    assert fold.call_count == len(oracle)
     assert tails._sets.table is None
+    assert tails._sets.n_cuts == len(oracle)
     np.testing.assert_allclose(tails._sets.theta, lookup, rtol=0.0, atol=1e-12)
     want = min((max(c.grad @ p + c.intercept for c in oracle), i) for i, p in enumerate(pts))
     np.testing.assert_array_equal(got.x, pts[want[1]])
@@ -779,46 +907,183 @@ def test_whole_slice_builds_no_packed_table():
         backend = BruteForceBackend()
         with (
             mock.patch.object(milp, "_unrank", wraps=milp._unrank) as unrank,
-            mock.patch.object(milp, "_compact_whole", wraps=milp._compact_whole) as compact,
+            mock.patch.object(milp, "_compact", wraps=milp._compact) as compact,
         ):
             out = run(inst.obj, inst.dom, default_x0(inst.dom, backend),
                       SolverConfig.from_name(config), backend)
         assert out.status.value == "eps_optimal"
         assert backend._sets.table is not None  # the run compacted
-        assert compact.call_count == 1
-        kept = compact.call_args.args[2]
+        # (chunks, count, theta, table, n, m): one compaction of the whole slice
+        firsts = [c.args for c in compact.call_args_list if c.args[3] is None]
+        assert len(firsts) == 1
+        kept = firsts[0][1]
         assert 0 < sum(len(c.args[0]) for c in unrank.call_args_list) <= kept < comb(30, 6)
 
 
 def test_first_compaction_stays_within_the_state_budget():
-    """A lower bound, a level-set query, a first compaction that keeps about
-    7/8 of a multi-block slice and a level-set query after it peak within the
-    (ceil(n/8) + 8) bytes per point that enumerable() admits: theta and a
-    table of the survivors only, never a table of the whole slice or a copy
-    of a level set beside them."""
+    """A lower bound, a level-set query, a first compaction and a level-set
+    query after it peak within the (ceil(n/8) + 8) bytes per point that
+    enumerable() admits: theta and a table of the survivors only, never a
+    table of the whole slice or a copy of a level set beside them. The
+    compaction keeps about 7/8 of a multi-block slice, moved by a rescan of
+    theta, or 3 % of it, moved by the ranks the lower bound's sweep
+    recorded."""
     n, m = 28, 5
     dom = FeasibleDomain(n=n, m=m)
     size = comb(n, m)
     cut = make_cut(random_psd_objective(np.random.default_rng(3), n), default_x0(dom))
     whole = BruteForceBackend()
     whole.solve_cp([cut], dom, 30.0)
-    ub = float(np.quantile(whole._sets.theta, 0.86))
+    theta = whole._sets.theta
     del whole
+    for share, rescans, low, high in [(0.86, 1, 0.8, 7 / 8), (0.03, 0, 0.02, 1 / 16)]:
+        ub = float(np.quantile(theta, share))
+        backend = BruteForceBackend()
+        oracle = CutOracle([cut])
+        with (
+            mock.patch.object(milp, "_BLOCK", 256),
+            mock.patch.object(milp, "_survivors", wraps=milp._survivors) as rescan,
+        ):
+            tracemalloc.start()
+            try:
+                backend.solve_cp(oracle, dom, 30.0)
+                level = CutRows(oracle, ub)
+                assert backend._solve_linear(np.linspace(-1.0, 1.0, n), dom, level, 30.0).ok
+                backend.solve_cp(oracle, dom, 30.0, ub=ub)
+                assert backend._solve_linear(np.linspace(1.0, -1.0, n), dom, level, 30.0).ok
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        kept = backend._sets.table.shape[1]
+        assert low * size < kept < high * size
+        assert rescan.call_count == rescans
+        assert peak <= ((n + 7) // 8 + 8) * size + 64_000
+
+
+def test_a_query_the_state_cannot_read_stays_within_the_state_budget():
+    """A projection under rows that are no level set of the held state, here
+    a plain row, beside a held n=28 m=5 state, peaks within the bytes that
+    enumerable() admits: it checks the row block by block, by tail sums
+    taken in step with the cost's, and makes no theta of the slice."""
+    n, m = 28, 5
+    dom = FeasibleDomain(n=n, m=m)
+    size = comb(n, m)
+    rng = np.random.default_rng(4)
+    cut = make_cut(random_psd_objective(rng, n), default_x0(dom))
+    row = LinearRow(rng.uniform(-1.0, 1.0, size=n), "<=", -0.5)
+    cost = rng.uniform(-1.0, 1.0, size=n)
     backend = BruteForceBackend()
-    oracle = CutOracle([cut])
     with mock.patch.object(milp, "_BLOCK", 256):
+        backend.solve_cp(CutOracle([cut]), dom, 30.0)
         tracemalloc.start()
         try:
-            backend.solve_cp(oracle, dom, 30.0)
-            assert backend._solve_linear(np.linspace(-1.0, 1.0, n), dom, CutRows(oracle, ub), 30.0).ok
-            backend.solve_cp(oracle, dom, 30.0, ub=ub)
-            assert backend._solve_linear(np.linspace(1.0, -1.0, n), dom, CutRows(oracle, ub), 30.0).ok
+            got = backend._solve_linear(cost, dom, [row], 30.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    kept = backend._sets.table.shape[1]
-    assert 0.8 * size < kept < 7 / 8 * size
-    assert peak <= ((n + 7) // 8 + 8) * size + 64_000
+    assert backend._sets.table is None and len(backend._sets.theta) == size
+    assert peak + backend._sets.theta.nbytes <= ((n + 7) // 8 + 8) * size + 64_000
+    # the answer of a plain scan, over the points that satisfy the row
+    pts = slice_points(n, m)
+    feasible = row.holds(pts @ row.coeffs)
+    values = np.where(feasible, pts @ cost, np.inf)
+    assert got.ok
+    assert got.objective == pytest.approx(values.min(), abs=1e-12)
+    assert row.satisfied_by(got.x)
+    assert got.x @ cost == pytest.approx(values.min(), abs=1e-12)
+
+
+def whole_number_cut(rng, n):
+    """A cut with whole-number data: theta is exact at every point, and equal
+    values, so ties across blocks, are common."""
+    return Cut(
+        anchor=rng.integers(0, 2, size=n).astype(float),
+        grad=rng.integers(-3, 4, size=n).astype(float),
+        value=float(rng.integers(-3, 4)),
+    )
+
+
+def level_keeping(values, share):
+    """The largest of values whose level set holds at most share of them;
+    None when even the least one is too many."""
+    ordered = np.sort(values)
+    distinct = np.unique(ordered[np.isfinite(ordered)])
+    held = np.searchsorted(ordered, distinct, side="right")
+    fit = distinct[held <= share * len(values)]
+    return float(fit[-1]) if len(fit) else None
+
+
+@pytest.mark.parametrize("keep", ["few", "many", "above"])
+@pytest.mark.parametrize("with_domain_row", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_lower_bound_sweep_matches_a_plain_scan(keep, with_domain_row, seed):
+    """After every lower bound, theta, the first minimizer, whether the state
+    compacted and its table are those of a plain scan over the slice, with
+    blocks of 7 points and whole-number cuts, whose theta ties across
+    blocks. keep picks ub: a level keeping fewer than 1/16 of the points
+    from the first ub on (the compaction moves the ranks the sweep
+    recorded); half of them first and fewer than 1/16 after that (the
+    first compaction rescans theta); or one below the least theta, where
+    nothing is dropped though every point is above ub."""
+    rng = np.random.default_rng(seed)
+    n, m = 10, 4
+    pts = slice_points(n, m)
+    rows = ()
+    violated = np.zeros(len(pts), dtype=bool)
+    if with_domain_row:
+        coeffs = rng.integers(-2, 3, size=n).astype(float)
+        lhs = pts @ coeffs
+        rows = (LinearRow(coeffs, "<=", float(np.median(lhs))),)
+        violated = lhs > np.median(lhs)
+        assert 0 < np.count_nonzero(violated) < len(pts)
+    dom = FeasibleDomain(n=n, m=m, extra_rows=rows)
+    backend = BruteForceBackend()
+    oracle = CutOracle()
+    held = np.arange(len(pts))  # the plain scan's survivors, as ranks
+    feeds = []  # per compaction, whether it rescanned theta
+    ub = None
+    with (
+        mock.patch.object(milp, "_BLOCK", 7),
+        mock.patch.object(milp, "_survivors", wraps=milp._survivors) as rescan,
+    ):
+        for step in range(6):
+            for _ in range(int(rng.integers(1, 3))):
+                oracle.add(whole_number_cut(rng, n))
+            theta = np.max([pts @ c.grad + c.intercept for c in oracle], axis=0)
+            theta[violated] = np.inf
+            live = theta[held]
+            if step > 0:
+                if keep == "above":
+                    level = float(live.min()) - 1.0
+                else:
+                    level = level_keeping(live, 0.5 if keep == "many" and step == 1 else 1 / 32)
+                ub = min(x for x in (ub, level) if x is not None)
+            rescans = rescan.call_count
+            res = backend.solve_cp(oracle, dom, 30.0, ub=ub)
+            i = int(np.argmin(live))
+            assert res.objective == live[i]
+            np.testing.assert_array_equal(res.x, pts[held[i]])
+            if ub is not None:
+                alive = live <= ub + FEAS_TOL
+                if live[i] <= ub + FEAS_TOL and 8 * np.count_nonzero(~alive) >= len(live):
+                    # theta is rescanned exactly when more than 1/16 is kept
+                    rescanned = rescan.call_count - rescans
+                    assert rescanned == (16 * np.count_nonzero(alive) > len(live))
+                    feeds.append(rescanned)
+                    held = held[alive]
+            sets = backend._sets
+            np.testing.assert_array_equal(sets.theta, theta[held])
+            if feeds:
+                np.testing.assert_array_equal(decoded(sets.table, n), pts[held])
+            else:
+                assert sets.table is None
+    if keep == "above":
+        assert feeds == []
+        assert len(sets.theta) == len(pts) and ub < sets.theta.min()
+    else:
+        # the first compaction rescans in "many" only; a later one moves
+        # recorded ranks
+        assert feeds[0] == (keep == "many") and 0 in feeds
 
 
 def cp_answer_at(n, m, theta):
