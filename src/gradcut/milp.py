@@ -73,7 +73,6 @@ class MilpResult:
     status: MilpStatus
     x: Optional[np.ndarray] = None
     objective: Optional[float] = None
-    solve_time: float = 0.0
     dual_bound: Optional[float] = None
 
     @property
@@ -121,10 +120,9 @@ class MilpBackend(abc.ABC):
         lowest index -- is tried first. When it satisfies every row it is
         optimal for the full problem, and no solver runs.
         """
-        t0 = time.perf_counter()
         cost = np.asarray(cost, dtype=float)
         x = np.zeros(dom.n)
-        x[np.argsort(cost, kind="stable")[: dom.m]] = 1.0
+        x[cost.argsort(kind="stable")[: dom.m]] = 1.0
         if all(row.satisfied_by(x) for row in dom.extra_rows) and _satisfied(rows, x):
             obj = float(cost @ x)
             return MilpResult(
@@ -132,7 +130,6 @@ class MilpBackend(abc.ABC):
                 x=x,
                 objective=obj,
                 dual_bound=obj,
-                solve_time=time.perf_counter() - t0,
             )
         return self._solve_linear(cost, dom, rows, budget)
 
@@ -169,17 +166,20 @@ class BruteForceBackend(MilpBackend):
     Points are scanned in lexicographic order of their chosen index tuples, so
     ties always resolve to the first minimizer. The backend holds the
     _LevelSets of one run: theta, the cut model at every point of the slice,
-    +inf where a point violates a row of the domain. A lower bound is one
-    sweep over theta's blocks (_LevelSets.lower_bound): it folds in the new
-    cuts, takes the first argmin and counts and records the points that
-    survive ub. Every other query is one masked pass: the cost's value at
-    each point, a block at a time, masked by a limit on theta. The cut rows
-    of the run (CutRows at a level no higher than its ub) are that level set
-    of theta, answered without reading a row. Any other rows are checked in
-    each block, against their own tail sums computed in step with the
-    cost's. The state fits the ENUM_STATE_BYTES budget. A pass over it
-    allocates block-sized buffers and, for each cost, cut or row it sums by
-    tails, one array of C(n - 1, m - 1) values.
+    +inf where a point violates a row of the domain. A slice of at most
+    _BLOCK (32,768) points is held as its packed table from the start, and
+    drops its dead points by a mask; the whole state and the in-place moves
+    serve slices of several blocks. A lower bound is one sweep over theta's
+    blocks (_LevelSets.lower_bound): it folds in the new cuts, takes the
+    first argmin and counts and records the points that survive ub. Every
+    other query is one masked pass: the cost's value at each point, a block
+    at a time, masked by a limit on theta. The cut rows of the run (CutRows
+    at a level no higher than its ub) are that level set of theta, answered
+    without reading a row. Any other rows are checked in each block, against
+    their own tail sums computed in step with the cost's. The state fits the
+    ENUM_STATE_BYTES budget. A pass over it allocates block-sized buffers
+    and, for each cost, cut or row it sums by tails, one array of
+    C(n - 1, m - 1) values.
     """
 
     name = "bruteforce"
@@ -189,7 +189,6 @@ class BruteForceBackend(MilpBackend):
         self._sets: Optional[_LevelSets] = None
 
     def _solve_linear(self, cost, dom, rows, budget):
-        t0 = time.perf_counter()
         sets = self._sets
         if sets is not None and sets.reads(rows, dom):
             found = sets.argmin(cost, rows.level)
@@ -201,23 +200,18 @@ class BruteForceBackend(MilpBackend):
             if found is not None:
                 found = (_point(found[0], n, m), found[1])
         if found is None:
-            return MilpResult(
-                status=MilpStatus(StatusKind.INFEASIBLE, "no feasible point"),
-                solve_time=time.perf_counter() - t0,
-            )
+            return MilpResult(status=MilpStatus(StatusKind.INFEASIBLE, "no feasible point"))
         x, obj = found
         return MilpResult(
             status=MilpStatus(StatusKind.OPTIMAL),
             x=x,
             objective=obj,
             dual_bound=obj,
-            solve_time=time.perf_counter() - t0,
         )
 
     def solve_cp(self, cuts, dom, budget, upper_limit=None, ub=None, tight=False):
         # exact: the limit can never be violated and there is no tolerance to
         # tighten, so neither upper_limit nor tight is consulted
-        t0 = time.perf_counter()
         if len(cuts) == 0:
             raise ValueError("cutting-plane model requires a nonempty oracle")
         sets = self._sets
@@ -228,17 +222,13 @@ class BruteForceBackend(MilpBackend):
         new = slice(sets.n_cuts, None)
         found = sets.lower_bound(grads[new], values[new] - grad_dot_anchor[new], ub)
         if found is None:
-            return MilpResult(
-                status=MilpStatus(StatusKind.INFEASIBLE, "empty domain"),
-                solve_time=time.perf_counter() - t0,
-            )
+            return MilpResult(status=MilpStatus(StatusKind.INFEASIBLE, "empty domain"))
         x, obj = found
         return MilpResult(
             status=MilpStatus(StatusKind.OPTIMAL),
             x=x,
             objective=obj,
             dual_bound=obj,
-            solve_time=time.perf_counter() - t0,
         )
 
 
@@ -248,39 +238,44 @@ class _LevelSets:
 
     theta[i] is the max over the first n_cuts cuts of the oracle of
     <grad, x_i> + intercept at the i-th surviving point, in lexicographic
-    order, or +inf where x_i violates a row of the domain. A point whose
-    theta exceeds ub + FEAS_TOL is dead: theta only grows and ub only falls
-    during a run, so it can never again be a lower-bound argmin or lie in a
-    level set theta <= ub - tau. Only a CutOracle, whose cuts can only be
-    appended, has its state serve later calls.
+    order, or +inf where x_i violates a row of the domain; the first lower
+    bound writes it. A point whose theta exceeds ub + FEAS_TOL is dead:
+    theta only grows and ub only falls during a run, so it can never again
+    be a lower-bound argmin or lie in a level set theta <= ub - tau. Only a
+    CutOracle, whose cuts can only be appended, has its state serve later
+    calls.
 
-    The state has two forms:
+    Points are held in one of two ways:
 
-    - whole (table is None): from construction until the lower bound that
-      first drops points, every point of the slice is held, and theta[r] is
-      at the point of lexicographic rank r. Values at the points are the
-      tail sums of _tail_sums, the lower bound's argmin is unranked, and no
-      point is stored.
-    - compacted: from that lower bound on, table holds the surviving points
-      as packed bit rows (the np.packbits layout, ceil(n/8) bytes each), one
-      column per point; the first compaction unranks only the survivors
-      into it. Values at the points come by byte lookup.
+    - as a table: packed bit rows (the np.packbits layout, ceil(n/8) bytes
+      each), one column per point, whose values come by byte lookup. A slice
+      of at most _BLOCK points starts as its table, unranked once, as a
+      first compaction that keeps every point would; so does every state
+      that a compaction leaves with at most _BLOCK points.
+    - whole (table is None): a slice of several blocks starts with every
+      point held, theta[r] at the point of lexicographic rank r, its values
+      the tail sums of _tail_sums, and no point stored, until the first
+      compaction unranks only the survivors.
 
-    Each lower bound is one sweep over theta's blocks, fed by the new cuts'
-    values (scores), and each level set theta <= level one masked pass over
-    the cost's. theta and table never take more than ceil(n/8) + 8 bytes per
-    point of the slice, the size enumerable() admits; a sweep adds at most
-    the int64 ranks of 1/16 of the points, 0.5 bytes a point, and a pass
-    block-sized buffers only.
+    Each lower bound calls _step once per block of theta, so once for a
+    state of one block; each level set theta <= level is one masked lookup
+    on a state of one block, and one masked pass a block at a time on a
+    larger one. A state of one block drops its dead points by a boolean
+    mask, which copies the survivors beside it for a moment. A larger one
+    moves its survivors forward in place (_compact), by the indices its
+    sweep recorded or else by a rescan of theta, so that theta and table
+    never take more than ceil(n/8) + 8 bytes per point of the slice, the
+    size enumerable() admits; a sweep adds at most the int64 indices of 1/16
+    of the points, 0.5 bytes a point, and a pass block-sized buffers only.
     """
 
     def __init__(self, dom: FeasibleDomain, cuts: Sequence[Cut]):
         _require_enumerable(dom.n, dom.m)
         self.dom = dom
         self.oracle = cuts if isinstance(cuts, CutOracle) else None
-        self.table = None
-        self.theta = np.full(comb(dom.n, dom.m), -np.inf)
-        _fold_rows(self.theta, dom.extra_rows, dom.n, dom.m)
+        total = comb(dom.n, dom.m)
+        self.table = _unrank(np.arange(total), dom.n, dom.m) if total <= _BLOCK else None
+        self.theta = np.empty(total)  # written by the first lower bound
         self.theta_min = -np.inf  # set by each lower bound
         self.n_cuts = 0
         self.ub = np.inf
@@ -306,72 +301,84 @@ class _LevelSets:
             return _point(i, self.dom.n, self.dom.m)
         return _decode(self.table[:, i], self.dom.n)
 
-    def scores(self, v: np.ndarray, base: float = 0.0):
-        """(start, block) pairs of <v, x> + base at the held points, in
-        order, _BLOCK points at a time: tail sums in the whole state, byte
-        lookup in the compacted one. Each block is a buffer the next one may
-        overwrite."""
-        if self.table is None:
-            return _tail_sums(v, self.dom.n, self.dom.m, base)
-        lut = _lut(v, len(self.table))
-
-        def lookup():
-            for b in _blocks(len(self.theta)):
-                block = _scores(self.table[:, b], lut)
-                if base:
-                    block += base
-                yield b.start, block
-
-        return lookup()
-
     def lower_bound(self, grads: np.ndarray, intercepts: np.ndarray, ub: Optional[float]):
         """Fold new cuts, given as gradient rows and intercepts, into theta,
         and return (x, theta(x)) at its first minimizer, or None when every
-        theta is +inf; in one sweep over theta's blocks.
+        theta is +inf: one _step on a state of one block, one sweep over the
+        blocks of a larger one. The first lower bound writes theta from its
+        cuts and sets +inf where the domain's rows are violated, their
+        left-hand sides taken with the cuts' values.
 
         With ub, lower the state's ub, and drop the dead points once they are
         an eighth of those held: until then no answer reads them, and keeping
-        them costs less than moving the others. The sweep counts the
+        them costs less than moving the others. A state of one block drops
+        them by its step's mask. The sweep of a larger one counts the
         survivors, and records their indices while they are at most 1/16 of
         the points, for the compaction to move; past that it rescans theta.
         A minimum above ub + FEAS_TOL (rounding) drops nothing, which is
         always valid.
         """
         total = len(self.theta)
-        limit = np.inf if ub is None else ub + FEAS_TOL
-        feeds = [self.scores(g, c) for g, c in zip(grads, intercepts)]
-        recorded: Optional[list] = []
-        kept = 0
-
-        def folded():
-            nonlocal recorded, kept
-            for b in _blocks(total):
-                theta = self.theta[b]
-                for feed in feeds:
-                    np.maximum(theta, next(feed)[1], out=theta)
-                if ub is not None:
-                    alive = theta <= limit
-                    count = int(np.count_nonzero(alive))
-                    if recorded is not None and 16 * (kept + count) <= total:
-                        recorded.append(alive.nonzero()[0] + b.start)
-                    else:
-                        recorded = None
-                    kept += count
-                yield b.start, theta
-
-        found = _first_minimum(folded())
-        self.n_cuts += len(intercepts)
-        self.theta_min = np.inf if found is None else found[1]
-        if found is not None:
-            found = (self.point(found[0]), found[1])
+        limit = None if ub is None else ub + FEAS_TOL
+        fresh = self.n_cuts == 0
+        rows = self.dom.extra_rows if fresh else ()
+        new = len(grads)
+        if rows:
+            grads = np.vstack([grads, *(row.coeffs for row in rows)])
+            intercepts = np.concatenate([intercepts, np.zeros(len(rows))])
+        if total <= _BLOCK:
+            values = [_scores(self.table, lut) for lut in _lut(grads, len(self.table), intercepts)]
+            best_i, best, alive = _step(self.theta, values, rows, fresh, limit)
+            kept = None if alive is None else int(np.count_nonzero(alive))
+        else:
+            best_i, best, kept, recorded = self._sweep(grads, intercepts, rows, fresh, limit)
+        self.n_cuts += new
+        self.theta_min = best
+        found = None if best == np.inf else (self.point(best_i), best)
         if ub is not None:
-            if self.theta_min <= limit and 8 * (total - kept) >= total:
-                chunks = recorded if recorded is not None else _survivors(self.theta, limit)
-                self.table, self.theta = _compact(
-                    chunks, kept, self.theta, self.table, self.dom.n, self.dom.m
-                )
+            if best <= limit and 8 * (total - kept) >= total:
+                if total <= _BLOCK:
+                    self.table = self.table.compress(alive, axis=1)
+                    self.theta = self.theta.compress(alive)
+                else:
+                    chunks = recorded if recorded is not None else _survivors(self.theta, limit)
+                    self.table, self.theta = _compact(
+                        chunks, kept, self.theta, self.table, self.dom.n, self.dom.m
+                    )
             self.ub = ub
         return found
+
+    def _sweep(self, grads, intercepts, rows, fresh: bool, limit: Optional[float]):
+        """lower_bound's pass over a state of several blocks: _step on each
+        block, fed by tail sums in the whole state and by byte lookup in the
+        compacted one. Returns (i, theta[i]) at the first argmin, and, with a
+        limit, the count of the points within it and their indices, a chunk
+        per block, while they are at most 1/16 of the points (None past
+        that)."""
+        total = len(self.theta)
+        if self.table is None:
+            n, m = self.dom.n, self.dom.m
+            feeds = [_tail_sums(g, n, m, c) for g, c in zip(grads, intercepts)]
+        else:
+            luts = _lut(grads, len(self.table), intercepts)
+        best_i, best = 0, np.inf
+        kept, recorded = 0, []
+        for b in _blocks(total):
+            if self.table is None:
+                values = [next(feed)[1] for feed in feeds]
+            else:
+                values = [_scores(self.table[:, b], lut) for lut in luts]
+            i, low, alive = _step(self.theta[b], values, rows, fresh, limit)
+            if low < best:
+                best_i, best = b.start + i, low
+            if alive is not None:
+                count = int(np.count_nonzero(alive))
+                if recorded is not None and 16 * (kept + count) <= total:
+                    recorded.append(alive.nonzero()[0] + b.start)
+                else:
+                    recorded = None
+                kept += count
+        return best_i, best, kept, recorded
 
     def argmin(self, cost: np.ndarray, level: float):
         """min <cost, x> over the level set theta <= level, or None when empty.
@@ -379,22 +386,58 @@ class _LevelSets:
         The set is empty exactly when the model minimum exceeds the level, and
         then no point is read.
         """
-        if self.theta_min > level + FEAS_TOL:
+        limit = level + FEAS_TOL
+        if self.theta_min > limit:
             return None
-        found = _first_minimum(_masked(self.scores(cost), self.theta, level + FEAS_TOL))
+        total = len(self.theta)
+        if total <= _BLOCK:
+            values = _scores(self.table, _lut(cost, len(self.table)))
+            np.putmask(values, self.theta > limit, np.inf)
+            i = int(values.argmin())
+            found = None if values[i] == np.inf else (i, float(values[i]))
+        else:
+            if self.table is None:
+                blocks = _tail_sums(cost, self.dom.n, self.dom.m)
+            else:
+                lut = _lut(cost, len(self.table))
+                blocks = ((b.start, _scores(self.table[:, b], lut)) for b in _blocks(total))
+            found = _first_minimum(_masked(blocks, self.theta, limit))
         return None if found is None else (self.point(found[0]), found[1])
 
 
+def _step(theta, values, rows, fresh: bool, limit: Optional[float]):
+    """A lower bound's work on one block: fold values into theta, the block's
+    view of the state, and return (i, theta[i], alive), i the first argmin and
+    alive the mask of theta <= limit (None without a limit).
+
+    values holds, one array each, the new cuts' values at the block's points
+    and then the left-hand sides of rows, which set theta to +inf where they
+    are violated. With fresh, theta is written from the first cut instead of
+    raised by it."""
+    cuts = len(values) - len(rows)
+    if fresh:
+        theta[:] = values[0]
+    for v in values[int(fresh) : cuts]:
+        np.maximum(theta, v, out=theta)
+    for row, lhs in zip(rows, values[cuts:]):
+        np.putmask(theta, ~row.holds(lhs), np.inf)
+    i = int(theta.argmin())
+    return i, float(theta[i]), None if limit is None else theta <= limit
+
+
 # points read at a time, so that no array the size of the slice is made
-# besides theta and the packed table. On a 2-core machine, rounds of the five
-# configurations on an n=30 m=6 slice took 33.2, 32.2 and 31.4 ms (least of
-# 10) at 16k, 32k and 64k points, and 33.2, 32.5 and 32.4 ms in a second pass
-# of 16: past 32k the gain is within the noise, for twice the block buffers
+# besides theta and the packed table. A slice of at most this many points is
+# held as its table from the start and drops dead points by a mask; the whole
+# state and the in-place moves serve slices of several blocks. On a 2-core
+# machine, rounds of the five configurations on an n=30 m=6 slice took 33.2,
+# 32.2 and 31.4 ms (least of 10) at 16k, 32k and 64k points, and 33.2, 32.5
+# and 32.4 ms in a second pass of 16: past 32k the gain is within the noise,
+# for twice the block buffers
 _BLOCK = 32768
 
-# _BITS[b] is the byte b unpacked, most significant bit first: np.packbits
+# _BITS[:, b] is the byte b unpacked, most significant bit first: np.packbits
 # packs coordinates 8j .. 8j+7 into byte j, and _BIT[k] is the bit of 8j+k
-_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(float)
+_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[None, :], axis=0).astype(float)
 _BIT = np.array([128 >> k for k in range(8)], dtype=np.uint8)
 
 
@@ -464,13 +507,6 @@ def _row_masked(scores, rows: Sequence[LinearRow], n: int, m: int):
         for row, feed in zip(rows, feeds):
             np.putmask(block, ~row.holds(next(feed)[1]), np.inf)
         yield start, block
-
-
-def _fold_rows(theta: np.ndarray, rows: Sequence[LinearRow], n: int, m: int) -> None:
-    """theta = +inf at every point of the whole slice that violates one of
-    rows, theta in rank order."""
-    for _ in _row_masked(((b.start, theta[b]) for b in _blocks(len(theta))), rows, n, m):
-        pass
 
 
 def _masked(scores, theta: np.ndarray, limit: float):
@@ -583,12 +619,17 @@ def _compact(chunks, count: int, theta: np.ndarray, table, n: int, m: int):
     return (table if whole else table[:, :count].copy()), theta[:count].copy()
 
 
-def _lut(v: np.ndarray, n_bytes: int) -> np.ndarray:
+def _lut(v: np.ndarray, n_bytes: int, base=None) -> np.ndarray:
     """Lookup tables of <v, x> on packed rows: lut[j, b] is the share of byte j
-    when it holds the value b."""
-    padded = np.zeros(8 * n_bytes)
-    padded[: len(v)] = v
-    return padded.reshape(n_bytes, 8) @ _BITS.T
+    when it holds the value b. For the rows v[k] of a matrix, lut[k] are
+    v[k]'s, all from one product, and lut[k, 0] carries base[k] when given:
+    every point has one byte 0."""
+    padded = np.zeros(v.shape[:-1] + (8 * n_bytes,))
+    padded[..., : v.shape[-1]] = v
+    lut = np.dot(padded.reshape(-1, 8), _BITS).reshape(v.shape[:-1] + (n_bytes, 256))
+    if base is not None:
+        lut[:, 0] += base[:, None]
+    return lut
 
 
 def _scores(packed: np.ndarray, lut: np.ndarray) -> np.ndarray:
@@ -681,7 +722,6 @@ class HighsBackend(MilpBackend):
         self._milp = milp
 
     def _solve_once(self, c, constraints, integrality, bounds, budget, n, presolve, feas_tol=None):
-        t0 = time.perf_counter()
         options = {
             "time_limit": float(budget),
             "presolve": presolve,
@@ -701,7 +741,6 @@ class HighsBackend(MilpBackend):
                     bounds=bounds,
                     options=options,
                 )
-        elapsed = time.perf_counter() - t0
         if res.status == 0:
             kind = StatusKind.OPTIMAL
         elif res.status == 2:
@@ -720,7 +759,6 @@ class HighsBackend(MilpBackend):
             status=MilpStatus(kind, str(res.message)),
             x=x,
             objective=obj,
-            solve_time=elapsed,
             dual_bound=float(dual) if dual is not None else None,
         )
 

@@ -353,7 +353,7 @@ class CutRows(Sequence):
 
     def satisfied_by(self, x: np.ndarray) -> bool:
         """Whether x satisfies every row, as LinearRow.satisfied_by judges each."""
-        return len(self) == 0 or bool(np.all(self.coeffs @ x <= self.rhs + FEAS_TOL))
+        return len(self) == 0 or bool((self.coeffs @ x <= self.rhs + FEAS_TOL).all())
 
 
 def _check_dim(obj: QuadraticObjective, x) -> np.ndarray:

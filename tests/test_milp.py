@@ -655,14 +655,19 @@ class TestPointTable:
         ]
         lhs = pts @ np.array([row.coeffs for row in rows]).T
         violated = np.column_stack([lhs[:, 0] > 1.0, lhs[:, 1] < 1.0, lhs[:, 2] != 1.0])
-        # blocks of 3 points, so that a fold spans several
-        with mock.patch.object(milp, "_BLOCK", 3):
-            for fold in [[0], [1], [2], [0, 1, 2]]:
-                theta = np.zeros(len(pts))
-                milp._fold_rows(theta, [rows[j] for j in fold], n, m)
-                dropped = violated[:, fold].any(axis=1)
-                assert 0 < np.count_nonzero(dropped) < len(pts)
-                np.testing.assert_array_equal(theta, np.where(dropped, np.inf, 0.0))
+        # the first lower bound folds the rows in with a zero cut: by tail
+        # sums in blocks of 3 points, so that the fold spans several, and by
+        # byte lookup on the table of a slice of one block
+        for block in (3, len(pts)):
+            with mock.patch.object(milp, "_BLOCK", block):
+                for fold in [[0], [1], [2], [0, 1, 2]]:
+                    dom = FeasibleDomain(n=n, m=m, extra_rows=tuple(rows[j] for j in fold))
+                    sets = milp._LevelSets(dom, [])
+                    assert (sets.table is None) == (block < len(pts))
+                    sets.lower_bound(np.zeros((1, n)), np.zeros(1), None)
+                    dropped = violated[:, fold].any(axis=1)
+                    assert 0 < np.count_nonzero(dropped) < len(pts)
+                    np.testing.assert_array_equal(sets.theta, np.where(dropped, np.inf, 0.0))
 
 
 class TestCutValueCache:
@@ -752,11 +757,12 @@ def test_level_sets_replay_an_engine_run_like_a_plain_scan(with_domain_row, seed
     a run asks for them while cuts grow and ub falls, answered as a plain
     itertools scan answers them, with the points above ub dropped. Each level
     takes projections with several costs, and is asked again after the next
-    fold and compaction, latest first. The scans read blocks of a few points,
-    so their multi-block paths run. The state starts whole, with +inf at the
-    points a domain row drops: a row at the median drops half the slice, and
-    the first prune compacts; a loose one drops fewer than an eighth, and no
-    prune counts them enough to compact on their own."""
+    fold and compaction, latest first. Half the runs read blocks of a few
+    points, so that the multi-block paths run; the other half hold the slice
+    in one block, as its table from the start. The state starts with every
+    point, +inf at those a domain row drops: a row at the median drops half
+    the slice, and the first prune compacts; a loose one drops fewer than an
+    eighth, and no prune counts them enough to compact on their own."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 11))
     m = int(rng.integers(1, n))
@@ -771,15 +777,19 @@ def test_level_sets_replay_an_engine_run_like_a_plain_scan(with_domain_row, seed
         else:
             rhs = np.median(lhs)
         rows = (LinearRow(coeffs, "<=", float(rhs)),)
-    with mock.patch.object(milp, "_BLOCK", int(rng.integers(1, 5))):
+    size = comb(n, m)
+    one_block = rng.random() < 0.5
+    block = int(rng.integers(size, 2 * size + 1) if one_block else rng.integers(1, 5))
+    with mock.patch.object(milp, "_BLOCK", block):
         dom = FeasibleDomain(n=n, m=m, extra_rows=rows)
         pts = feasible_points(dom)
         if with_domain_row == "loose":
-            # the first lower bound, with no ub yet, leaves the state whole
+            # the first lower bound, with no ub yet, drops no point
             probe = BruteForceBackend()
             assert probe.solve_cp(CutOracle([make_cut(obj, pts[0])]), dom, 30.0).ok
-            assert probe._sets.table is None
-            assert np.count_nonzero(probe._sets.theta == np.inf) == comb(n, m) - len(pts)
+            assert (probe._sets.table is None) == (size > block)
+            assert len(probe._sets.theta) == size
+            assert np.count_nonzero(probe._sets.theta == np.inf) == size - len(pts)
         backend = BruteForceBackend()
         oracle = CutOracle()
         x = pts[int(rng.integers(len(pts)))]
@@ -920,6 +930,34 @@ def test_whole_slice_builds_no_packed_table():
         assert 0 < sum(len(c.args[0]) for c in unrank.call_args_list) <= kept < comb(30, 6)
 
 
+def test_a_slice_of_one_block_starts_as_its_table():
+    """A slice of at most _BLOCK points is held as its packed table from the
+    start: every configuration on an n=12 m=4 slice (495 points) runs with
+    no tail sum, no rescan of theta and no in-place move, and drops its dead
+    points by a mask. A slice of several blocks, n=30 m=6, still starts
+    whole: its first lower bound sums each cut by tails."""
+    inst = synth_instance(12, 4, "nonconvex_random", 0)
+    for config in CONFIG_NAMES:
+        backend = BruteForceBackend()
+        with (
+            mock.patch.object(milp, "_tail_sums", wraps=milp._tail_sums) as tails,
+            mock.patch.object(milp, "_survivors", wraps=milp._survivors) as rescan,
+            mock.patch.object(milp, "_compact", wraps=milp._compact) as compact,
+        ):
+            out = run(inst.obj, inst.dom, default_x0(inst.dom, backend),
+                      SolverConfig.from_name(config), backend)
+        assert out.status.value == "eps_optimal"
+        assert tails.call_count == rescan.call_count == compact.call_count == 0
+        assert len(backend._sets.theta) < comb(12, 4)  # the run dropped points
+    inst = synth_instance(30, 6, "mdp_like", 0)
+    backend = BruteForceBackend()
+    oracle = CutOracle([make_cut(inst.obj, default_x0(inst.dom, backend))])
+    with mock.patch.object(milp, "_tail_sums", wraps=milp._tail_sums) as tails:
+        assert backend.solve_cp(oracle, inst.dom, 30.0).ok
+    assert tails.call_count == 1
+    assert backend._sets.table is None and len(backend._sets.theta) == comb(30, 6)
+
+
 def test_first_compaction_stays_within_the_state_budget():
     """A lower bound, a level-set query, a first compaction and a level-set
     query after it peak within the (ceil(n/8) + 8) bytes per point that
@@ -1024,7 +1062,8 @@ def test_lower_bound_sweep_matches_a_plain_scan(keep, with_domain_row, seed):
     from the first ub on (the compaction moves the ranks the sweep
     recorded); half of them first and fewer than 1/16 after that (the
     first compaction rescans theta); or one below the least theta, where
-    nothing is dropped though every point is above ub."""
+    nothing is dropped though every point is above ub. A state of one block
+    drops its dead points by a mask, and never rescans."""
     rng = np.random.default_rng(seed)
     n, m = 10, 4
     pts = slice_points(n, m)
@@ -1066,9 +1105,11 @@ def test_lower_bound_sweep_matches_a_plain_scan(keep, with_domain_row, seed):
             if ub is not None:
                 alive = live <= ub + FEAS_TOL
                 if live[i] <= ub + FEAS_TOL and 8 * np.count_nonzero(~alive) >= len(live):
-                    # theta is rescanned exactly when more than 1/16 is kept
+                    # theta is rescanned exactly when more than 1/16 of
+                    # several blocks is kept
                     rescanned = rescan.call_count - rescans
-                    assert rescanned == (16 * np.count_nonzero(alive) > len(live))
+                    many = 16 * np.count_nonzero(alive) > len(live)
+                    assert rescanned == (many and len(live) > 7)
                     feeds.append(rescanned)
                     held = held[alive]
             sets = backend._sets
