@@ -31,7 +31,7 @@ from .model import (
     CutRows,
     FeasibleDomain,
     QuadraticObjective,
-    eval_gradient,
+    anchor_key,
     eval_objective,
     is_feasible,
     make_cut,
@@ -227,7 +227,11 @@ def run(
 
     The engine cuts on effective_objective(obj, dom), a matrix whose quadratic
     form equals f on the cardinality slice, so its values are f's values.
-    Records logged during the run name the cell: instance and configuration.
+    The domain is fixed for the run, so backend.for_domain(dom) is asked
+    once, and every subproblem goes to the backend it returns. Each point
+    that gets a cut is evaluated once: its cut carries f and the gradient
+    there. Records logged during the run name the cell: instance and
+    configuration.
     """
     with logs.cell(instance_name, config_name or cfg.name):
         return _run(obj, dom, x0, cfg, backend, instance_name, config_name)
@@ -246,6 +250,7 @@ def _run(
     if not is_feasible(dom, x0):
         raise ValueError("x0 is not feasible for the domain")
     work = effective_objective(obj, dom)
+    backend = backend.for_domain(dom)
     t_start = time.perf_counter()
 
     def elapsed() -> float:
@@ -255,7 +260,8 @@ def _run(
         return cfg.time_limit - elapsed()
 
     oracle = CutOracle()
-    oracle.add(make_cut(work, x0))
+    cut = make_cut(work, x0)
+    oracle.add(cut)
     trace = RunTrace(
         records=[],
         config_name=config_name or cfg.name,
@@ -264,7 +270,7 @@ def _run(
     )
     state = SolveState(
         k=0,
-        ub=eval_objective(work, x0),
+        ub=cut.value,
         lb=-math.inf,
         x_ub=x0.copy(),
         tau=cfg.tau0,
@@ -322,6 +328,8 @@ def _run(
             record()
             status = SolveStatus.EPS_OPTIMAL
             break
+        lb_key = anchor_key(x_lb)
+        x_next, next_key = x_lb, lb_key  # the plain step, unless a local point replaces it
 
         if cfg.use_local_solver:
             if cfg.use_offset:
@@ -334,35 +342,34 @@ def _run(
                 rows = build_cut_constraints(oracle, state.ub, 0.0)
             tau_used = state.tau if cfg.use_offset else 0.0
             start = project(x_lb, dom, rows, remaining(), backend)
+            # the plain step stays where the tightened set is unavailable, or
+            # where the local point's cut exists and x_lb's does not: the
+            # iteration would be a no-op, and the relaxation must tighten
             if start.ok:
                 local = pgm_solve(work, dom, rows, start.x, cfg.pgm_params, backend, remaining())
-                x_next = local.x_final
                 local_steps += local.iters
-            else:
-                x_next = x_lb  # tightened set unavailable; fall back to the plain step
-            # a local point whose cut already exists makes the iteration a
-            # no-op; take the plain step instead so the relaxation tightens
-            if x_next in oracle and x_lb not in oracle:
-                x_next = x_lb
+                key = anchor_key(local.x_final)
+                if key not in oracle or lb_key in oracle:
+                    x_next, next_key = local.x_final, key
             if state.increase_offset:
                 state.tau = state.tau / cfg.kappa_tau
         else:
             tau_used = 0.0
-            x_next = x_lb
 
-        f_next = eval_objective(work, x_next)
-        if f_next <= state.ub:
+        cut = make_cut(work, x_next)
+        if cut.value <= state.ub:
             state.x_ub = x_next
-            state.ub = f_next
-        new_cut = oracle.add(make_cut(work, x_next))
+            state.ub = cut.value
+        new_cut = oracle.add(cut, next_key)
         added_lb_cut = False
         if cfg.use_lb_cuts:
-            ip = float(eval_gradient(work, x_next) @ (x_lb - x_next))
-            anchors_equal = bool(np.array_equal(x_lb, x_next))
+            ip = float(cut.grad @ (x_lb - x_next))
+            # binary points: equal exactly when their keys are
+            anchors_equal = lb_key == next_key
             predicate = lb_cut_condition(ip, anchors_equal)
-            already_present = x_lb in oracle
+            already_present = lb_key in oracle
             if predicate:
-                added_lb_cut = oracle.add(make_cut(work, x_lb))
+                added_lb_cut = oracle.add(make_cut(work, x_lb), lb_key)
             lb_cut_events.append(
                 LbCutEvent(
                     k=state.k,

@@ -76,18 +76,18 @@ def sufficient_decrease(
 
     quadratic form: f+ <= f - alpha * ||dx||^2 / (2 gamma)
     directional form: f+ <= f - alpha * <grad, x - x+>
-    `either` accepts when one of the two holds.
+    `either` accepts when one of the two holds. A form is computed only
+    where the answer needs it.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     dx = np.asarray(x_j1, dtype=float) - np.asarray(x_j, dtype=float)
-    ok5 = f_j1 <= f_j - params.alpha * float(dx @ dx) / (2.0 * gamma)
-    ok6 = f_j1 <= f_j - params.alpha * float(np.asarray(grad_j) @ (-dx))
-    if params.decrease_test == "eq5":
-        return ok5
-    if params.decrease_test == "eq6":
-        return ok6
-    return ok5 or ok6
+    test = params.decrease_test
+    if test != "eq6":
+        ok5 = f_j1 <= f_j - params.alpha * float(dx @ dx) / (2.0 * gamma)
+        if ok5 or test == "eq5":
+            return ok5
+    return f_j1 <= f_j - params.alpha * float(np.asarray(grad_j) @ (-dx))
 
 
 def is_critical(
@@ -179,4 +179,4 @@ def _spread(x: np.ndarray, grad: np.ndarray) -> float:
     smallest one off it; the projection of x - gamma * grad first moves at
     gamma = 1 / spread, when a swap of one such pair starts to pay."""
     on = x > 0.5
-    return float(np.max(grad[on], initial=-np.inf) - np.min(grad[~on], initial=np.inf))
+    return float(grad[on].max(initial=-np.inf) - grad[~on].min(initial=np.inf))

@@ -10,8 +10,8 @@ solver types.
 Three backends ship: a brute-force enumerator (exact, small slices, also the
 test oracle), which answers a lower bound by one sweep over the slice and
 every other query by one masked pass; an adapter to the HiGHS solver via
-scipy.optimize.milp; and the default, which picks one of the two per call
-from the size of the slice.
+scipy.optimize.milp; and the default, which picks one of the two from the
+size of the slice, once per engine run.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import abc
 import contextlib
 import ctypes
+import functools
 import os
 import sys
 import threading
@@ -97,6 +98,10 @@ class MilpSolveError(RuntimeError):
         self.n_cols = n_cols
 
 
+# the status of every optimal answer; MilpStatus is frozen, so one is shared
+_OPTIMAL = MilpStatus(StatusKind.OPTIMAL)
+
+
 def _timeout_result(message: str = "budget exhausted before solve") -> MilpResult:
     return MilpResult(status=MilpStatus(StatusKind.TIME_LIMIT, message))
 
@@ -118,15 +123,17 @@ class MilpBackend(abc.ABC):
 
         The cardinality-only optimum -- the m cheapest coordinates, ties to the
         lowest index -- is tried first. When it satisfies every row it is
-        optimal for the full problem, and no solver runs.
+        optimal for the full problem, and no solver runs. A domain without
+        extra rows costs that check nothing.
         """
         cost = np.asarray(cost, dtype=float)
         x = np.zeros(dom.n)
         x[cost.argsort(kind="stable")[: dom.m]] = 1.0
-        if all(row.satisfied_by(x) for row in dom.extra_rows) and _satisfied(rows, x):
+        extra = dom.extra_rows
+        if (not extra or all(row.satisfied_by(x) for row in extra)) and _satisfied(rows, x):
             obj = float(cost @ x)
             return MilpResult(
-                status=MilpStatus(StatusKind.OPTIMAL),
+                status=_OPTIMAL,
                 x=x,
                 objective=obj,
                 dual_bound=obj,
@@ -203,7 +210,7 @@ class BruteForceBackend(MilpBackend):
             return MilpResult(status=MilpStatus(StatusKind.INFEASIBLE, "no feasible point"))
         x, obj = found
         return MilpResult(
-            status=MilpStatus(StatusKind.OPTIMAL),
+            status=_OPTIMAL,
             x=x,
             objective=obj,
             dual_bound=obj,
@@ -225,7 +232,7 @@ class BruteForceBackend(MilpBackend):
             return MilpResult(status=MilpStatus(StatusKind.INFEASIBLE, "empty domain"))
         x, obj = found
         return MilpResult(
-            status=MilpStatus(StatusKind.OPTIMAL),
+            status=_OPTIMAL,
             x=x,
             objective=obj,
             dual_bound=obj,
@@ -249,9 +256,11 @@ class _LevelSets:
 
     - as a table: packed bit rows (the np.packbits layout, ceil(n/8) bytes
       each), one column per point, whose values come by byte lookup. A slice
-      of at most _BLOCK points starts as its table, unranked once, as a
-      first compaction that keeps every point would; so does every state
-      that a compaction leaves with at most _BLOCK points.
+      of at most _BLOCK points starts as its table, as a first compaction
+      that keeps every point would; so does every state that a compaction
+      leaves with at most _BLOCK points. The starting table is unranked
+      once per slice shape (n, m), read-only and shared by every run on
+      that shape, whose state only compresses it, which copies.
     - whole (table is None): a slice of several blocks starts with every
       point held, theta[r] at the point of lexicographic rank r, its values
       the tail sums of _tail_sums, and no point stored, until the first
@@ -274,7 +283,7 @@ class _LevelSets:
         self.dom = dom
         self.oracle = cuts if isinstance(cuts, CutOracle) else None
         total = comb(dom.n, dom.m)
-        self.table = _unrank(np.arange(total), dom.n, dom.m) if total <= _BLOCK else None
+        self.table = _slice_table(dom.n, dom.m) if total <= _BLOCK else None
         self.theta = np.empty(total)  # written by the first lower bound
         self.theta_min = -np.inf  # set by each lower bound
         self.n_cuts = 0
@@ -560,6 +569,16 @@ def _unrank(ranks: np.ndarray, n: int, m: int) -> np.ndarray:
     for i, row in enumerate(bits):
         np.bitwise_or.reduce(row.take(chosen), axis=0, out=packed[i])
     return packed
+
+
+# a table is at most ENUM_STATE_BYTES; a process works on a few slice shapes
+@functools.lru_cache(maxsize=4)
+def _slice_table(n: int, m: int) -> np.ndarray:
+    """The packed table of the whole slice, in rank order, read-only: built
+    once per shape and shared by every run on it, on any thread."""
+    table = _unrank(np.arange(comb(n, m)), n, m)
+    table.flags.writeable = False
+    return table
 
 
 def _point(rank: int, n: int, m: int) -> np.ndarray:
@@ -849,10 +868,12 @@ class HighsBackend(MilpBackend):
 class AutoBackend(MilpBackend):
     """Enumeration on small slices, HiGHS on the rest; the default backend.
 
-    The choice is made per call from the domain: a slice whose enumerator
-    state fits in ENUM_STATE_BYTES (see enumerable) is answered exactly by a
+    for_domain chooses from the domain: a slice whose enumerator state fits
+    in ENUM_STATE_BYTES (see enumerable) is answered exactly by a
     BruteForceBackend, whose level sets cost a fraction of a HiGHS call. Larger
-    slices go to a HighsBackend, constructed on first use.
+    slices go to a HighsBackend, constructed on first use. An engine run
+    makes that choice once, as its domain is fixed, and calls the chosen
+    backend from then on; called directly, this backend chooses per call.
     """
 
     name = "auto"

@@ -12,6 +12,7 @@ import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -202,9 +203,9 @@ def is_feasible(dom: FeasibleDomain, x: np.ndarray, tol: float = FEAS_TOL) -> bo
     x = np.asarray(x, dtype=float)
     if x.shape != (dom.n,):
         return False
-    if np.any(np.abs(x - np.round(x)) > tol) or np.any(x < -tol) or np.any(x > 1 + tol):
+    if (abs(x - x.round()) > tol).any() or (x < -tol).any() or (x > 1 + tol).any():
         return False
-    if abs(float(np.sum(x)) - dom.m) > tol:
+    if abs(float(x.sum()) - dom.m) > tol:
         return False
     return all(row.satisfied_by(x, tol) for row in dom.extra_rows)
 
@@ -259,8 +260,11 @@ class CutOracle:
         for cut in cuts:
             self.add(cut)
 
-    def add(self, cut: Cut) -> bool:
-        key = cut.key()
+    def add(self, cut: Cut, key: Optional[tuple] = None) -> bool:
+        """Stack cut unless a cut at its anchor is held; key, when given, is
+        cut.key(), which the caller already has."""
+        if key is None:
+            key = cut.key()
         if key in self._seen:
             return False
         k = len(self.cuts)
@@ -287,7 +291,9 @@ class CutOracle:
         return grads[:k], values[:k], grad_dot_anchor[:k]
 
     def __contains__(self, anchor) -> bool:
-        return anchor_key(anchor) in self._seen
+        """Whether a cut at anchor is held; anchor is a point, or the tuple
+        anchor_key gives for it."""
+        return (anchor if isinstance(anchor, tuple) else anchor_key(anchor)) in self._seen
 
     def __len__(self) -> int:
         return len(self.cuts)
@@ -342,6 +348,7 @@ class CutRows(Sequence):
         self.coeffs = grads
         self.rhs = level - values + grad_dot_anchor
         self.rhs.flags.writeable = False
+        self._limit = self.rhs + FEAS_TOL
 
     def __len__(self) -> int:
         return len(self.rhs)
@@ -353,7 +360,7 @@ class CutRows(Sequence):
 
     def satisfied_by(self, x: np.ndarray) -> bool:
         """Whether x satisfies every row, as LinearRow.satisfied_by judges each."""
-        return len(self) == 0 or bool((self.coeffs @ x <= self.rhs + FEAS_TOL).all())
+        return len(self) == 0 or bool((self.coeffs @ x <= self._limit).all())
 
 
 def _check_dim(obj: QuadraticObjective, x) -> np.ndarray:

@@ -758,6 +758,7 @@ def test_records_name_their_cell(caplog):
 # benchmark (perfbench/spans.py) rebinds to time each layer: a call that
 # bypasses one, through an alias or a dispatch table, leaves its layer at zero
 LAYER_SEAMS = (
+    ("engine", "run"),
     ("engine", "pgm_solve"),
     ("engine", "project"),
     ("engine", "check_nonempty"),
@@ -772,12 +773,13 @@ def test_every_layer_seam_is_called_through_its_module_attribute(monkeypatch):
 
     modules = {"engine": engine, "local": local}
     originals = {seam: getattr(modules[seam[0]], seam[1]) for seam in LAYER_SEAMS}
-    calls = dict.fromkeys(LAYER_SEAMS, 0)
+    calls = {seam: [] for seam in LAYER_SEAMS}
 
     def counted(seam):
         def wrapper(*args, **kwargs):
-            calls[seam] += 1
-            return originals[seam](*args, **kwargs)
+            result = originals[seam](*args, **kwargs)
+            calls[seam].append((args, result))
+            return result
 
         return wrapper
 
@@ -792,4 +794,68 @@ def test_every_layer_seam_is_called_through_its_module_attribute(monkeypatch):
     monkeypatch.undo()
     assert all(getattr(modules[m], attr) is originals[(m, attr)] for m, attr in LAYER_SEAMS)
     assert out.status is SolveStatus.EPS_OPTIMAL
-    assert all(calls.values()), calls
+    assert all(calls.values()), {seam: len(c) for seam, c in calls.items()}
+    # what the per-layer table reads: the oracle, first, of each lower bound
+    # (its cut count), and the steps and criticality of each local solve
+    assert all(args[0] is out.oracle for args, _ in calls[("engine", "solve_cp_model")])
+    assert sum(r.iters for _, r in calls[("engine", "pgm_solve")]) == out.local_steps
+    assert all(isinstance(r.critical, bool) for _, r in calls[("engine", "pgm_solve")])
+
+
+def test_each_anchor_evaluated_once(monkeypatch):
+    """Under pgm-lb the engine evaluates f and its gradient once at each
+    point it adds a cut at, x0 included: the cut carries both, and the
+    incumbent value and the angle test read them from it."""
+    from gradcut import engine
+
+    inst = synth_instance(12, 4, "nonconvex_random", seed=0)
+    events = []  # ("f" | "g" | "add", anchor key) and "lb" at each lower bound
+
+    def counted(kind, fn):
+        def wrapper(obj, x):
+            if obj is not inst.obj:  # the objective the engine cuts on
+                events.append((kind, model.anchor_key(x)))
+            return fn(obj, x)
+
+        return wrapper
+
+    for module in (model, engine):
+        for name, kind in (("eval_objective", "f"), ("eval_gradient", "g")):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(kind, getattr(module, name)))
+    add, solve = CutOracle.add, engine.solve_cp_model
+
+    def counted_add(oracle, cut, *args):
+        added = add(oracle, cut, *args)
+        if added:
+            events.append(("add", cut.key()))
+        return added
+
+    def counted_solve(*args, **kwargs):
+        events.append("lb")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(CutOracle, "add", counted_add)
+    monkeypatch.setattr(engine, "solve_cp_model", counted_solve)
+    out = run(inst.obj, inst.dom, default_x0(inst.dom), SolverConfig.from_name("pgm-lb"),
+              BruteForceBackend())
+    monkeypatch.undo()
+    assert out.status is SolveStatus.EPS_OPTIMAL
+    assert any(event.added for event in out.lb_cut_events)
+    # the evaluations between two lower bounds, at each anchor added there
+    windows, window = [], []
+    for event in events:
+        if event == "lb":
+            windows.append(window)
+            window = []
+        else:
+            window.append(event)
+    windows.append(window)
+    anchors = 0
+    for window in windows:
+        for kind, key in window:
+            if kind == "add":
+                anchors += 1
+                assert window.count(("f", key)) == 1
+                assert window.count(("g", key)) == 1
+    assert anchors == len(out.oracle)

@@ -930,6 +930,65 @@ def test_whole_slice_builds_no_packed_table():
         assert 0 < sum(len(c.args[0]) for c in unrank.call_args_list) <= kept < comb(30, 6)
 
 
+def test_one_table_per_slice_shape():
+    """The five configurations on one n=12 m=4 slice, each with a new
+    backend, unrank its table once: the table is built once per slice shape,
+    read-only, and shared by the runs, which answer as before."""
+    inst = synth_instance(12, 4, "nonconvex_random", 0)
+    f_star, _ = enumerate_min(inst.obj.q, inst.dom)
+    milp._slice_table.cache_clear()
+    with mock.patch.object(milp, "_unrank", wraps=milp._unrank) as unrank:
+        for config in CONFIG_NAMES:
+            backend = AutoBackend()
+            out = run(inst.obj, inst.dom, default_x0(inst.dom, backend),
+                      SolverConfig.from_name(config), backend)
+            assert out.status.value == "eps_optimal"
+            assert out.f_best == pytest.approx(f_star, abs=1e-9)
+    assert unrank.call_count == 1
+    table = milp._LevelSets(inst.dom, []).table
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
+    np.testing.assert_array_equal(decoded(table, 12), slice_points(12, 4))
+
+
+def test_one_table_per_slice_shape_on_several_threads():
+    """States built on several threads at once, from a cold cache, all hold
+    the slice's table."""
+    dom = FeasibleDomain(n=11, m=3)
+    milp._slice_table.cache_clear()
+    start = threading.Barrier(4, timeout=30.0)
+    tables = []
+
+    def build():
+        start.wait()
+        tables.append(milp._LevelSets(dom, []).table)
+
+    threads = [threading.Thread(target=build) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(tables) == 4
+    for table in tables:
+        assert not table.flags.writeable
+        np.testing.assert_array_equal(decoded(table, 11), slice_points(11, 3))
+
+
+def test_one_dispatch_per_run():
+    """A run asks the default backend for the backend of its domain once, and
+    sends every lower bound, projection and feasibility check there."""
+    inst = synth_instance(12, 4, "nonconvex_random", 0)
+    backend = AutoBackend()
+    x0 = default_x0(inst.dom, backend)
+    with mock.patch.object(
+        AutoBackend, "for_domain", autospec=True, side_effect=AutoBackend.for_domain
+    ) as dispatch:
+        out = run(inst.obj, inst.dom, x0, SolverConfig.from_name("pgm-tau-lb"), backend)
+    assert out.status.value == "eps_optimal"
+    assert out.iterations > 1 and out.local_steps > 0
+    assert dispatch.call_count == 1
+
+
 def test_a_slice_of_one_block_starts_as_its_table():
     """A slice of at most _BLOCK points is held as its packed table from the
     start: every configuration on an n=12 m=4 slice (495 points) runs with

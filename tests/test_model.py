@@ -98,6 +98,10 @@ class TestCuts:
         assert oracle.cuts[0].key() == (1, 0, 0)
         assert np.array([1.0 - 1e-12, 1e-12, -0.0]) in oracle
         assert e(1) not in oracle
+        # a key asks as its point does, and a known key spares the rounding
+        assert (1, 0, 0) in oracle and anchor_key(e(1)) not in oracle
+        assert oracle.add(make_cut(QuadraticObjective(Q_DIAG), e(1)), anchor_key(e(1)))
+        assert e(1) in oracle and len(oracle) == 2
 
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 10))
     @settings(max_examples=80, deadline=None)
