@@ -8,10 +8,11 @@ projection, feasibility) so that engine and local-solver code never touches
 solver types.
 
 Three backends ship: a brute-force enumerator (exact, small slices, also the
-test oracle), which answers a lower bound by one sweep over the slice and
-every other query by one masked pass; an adapter to the HiGHS solver via
-scipy.optimize.milp; and the default, which picks one of the two from the
-size of the slice, once per engine run.
+test oracle), which holds a slice whole or as a table of at most one block,
+and answers a lower bound by one step per block and every other query by one
+masked pass; an adapter to the HiGHS solver via scipy.optimize.milp; and the
+default, which picks one of the two from the size of the slice, once per
+engine run.
 """
 
 from __future__ import annotations
@@ -38,9 +39,10 @@ from .model import FEAS_TOL, Cut, CutOracle, CutRows, FeasibleDomain, LinearRow,
 log = get_logger(__name__)
 
 # the enumerator's state for a slice may take this many bytes, counted at
-# ceil(n/8) + 8 bytes a point: a packed bit row and a float64 cut value, the
-# most a point costs (the whole state holds the cut values alone); AutoBackend
-# enumerates the slices within it and BruteForceBackend refuses the others
+# ceil(n/8) + 8 bytes a point, a packed bit row and a float64 cut value; the
+# count is conservative, as the state holds 8 bytes a point while whole and a
+# table of at most _BLOCK points after that; AutoBackend enumerates the slices
+# within it and BruteForceBackend refuses the others
 ENUM_STATE_BYTES = 16_000_000
 
 # HiGHS's default mip_feasibility_tolerance: a lower bound it reports may sit
@@ -172,21 +174,22 @@ class BruteForceBackend(MilpBackend):
 
     Points are scanned in lexicographic order of their chosen index tuples, so
     ties always resolve to the first minimizer. The backend holds the
-    _LevelSets of one run: theta, the cut model at every point of the slice,
-    +inf where a point violates a row of the domain. A slice of at most
-    _BLOCK (32,768) points is held as its packed table from the start, and
-    drops its dead points by a mask; the whole state and the in-place moves
-    serve slices of several blocks. A lower bound is one sweep over theta's
-    blocks (_LevelSets.lower_bound): it folds in the new cuts, takes the
-    first argmin and counts and records the points that survive ub. Every
-    other query is one masked pass: the cost's value at each point, a block
-    at a time, masked by a limit on theta. The cut rows of the run (CutRows
+    _LevelSets of one run: theta, the cut model at every held point, +inf
+    where a point violates a row of the domain, in one of two forms. A slice
+    of several blocks is held whole, theta alone by rank, 8 bytes a point,
+    until the first lower bound whose survivors fit one block makes them its
+    table; a slice of at most _BLOCK (32,768) points is its table from the
+    start. A lower bound (_LevelSets.lower_bound) is one step per block: it
+    folds in the new cuts, takes the first argmin and marks the points that
+    survive ub. Every other query is one masked pass: the cost's value at
+    each point, masked by a limit on theta. The cut rows of the run (CutRows
     at a level no higher than its ub) are that level set of theta, answered
     without reading a row. Any other rows are checked in each block, against
-    their own tail sums computed in step with the cost's. The state fits the
-    ENUM_STATE_BYTES budget. A pass over it allocates block-sized buffers
-    and, for each cost, cut or row it sums by tails, one array of
-    C(n - 1, m - 1) values.
+    their own tail sums computed in step with the cost's. The state takes 8
+    bytes a point while whole, plus a table of at most _BLOCK points, within
+    the ENUM_STATE_BYTES budget, which counts more. A pass over it allocates
+    block-sized buffers and, for each cost, cut or row it sums by tails, one
+    array of C(n - 1, m - 1) values.
     """
 
     name = "bruteforce"
@@ -240,11 +243,11 @@ class BruteForceBackend(MilpBackend):
 
 
 class _LevelSets:
-    """An enumerator's state for one run: the surviving points of its slice
-    and the cut model theta at each of them.
+    """An enumerator's state for one run: the held points of its slice and
+    the cut model theta at each of them.
 
     theta[i] is the max over the first n_cuts cuts of the oracle of
-    <grad, x_i> + intercept at the i-th surviving point, in lexicographic
+    <grad, x_i> + intercept at the i-th held point, in lexicographic
     order, or +inf where x_i violates a row of the domain; the first lower
     bound writes it. A point whose theta exceeds ub + FEAS_TOL is dead:
     theta only grows and ub only falls during a run, so it can never again
@@ -252,30 +255,29 @@ class _LevelSets:
     CutOracle, whose cuts can only be appended, has its state serve later
     calls.
 
-    Points are held in one of two ways:
+    Points are held in one of two forms:
 
-    - as a table: packed bit rows (the np.packbits layout, ceil(n/8) bytes
-      each), one column per point, whose values come by byte lookup. A slice
-      of at most _BLOCK points starts as its table, as a first compaction
-      that keeps every point would; so does every state that a compaction
-      leaves with at most _BLOCK points. The starting table is unranked
-      once per slice shape (n, m), read-only and shared by every run on
-      that shape, whose state only compresses it, which copies.
     - whole (table is None): a slice of several blocks starts with every
       point held, theta[r] at the point of lexicographic rank r, its values
-      the tail sums of _tail_sums, and no point stored, until the first
-      compaction unranks only the survivors.
+      the tail sums of _tail_sums, and no point stored. Dead points stay:
+      theta costs 8 bytes a point either way, and every answer masks by
+      theta. The first lower bound with a ub whose survivors number at most
+      _BLOCK makes the state their table, _unrank of the ranks its sweep
+      recorded, with theta cut to them.
+    - as a table: packed bit rows (the np.packbits layout, ceil(n/8) bytes
+      each) of at most _BLOCK points, one column per point, whose values
+      come by byte lookup. A slice of at most _BLOCK points starts as its
+      table, unranked once per slice shape (n, m), read-only and shared by
+      every run on that shape, whose state only compresses it, which copies.
+      Each lower bound is one _step over the table, and each level set
+      theta <= level one masked lookup; the dead points are dropped by a
+      boolean mask once they are an eighth of those held, which copies the
+      survivors beside them for a moment.
 
-    Each lower bound calls _step once per block of theta, so once for a
-    state of one block; each level set theta <= level is one masked lookup
-    on a state of one block, and one masked pass a block at a time on a
-    larger one. A state of one block drops its dead points by a boolean
-    mask, which copies the survivors beside it for a moment. A larger one
-    moves its survivors forward in place (_compact), by the indices its
-    sweep recorded or else by a rescan of theta, so that theta and table
-    never take more than ceil(n/8) + 8 bytes per point of the slice, the
-    size enumerable() admits; a sweep adds at most the int64 indices of 1/16
-    of the points, 0.5 bytes a point, and a pass block-sized buffers only.
+    The whole state holds 8 bytes a point, and a sweep adds at most the
+    int64 ranks of _BLOCK points; the table adds at most _BLOCK columns. So
+    the state stays within the ceil(n/8) + 8 bytes a point of the slice that
+    enumerable() admits, and a pass adds block-sized buffers only.
     """
 
     def __init__(self, dom: FeasibleDomain, cuts: Sequence[Cut]):
@@ -313,19 +315,16 @@ class _LevelSets:
     def lower_bound(self, grads: np.ndarray, intercepts: np.ndarray, ub: Optional[float]):
         """Fold new cuts, given as gradient rows and intercepts, into theta,
         and return (x, theta(x)) at its first minimizer, or None when every
-        theta is +inf: one _step on a state of one block, one sweep over the
-        blocks of a larger one. The first lower bound writes theta from its
-        cuts and sets +inf where the domain's rows are violated, their
-        left-hand sides taken with the cuts' values.
+        theta is +inf: one _step on a table, one sweep over the blocks of the
+        whole state. The first lower bound writes theta from its cuts and
+        sets +inf where the domain's rows are violated, their left-hand sides
+        taken with the cuts' values.
 
-        With ub, lower the state's ub, and drop the dead points once they are
-        an eighth of those held: until then no answer reads them, and keeping
-        them costs less than moving the others. A state of one block drops
-        them by its step's mask. The sweep of a larger one counts the
-        survivors, and records their indices while they are at most 1/16 of
-        the points, for the compaction to move; past that it rescans theta.
-        A minimum above ub + FEAS_TOL (rounding) drops nothing, which is
-        always valid.
+        With ub, lower the state's ub and drop dead points: a table drops
+        them by its step's mask once they are an eighth of those held, and
+        the whole state becomes the table of its survivors once they fit one
+        block. A minimum above ub + FEAS_TOL (rounding) drops nothing, which
+        is always valid.
         """
         total = len(self.theta)
         limit = None if ub is None else ub + FEAS_TOL
@@ -335,59 +334,50 @@ class _LevelSets:
         if rows:
             grads = np.vstack([grads, *(row.coeffs for row in rows)])
             intercepts = np.concatenate([intercepts, np.zeros(len(rows))])
-        if total <= _BLOCK:
+        if self.table is not None:
             values = [_scores(self.table, lut) for lut in _lut(grads, len(self.table), intercepts)]
             best_i, best, alive = _step(self.theta, values, rows, fresh, limit)
-            kept = None if alive is None else int(np.count_nonzero(alive))
         else:
-            best_i, best, kept, recorded = self._sweep(grads, intercepts, rows, fresh, limit)
+            best_i, best, kept = self._sweep(grads, intercepts, rows, fresh, limit)
         self.n_cuts += new
         self.theta_min = best
         found = None if best == np.inf else (self.point(best_i), best)
         if ub is not None:
-            if best <= limit and 8 * (total - kept) >= total:
-                if total <= _BLOCK:
-                    self.table = self.table.compress(alive, axis=1)
-                    self.theta = self.theta.compress(alive)
-                else:
-                    chunks = recorded if recorded is not None else _survivors(self.theta, limit)
-                    self.table, self.theta = _compact(
-                        chunks, kept, self.theta, self.table, self.dom.n, self.dom.m
-                    )
             self.ub = ub
+        if ub is None or best > limit:
+            return found
+        if self.table is None:
+            if kept is not None:
+                self.table = _unrank(kept, self.dom.n, self.dom.m)
+                self.theta = self.theta[kept]
+        elif 8 * (total - np.count_nonzero(alive)) >= total:
+            self.table = self.table.compress(alive, axis=1)
+            self.theta = self.theta.compress(alive)
         return found
 
     def _sweep(self, grads, intercepts, rows, fresh: bool, limit: Optional[float]):
-        """lower_bound's pass over a state of several blocks: _step on each
-        block, fed by tail sums in the whole state and by byte lookup in the
-        compacted one. Returns (i, theta[i]) at the first argmin, and, with a
-        limit, the count of the points within it and their indices, a chunk
-        per block, while they are at most 1/16 of the points (None past
-        that)."""
-        total = len(self.theta)
-        if self.table is None:
-            n, m = self.dom.n, self.dom.m
-            feeds = [_tail_sums(g, n, m, c) for g, c in zip(grads, intercepts)]
-        else:
-            luts = _lut(grads, len(self.table), intercepts)
+        """lower_bound's pass over the whole state: _step on each block, fed
+        by tail sums. Returns (i, theta[i]) at the first argmin and, with a
+        limit, the ranks of the points within it while they number at most
+        _BLOCK (None past that, or without a limit)."""
+        n, m = self.dom.n, self.dom.m
+        feeds = [_tail_sums(g, n, m, c) for g, c in zip(grads, intercepts)]
         best_i, best = 0, np.inf
-        kept, recorded = 0, []
-        for b in _blocks(total):
-            if self.table is None:
-                values = [next(feed)[1] for feed in feeds]
-            else:
-                values = [_scores(self.table[:, b], lut) for lut in luts]
+        kept = None if limit is None else []
+        count = 0
+        for b in _blocks(len(self.theta)):
+            values = [next(feed)[1] for feed in feeds]
             i, low, alive = _step(self.theta[b], values, rows, fresh, limit)
             if low < best:
                 best_i, best = b.start + i, low
             if alive is not None:
-                count = int(np.count_nonzero(alive))
-                if recorded is not None and 16 * (kept + count) <= total:
-                    recorded.append(alive.nonzero()[0] + b.start)
+                ranks = alive.nonzero()[0]
+                count += len(ranks)
+                if count <= _BLOCK:
+                    kept.append(ranks + b.start)
                 else:
-                    recorded = None
-                kept += count
-        return best_i, best, kept, recorded
+                    kept = limit = None  # too many: the rest needs no mask
+        return best_i, best, None if kept is None else np.concatenate(kept)
 
     def argmin(self, cost: np.ndarray, level: float):
         """min <cost, x> over the level set theta <= level, or None when empty.
@@ -398,19 +388,14 @@ class _LevelSets:
         limit = level + FEAS_TOL
         if self.theta_min > limit:
             return None
-        total = len(self.theta)
-        if total <= _BLOCK:
+        if self.table is None:
+            blocks = _tail_sums(cost, self.dom.n, self.dom.m)
+            found = _first_minimum(_masked(blocks, self.theta, limit))
+        else:
             values = _scores(self.table, _lut(cost, len(self.table)))
             np.putmask(values, self.theta > limit, np.inf)
             i = int(values.argmin())
             found = None if values[i] == np.inf else (i, float(values[i]))
-        else:
-            if self.table is None:
-                blocks = _tail_sums(cost, self.dom.n, self.dom.m)
-            else:
-                lut = _lut(cost, len(self.table))
-                blocks = ((b.start, _scores(self.table[:, b], lut)) for b in _blocks(total))
-            found = _first_minimum(_masked(blocks, self.theta, limit))
         return None if found is None else (self.point(found[0]), found[1])
 
 
@@ -435,9 +420,9 @@ def _step(theta, values, rows, fresh: bool, limit: Optional[float]):
 
 
 # points read at a time, so that no array the size of the slice is made
-# besides theta and the packed table. A slice of at most this many points is
-# held as its table from the start and drops dead points by a mask; the whole
-# state and the in-place moves serve slices of several blocks. On a 2-core
+# besides theta, and the most points a table holds: a slice of at most this
+# many points is its table from the start, and a whole state becomes the
+# table of its survivors once they number at most this many. On a 2-core
 # machine, rounds of the five configurations on an n=30 m=6 slice took 33.2,
 # 32.2 and 31.4 ms (least of 10) at 16k, 32k and 64k points, and 33.2, 32.5
 # and 32.4 ms in a second pass of 16: past 32k the gain is within the noise,
@@ -451,8 +436,10 @@ _BIT = np.array([128 >> k for k in range(8)], dtype=np.uint8)
 
 
 def enumerable(n: int, m: int) -> bool:
-    """Whether the enumerator's state for the slice, a packed bit row and a
-    float64 cut value per point, fits in ENUM_STATE_BYTES."""
+    """Whether the slice, counted at a packed bit row and a float64 cut value
+    per point, fits in ENUM_STATE_BYTES. The count is conservative: the
+    enumerator's state holds 8 bytes a point while whole, and a table of at
+    most _BLOCK points after that."""
     return comb(n, m) * ((n + 7) // 8 + 8) <= ENUM_STATE_BYTES
 
 
@@ -596,46 +583,6 @@ def _point(rank: int, n: int, m: int) -> np.ndarray:
         left -= comb(a, k)
         x[n - 1 - a] = 1.0
     return x
-
-
-def _survivors(theta: np.ndarray, limit: float):
-    """The indices i with theta[i] <= limit, in ascending chunks of a block
-    each; a block is read only when its chunk is asked for."""
-    for b in _blocks(len(theta)):
-        yield (theta[b] <= limit).nonzero()[0] + b.start
-
-
-def _compact(chunks, count: int, theta: np.ndarray, table, n: int, m: int):
-    """(table, theta) cut to the count kept points, whose indices come in
-    ascending chunks, which are moved _BLOCK or more at a time. Each kept
-    point moves forward in place, so that the chunks may be read off theta
-    as this runs. The whole slice (table None) gets a new table of the kept
-    points alone, unranked. Once at most 1/16 of the points is kept, what is
-    cut is copied, so that the memory of the rest is returned at the cost of
-    a small copy held beside it for a moment."""
-    whole = table is None
-    if whole:
-        table = np.empty(((n + 7) // 8, count), dtype=np.uint8)
-    filled = 0
-
-    def move(kept):
-        nonlocal filled
-        moved = slice(filled, filled + len(kept))
-        theta[moved] = theta[kept]
-        table[:, moved] = _unrank(kept, n, m) if whole else table[:, kept]
-        filled = moved.stop
-
-    pending: list = []
-    for chunk in chunks:
-        pending.append(chunk)
-        if sum(map(len, pending)) >= _BLOCK:
-            move(np.concatenate(pending))
-            pending.clear()
-    if pending:
-        move(pending[0] if len(pending) == 1 else np.concatenate(pending))
-    if 16 * count > len(theta):
-        return table[:, :count], theta[:count]
-    return (table if whole else table[:, :count].copy()), theta[:count].copy()
 
 
 def _lut(v: np.ndarray, n_bytes: int, base=None) -> np.ndarray:
@@ -931,7 +878,7 @@ def solve_cp_model(
     if budget <= 0:
         return _timeout_result()
     upper_limit = None
-    if incumbent is not None and not backend.for_domain(dom).exact:
+    if incumbent is not None and not backend.exact:
         grads, values, grad_dot_anchor = stack_cuts(oracle)
         x = np.asarray(incumbent, dtype=float)
         upper_limit = float(np.max(values + (grads @ x - grad_dot_anchor)))

@@ -201,7 +201,7 @@ class FeasibleDomain:
 
 def is_feasible(dom: FeasibleDomain, x: np.ndarray, tol: float = FEAS_TOL) -> bool:
     x = np.asarray(x, dtype=float)
-    if x.shape != (dom.n,):
+    if x.shape != (dom.n,) or not np.isfinite(x).all():
         return False
     if (abs(x - x.round()) > tol).any() or (x < -tol).any() or (x > 1 + tol).any():
         return False

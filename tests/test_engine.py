@@ -241,6 +241,11 @@ class TestRun:
         with pytest.raises(ValueError):
             run(obj, dom, np.ones(3), SolverConfig.from_name("cpm"), brute_backend)
 
+    def test_nan_start_rejected(self, brute_backend):
+        inst = synth_instance(8, 3, "psd_random", 0)
+        with pytest.raises(ValueError, match="x0 is not feasible"):
+            run(inst.obj, inst.dom, np.full(8, np.nan), SolverConfig.from_name("cpm"), brute_backend)
+
     @pytest.mark.parametrize("config", CONFIG_NAMES)
     def test_all_configs_reach_brute_force_optimum(self, config, brute_backend):
         rng = np.random.default_rng(7)

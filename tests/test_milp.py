@@ -618,6 +618,15 @@ def decoded(table, n):
     return np.unpackbits(table.T, axis=1, count=n).astype(float)
 
 
+def assert_whole_or_one_table(sets, size):
+    """The two forms of an enumerator's state: the whole slice of size points,
+    dead ones and all, or a table of at most _BLOCK points."""
+    if sets.table is None:
+        assert len(sets.theta) == size
+    else:
+        assert sets.table.shape[1] == len(sets.theta) <= milp._BLOCK
+
+
 POINT_TABLE_GRID = [(3, 1), (5, 2), (6, 3), (8, 4), (9, 1), (9, 8), (17, 3)]
 
 
@@ -758,11 +767,12 @@ def test_level_sets_replay_an_engine_run_like_a_plain_scan(with_domain_row, seed
     itertools scan answers them, with the points above ub dropped. Each level
     takes projections with several costs, and is asked again after the next
     fold and compaction, latest first. Half the runs read blocks of a few
-    points, so that the multi-block paths run; the other half hold the slice
-    in one block, as its table from the start. The state starts with every
-    point, +inf at those a domain row drops: a row at the median drops half
-    the slice, and the first prune compacts; a loose one drops fewer than an
-    eighth, and no prune counts them enough to compact on their own."""
+    points, so that the slice is held whole until its survivors fit one
+    block; the other half hold the slice in one block, as its table from the
+    start. The state starts with every point, +inf at those a domain row
+    drops: a row at the median drops half the slice, and a loose one fewer
+    than an eighth, which no table prune counts enough to drop on their
+    own."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 11))
     m = int(rng.integers(1, n))
@@ -824,10 +834,13 @@ def test_level_sets_replay_an_engine_run_like_a_plain_scan(with_domain_row, seed
                 assert check_nonempty(dom, cut_rows, 30.0, backend) == (want is not None)
             last = fresh
             x = res.x if rng.random() < 0.5 else pts[int(rng.integers(len(pts)))]
+            assert_whole_or_one_table(backend._sets, size)
         theta = [max(c.grad @ p + c.intercept for c in oracle) for p in pts]
         alive = sum(t <= backend._sets.ub + FEAS_TOL for t in theta)
         held = len(backend._sets.theta)
-        assert alive <= held and 8 * (held - alive) < held
+        assert alive <= held
+        if backend._sets.table is not None:
+            assert 8 * (held - alive) < held
 
 
 class TestCutRowsCheck:
@@ -910,24 +923,49 @@ def test_whole_slice_fold_by_tails_matches_the_byte_lookup(n, m, seed):
 def test_whole_slice_builds_no_packed_table():
     """Every configuration on an n=30 m=6 diversity slice runs with no table of
     the whole slice: the lower bounds and level sets read theta and tail sums
-    until the first compaction, which unranks only the survivors, and no
-    point is unranked after it."""
+    until the survivors fit one block, and then unrank those survivors only,
+    once, into the table that serves the rest of the run."""
     inst = synth_instance(30, 6, "mdp_like", 0)
     for config in CONFIG_NAMES:
         backend = BruteForceBackend()
-        with (
-            mock.patch.object(milp, "_unrank", wraps=milp._unrank) as unrank,
-            mock.patch.object(milp, "_compact", wraps=milp._compact) as compact,
-        ):
+        with mock.patch.object(milp, "_unrank", wraps=milp._unrank) as unrank:
             out = run(inst.obj, inst.dom, default_x0(inst.dom, backend),
                       SolverConfig.from_name(config), backend)
         assert out.status.value == "eps_optimal"
         assert backend._sets.table is not None  # the run compacted
-        # (chunks, count, theta, table, n, m): one compaction of the whole slice
-        firsts = [c.args for c in compact.call_args_list if c.args[3] is None]
-        assert len(firsts) == 1
-        kept = firsts[0][1]
-        assert 0 < sum(len(c.args[0]) for c in unrank.call_args_list) <= kept < comb(30, 6)
+        assert_whole_or_one_table(backend._sets, comb(30, 6))
+        assert unrank.call_count == 1
+        kept = len(unrank.call_args.args[0])
+        assert backend._sets.table.shape[1] <= kept <= milp._BLOCK
+
+
+def test_a_slice_held_whole_answers_as_its_table():
+    """Every configuration on the psd14 slice (n=14 m=4, 1,001 points), with
+    blocks of 64 points, holds the slice whole and keeps most points for
+    many lower bounds, and runs as it does on the one-block table: the same
+    status, iterations, incumbents and upper bounds, and lower bounds within
+    rounding."""
+    inst = synth_instance(14, 4, "psd_random", 1)
+    for config in CONFIG_NAMES:
+        outs = []
+        for block in (milp._BLOCK, 64):
+            backend = BruteForceBackend()
+            with (
+                mock.patch.object(milp, "_BLOCK", block),
+                mock.patch.object(milp._LevelSets, "_sweep", autospec=True,
+                                  side_effect=milp._LevelSets._sweep) as sweep,
+            ):
+                outs.append(run(inst.obj, inst.dom, default_x0(inst.dom, backend),
+                                SolverConfig.from_name(config), backend))
+        table, whole = outs
+        assert sweep.call_count >= 8  # lower bounds on the whole state
+        assert whole.status == table.status
+        assert whole.iterations == table.iterations
+        np.testing.assert_array_equal(whole.x_best, table.x_best)
+        assert whole.f_best == table.f_best
+        assert [r.ub for r in whole.trace.records] == [r.ub for r in table.trace.records]
+        np.testing.assert_allclose([r.lb for r in whole.trace.records],
+                                   [r.lb for r in table.trace.records], rtol=0.0, atol=1e-12)
 
 
 def test_one_table_per_slice_shape():
@@ -992,21 +1030,19 @@ def test_one_dispatch_per_run():
 def test_a_slice_of_one_block_starts_as_its_table():
     """A slice of at most _BLOCK points is held as its packed table from the
     start: every configuration on an n=12 m=4 slice (495 points) runs with
-    no tail sum, no rescan of theta and no in-place move, and drops its dead
-    points by a mask. A slice of several blocks, n=30 m=6, still starts
-    whole: its first lower bound sums each cut by tails."""
+    no tail sum, and drops its dead points by a mask. A slice of several
+    blocks, n=30 m=6, starts whole: its first lower bound sums each cut by
+    tails."""
     inst = synth_instance(12, 4, "nonconvex_random", 0)
     for config in CONFIG_NAMES:
         backend = BruteForceBackend()
-        with (
-            mock.patch.object(milp, "_tail_sums", wraps=milp._tail_sums) as tails,
-            mock.patch.object(milp, "_survivors", wraps=milp._survivors) as rescan,
-            mock.patch.object(milp, "_compact", wraps=milp._compact) as compact,
-        ):
+        with mock.patch.object(milp, "_tail_sums", wraps=milp._tail_sums) as tails:
             out = run(inst.obj, inst.dom, default_x0(inst.dom, backend),
                       SolverConfig.from_name(config), backend)
         assert out.status.value == "eps_optimal"
-        assert tails.call_count == rescan.call_count == compact.call_count == 0
+        assert tails.call_count == 0
+        assert backend._sets.table is not None
+        assert_whole_or_one_table(backend._sets, comb(12, 4))
         assert len(backend._sets.theta) < comb(12, 4)  # the run dropped points
     inst = synth_instance(30, 6, "mdp_like", 0)
     backend = BruteForceBackend()
@@ -1018,13 +1054,14 @@ def test_a_slice_of_one_block_starts_as_its_table():
 
 
 def test_first_compaction_stays_within_the_state_budget():
-    """A lower bound, a level-set query, a first compaction and a level-set
-    query after it peak within the (ceil(n/8) + 8) bytes per point that
-    enumerable() admits: theta and a table of the survivors only, never a
-    table of the whole slice or a copy of a level set beside them. The
-    compaction keeps about 7/8 of a multi-block slice, moved by a rescan of
-    theta, or 3 % of it, moved by the ranks the lower bound's sweep
-    recorded."""
+    """A lower bound, a level-set query, a lower bound under ub and a
+    level-set query after it peak within the (ceil(n/8) + 8) bytes per point
+    that enumerable() admits: theta and a table of at most one block of
+    survivors, never a table of the whole slice or a copy of a level set
+    beside them. Under a ub that keeps about 86 % of a multi-block slice,
+    the state stays whole, its dead points held; under one that keeps
+    0.2 %, fewer than a block, it becomes the table of the survivors,
+    unranked from the ranks the lower bound's sweep recorded."""
     n, m = 28, 5
     dom = FeasibleDomain(n=n, m=m)
     size = comb(n, m)
@@ -1033,14 +1070,11 @@ def test_first_compaction_stays_within_the_state_budget():
     whole.solve_cp([cut], dom, 30.0)
     theta = whole._sets.theta
     del whole
-    for share, rescans, low, high in [(0.86, 1, 0.8, 7 / 8), (0.03, 0, 0.02, 1 / 16)]:
+    for share in (0.86, 0.002):
         ub = float(np.quantile(theta, share))
         backend = BruteForceBackend()
         oracle = CutOracle([cut])
-        with (
-            mock.patch.object(milp, "_BLOCK", 256),
-            mock.patch.object(milp, "_survivors", wraps=milp._survivors) as rescan,
-        ):
+        with mock.patch.object(milp, "_BLOCK", 256):
             tracemalloc.start()
             try:
                 backend.solve_cp(oracle, dom, 30.0)
@@ -1051,9 +1085,12 @@ def test_first_compaction_stays_within_the_state_budget():
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        kept = backend._sets.table.shape[1]
-        assert low * size < kept < high * size
-        assert rescan.call_count == rescans
+            assert_whole_or_one_table(backend._sets, size)
+        kept = np.count_nonzero(theta <= ub + FEAS_TOL)
+        if share > 0.5:
+            assert backend._sets.table is None
+        else:
+            assert backend._sets.table.shape[1] == kept <= 256
         assert peak <= ((n + 7) // 8 + 8) * size + 64_000
 
 
@@ -1061,7 +1098,10 @@ def test_a_query_the_state_cannot_read_stays_within_the_state_budget():
     """A projection under rows that are no level set of the held state, here
     a plain row, beside a held n=28 m=5 state, peaks within the bytes that
     enumerable() admits: it checks the row block by block, by tail sums
-    taken in step with the cost's, and makes no theta of the slice."""
+    taken in step with the cost's, and makes no theta of the slice. It is
+    asked after the first lower bound, and again after a lower bound under
+    a ub that keeps about 86 % of the slice, where the state stays whole, at
+    8 bytes a point."""
     n, m = 28, 5
     dom = FeasibleDomain(n=n, m=m)
     size = comb(n, m)
@@ -1069,25 +1109,32 @@ def test_a_query_the_state_cannot_read_stays_within_the_state_budget():
     cut = make_cut(random_psd_objective(rng, n), default_x0(dom))
     row = LinearRow(rng.uniform(-1.0, 1.0, size=n), "<=", -0.5)
     cost = rng.uniform(-1.0, 1.0, size=n)
-    backend = BruteForceBackend()
-    with mock.patch.object(milp, "_BLOCK", 256):
-        backend.solve_cp(CutOracle([cut]), dom, 30.0)
-        tracemalloc.start()
-        try:
-            got = backend._solve_linear(cost, dom, [row], 30.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert backend._sets.table is None and len(backend._sets.theta) == size
-    assert peak + backend._sets.theta.nbytes <= ((n + 7) // 8 + 8) * size + 64_000
     # the answer of a plain scan, over the points that satisfy the row
     pts = slice_points(n, m)
     feasible = row.holds(pts @ row.coeffs)
-    values = np.where(feasible, pts @ cost, np.inf)
-    assert got.ok
-    assert got.objective == pytest.approx(values.min(), abs=1e-12)
-    assert row.satisfied_by(got.x)
-    assert got.x @ cost == pytest.approx(values.min(), abs=1e-12)
+    want = np.where(feasible, pts @ cost, np.inf).min()
+    backend = BruteForceBackend()
+    oracle = CutOracle([cut])
+    with mock.patch.object(milp, "_BLOCK", 256):
+        for share in (None, 0.86):
+            if share is None:
+                backend.solve_cp(oracle, dom, 30.0)
+            else:
+                ub = float(np.quantile(backend._sets.theta, share))
+                backend.solve_cp(oracle, dom, 30.0, ub=ub)
+                assert backend._sets.ub == ub
+            tracemalloc.start()
+            try:
+                got = backend._solve_linear(cost, dom, [row], 30.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert backend._sets.table is None and len(backend._sets.theta) == size
+            assert peak + backend._sets.theta.nbytes <= ((n + 7) // 8 + 8) * size + 64_000
+            assert got.ok
+            assert got.objective == pytest.approx(want, abs=1e-12)
+            assert row.satisfied_by(got.x)
+            assert got.x @ cost == pytest.approx(want, abs=1e-12)
 
 
 def whole_number_cut(rng, n):
@@ -1115,14 +1162,14 @@ def level_keeping(values, share):
 @pytest.mark.parametrize("seed", range(4))
 def test_lower_bound_sweep_matches_a_plain_scan(keep, with_domain_row, seed):
     """After every lower bound, theta, the first minimizer, whether the state
-    compacted and its table are those of a plain scan over the slice, with
+    is whole and its table are those of a plain scan over the slice, with
     blocks of 7 points and whole-number cuts, whose theta ties across
-    blocks. keep picks ub: a level keeping fewer than 1/16 of the points
-    from the first ub on (the compaction moves the ranks the sweep
-    recorded); half of them first and fewer than 1/16 after that (the
-    first compaction rescans theta); or one below the least theta, where
-    nothing is dropped though every point is above ub. A state of one block
-    drops its dead points by a mask, and never rescans."""
+    blocks. keep picks ub: a level keeping fewer than 1/32 of the points, at
+    most a block, from the first ub on (the whole state becomes their table
+    at once); half of them first (the state stays whole, its dead points
+    held) and fewer than 1/32 after that; or one below the least theta,
+    where nothing is dropped though every point is above ub. A table drops
+    its dead points by a mask once they are an eighth of it."""
     rng = np.random.default_rng(seed)
     n, m = 10, 4
     pts = slice_points(n, m)
@@ -1137,13 +1184,10 @@ def test_lower_bound_sweep_matches_a_plain_scan(keep, with_domain_row, seed):
     dom = FeasibleDomain(n=n, m=m, extra_rows=rows)
     backend = BruteForceBackend()
     oracle = CutOracle()
-    held = np.arange(len(pts))  # the plain scan's survivors, as ranks
-    feeds = []  # per compaction, whether it rescanned theta
+    held = np.arange(len(pts))  # the plain scan's held points, as ranks
+    compacted = None  # the step whose lower bound made the whole state a table
     ub = None
-    with (
-        mock.patch.object(milp, "_BLOCK", 7),
-        mock.patch.object(milp, "_survivors", wraps=milp._survivors) as rescan,
-    ):
+    with mock.patch.object(milp, "_BLOCK", 7):
         for step in range(6):
             for _ in range(int(rng.integers(1, 3))):
                 oracle.add(whole_number_cut(rng, n))
@@ -1156,34 +1200,33 @@ def test_lower_bound_sweep_matches_a_plain_scan(keep, with_domain_row, seed):
                 else:
                     level = level_keeping(live, 0.5 if keep == "many" and step == 1 else 1 / 32)
                 ub = min(x for x in (ub, level) if x is not None)
-            rescans = rescan.call_count
             res = backend.solve_cp(oracle, dom, 30.0, ub=ub)
             i = int(np.argmin(live))
             assert res.objective == live[i]
             np.testing.assert_array_equal(res.x, pts[held[i]])
-            if ub is not None:
+            if ub is not None and live[i] <= ub + FEAS_TOL:
                 alive = live <= ub + FEAS_TOL
-                if live[i] <= ub + FEAS_TOL and 8 * np.count_nonzero(~alive) >= len(live):
-                    # theta is rescanned exactly when more than 1/16 of
-                    # several blocks is kept
-                    rescanned = rescan.call_count - rescans
-                    many = 16 * np.count_nonzero(alive) > len(live)
-                    assert rescanned == (many and len(live) > 7)
-                    feeds.append(rescanned)
+                if compacted is None:
+                    if np.count_nonzero(alive) <= 7:
+                        compacted = step
+                        held = held[alive]
+                elif 8 * np.count_nonzero(~alive) >= len(live):
                     held = held[alive]
             sets = backend._sets
+            assert_whole_or_one_table(sets, len(pts))
             np.testing.assert_array_equal(sets.theta, theta[held])
-            if feeds:
-                np.testing.assert_array_equal(decoded(sets.table, n), pts[held])
-            else:
+            if compacted is None:
                 assert sets.table is None
+            else:
+                np.testing.assert_array_equal(decoded(sets.table, n), pts[held])
+            if keep == "many" and step == 1:
+                # half the slice is dead, and held
+                assert sets.table is None and 2 * np.count_nonzero(live > ub) >= len(live)
     if keep == "above":
-        assert feeds == []
+        assert compacted is None
         assert len(sets.theta) == len(pts) and ub < sets.theta.min()
     else:
-        # the first compaction rescans in "many" only; a later one moves
-        # recorded ranks
-        assert feeds[0] == (keep == "many") and 0 in feeds
+        assert compacted == (2 if keep == "many" else 1)
 
 
 def cp_answer_at(n, m, theta):

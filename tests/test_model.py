@@ -209,6 +209,16 @@ class TestDomainsAndValidation:
         assert is_feasible(dom, e(0))
         assert not is_feasible(dom, np.array([1.0, 1.0, 0.0]))
         assert not is_feasible(dom, np.array([0.5, 0.5, 0.0]))
+        # every comparison with NaN is false, and inf - round(inf) is NaN
+        dom = FeasibleDomain(n=8, m=3)
+        point = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        assert is_feasible(dom, point)
+        assert not is_feasible(dom, np.full(8, np.nan))
+        for bad in (np.nan, np.inf, -np.inf):
+            for i in (0, 7):
+                x = point.copy()
+                x[i] = bad
+                assert not is_feasible(dom, x)
 
 
 @pytest.mark.parametrize(
