@@ -9,8 +9,9 @@ solver types.
 
 Three backends ship: a brute-force enumerator (exact, small slices, also the
 test oracle), which holds a slice whole or as a table of at most one block,
-and answers a lower bound by one step per block and every other query by one
-masked pass; an adapter to the HiGHS solver via scipy.optimize.milp; and the
+walks the level set of a tight cut into that table once a run, and answers a
+lower bound by one step per block and every other query by one masked pass;
+an adapter to the HiGHS solver via scipy.optimize.milp; and the
 default, which picks one of the two from the size of the slice, once per
 engine run.
 """
@@ -40,9 +41,11 @@ log = get_logger(__name__)
 
 # the enumerator's state for a slice may take this many bytes, counted at
 # ceil(n/8) + 8 bytes a point, a packed bit row and a float64 cut value; the
-# count is conservative, as the state holds 8 bytes a point while whole and a
-# table of at most _BLOCK points after that; AutoBackend enumerates the slices
-# within it and BruteForceBackend refuses the others
+# count is conservative: the state writes 8 bytes a point only while it holds
+# the whole slice and a lower bound sweeps it, and else holds a table of at
+# most _BLOCK points, which is also the most the walk of a level set makes;
+# AutoBackend enumerates the slices within it and BruteForceBackend refuses
+# the others
 ENUM_STATE_BYTES = 16_000_000
 
 # HiGHS's default mip_feasibility_tolerance: a lower bound it reports may sit
@@ -129,10 +132,8 @@ class MilpBackend(abc.ABC):
         extra rows costs that check nothing.
         """
         cost = np.asarray(cost, dtype=float)
-        x = np.zeros(dom.n)
-        x[cost.argsort(kind="stable")[: dom.m]] = 1.0
-        extra = dom.extra_rows
-        if (not extra or all(row.satisfied_by(x) for row in extra)) and _satisfied(rows, x):
+        x = _cheapest(cost, dom)
+        if x is not None and _satisfied(rows, x):
             obj = float(cost @ x)
             return MilpResult(
                 status=_OPTIMAL,
@@ -176,18 +177,25 @@ class BruteForceBackend(MilpBackend):
     ties always resolve to the first minimizer. The backend holds the
     _LevelSets of one run: theta, the cut model at every held point, +inf
     where a point violates a row of the domain, in one of two forms. A slice
+    of at most _BLOCK (32,768) points is its table from the start. A slice
     of several blocks is held whole, theta alone by rank, 8 bytes a point,
-    until the first lower bound whose survivors fit one block makes them its
-    table; a slice of at most _BLOCK (32,768) points is its table from the
-    start. A lower bound (_LevelSets.lower_bound) is one step per block: it
-    folds in the new cuts, takes the first argmin and marks the points that
-    survive ub. Every other query is one masked pass: the cost's value at
+    which only a lower bound that sweeps the slice writes, until the first
+    lower bound whose survivors fit one block makes them its table. A run's
+    first lower bound of one cut sweeps nothing: its minimizer is the m
+    cheapest coordinates whenever they meet the domain's rows. The next one
+    walks, once a run, the level set under ub of each of its cuts in turn,
+    and the first that fits one block is the table that it folds every cut
+    over, so theta of the whole slice is never written. A lower bound
+    (_LevelSets.lower_bound) is otherwise one step per block: it folds in the
+    new cuts, takes the first argmin and marks the points that survive ub.
+    Every other query is one masked pass: the cost's value at
     each point, masked by a limit on theta. The cut rows of the run (CutRows
     at a level no higher than its ub) are that level set of theta, answered
     without reading a row. Any other rows are checked in each block, against
     their own tail sums computed in step with the cost's. The state takes 8
-    bytes a point while whole, plus a table of at most _BLOCK points, within
-    the ENUM_STATE_BYTES budget, which counts more. A pass over it allocates
+    bytes a point while whole and swept, plus a table of at most _BLOCK
+    points, within the ENUM_STATE_BYTES budget, which counts more; a walk
+    holds at most one block of candidates. A pass over it allocates
     block-sized buffers and, for each cost, cut or row it sums by tails, one
     array of C(n - 1, m - 1) values.
     """
@@ -249,7 +257,7 @@ class _LevelSets:
     theta[i] is the max over the first n_cuts cuts of the oracle of
     <grad, x_i> + intercept at the i-th held point, in lexicographic
     order, or +inf where x_i violates a row of the domain; the first lower
-    bound writes it. A point whose theta exceeds ub + FEAS_TOL is dead:
+    bound that folds a cut in writes it. A point whose theta exceeds ub + FEAS_TOL is dead:
     theta only grows and ub only falls during a run, so it can never again
     be a lower-bound argmin or lie in a level set theta <= ub - tau. Only a
     CutOracle, whose cuts can only be appended, has its state serve later
@@ -259,23 +267,31 @@ class _LevelSets:
 
     - whole (table is None): a slice of several blocks starts with every
       point held, theta[r] at the point of lexicographic rank r, its values
-      the tail sums of _tail_sums, and no point stored. Dead points stay:
-      theta costs 8 bytes a point either way, and every answer masks by
-      theta. The first lower bound with a ub whose survivors number at most
-      _BLOCK makes the state their table, _unrank of the ranks its sweep
-      recorded, with theta cut to them.
+      the tail sums of _tail_sums, and no point stored. A first lower bound
+      of one cut whose m cheapest coordinates meet the domain's rows is
+      answered by them, and leaves theta unwritten and n_cuts at 0; so the
+      next lower bound is fresh again, and a query in between reads no
+      theta. A fresh lower bound of several cuts with a ub walks the level
+      set of each cut (_walk); the first that fits one block, folded with
+      every cut and the domain's rows, makes the state the table of its
+      survivors, unless its minimum is above ub, where the walk proves
+      nothing. Else the lower bound sweeps: it writes theta, and dead points
+      stay, since every answer masks by theta. The first lower bound with a
+      ub whose survivors number at most _BLOCK makes the state their table,
+      _unrank of the ranks its sweep recorded, with theta cut to them.
     - as a table: packed bit rows (the np.packbits layout, ceil(n/8) bytes
       each) of at most _BLOCK points, one column per point, whose values
       come by byte lookup. A slice of at most _BLOCK points starts as its
-      table, unranked once per slice shape (n, m), read-only and shared by
+      table, built once per slice shape (n, m), read-only and shared by
       every run on that shape, whose state only compresses it, which copies.
       Each lower bound is one _step over the table, and each level set
       theta <= level one masked lookup; the dead points are dropped by a
       boolean mask once they are an eighth of those held, which copies the
       survivors beside them for a moment.
 
-    The whole state holds 8 bytes a point, and a sweep adds at most the
-    int64 ranks of _BLOCK points; the table adds at most _BLOCK columns. So
+    The whole state holds 8 bytes a point once swept, and a sweep adds at
+    most the int64 ranks of _BLOCK points; the table adds at most _BLOCK
+    columns, and so does a walk, whose prefixes never outnumber a block. So
     the state stays within the ceil(n/8) + 8 bytes a point of the slice that
     enumerable() admits, and a pass adds block-sized buffers only.
     """
@@ -316,9 +332,18 @@ class _LevelSets:
         """Fold new cuts, given as gradient rows and intercepts, into theta,
         and return (x, theta(x)) at its first minimizer, or None when every
         theta is +inf: one _step on a table, one sweep over the blocks of the
-        whole state. The first lower bound writes theta from its cuts and
-        sets +inf where the domain's rows are violated, their left-hand sides
-        taken with the cuts' values.
+        whole state. The first lower bound that folds cuts in writes theta
+        from them and sets +inf where the domain's rows are violated, their
+        left-hand sides taken with the cuts' values.
+
+        On the whole state, while no cut is folded in, a lower bound of one
+        cut is its m cheapest coordinates, ties to the lowest index, when
+        they meet the domain's rows: it folds nothing in and writes no
+        theta. A lower bound of several cuts with a ub first walks their
+        level sets (_walk); when one fits a block, it is the table the step
+        folds over, and the state becomes that table's survivors, as long as
+        its minimum is within ub: every point off the table is above ub, and
+        so above that minimum. Else the lower bound sweeps.
 
         With ub, lower the state's ub and drop dead points: a table drops
         them by its step's mask once they are an eighth of those held, and
@@ -328,12 +353,32 @@ class _LevelSets:
         """
         total = len(self.theta)
         limit = None if ub is None else ub + FEAS_TOL
+        if ub is not None:
+            self.ub = ub
         fresh = self.n_cuts == 0
-        rows = self.dom.extra_rows if fresh else ()
+        n, m = self.dom.n, self.dom.m
         new = len(grads)
+        walked = None
+        if fresh and self.table is None:
+            if new == 1:
+                x = _cheapest(grads[0], self.dom)
+                if x is not None:
+                    return x, float(grads[0] @ x) + float(intercepts[0])
+            elif limit is not None:
+                walked = _walk(grads, intercepts, limit, n, m)
+        rows = self.dom.extra_rows if fresh else ()
         if rows:
             grads = np.vstack([grads, *(row.coeffs for row in rows)])
             intercepts = np.concatenate([intercepts, np.zeros(len(rows))])
+        if walked is not None and walked.shape[1]:
+            theta = np.empty(walked.shape[1])
+            values = [_scores(walked, lut) for lut in _lut(grads, len(walked), intercepts)]
+            best_i, best, alive = _step(theta, values, rows, True, limit)
+            if best <= limit:
+                # every point off the table is above limit, and so above best
+                self.table, self.theta = walked.compress(alive, axis=1), theta.compress(alive)
+                self.n_cuts, self.theta_min = new, best
+                return _decode(walked[:, best_i], n), best
         if self.table is not None:
             values = [_scores(self.table, lut) for lut in _lut(grads, len(self.table), intercepts)]
             best_i, best, alive = _step(self.theta, values, rows, fresh, limit)
@@ -342,13 +387,11 @@ class _LevelSets:
         self.n_cuts += new
         self.theta_min = best
         found = None if best == np.inf else (self.point(best_i), best)
-        if ub is not None:
-            self.ub = ub
         if ub is None or best > limit:
             return found
         if self.table is None:
             if kept is not None:
-                self.table = _unrank(kept, self.dom.n, self.dom.m)
+                self.table = _unrank(kept, n, m)
                 self.theta = self.theta[kept]
         elif 8 * (total - np.count_nonzero(alive)) >= total:
             self.table = self.table.compress(alive, axis=1)
@@ -421,8 +464,9 @@ def _step(theta, values, rows, fresh: bool, limit: Optional[float]):
 
 # points read at a time, so that no array the size of the slice is made
 # besides theta, and the most points a table holds: a slice of at most this
-# many points is its table from the start, and a whole state becomes the
-# table of its survivors once they number at most this many. On a 2-core
+# many points is its table from the start, a whole state becomes the table
+# of its survivors once they number at most this many, and a walk of a level
+# set gives up at a depth of more prefixes than this. On a 2-core
 # machine, rounds of the five configurations on an n=30 m=6 slice took 33.2,
 # 32.2 and 31.4 ms (least of 10) at 16k, 32k and 64k points, and 33.2, 32.5
 # and 32.4 ms in a second pass of 16: past 32k the gain is within the noise,
@@ -438,8 +482,9 @@ _BIT = np.array([128 >> k for k in range(8)], dtype=np.uint8)
 def enumerable(n: int, m: int) -> bool:
     """Whether the slice, counted at a packed bit row and a float64 cut value
     per point, fits in ENUM_STATE_BYTES. The count is conservative: the
-    enumerator's state holds 8 bytes a point while whole, and a table of at
-    most _BLOCK points after that."""
+    enumerator's state writes 8 bytes a point only while whole and swept by
+    a lower bound, and holds a table of at most _BLOCK points after that, or
+    from a walk of a level set, which makes at most one block of candidates."""
     return comb(n, m) * ((n + 7) // 8 + 8) <= ENUM_STATE_BYTES
 
 
@@ -525,37 +570,118 @@ def _first_minimum(scores):
     return None if best_i is None else (best_i, best)
 
 
-def _unrank(ranks: np.ndarray, n: int, m: int) -> np.ndarray:
-    """The points of the whole slice of lexicographic rank ranks, as packed
-    bit rows (the np.packbits layout, ceil(n/8) bytes each), one column per
-    point.
+def _walk(grads: np.ndarray, intercepts: np.ndarray, limit: float, n: int, m: int):
+    """The level set where a cut, given as a gradient row and an intercept,
+    is at most limit, as _level_set makes it, of the first cut whose level
+    set fits; None when none does.
 
-    The point c_1 < ... < c_m of rank r has C(n, m) - 1 - r = sum over j of
-    C(n - 1 - c_j, m - j + 1), which the combinatorial number system writes
-    one way only: each a_j = n - 1 - c_j is, in turn, the largest a with
-    C(a, m - j + 1) no more than what is left.
+    The cuts are walked in increasing order of how many standard deviations
+    of their values over the slice limit sits above their mean: the first
+    is the one whose level set is likely the least, which makes the
+    smallest table to fold the cuts over. A walk that gives up costs
+    little, as it stops once it knows of more than _BLOCK points."""
+    if limit == np.inf:
+        return None  # the whole slice, which is more than a block
+    spread = grads.std(axis=1)
+    above = (limit - intercepts - m * grads.mean(axis=1)) / np.where(spread > 0, spread, np.inf)
+    for q in above.argsort(kind="stable"):
+        table = _level_set(grads[q], float(intercepts[q]), limit, n, m)
+        if table is not None:
+            return table
+    return None
+
+
+def _level_set(g: np.ndarray, c: float, limit: float, n: int, m: int):
+    """The points x of the whole slice with <g, x> + c at most limit, and
+    perhaps a few more within rounding of it, as packed bit rows in rank
+    order, one column per point; None as soon as the walk knows of more than
+    _BLOCK of them.
+
+    The walk chooses a point's coordinates in increasing order of g, one
+    depth at a time. A prefix stays while its sum, plus the least sum of
+    the coordinates left to choose, the next ones in that order, is at most
+    limit, give or take a slack for rounding. That least sum grows with the
+    coordinate chosen, so the children of a prefix are a run of
+    coordinates, which one searchsorted finds and counts before any is
+    made. A prefix with k children and r coordinates left to choose has at
+    least C(k + r - 1, r) points in the level set: any r of the k + r - 1
+    coordinates that follow it sum to no more than the last r, which its
+    last child completes. So the walk gives up at the first depth whose
+    prefixes have more than _BLOCK such points, no later than at one of
+    more than _BLOCK prefixes. limit is finite.
     """
-    # counts[k, a] = C(a, k), the sum of C(b, k - 1) over b < a, capped at the
-    # slice size, which nothing left reaches, so that int64 holds them
-    total = comb(n, m)
-    counts = np.zeros((m + 1, n), dtype=np.int64)
-    counts[0] = 1
+    order = g.argsort(kind="stable")
+    h = g[order]
+    tails = np.concatenate([[0.0], np.cumsum(h)])
+    room = limit - c + FEAS_TOL * (1.0 + abs(c) + m * np.abs(g).max())
+    prefixes = np.zeros(((n + 7) // 8, 1), dtype=np.uint8)
+    sums = np.zeros(1)
+    last = np.array([-1])  # the position in h of each prefix's last coordinate
     for k in range(1, m + 1):
-        np.minimum(np.cumsum(counts[k - 1, :-1]), total, out=counts[k, 1:])
-    left = total - 1 - np.asarray(ranks, dtype=np.int64)
-    chosen = np.empty((m, len(left)), dtype=np.intp)  # the a_j of every point
-    for j, k in enumerate(range(m, 0, -1)):
-        # counts[k, 0] = 0 is never above what is left
-        chosen[j] = np.searchsorted(counts[k, 1:], left, side="right")
-        left -= counts[k].take(chosen[j])
-    # bits[i, a]: the bit that coordinate n - 1 - a sets in byte i
-    coord = n - 1 - np.arange(n)
-    bits = np.zeros(((n + 7) // 8, n), dtype=np.uint8)
-    bits[coord >> 3, np.arange(n)] = _BIT[coord & 7]
-    packed = np.empty((len(bits), len(left)), dtype=np.uint8)
-    for i, row in enumerate(bits):
-        np.bitwise_or.reduce(row.take(chosen), axis=0, out=packed[i])
-    return packed
+        # least[j]: the least sum of a child at position j and its completion
+        least = np.full(n, np.inf)
+        least[: n - m + k] = tails[m - k + 1 :] - tails[: n - m + k]
+        np.maximum.accumulate(least, out=least)  # sorted, where rounding is not
+        counts = np.searchsorted(least, room - sums, side="right") - last - 1
+        np.maximum(counts, 0, out=counts)
+        within = np.array([comb(j + m - k, m - k + 1) for j in range(n + 1)], dtype=float)
+        if within.take(counts).sum() > _BLOCK:
+            return None
+        size = int(counts.sum())
+        parent = np.repeat(np.arange(len(counts)), counts)
+        last = np.arange(size) + np.repeat(last + 1 - (np.cumsum(counts) - counts), counts)
+        sums = sums[parent] + h[last]
+        coord = order.take(last)
+        prefixes = prefixes.take(parent, axis=1)
+        prefixes[coord >> 3, np.arange(size)] |= _BIT[coord & 7]
+    # rank order: the first point holds the lower coordinate where two differ,
+    # so its packed bytes read as the larger number
+    return prefixes[:, np.lexsort(prefixes[::-1])[::-1]]
+
+
+def _unrank(ranks: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The points of the whole slice of lexicographic rank ranks, in
+    increasing order, as packed bit rows (the np.packbits layout, ceil(n/8)
+    bytes each), one column per point.
+
+    The points whose least index is i hold the ranks from starts[i] on:
+    i joined to each (m - 1)-subset of range(i + 1, n), which are, in
+    order, the last C(n - i - 1, m - 1) columns of the table of the
+    (m - 1)-subsets of range(n). So each point is one column of that table,
+    found by one searchsorted over the groups, with bit i set. The table is
+    built for the call and not kept: a whole state is unranked once a run,
+    and a table kept beside the next run's theta would add to its peak.
+    """
+    rest = _subsets(n, m - 1)
+    sizes = np.array([comb(n - i - 1, m - 1) for i in range(n - m + 1)], dtype=np.int64)
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    bounds = np.searchsorted(ranks, starts)
+    # the column of rest that the rank r of group i reads
+    shift = rest.shape[1] - sizes - starts[:-1]
+    table = rest.take(ranks + np.repeat(shift, np.diff(bounds)), axis=1)
+    for i in range(n - m + 1):
+        table[i >> 3, bounds[i] : bounds[i + 1]] |= _BIT[i & 7]
+    return table
+
+
+def _subsets(n: int, m: int) -> np.ndarray:
+    """The packed table of the m-subsets of range(n), in rank order.
+
+    It is built up from the empty subset as _tail_sums builds its sums: the
+    k-subsets whose least index is i are i joined to the last
+    C(n - i - 1, k - 1) of the (k - 1)-subsets, so each level is the tails
+    of the one before, each with bit i set."""
+    table = np.zeros(((n + 7) // 8, 1), dtype=np.uint8)
+    for k in range(1, m + 1):
+        out = np.empty((len(table), comb(n, k)), dtype=np.uint8)
+        filled = 0
+        for i in range(n - k + 1):
+            count = comb(n - i - 1, k - 1)
+            out[:, filled : filled + count] = table[:, table.shape[1] - count :]
+            out[i >> 3, filled : filled + count] |= _BIT[i & 7]
+            filled += count
+        table = out
+    return table
 
 
 # a table is at most ENUM_STATE_BYTES; a process works on a few slice shapes
@@ -563,16 +689,20 @@ def _unrank(ranks: np.ndarray, n: int, m: int) -> np.ndarray:
 def _slice_table(n: int, m: int) -> np.ndarray:
     """The packed table of the whole slice, in rank order, read-only: built
     once per shape and shared by every run on it, on any thread."""
-    table = _unrank(np.arange(comb(n, m)), n, m)
+    table = _subsets(n, m)
     table.flags.writeable = False
     return table
 
 
 def _point(rank: int, n: int, m: int) -> np.ndarray:
     """The point of the whole slice of lexicographic rank rank, as 0/1
-    floats: _unrank for one rank, in Python integers, which for the one
-    point that a lower bound or a projection decodes cost a fraction of
-    _unrank's array calls."""
+    floats, in Python integers, which for the one point that a lower bound
+    or a projection decodes cost a fraction of _unrank's array calls.
+
+    The point c_1 < ... < c_m of rank r has C(n, m) - 1 - r = sum over j of
+    C(n - 1 - c_j, m - j + 1), which the combinatorial number system writes
+    one way only: each a_j = n - 1 - c_j is, in turn, the largest a with
+    C(a, m - j + 1) no more than what is left."""
     x = np.zeros(n)
     left = comb(n, m) - 1 - rank
     a = n
@@ -608,6 +738,18 @@ def _scores(packed: np.ndarray, lut: np.ndarray) -> np.ndarray:
 
 def _decode(row: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(row, count=n).astype(float)
+
+
+def _cheapest(cost: np.ndarray, dom: FeasibleDomain) -> Optional[np.ndarray]:
+    """The cardinality-only minimizer of <cost, x>, the m cheapest
+    coordinates with ties to the lowest index, as 0/1 floats; None when it
+    violates a row of the domain."""
+    x = np.zeros(dom.n)
+    x[cost.argsort(kind="stable")[: dom.m]] = 1.0
+    extra = dom.extra_rows
+    if not extra or all(row.satisfied_by(x) for row in extra):
+        return x
+    return None
 
 
 def _satisfied(rows: Sequence[LinearRow], x: np.ndarray) -> bool:
@@ -676,8 +818,9 @@ class HighsBackend(MilpBackend):
     also unusable, MilpSolveError names the subproblem kind and model size. A
     tight lower-bound solve goes straight to that second solve, with
     mip_feasibility_tolerance lowered from HIGHS_FEAS_TOL to
-    HIGHS_TIGHT_FEAS_TOL, and an unusable answer there is solved once more at
-    FEAS_TOL. Other options stay at solver defaults.
+    HIGHS_TIGHT_FEAS_TOL; an unusable answer there is solved once more at
+    FEAS_TOL, and then once with presolve on at HIGHS_TIGHT_FEAS_TOL. Other
+    options stay at solver defaults.
     """
 
     name = "highs"
@@ -742,31 +885,33 @@ class HighsBackend(MilpBackend):
         deadline = time.perf_counter() + budget
         if tight:
             # the least tolerance can end in a solve error where the values
-            # are large; FEAS_TOL is the tightest one to fall back on
-            why = f"a tight solve, at mip_feasibility_tolerance {HIGHS_TIGHT_FEAS_TOL:g}"
-            retries = (HIGHS_TIGHT_FEAS_TOL, FEAS_TOL)
+            # are large, with presolve off at either tolerance and not with it
+            # on; FEAS_TOL is the tightest one to fall back on
+            why = "a tight solve"
+            rungs = ((False, HIGHS_TIGHT_FEAS_TOL), (False, FEAS_TOL), (True, HIGHS_TIGHT_FEAS_TOL))
         else:
             res = self._solve_once(c, constraints, integrality, bounds, budget, n, presolve=True)
             reason = _unusable(res, upper_limit)
             if reason is None:
                 return res
             why = f"unusable: {reason}"
-            retries = (None,)
-        for feas_tol in retries:
+            rungs = ((False, None),)
+        for presolve, feas_tol in rungs:
+            at = "" if feas_tol is None else f" at mip_feasibility_tolerance {feas_tol:g}"
             log.warning(
-                "HiGHS %s solve (%d rows x %d cols) re-solving with presolve off; %s",
-                kind, a.shape[0], len(c), why,
+                "HiGHS %s solve (%d rows x %d cols) re-solving with presolve %s%s; %s",
+                kind, a.shape[0], len(c), "on" if presolve else "off", at, why,
             )
             remaining = deadline - time.perf_counter()
             if remaining <= 0:
                 return _timeout_result(f"budget exhausted before re-solving; {why}")
             res = self._solve_once(
-                c, constraints, integrality, bounds, remaining, n, presolve=False, feas_tol=feas_tol
+                c, constraints, integrality, bounds, remaining, n, presolve, feas_tol
             )
             reason = _unusable(res, upper_limit)
             if reason is None:
                 return res
-            why = f"unusable: {reason}; now at mip_feasibility_tolerance {FEAS_TOL:g}"
+            why = f"unusable: {reason}"
         raise MilpSolveError(kind, a.shape[0], len(c), f"{reason}, also with presolve off")
 
     @staticmethod

@@ -680,6 +680,7 @@ def test_auto_backend_matches_enumeration(kind, n, m, seed, config):
 )
 @example(seed=65535, n=4, convex=False)
 @example(seed=12, n=12, convex=False)
+@example(seed=5437, n=11, convex=True)
 @settings(max_examples=25, deadline=None)
 def test_highs_certifies_what_enumeration_certifies(seed, n, convex):
     # Q at norm 1e3 with one extra <= row that the start satisfies: under
@@ -687,7 +688,9 @@ def test_highs_certifies_what_enumeration_certifies(seed, n, convex):
     # In the first example a tight re-solve at mip_feasibility_tolerance 1e-9
     # left the lower bound 1.04e-9 below f* = -758.378, and every run stalled
     # just short of its 1e-9 gap. In the second, pgm-tau-lb's tight re-solve
-    # at 1e-10 ends in a solve error, and only the fallback to 1e-9 certifies
+    # at 1e-10 ends in a solve error, and only the fallback to 1e-9 certifies.
+    # In the third, pgm-lb's tight re-solve with presolve off ends in a solve
+    # error at 1e-10 and at 1e-9, and only presolve on at 1e-10 certifies f*
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, n))
     obj = (random_psd_objective if convex else random_symmetric_objective)(rng, n)

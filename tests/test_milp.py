@@ -374,15 +374,33 @@ class TestHighsRetryLadder:
             HIGHS_TIGHT_FEAS_TOL, FEAS_TOL
         ]
 
+    def test_tight_solve_falls_back_to_presolve_at_the_least_tolerance(self, monkeypatch):
+        # with presolve off, HiGHS can end in a solve error at both tight
+        # tolerances where presolve on certifies at the least one
+        backend, stub = scripted_highs(
+            monkeypatch,
+            cp_answer(4, 0.999999, message=SOLVE_ERROR),
+            cp_answer(4, 0.999999, message=SOLVE_ERROR),
+            cp_answer(0, 1.0),
+        )
+        res = solve_cp_model(self.oracle, self.dom, 30.0, backend, tight=True)
+        assert res.ok
+        assert res.bound == 1.0
+        assert [o["presolve"] for o in stub.options] == [False, False, True]
+        assert [o["mip_feasibility_tolerance"] for o in stub.options] == [
+            HIGHS_TIGHT_FEAS_TOL, FEAS_TOL, HIGHS_TIGHT_FEAS_TOL
+        ]
+
     def test_repeated_tight_solve_error_raises(self, monkeypatch):
         backend, stub = scripted_highs(
             monkeypatch,
             cp_answer(4, 0.999999, message=SOLVE_ERROR),
             cp_answer(4, 0.999999, message=SOLVE_ERROR),
+            cp_answer(4, 0.999999, message=SOLVE_ERROR),
         )
         with pytest.raises(MilpSolveError, match="also with presolve off"):
             solve_cp_model(self.oracle, self.dom, 30.0, backend, tight=True)
-        assert len(stub.options) == 2
+        assert len(stub.options) == 3
 
 
 def rows_one_by_one(dom, rows, n_cols):
@@ -638,16 +656,17 @@ class TestPointTable:
     @pytest.mark.parametrize("n, m", POINT_TABLE_GRID)
     def test_matches_itertools_in_lexicographic_order(self, n, m):
         want = slice_points(n, m)
-        table = milp._unrank(np.arange(len(want)), n, m)
-        assert table.dtype == np.uint8
-        assert table.shape == ((n + 7) // 8, len(want))
-        np.testing.assert_array_equal(decoded(table, n), want)
+        for table in (milp._unrank(np.arange(len(want)), n, m), milp._subsets(n, m)):
+            assert table.dtype == np.uint8
+            assert table.shape == ((n + 7) // 8, len(want))
+            np.testing.assert_array_equal(decoded(table, n), want)
 
     @pytest.mark.parametrize("n, m", POINT_TABLE_GRID)
     def test_unranking_every_rank_gives_the_table(self, n, m):
         want = slice_points(n, m)
-        # any subset, in any order, column for column
+        # any subset, in rank order, column for column
         ranks = np.random.default_rng(n * m).permutation(comb(n, m))[: comb(n, m) // 2 + 1]
+        ranks.sort()
         np.testing.assert_array_equal(decoded(milp._unrank(ranks, n, m), n), want[ranks])
         # and one rank at a time
         points = np.array([milp._point(r, n, m) for r in range(comb(n, m))])
@@ -664,7 +683,8 @@ class TestPointTable:
         ]
         lhs = pts @ np.array([row.coeffs for row in rows]).T
         violated = np.column_stack([lhs[:, 0] > 1.0, lhs[:, 1] < 1.0, lhs[:, 2] != 1.0])
-        # the first lower bound folds the rows in with a zero cut: by tail
+        # the first lower bound folds the rows in with two zero cuts (of one,
+        # the whole state could answer by the cheapest point alone): by tail
         # sums in blocks of 3 points, so that the fold spans several, and by
         # byte lookup on the table of a slice of one block
         for block in (3, len(pts)):
@@ -673,7 +693,7 @@ class TestPointTable:
                     dom = FeasibleDomain(n=n, m=m, extra_rows=tuple(rows[j] for j in fold))
                     sets = milp._LevelSets(dom, [])
                     assert (sets.table is None) == (block < len(pts))
-                    sets.lower_bound(np.zeros((1, n)), np.zeros(1), None)
+                    sets.lower_bound(np.zeros((2, n)), np.zeros(2), None)
                     dropped = violated[:, fold].any(axis=1)
                     assert 0 < np.count_nonzero(dropped) < len(pts)
                     np.testing.assert_array_equal(sets.theta, np.where(dropped, np.inf, 0.0))
@@ -794,9 +814,11 @@ def test_level_sets_replay_an_engine_run_like_a_plain_scan(with_domain_row, seed
         dom = FeasibleDomain(n=n, m=m, extra_rows=rows)
         pts = feasible_points(dom)
         if with_domain_row == "loose":
-            # the first lower bound, with no ub yet, drops no point
+            # the first lower bound, with no ub yet, drops no point; of two
+            # cuts, so that the whole state sweeps
             probe = BruteForceBackend()
-            assert probe.solve_cp(CutOracle([make_cut(obj, pts[0])]), dom, 30.0).ok
+            probe_cuts = CutOracle([make_cut(obj, pts[0]), make_cut(obj, pts[-1])])
+            assert probe.solve_cp(probe_cuts, dom, 30.0).ok
             assert (probe._sets.table is None) == (size > block)
             assert len(probe._sets.theta) == size
             assert np.count_nonzero(probe._sets.theta == np.inf) == size - len(pts)
@@ -920,23 +942,177 @@ def test_whole_slice_fold_by_tails_matches_the_byte_lookup(n, m, seed):
     assert got.objective == pytest.approx(want[0], abs=1e-12)
 
 
+def recording(fn, results):
+    """fn, with each of its results appended to results."""
+    def call(*args):
+        results.append(fn(*args))
+        return results[-1]
+    return call
+
+
 def test_whole_slice_builds_no_packed_table():
     """Every configuration on an n=30 m=6 diversity slice runs with no table of
-    the whole slice: the lower bounds and level sets read theta and tail sums
-    until the survivors fit one block, and then unrank those survivors only,
-    once, into the table that serves the rest of the run."""
+    the whole slice. On this slice no cut's level set under the second ub
+    fits one block, so each run walks once in vain; the lower bounds and
+    level sets then read theta and tail sums until the survivors fit one
+    block, and unrank those survivors only, once, into the table that
+    serves the rest of the run."""
     inst = synth_instance(30, 6, "mdp_like", 0)
     for config in CONFIG_NAMES:
         backend = BruteForceBackend()
-        with mock.patch.object(milp, "_unrank", wraps=milp._unrank) as unrank:
+        walked = []
+        with (
+            mock.patch.object(milp, "_unrank", wraps=milp._unrank) as unrank,
+            mock.patch.object(milp, "_walk", recording(milp._walk, walked)),
+        ):
             out = run(inst.obj, inst.dom, default_x0(inst.dom, backend),
                       SolverConfig.from_name(config), backend)
         assert out.status.value == "eps_optimal"
+        assert walked == [None]
         assert backend._sets.table is not None  # the run compacted
         assert_whole_or_one_table(backend._sets, comb(30, 6))
         assert unrank.call_count == 1
         kept = len(unrank.call_args.args[0])
         assert backend._sets.table.shape[1] <= kept <= milp._BLOCK
+
+
+@pytest.mark.parametrize("config", CONFIG_NAMES)
+def test_a_tight_cut_walks_its_level_set_into_the_table(config):
+    """On the benchmark's n=30 m=6 diversity slice, the second lower bound
+    of each pgm configuration walks the level set of the local point's cut
+    into its table: no lower bound sweeps the slice, and nothing is
+    unranked. cpm's walk gives up, once, and it sweeps. Each run answers as
+    one whose walk is forced to give up: the same status, iterations,
+    incumbents and upper bounds, and lower bounds within rounding."""
+    inst = synth_instance(30, 6, "mdp_like", 2)
+    outs, walks, sweeps, unranks = [], [], [], []
+    for forced in (False, True):
+        backend = BruteForceBackend()
+        walked = []
+        walk = (lambda *args: None) if forced else milp._walk
+        with (
+            mock.patch.object(milp, "_walk", recording(walk, walked)),
+            mock.patch.object(milp, "_unrank", wraps=milp._unrank) as unrank,
+            mock.patch.object(milp._LevelSets, "_sweep", autospec=True,
+                              side_effect=milp._LevelSets._sweep) as sweep,
+        ):
+            outs.append(run(inst.obj, inst.dom, default_x0(inst.dom, backend),
+                            SolverConfig.from_name(config), backend))
+        walks.append(walked)
+        sweeps.append(sweep.call_count)
+        unranks.append(unrank.call_count)
+        assert outs[-1].status.value == "eps_optimal"
+        assert len(walked) == 1
+    walked = walks[0]
+    if config == "cpm":
+        assert walked == [None] and sweeps[0] > 0
+    else:
+        assert walked[0] is not None and 0 < walked[0].shape[1] <= milp._BLOCK
+        assert sweeps[0] == 0 and unranks[0] == 0
+    assert sweeps[1] > 0
+    walk, forced = outs
+    assert walk.status == forced.status
+    assert walk.iterations == forced.iterations
+    np.testing.assert_array_equal(walk.x_best, forced.x_best)
+    assert walk.f_best == forced.f_best
+    assert [r.ub for r in walk.trace.records] == [r.ub for r in forced.trace.records]
+    np.testing.assert_allclose([r.lb for r in walk.trace.records],
+                               [r.lb for r in forced.trace.records], rtol=0.0, atol=1e-12)
+
+
+WALK_GRID = [(10, 4), (9, 1), (9, 8), (17, 3), (12, 6), (20, 2)]
+
+
+@pytest.mark.parametrize("n, m", WALK_GRID)
+@pytest.mark.parametrize("whole_number", [True, False])
+def test_level_set_walk_matches_a_plain_scan(n, m, whole_number):
+    """_level_set against a plain scan of the slice, at limits from below
+    the least value (the empty set) to above the largest: every point
+    within the limit, in rank order, and no other point but within the
+    walk's slack; with whole-number data, exactly the scan's level set.
+    With a cap one short of the level set it gives up; at the level set's
+    size it does not."""
+    rng = np.random.default_rng(n * m + whole_number)
+    pts = slice_points(n, m)
+    if whole_number:
+        cut = whole_number_cut(rng, n)
+        g, c = cut.grad, cut.intercept
+    else:
+        g, c = rng.standard_normal(n), float(rng.standard_normal())
+    values = pts @ g + c
+    slack = FEAS_TOL * (1.0 + abs(c) + m * np.abs(g).max())
+    limits = [values.min() - 1.0, *np.quantile(values, [0.0, 0.01, 0.1, 0.5]), values.max() + 1]
+    for limit in limits:
+        inside = np.flatnonzero(values <= limit)
+        with mock.patch.object(milp, "_BLOCK", len(pts)):
+            table = milp._level_set(g, c, float(limit), n, m)
+        got = decoded(table, n)
+        ranks = np.array([np.flatnonzero((pts == x).all(axis=1))[0] for x in got], dtype=int)
+        assert np.all(np.diff(ranks) > 0)  # in rank order
+        assert set(inside) <= set(ranks)
+        assert np.all(values[ranks] <= limit + slack)
+        if whole_number:
+            np.testing.assert_array_equal(ranks, inside)
+        if len(inside) == 0:
+            assert table.shape == ((n + 7) // 8, 0)
+        else:
+            with mock.patch.object(milp, "_BLOCK", len(ranks) - 1):
+                assert milp._level_set(g, c, float(limit), n, m) is None
+            with mock.patch.object(milp, "_BLOCK", len(ranks)):
+                np.testing.assert_array_equal(milp._level_set(g, c, float(limit), n, m), table)
+
+
+def test_walk_takes_the_first_cut_whose_level_set_fits():
+    """_walk tries the cuts likely to have the least level set first and
+    returns the first level set that fits a block; None when none does."""
+    n, m = 12, 4
+    pts = slice_points(n, m)
+    rng = np.random.default_rng(11)
+    grads = rng.standard_normal((3, n))
+    intercepts = rng.standard_normal(3)
+    values = pts @ grads.T + intercepts
+    limit = float(np.quantile(values[:, 1], 0.01))
+    sizes = (values <= limit).sum(axis=0)
+    assert sizes[1] < min(sizes[0], sizes[2])
+    # the least level set is walked first, also where all of them fit
+    for block in (int(sizes[1]), len(pts)):
+        with mock.patch.object(milp, "_BLOCK", block):
+            table = milp._walk(grads, intercepts, limit, n, m)
+        np.testing.assert_array_equal(decoded(table, n), pts[values[:, 1] <= limit])
+    with mock.patch.object(milp, "_BLOCK", int(sizes.min()) - 1):
+        assert milp._walk(grads, intercepts, limit, n, m) is None
+    assert milp._walk(grads, intercepts, np.inf, n, m) is None
+
+
+@pytest.mark.parametrize("cuts_off", [False, True])
+def test_a_first_bound_whose_cheapest_point_violates_a_row_sweeps(cuts_off):
+    """A whole state's first lower bound of one cut is the cut's m cheapest
+    coordinates when they meet the domain's row, with theta unwritten; when
+    the row cuts them off, it sweeps, and writes theta with +inf where the
+    row is violated. Either way it is the first minimizer of a plain scan."""
+    n, m = 10, 4
+    pts = slice_points(n, m)
+    cut = whole_number_cut(np.random.default_rng(5), n)
+    cheapest = np.zeros(n)
+    cheapest[cut.grad.argsort(kind="stable")[:m]] = 1.0
+    row = LinearRow(cheapest, "<=", m - 1.0 if cuts_off else float(m))
+    dom = FeasibleDomain(n=n, m=m, extra_rows=(row,))
+    violated = ~row.holds(pts @ row.coeffs)
+    assert bool(violated.any()) == cuts_off
+    theta = np.where(violated, np.inf, pts @ cut.grad + cut.intercept)
+    backend = BruteForceBackend()
+    with mock.patch.object(milp, "_BLOCK", 7):
+        res = backend.solve_cp(CutOracle([cut]), dom, 30.0)
+    i = int(theta.argmin())
+    np.testing.assert_array_equal(res.x, pts[i])
+    assert res.objective == theta[i]
+    sets = backend._sets
+    assert sets.table is None
+    if cuts_off:
+        assert sets.n_cuts == 1
+        np.testing.assert_array_equal(sets.theta, theta)
+    else:
+        assert sets.n_cuts == 0
 
 
 def test_a_slice_held_whole_answers_as_its_table():
@@ -970,19 +1146,18 @@ def test_a_slice_held_whole_answers_as_its_table():
 
 def test_one_table_per_slice_shape():
     """The five configurations on one n=12 m=4 slice, each with a new
-    backend, unrank its table once: the table is built once per slice shape,
+    backend, build its table once: the table is built once per slice shape,
     read-only, and shared by the runs, which answer as before."""
     inst = synth_instance(12, 4, "nonconvex_random", 0)
     f_star, _ = enumerate_min(inst.obj.q, inst.dom)
     milp._slice_table.cache_clear()
-    with mock.patch.object(milp, "_unrank", wraps=milp._unrank) as unrank:
-        for config in CONFIG_NAMES:
-            backend = AutoBackend()
-            out = run(inst.obj, inst.dom, default_x0(inst.dom, backend),
-                      SolverConfig.from_name(config), backend)
-            assert out.status.value == "eps_optimal"
-            assert out.f_best == pytest.approx(f_star, abs=1e-9)
-    assert unrank.call_count == 1
+    for config in CONFIG_NAMES:
+        backend = AutoBackend()
+        out = run(inst.obj, inst.dom, default_x0(inst.dom, backend),
+                  SolverConfig.from_name(config), backend)
+        assert out.status.value == "eps_optimal"
+        assert out.f_best == pytest.approx(f_star, abs=1e-9)
+    assert milp._slice_table.cache_info().misses == 1
     table = milp._LevelSets(inst.dom, []).table
     with pytest.raises(ValueError):
         table[0, 0] = 0
@@ -1031,7 +1206,9 @@ def test_a_slice_of_one_block_starts_as_its_table():
     """A slice of at most _BLOCK points is held as its packed table from the
     start: every configuration on an n=12 m=4 slice (495 points) runs with
     no tail sum, and drops its dead points by a mask. A slice of several
-    blocks, n=30 m=6, starts whole: its first lower bound sums each cut by
+    blocks, n=30 m=6, starts whole: its first lower bound of one cut is the
+    cut's m cheapest coordinates, which read no tail sum and write no
+    theta; a lower bound of two cuts and no ub then sums each of them by
     tails."""
     inst = synth_instance(12, 4, "nonconvex_random", 0)
     for config in CONFIG_NAMES:
@@ -1046,11 +1223,18 @@ def test_a_slice_of_one_block_starts_as_its_table():
         assert len(backend._sets.theta) < comb(12, 4)  # the run dropped points
     inst = synth_instance(30, 6, "mdp_like", 0)
     backend = BruteForceBackend()
-    oracle = CutOracle([make_cut(inst.obj, default_x0(inst.dom, backend))])
+    cut = make_cut(inst.obj, default_x0(inst.dom, backend))
+    oracle = CutOracle([cut])
     with mock.patch.object(milp, "_tail_sums", wraps=milp._tail_sums) as tails:
+        first = backend.solve_cp(oracle, inst.dom, 30.0)
+        assert tails.call_count == 0
+        assert backend._sets.table is None and backend._sets.n_cuts == 0
+        oracle.add(make_cut(inst.obj, first.x))
         assert backend.solve_cp(oracle, inst.dom, 30.0).ok
-    assert tails.call_count == 1
+    assert tails.call_count == 2
     assert backend._sets.table is None and len(backend._sets.theta) == comb(30, 6)
+    np.testing.assert_array_equal(first.x.nonzero()[0], np.sort(cut.grad.argsort()[:6]))
+    assert first.objective == pytest.approx(cut.grad @ first.x + cut.intercept, abs=1e-12)
 
 
 def test_first_compaction_stays_within_the_state_budget():
@@ -1058,28 +1242,46 @@ def test_first_compaction_stays_within_the_state_budget():
     level-set query after it peak within the (ceil(n/8) + 8) bytes per point
     that enumerable() admits: theta and a table of at most one block of
     survivors, never a table of the whole slice or a copy of a level set
-    beside them. Under a ub that keeps about 86 % of a multi-block slice,
-    the state stays whole, its dead points held; under one that keeps
-    0.2 %, fewer than a block, it becomes the table of the survivors,
-    unranked from the ranks the lower bound's sweep recorded."""
+    beside them. The first lower bound has two cuts, so that it sweeps.
+    Under a ub that keeps about 86 % of a multi-block slice, the state stays
+    whole, its dead points held; under one that keeps 0.2 %, fewer than a
+    block, it becomes the table of the survivors, unranked from the ranks
+    the lower bound's sweep recorded. A run whose first lower bound has one
+    cut, and whose second one, under a ub that keeps 0.2 % of the slice,
+    walks the first cut's level set into its table instead, sweeps nothing
+    and stays within the same bytes; its second cut is the first one less
+    1, so that the survivors are that level set."""
     n, m = 28, 5
     dom = FeasibleDomain(n=n, m=m)
     size = comb(n, m)
-    cut = make_cut(random_psd_objective(np.random.default_rng(3), n), default_x0(dom))
+    obj = random_psd_objective(np.random.default_rng(3), n)
+    cut = make_cut(obj, default_x0(dom))
+    other = make_cut(obj, np.r_[np.zeros(n - m), np.ones(m)])
+    below = Cut(anchor=other.anchor, grad=cut.grad,
+                value=cut.intercept - 1.0 + cut.grad @ other.anchor)
     whole = BruteForceBackend()
-    whole.solve_cp([cut], dom, 30.0)
-    theta = whole._sets.theta
-    del whole
-    for share in (0.86, 0.002):
-        ub = float(np.quantile(theta, share))
+    whole.solve_cp([cut, other], dom, 30.0)  # theta of two cuts, by a sweep
+    for share in (0.86, 0.002, "walk"):
+        second = below if share == "walk" else other
+        if share == "walk":
+            whole.solve_cp([cut, below], dom, 30.0)
+        theta = whole._sets.theta
+        ub = float(np.quantile(theta, 0.002 if share == "walk" else share))
         backend = BruteForceBackend()
-        oracle = CutOracle([cut])
-        with mock.patch.object(milp, "_BLOCK", 256):
+        oracle = CutOracle([cut] if share == "walk" else [cut, second])
+        with (
+            mock.patch.object(milp, "_BLOCK", 256),
+            mock.patch.object(milp._LevelSets, "_sweep", autospec=True,
+                              side_effect=milp._LevelSets._sweep) as sweep,
+        ):
             tracemalloc.start()
             try:
                 backend.solve_cp(oracle, dom, 30.0)
                 level = CutRows(oracle, ub)
                 assert backend._solve_linear(np.linspace(-1.0, 1.0, n), dom, level, 30.0).ok
+                if share == "walk":
+                    oracle.add(second)
+                    level = CutRows(oracle, ub)
                 backend.solve_cp(oracle, dom, 30.0, ub=ub)
                 assert backend._solve_linear(np.linspace(1.0, -1.0, n), dom, level, 30.0).ok
                 peak = tracemalloc.get_traced_memory()[1]
@@ -1087,10 +1289,11 @@ def test_first_compaction_stays_within_the_state_budget():
                 tracemalloc.stop()
             assert_whole_or_one_table(backend._sets, size)
         kept = np.count_nonzero(theta <= ub + FEAS_TOL)
-        if share > 0.5:
+        if share == 0.86:
             assert backend._sets.table is None
         else:
             assert backend._sets.table.shape[1] == kept <= 256
+        assert sweep.call_count == (0 if share == "walk" else 2)
         assert peak <= ((n + 7) // 8 + 8) * size + 64_000
 
 
@@ -1099,14 +1302,16 @@ def test_a_query_the_state_cannot_read_stays_within_the_state_budget():
     a plain row, beside a held n=28 m=5 state, peaks within the bytes that
     enumerable() admits: it checks the row block by block, by tail sums
     taken in step with the cost's, and makes no theta of the slice. It is
-    asked after the first lower bound, and again after a lower bound under
-    a ub that keeps about 86 % of the slice, where the state stays whole, at
-    8 bytes a point."""
+    asked after the first lower bound, of two cuts, so that it sweeps, and
+    again after a lower bound under a ub that keeps about 86 % of the slice,
+    where the state stays whole, at 8 bytes a point."""
     n, m = 28, 5
     dom = FeasibleDomain(n=n, m=m)
     size = comb(n, m)
     rng = np.random.default_rng(4)
-    cut = make_cut(random_psd_objective(rng, n), default_x0(dom))
+    obj = random_psd_objective(rng, n)
+    cut = make_cut(obj, default_x0(dom))
+    other = make_cut(obj, np.r_[np.zeros(n - m), np.ones(m)])
     row = LinearRow(rng.uniform(-1.0, 1.0, size=n), "<=", -0.5)
     cost = rng.uniform(-1.0, 1.0, size=n)
     # the answer of a plain scan, over the points that satisfy the row
@@ -1114,7 +1319,7 @@ def test_a_query_the_state_cannot_read_stays_within_the_state_budget():
     feasible = row.holds(pts @ row.coeffs)
     want = np.where(feasible, pts @ cost, np.inf).min()
     backend = BruteForceBackend()
-    oracle = CutOracle([cut])
+    oracle = CutOracle([cut, other])
     with mock.patch.object(milp, "_BLOCK", 256):
         for share in (None, 0.86):
             if share is None:
@@ -1169,7 +1374,10 @@ def test_lower_bound_sweep_matches_a_plain_scan(keep, with_domain_row, seed):
     at once); half of them first (the state stays whole, its dead points
     held) and fewer than 1/32 after that; or one below the least theta,
     where nothing is dropped though every point is above ub. A table drops
-    its dead points by a mask once they are an eighth of it."""
+    its dead points by a mask once they are an eighth of it. A first lower
+    bound of one cut whose cheapest point meets the domain row is that
+    point, and writes no theta; no walk of a level set fits, so that the
+    next lower bound sweeps."""
     rng = np.random.default_rng(seed)
     n, m = 10, 4
     pts = slice_points(n, m)
@@ -1187,7 +1395,7 @@ def test_lower_bound_sweep_matches_a_plain_scan(keep, with_domain_row, seed):
     held = np.arange(len(pts))  # the plain scan's held points, as ranks
     compacted = None  # the step whose lower bound made the whole state a table
     ub = None
-    with mock.patch.object(milp, "_BLOCK", 7):
+    with mock.patch.object(milp, "_BLOCK", 7), mock.patch.object(milp, "_walk", return_value=None):
         for step in range(6):
             for _ in range(int(rng.integers(1, 3))):
                 oracle.add(whole_number_cut(rng, n))
@@ -1214,7 +1422,12 @@ def test_lower_bound_sweep_matches_a_plain_scan(keep, with_domain_row, seed):
                     held = held[alive]
             sets = backend._sets
             assert_whole_or_one_table(sets, len(pts))
-            np.testing.assert_array_equal(sets.theta, theta[held])
+            # the rank of the first cut's m cheapest coordinates
+            cheapest = pts[:, oracle.cuts[0].grad.argsort(kind="stable")[:m]].all(axis=1).argmax()
+            closed = step == 0 and len(oracle) == 1 and not violated[cheapest]
+            assert (sets.n_cuts == 0) == closed
+            if not closed:
+                np.testing.assert_array_equal(sets.theta, theta[held])
             if compacted is None:
                 assert sets.table is None
             else:
