@@ -310,6 +310,7 @@ class TestHighsRetryLadder:
         with pytest.raises(MilpSolveError, match=r"cp solve failed \(4 rows x 4 cols\)") as info:
             solve_cp_model(self.oracle, self.dom, 30.0, backend)
         assert SOLVE_ERROR in str(info.value)
+        assert str(info.value).endswith("also with presolve off")
         assert (info.value.kind, info.value.n_rows, info.value.n_cols) == ("cp", 4, 4)
         assert len(stub.options) == 2
 
@@ -398,7 +399,9 @@ class TestHighsRetryLadder:
             cp_answer(4, 0.999999, message=SOLVE_ERROR),
             cp_answer(4, 0.999999, message=SOLVE_ERROR),
         )
-        with pytest.raises(MilpSolveError, match="also with presolve off"):
+        with pytest.raises(
+            MilpSolveError, match="also with presolve on at mip_feasibility_tolerance 1e-10$"
+        ):
             solve_cp_model(self.oracle, self.dom, 30.0, backend, tight=True)
         assert len(stub.options) == 3
 
@@ -656,7 +659,7 @@ class TestPointTable:
     @pytest.mark.parametrize("n, m", POINT_TABLE_GRID)
     def test_matches_itertools_in_lexicographic_order(self, n, m):
         want = slice_points(n, m)
-        for table in (milp._unrank(np.arange(len(want)), n, m), milp._subsets(n, m)):
+        for table in (milp._unrank(np.arange(len(want)), n, m), milp._subsets(n, m, m)):
             assert table.dtype == np.uint8
             assert table.shape == ((n + 7) // 8, len(want))
             np.testing.assert_array_equal(decoded(table, n), want)
@@ -1340,6 +1343,50 @@ def test_a_query_the_state_cannot_read_stays_within_the_state_budget():
             assert got.objective == pytest.approx(want, abs=1e-12)
             assert row.satisfied_by(got.x)
             assert got.x @ cost == pytest.approx(want, abs=1e-12)
+
+
+def test_tables_of_slices_with_m_close_to_n_stay_within_the_state_budget():
+    """Where m is close to n, the middle levels of a table of all subsets
+    would be far larger than the slice; the tables are built from the slice's
+    tails, no larger than it. An n=40 m=39 slice, 40 points, starts as its
+    table, and an n=40 m=36 slice, 91,390 points, becomes the table of the
+    survivors of a lower bound under a ub that keeps 0.2 % of it, unranked
+    beside theta; each peaks within the (ceil(n/8) + 8) bytes per point
+    that enumerable() admits, and each table holds, column for column, the
+    points _point decodes from its ranks."""
+    n = 40
+    milp._slice_table.cache_clear()
+    tracemalloc.start()
+    try:
+        table = milp._LevelSets(FeasibleDomain(n=n, m=39), []).table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ((n + 7) // 8 + 8) * n + 64_000
+    np.testing.assert_array_equal(decoded(table, n), [milp._point(r, n, 39) for r in range(n)])
+
+    m = 36
+    dom = FeasibleDomain(n=n, m=m)
+    size = comb(n, m)
+    assert size > milp._BLOCK and milp.enumerable(n, m)
+    obj = random_psd_objective(np.random.default_rng(5), n)
+    oracle = CutOracle([make_cut(obj, default_x0(dom)),
+                        make_cut(obj, np.r_[np.zeros(n - m), np.ones(m)])])
+    backend = BruteForceBackend()
+    backend.solve_cp(oracle, dom, 30.0)  # theta of two cuts, by a sweep
+    theta = backend._sets.theta
+    ub = float(np.quantile(theta, 0.002))
+    tracemalloc.start()
+    try:
+        backend.solve_cp(oracle, dom, 30.0, ub=ub)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak + theta.nbytes <= ((n + 7) // 8 + 8) * size + 64_000
+    kept = np.flatnonzero(theta <= ub + FEAS_TOL)
+    assert backend._sets.table.shape[1] == len(kept) > 0
+    np.testing.assert_array_equal(decoded(backend._sets.table, n),
+                                  [milp._point(int(r), n, m) for r in kept])
 
 
 def whole_number_cut(rng, n):
