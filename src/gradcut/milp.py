@@ -10,7 +10,9 @@ solver types.
 Three backends ship: a brute-force enumerator (exact, small slices, also the
 test oracle), which holds a slice whole or as a table of at most one block,
 walks the level set of a tight cut into that table once a run, and answers a
-lower bound by one step per block and every other query by one masked pass;
+lower bound by one step per block, a query on rows it does not hold from the
+level set of a Lagrangian relaxation where that fits one block, and every
+other query by one masked pass;
 an adapter to the HiGHS solver via scipy.optimize.milp; and the
 default, which picks one of the two from the size of the slice, once per
 engine run.
@@ -191,8 +193,14 @@ class BruteForceBackend(MilpBackend):
     Every other query is one masked pass: the cost's value at
     each point, masked by a limit on theta. The cut rows of the run (CutRows
     at a level no higher than its ub) are that level set of theta, answered
-    without reading a row. Any other rows are checked in each block, against
-    their own tail sums computed in step with the cost's. The state takes 8
+    without reading a row. Any other rows, on a slice of several blocks,
+    are first relaxed (_lagrangian): the first row that the cost's m
+    cheapest coordinates violate is weighted into the cost, and the level
+    set of that sum which holds every point that meets the rows and costs
+    no more than a feasible point the relaxation found is walked; where it
+    fits one block, the cost and the rows are folded over it by byte
+    lookup. Else the rows are checked in each block, against their own tail
+    sums computed in step with the cost's. The state takes 8
     bytes a point while whole and swept, plus a table of at most _BLOCK
     points, within the ENUM_STATE_BYTES budget, which counts more; a walk
     holds at most one block of candidates. A pass over it allocates
@@ -214,9 +222,11 @@ class BruteForceBackend(MilpBackend):
             n, m = dom.n, dom.m
             _require_enumerable(n, m)
             checked = [*dom.extra_rows, *rows]
-            found = _first_minimum(_row_masked(_tail_sums(cost, n, m), checked, n, m))
-            if found is not None:
-                found = (_point(found[0], n, m), found[1])
+            found = _lagrangian(cost, checked, n, m) if comb(n, m) > _BLOCK else None
+            if found is None:
+                found = _first_minimum(_row_masked(_tail_sums(cost, n, m), checked, n, m))
+                if found is not None:
+                    found = (_point(found[0], n, m), found[1])
         if found is None:
             return MilpResult(status=MilpStatus(StatusKind.INFEASIBLE, "no feasible point"))
         x, obj = found
@@ -293,7 +303,8 @@ class _LevelSets:
     most the int64 ranks of _BLOCK points; the table adds at most _BLOCK
     columns, and so does a walk, whose prefixes never outnumber a block. So
     the state stays within the ceil(n/8) + 8 bytes a point of the slice that
-    enumerable() admits, and a pass adds block-sized buffers only.
+    enumerable() admits. A pass adds block-sized buffers and, for each cost,
+    cut or row it sums by tails, one array of C(n - 1, m - 1) values.
     """
 
     def __init__(self, dom: FeasibleDomain, cuts: Sequence[Cut]):
@@ -371,9 +382,7 @@ class _LevelSets:
             grads = np.vstack([grads, *(row.coeffs for row in rows)])
             intercepts = np.concatenate([intercepts, np.zeros(len(rows))])
         if walked is not None and walked.shape[1]:
-            theta = np.empty(walked.shape[1])
-            values = [_scores(walked, lut) for lut in _lut(grads, len(walked), intercepts)]
-            best_i, best, alive = _step(theta, values, rows, True, limit)
+            theta, best_i, best, alive = _fold(walked, grads, intercepts, rows, limit)
             if best <= limit:
                 # every point off the table is above limit, and so above best
                 self.table, self.theta = walked.compress(alive, axis=1), theta.compress(alive)
@@ -462,6 +471,16 @@ def _step(theta, values, rows, fresh: bool, limit: Optional[float]):
     return i, float(theta[i]), None if limit is None else theta <= limit
 
 
+def _fold(table, grads, intercepts, rows, limit: Optional[float]):
+    """A fresh _step over a table: theta of the cuts given as the first
+    gradient rows and their intercepts (None for none), at every point of
+    the table by byte lookup, with the coeffs of rows last in grads and
+    their intercepts 0. Returns (theta, i, theta[i], alive)."""
+    theta = np.empty(table.shape[1])
+    values = [_scores(table, lut) for lut in _lut(grads, len(table), intercepts)]
+    return (theta, *_step(theta, values, rows, True, limit))
+
+
 # points read at a time, so that no array the size of the slice is made
 # besides theta, and the most points a table holds: a slice of at most this
 # many points is its table from the start, a whole state becomes the table
@@ -503,24 +522,27 @@ def _tail_sums(v: np.ndarray, n: int, m: int, base: float = 0.0):
     (the last may be shorter), in rank order, the blocks of _blocks. sums is
     one buffer, which the next block overwrites.
 
-    The sums are built one index at a time from the back, starting from
-    base: level k holds <v, x> + base over the k-subsets of range(m - k, n),
-    the last k indices of every point, in lexicographic order. Those
-    starting above i are a tail of level k, so level k + 1 is the tails of
-    level k, each plus v[i]. Level m is never built: it is written into the
-    buffer one block at a time, so besides it the largest array held is
-    level m - 1, C(n - 1, m - 1) values.
+    The sums are built one index at a time from the back, as _subsets builds
+    its table, in place in one array: level k holds <v, x> over the
+    k-subsets of range(m - k, n), the last k indices of every point, in
+    lexicographic order, and is a prefix of the array, as no level is larger
+    than the next. Those starting above i are a tail of level k, so level
+    k + 1 is the tails of level k, each plus v[i]; for the least i that is
+    all of level k, so the groups of the larger i are written past it first,
+    and then it adds v[i] in place. Level m - 1 then takes base. Level m is
+    never built: it is written into the buffer one block at a time, so
+    besides it the one array held is level m - 1, C(n - 1, m - 1) values.
     """
-    # level 1 is v over range(m - 1, n); level 0, the empty subset, is 0
-    level = np.array(v[m - 1 :], dtype=float) if m > 1 else np.zeros(1)
-    for k in range(2, m):
-        out = np.empty(comb(n - m + k, k))
-        filled = 0
-        for i in range(m - k, n - k + 1):
+    level = np.zeros(comb(n - 1, m - 1))
+    size = 1  # level 0, the empty subset, is 0
+    for k in range(1, m):
+        filled = size
+        for i in range(m - k + 1, n - k + 1):
             count = comb(n - i - 1, k - 1)
-            np.add(level[len(level) - count :], v[i], out=out[filled : filled + count])
+            np.add(level[size - count : size], v[i], out=level[filled : filled + count])
             filled += count
-        level = out
+        level[:size] += v[m - k]
+        size = filled
     level += base
     sums = np.empty(min(_BLOCK, comb(n, m)))
     rank = filled = 0
@@ -641,6 +663,72 @@ def _level_set(g: np.ndarray, c: float, limit: float, n: int, m: int):
     # rank order: the first point holds the lower coordinate where two differ,
     # so its packed bytes read as the larger number
     return prefixes[:, np.lexsort(prefixes[::-1])[::-1]]
+
+
+def _lagrangian(cost: np.ndarray, rows: Sequence[LinearRow], n: int, m: int):
+    """min <cost, x> over the points x of the whole slice that satisfy rows,
+    as (x, value) at the first minimizer in rank order, from the level set
+    of one Lagrangian relaxation; None where it cannot tell: the m cheapest
+    coordinates meet every row, no point it probes does, or the level set
+    has more than _BLOCK points.
+
+    The first row that the m cheapest coordinates violate is taken as
+    <a, x> <= b. The m cheapest coordinates of cost + lam * a, ties to the
+    lowest index, change only where two coordinates swap order, at finitely
+    many lam > 0, and <a, x> at them never rises with lam. A binary search
+    over the gaps between those breakpoints, probing each at its middle,
+    finds the first gap whose point meets that row; lam is the breakpoint
+    that opens it (0 for the first gap), where the relaxation's bound is
+    the highest, and U is the least cost of the probed points that meet
+    every row. For any lam >= 0, a point that meets every row and costs at
+    most U, so the first minimizer, has <cost + lam * a, x> <= U + lam * (b
+    + FEAS_TOL): _level_set walks that level set, and the cost and every row
+    are folded over it (_fold). Breakpoints that repeat make a gap of one
+    point, probed where ties go to the lowest index; they leave the search
+    as it is.
+    """
+    coeffs = np.array([row.coeffs for row in rows]).reshape(len(rows), n)
+    lows, highs = np.array([row.bounds for row in rows]).reshape(len(rows), 2).T
+
+    def cheapest(v: np.ndarray):
+        """The m cheapest coordinates of v, ties to the lowest index, and
+        which rows they meet."""
+        x = np.zeros(n)
+        x[v.argsort(kind="stable")[:m]] = 1.0
+        lhs = coeffs @ x
+        return x, (lhs >= lows - FEAS_TOL) & (lhs <= highs + FEAS_TOL)
+
+    x, met = cheapest(cost)
+    if met.all():
+        return None
+    r = int(met.argmin())
+    if coeffs[r] @ x > highs[r]:
+        a, b = coeffs[r], highs[r]
+    else:
+        a, b = -coeffs[r], -lows[r]
+    i, j = np.triu_indices(n, 1)
+    keep = a[i] != a[j]
+    swaps = (cost[j] - cost[i])[keep] / (a[i] - a[j])[keep]
+    edges = np.concatenate([[0.0], np.sort(swaps[swaps > 0])])
+    probes = np.append((edges[:-1] + edges[1:]) / 2, 2 * edges[-1] if len(edges) > 1 else 1.0)
+    lo, hi, bound = 0, len(probes), np.inf
+    while lo < hi:
+        k = (lo + hi) // 2
+        x, met = cheapest(cost + probes[k] * a)
+        if met[r]:
+            hi = k
+            if met.all():
+                bound = min(bound, float(cost @ x))
+        else:
+            lo = k + 1
+    if bound == np.inf:
+        return None
+    lam = float(edges[lo])
+    table = _level_set(cost + lam * a, 0.0, bound + lam * (b + FEAS_TOL), n, m)
+    if table is None:
+        return None
+    _, best_i, best, _ = _fold(table, np.vstack([cost, coeffs]), None, rows, None)
+    return None if best == np.inf else (_decode(table[:, best_i], n), best)
 
 
 def _unrank(ranks: np.ndarray, n: int, m: int) -> np.ndarray:

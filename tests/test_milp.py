@@ -1087,6 +1087,149 @@ def test_walk_takes_the_first_cut_whose_level_set_fits():
     assert milp._walk(grads, intercepts, np.inf, n, m) is None
 
 
+def random_row(rng, pts, whole_number):
+    """A <=, >= or == row over the slice's points pts, with its right-hand
+    side among or within the range of their left-hand sides."""
+    n = pts.shape[1]
+    coeffs = rng.integers(-3, 4, size=n).astype(float) if whole_number else rng.standard_normal(n)
+    lhs = pts @ coeffs
+    sense = ("<=", ">=", "==")[int(rng.integers(3))]
+    if sense == "==":
+        return LinearRow(coeffs, sense, float(lhs[rng.integers(len(lhs))]))
+    share = rng.uniform(0.02, 0.5) if sense == "<=" else rng.uniform(0.5, 0.98)
+    rhs = float(np.quantile(lhs, share))
+    return LinearRow(coeffs, sense, float(np.round(rhs)) if whole_number else rhs)
+
+
+@pytest.mark.parametrize("n, m", [(10, 4), (9, 8), (12, 6), (11, 2), (13, 10)])
+@pytest.mark.parametrize("whole_number", [True, False])
+def test_lagrangian_walk_matches_a_plain_scan(n, m, whole_number):
+    """A query on rows that no state reads, on a slice of more than a block,
+    answers from the level set of a Lagrangian relaxation where that can
+    tell, and else scans; either way as a plain scan of the slice: with
+    whole-number data the same first minimizer and value, with float data a
+    value within 1e-12, and INFEASIBLE where no point meets the rows. The
+    rows are <=, >= and == rows, plain, of the domain, or CutRows."""
+    rng = np.random.default_rng(7 * n + m + whole_number)
+    pts = slice_points(n, m)
+    walked = 0
+    for trial in range(24):
+        cost = rng.integers(-5, 6, size=n).astype(float) if whole_number else rng.standard_normal(n)
+        domain_rows = (random_row(rng, pts, whole_number),) if trial % 3 == 1 else ()
+        if trial % 3 == 2:
+            oracle = CutOracle(whole_number_cut(rng, n) for _ in range(2))
+            theta = np.max([pts @ c.grad + c.intercept for c in oracle], axis=0)
+            rows = CutRows(oracle, float(np.quantile(theta, rng.uniform(0.05, 0.5))))
+        else:
+            rows = [random_row(rng, pts, whole_number) for _ in range(int(rng.integers(1, 3)))]
+        dom = FeasibleDomain(n=n, m=m, extra_rows=domain_rows)
+        want = plain_scan(cost, dom, rows)
+        found = []
+        with (
+            mock.patch.object(milp, "_BLOCK", len(pts) - 1),
+            mock.patch.object(milp, "_lagrangian", recording(milp._lagrangian, found)),
+        ):
+            got = BruteForceBackend()._solve_linear(cost, dom, rows, 30.0)
+        assert len(found) == 1
+        if want is None:
+            assert found == [None]
+            assert got.status.kind is StatusKind.INFEASIBLE
+            continue
+        assert got.ok
+        if found[0] is not None:
+            walked += 1
+            assert found[0][1] == got.objective
+            np.testing.assert_array_equal(found[0][0], got.x)
+        assert got.objective == pytest.approx(want[1], abs=1e-12)
+        assert got.x @ cost == pytest.approx(want[1], abs=1e-12)
+        assert all(row.satisfied_by(got.x) for row in [*domain_rows, *rows])
+        if whole_number:
+            np.testing.assert_array_equal(got.x, want[0])
+            assert got.objective == want[1]
+    assert walked >= 5
+
+
+def test_lagrangian_walk_falls_back_to_the_scan():
+    """The relaxation cannot tell, and the query scans, where no point it
+    probes meets every row, though some point does, and where the level set
+    it walks holds more than a block; the answer is the plain scan's."""
+    n, m = 10, 4
+    pts = slice_points(n, m)
+    cost = np.arange(n, dtype=float)
+    # weighting the first row into the cost trades 3 and 2 for 4 and 5, then
+    # 1 for 6, then 0 for 7: every point on that path that meets the first
+    # row has both 4 and 5
+    rows = [LinearRow(np.r_[np.ones(4), np.zeros(6)], "<=", 2.0),
+            LinearRow(np.r_[np.zeros(4), np.ones(2), np.zeros(4)], "<=", 1.0)]
+    dom = FeasibleDomain(n=n, m=m)
+    want = plain_scan(cost, dom, rows)
+    np.testing.assert_array_equal(want[0].nonzero()[0], [0, 1, 4, 6])
+    level_sets = []
+    with (
+        mock.patch.object(milp, "_BLOCK", len(pts) - 1),
+        mock.patch.object(milp, "_level_set", recording(milp._level_set, level_sets)),
+    ):
+        assert milp._lagrangian(cost, rows, n, m) is None
+        got = BruteForceBackend()._solve_linear(cost, dom, rows, 30.0)
+    assert level_sets == []  # no walk: no probed point meets both rows
+    np.testing.assert_array_equal(got.x, want[0])
+    assert got.objective == want[1]
+    # one row, under a cost with ties: the probes meet it, and the walk of
+    # its level set, which holds every tie, gives up at a cap one short
+    cost = np.repeat([0.0, 1.0, 5.0], [4, 4, 2])
+    rows = rows[:1]
+    want = plain_scan(cost, dom, rows)
+    level_sets = []
+    with mock.patch.object(milp, "_level_set", recording(milp._level_set, level_sets)):
+        with mock.patch.object(milp, "_BLOCK", len(pts) - 1):
+            assert milp._lagrangian(cost, rows, n, m) is not None
+        size = level_sets[0].shape[1]
+        assert 1 < size < len(pts)
+        level_sets.clear()
+        with mock.patch.object(milp, "_BLOCK", size - 1):
+            got = BruteForceBackend()._solve_linear(cost, dom, rows, 30.0)
+    assert level_sets == [None]
+    np.testing.assert_array_equal(got.x, want[0])
+    assert got.objective == want[1]
+
+
+@pytest.mark.parametrize("config", ["pgm-tau", "pgm-tau-lb"])
+def test_a_projection_onto_an_unwritten_theta_walks_a_lagrangian_level_set(config):
+    """On the benchmark's n=30 m=6 diversity slice, the projections between
+    a run's closed-form first lower bound and its second, onto the one cut's
+    rows at ub - tau that theta cannot answer yet, walk the level set of a
+    Lagrangian relaxation: no query or lower bound of the run scans or
+    sweeps the slice. The run answers as one whose relaxation is forced to
+    give up, which scans: the same status, iterations, incumbents and upper
+    bounds, and lower bounds within rounding."""
+    inst = synth_instance(30, 6, "mdp_like", 2)
+    outs, tails = [], []
+    for forced in (False, True):
+        backend = BruteForceBackend()
+        found = []
+        relax = (lambda *args: None) if forced else milp._lagrangian
+        with (
+            mock.patch.object(milp, "_lagrangian", recording(relax, found)),
+            mock.patch.object(milp, "_tail_sums", wraps=milp._tail_sums) as sums,
+        ):
+            outs.append(run(inst.obj, inst.dom, default_x0(inst.dom, backend),
+                            SolverConfig.from_name(config), backend))
+        assert outs[-1].status.value == "eps_optimal"
+        assert len(found) >= 1
+        if not forced:
+            assert all(f is not None for f in found)
+        tails.append(sums.call_count)
+    assert tails[0] == 0 and tails[1] > 0
+    walk, forced = outs
+    assert walk.status == forced.status
+    assert walk.iterations == forced.iterations
+    np.testing.assert_array_equal(walk.x_best, forced.x_best)
+    assert walk.f_best == forced.f_best
+    assert [r.ub for r in walk.trace.records] == [r.ub for r in forced.trace.records]
+    np.testing.assert_allclose([r.lb for r in walk.trace.records],
+                               [r.lb for r in forced.trace.records], rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("cuts_off", [False, True])
 def test_a_first_bound_whose_cheapest_point_violates_a_row_sweeps(cuts_off):
     """A whole state's first lower bound of one cut is the cut's m cheapest
@@ -1303,11 +1446,13 @@ def test_first_compaction_stays_within_the_state_budget():
 def test_a_query_the_state_cannot_read_stays_within_the_state_budget():
     """A projection under rows that are no level set of the held state, here
     a plain row, beside a held n=28 m=5 state, peaks within the bytes that
-    enumerable() admits: it checks the row block by block, by tail sums
-    taken in step with the cost's, and makes no theta of the slice. It is
-    asked after the first lower bound, of two cuts, so that it sweeps, and
-    again after a lower bound under a ub that keeps about 86 % of the slice,
-    where the state stays whole, at 8 bytes a point."""
+    enumerable() admits, and makes no theta of the slice: it walks the level
+    set of the row's Lagrangian relaxation, at most a block, or, with that
+    walk made to give up, checks the row block by block, by tail sums taken
+    in step with the cost's. It is asked after the first lower bound, of two
+    cuts, so that it sweeps, and again after a lower bound under a ub that
+    keeps about 86 % of the slice, where the state stays whole, at 8 bytes a
+    point."""
     n, m = 28, 5
     dom = FeasibleDomain(n=n, m=m)
     size = comb(n, m)
@@ -1331,18 +1476,23 @@ def test_a_query_the_state_cannot_read_stays_within_the_state_budget():
                 ub = float(np.quantile(backend._sets.theta, share))
                 backend.solve_cp(oracle, dom, 30.0, ub=ub)
                 assert backend._sets.ub == ub
-            tracemalloc.start()
-            try:
-                got = backend._solve_linear(cost, dom, [row], 30.0)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert backend._sets.table is None and len(backend._sets.theta) == size
-            assert peak + backend._sets.theta.nbytes <= ((n + 7) // 8 + 8) * size + 64_000
-            assert got.ok
-            assert got.objective == pytest.approx(want, abs=1e-12)
-            assert row.satisfied_by(got.x)
-            assert got.x @ cost == pytest.approx(want, abs=1e-12)
+            for walk in (True, False):
+                walked = []
+                level_set = milp._level_set if walk else (lambda *args: None)
+                with mock.patch.object(milp, "_level_set", recording(level_set, walked)):
+                    tracemalloc.start()
+                    try:
+                        got = backend._solve_linear(cost, dom, [row], 30.0)
+                        peak = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+                assert len(walked) == 1 and (walked[0] is not None) == walk
+                assert backend._sets.table is None and len(backend._sets.theta) == size
+                assert peak + backend._sets.theta.nbytes <= ((n + 7) // 8 + 8) * size + 64_000
+                assert got.ok
+                assert got.objective == pytest.approx(want, abs=1e-12)
+                assert row.satisfied_by(got.x)
+                assert got.x @ cost == pytest.approx(want, abs=1e-12)
 
 
 def test_tables_of_slices_with_m_close_to_n_stay_within_the_state_budget():
@@ -1387,6 +1537,34 @@ def test_tables_of_slices_with_m_close_to_n_stay_within_the_state_budget():
     assert backend._sets.table.shape[1] == len(kept) > 0
     np.testing.assert_array_equal(decoded(backend._sets.table, n),
                                   [milp._point(int(r), n, m) for r in kept])
+
+
+@pytest.mark.parametrize("n, m", [(40, 36), (30, 25)])
+def test_tail_sums_of_slices_with_m_close_to_n_hold_one_level(n, m):
+    """Where m is close to n, a feed of tail sums holds one level of sums,
+    C(n - 1, m - 1) values built in place, beside its block buffer: under
+    tracemalloc it peaks within those bytes, and the sums, given in blocks
+    in rank order, are <v, x> + base at the points _point decodes from their
+    ranks."""
+    size = comb(n, m)
+    assert size > milp._BLOCK and milp.enumerable(n, m)
+    rng = np.random.default_rng(n + m)
+    v = rng.standard_normal(n)
+    ranks = np.sort(np.r_[0, rng.choice(size, 200, replace=False), size - 1])
+    starts, got = [], []
+    tracemalloc.start()
+    try:
+        for start, sums in milp._tail_sums(v, n, m, 0.5):
+            starts.append(start)
+            inside = ranks[(ranks >= start) & (ranks < start + len(sums))]
+            got.append(sums[inside - start])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert starts == list(range(0, size, milp._BLOCK))
+    assert peak <= 8 * (comb(n - 1, m - 1) + milp._BLOCK) + 64_000
+    want = [v @ milp._point(int(r), n, m) + 0.5 for r in ranks]
+    np.testing.assert_allclose(np.concatenate(got), want, rtol=0.0, atol=1e-12)
 
 
 def whole_number_cut(rng, n):
