@@ -12,6 +12,6 @@ logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 from .engine import CONFIG_NAMES, SolveOutcome, SolverConfig, SolveStatus, run
 from .milp import AutoBackend, BruteForceBackend, HighsBackend, MilpSolveError
-from .model import FeasibleDomain, LinearRow, QuadraticObjective
+from .model import FeasibleDomain, QuadraticObjective
 
 __version__ = "0.1.0"

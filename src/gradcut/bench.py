@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import FeasibleDomain, QuadraticObjective, is_feasible, symmetrize
+from .model import FeasibleDomain, QuadraticObjective, symmetrize
 
 SOURCES = ("mdplib_triplet", "dense_matrix", "canonical_json", "synthetic")
 
@@ -375,17 +375,11 @@ def synth_instance(n: int, m: int, kind: str, seed: int) -> Instance:
 
 
 def default_x0(dom: FeasibleDomain, backend=None) -> np.ndarray:
-    """First m coordinates set to one; a feasibility solve covers extra rows."""
+    """The first m coordinates set to one. backend is not read; the
+    parameter stays because perfbench/solver.py passes one."""
     x0 = np.zeros(dom.n)
     x0[: dom.m] = 1.0
-    if is_feasible(dom, x0):
-        return x0
-    if backend is None:
-        raise ValueError("default start violates the extra rows; a backend is required")
-    res = backend.solve_linear(np.zeros(dom.n), dom, [], float("inf"))
-    if not res.ok:
-        raise ValueError("domain has no feasible point")
-    return res.x
+    return x0
 
 
 # ---------------------------------------------------------------------------

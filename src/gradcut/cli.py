@@ -148,7 +148,7 @@ def cmd_solve(args) -> int:
     cfg = SolverConfig.from_name(
         args.config, epsilon=args.epsilon, time_limit=args.time_limit
     )
-    x0 = _parse_x0(args.x0, inst.dom.n) if args.x0 else default_x0(inst.dom, backend)
+    x0 = _parse_x0(args.x0, inst.dom.n) if args.x0 else default_x0(inst.dom)
     outcome = run(
         inst.obj, inst.dom, x0, cfg, backend, instance_name=inst.name, config_name=args.config
     )
@@ -194,7 +194,7 @@ def _bench_instances(args) -> tuple[list[Instance], list[dict]]:
 def _run_cell(inst: Instance, config: str, args) -> dict:
     backend = make_backend(args.backend)
     cfg = SolverConfig.from_name(config, epsilon=args.epsilon, time_limit=args.time_limit)
-    x0 = default_x0(inst.dom, backend)
+    x0 = default_x0(inst.dom)
     outcome = run(
         inst.obj, inst.dom, x0, cfg, backend, instance_name=inst.name, config_name=config
     )

@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .milp import MilpBackend, project
 from .model import (
     FEAS_TOL,
+    CutRows,
     FeasibleDomain,
-    LinearRow,
     QuadraticObjective,
     eval_gradient,
     eval_objective,
@@ -93,7 +92,7 @@ def sufficient_decrease(
 def is_critical(
     obj: QuadraticObjective,
     dom: FeasibleDomain,
-    cut_rows: Sequence[LinearRow],
+    cut_rows: CutRows,
     x: np.ndarray,
     eta: float,
     backend: MilpBackend,
@@ -123,7 +122,7 @@ def _attains_projection(x: np.ndarray, z: np.ndarray, optimum: float) -> bool:
 def pgm_solve(
     obj: QuadraticObjective,
     dom: FeasibleDomain,
-    cut_rows: Sequence[LinearRow],
+    cut_rows: CutRows,
     x0: np.ndarray,
     params: PgmParams,
     backend: MilpBackend,

@@ -1,21 +1,20 @@
 """MILP backend contract and the three subproblem builders.
 
-Every subproblem the solver needs boils down to one of two primitives over the
-binary domain: minimizing a linear objective, or minimizing the epigraph
-variable theta of the cutting-plane model. Backends implement exactly those
-two; the module-level functions pose the concrete models (lower bound,
-projection, feasibility) so that engine and local-solver code never touches
-solver types.
+Every subproblem the solver needs boils down to one of two primitives over
+the cardinality slice: minimizing a linear objective under a set of CutRows,
+or minimizing the epigraph variable theta of the cutting-plane model.
+Backends implement exactly those two; the module-level functions pose the
+concrete models (lower bound, projection, feasibility) so that engine and
+local-solver code never touches solver types.
 
 Three backends ship: a brute-force enumerator (exact, small slices, also the
 test oracle), which holds a slice whole or as a table of at most one block,
 walks the level set of a tight cut into that table once a run, and answers a
-lower bound by one step per block, a query on rows it does not hold from the
-level set of a Lagrangian relaxation where that fits one block, and every
-other query by one masked pass;
-an adapter to the HiGHS solver via scipy.optimize.milp; and the
-default, which picks one of the two from the size of the slice, once per
-engine run.
+lower bound by one step per block, a query on cut rows it has not folded from
+the level set of a Lagrangian relaxation where that fits one block, and every
+other query by one masked pass; an adapter to the HiGHS solver via
+scipy.optimize.milp; and the default, which picks one of the two from the
+size of the slice, once per engine run.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .logs import get_logger
-from .model import FEAS_TOL, Cut, CutOracle, CutRows, FeasibleDomain, LinearRow, stack_cuts
+from .model import FEAS_TOL, Cut, CutOracle, CutRows, FeasibleDomain, stack_cuts
 
 log = get_logger(__name__)
 
@@ -124,18 +123,17 @@ class MilpBackend(abc.ABC):
         return self
 
     def solve_linear(
-        self, cost: np.ndarray, dom: FeasibleDomain, rows: Sequence[LinearRow], budget: float
+        self, cost: np.ndarray, dom: FeasibleDomain, rows: CutRows, budget: float
     ) -> MilpResult:
         """min <cost, x> over binary x in dom satisfying all rows.
 
         The cardinality-only optimum -- the m cheapest coordinates, ties to the
         lowest index -- is tried first. When it satisfies every row it is
-        optimal for the full problem, and no solver runs. A domain without
-        extra rows costs that check nothing.
+        optimal for the full problem, and no solver runs.
         """
         cost = np.asarray(cost, dtype=float)
-        x = _cheapest(cost, dom)
-        if x is not None and _satisfied(rows, x):
+        x = _cheapest(cost, dom.m)
+        if rows.satisfied_by(x):
             obj = float(cost @ x)
             return MilpResult(
                 status=_OPTIMAL,
@@ -147,7 +145,7 @@ class MilpBackend(abc.ABC):
 
     @abc.abstractmethod
     def _solve_linear(
-        self, cost: np.ndarray, dom: FeasibleDomain, rows: Sequence[LinearRow], budget: float
+        self, cost: np.ndarray, dom: FeasibleDomain, rows: CutRows, budget: float
     ) -> MilpResult:
         """solve_linear when the cardinality-only optimum violates a row."""
 
@@ -177,35 +175,16 @@ class BruteForceBackend(MilpBackend):
 
     Points are scanned in lexicographic order of their chosen index tuples, so
     ties always resolve to the first minimizer. The backend holds the
-    _LevelSets of one run: theta, the cut model at every held point, +inf
-    where a point violates a row of the domain, in one of two forms. A slice
-    of at most _BLOCK (32,768) points is its table from the start. A slice
-    of several blocks is held whole, theta alone by rank, 8 bytes a point,
-    which only a lower bound that sweeps the slice writes, until the first
-    lower bound whose survivors fit one block makes them its table. A run's
-    first lower bound of one cut sweeps nothing: its minimizer is the m
-    cheapest coordinates whenever they meet the domain's rows. The next one
-    walks, once a run, the level set under ub of each of its cuts in turn,
-    and the first that fits one block is the table that it folds every cut
-    over, so theta of the whole slice is never written. A lower bound
-    (_LevelSets.lower_bound) is otherwise one step per block: it folds in the
-    new cuts, takes the first argmin and marks the points that survive ub.
-    Every other query is one masked pass: the cost's value at
-    each point, masked by a limit on theta. The cut rows of the run (CutRows
-    at a level no higher than its ub) are that level set of theta, answered
-    without reading a row. Any other rows, on a slice of several blocks,
-    are first relaxed (_lagrangian): the first row that the cost's m
-    cheapest coordinates violate is weighted into the cost, and the level
-    set of that sum which holds every point that meets the rows and costs
-    no more than a feasible point the relaxation found is walked; where it
-    fits one block, the cost and the rows are folded over it by byte
-    lookup. Else the rows are checked in each block, against their own tail
-    sums computed in step with the cost's. The state takes 8
-    bytes a point while whole and swept, plus a table of at most _BLOCK
-    points, within the ENUM_STATE_BYTES budget, which counts more; a walk
-    holds at most one block of candidates. A pass over it allocates
-    block-sized buffers and, for each cost, cut or row it sums by tails, one
-    array of C(n - 1, m - 1) values.
+    _LevelSets of one run, theta at every held point of the slice, and
+    answers a lower bound from it by one step per block. A query on the cut
+    rows of the run (CutRows at a level no higher than its ub) is that level
+    set of theta: one pass over the cost's values, masked by theta. Cut rows
+    the state has not folded (between a run's closed-form first lower bound
+    and its second, or of another oracle) are, on a slice of several blocks,
+    first relaxed (_lagrangian), and the level set of the relaxation is
+    walked and folded over where it fits one block; else each row is
+    checked in each block against its own tail sums, taken in step with the
+    cost's.
     """
 
     name = "bruteforce"
@@ -221,10 +200,9 @@ class BruteForceBackend(MilpBackend):
         else:
             n, m = dom.n, dom.m
             _require_enumerable(n, m)
-            checked = [*dom.extra_rows, *rows]
-            found = _lagrangian(cost, checked, n, m) if comb(n, m) > _BLOCK else None
+            found = _lagrangian(cost, rows, n, m) if comb(n, m) > _BLOCK else None
             if found is None:
-                found = _first_minimum(_row_masked(_tail_sums(cost, n, m), checked, n, m))
+                found = _first_minimum(_row_masked(_tail_sums(cost, n, m), rows, n, m))
                 if found is not None:
                     found = (_point(found[0], n, m), found[1])
         if found is None:
@@ -248,10 +226,7 @@ class BruteForceBackend(MilpBackend):
             sets = self._sets = _LevelSets(dom, cuts)
         grads, values, grad_dot_anchor = stack_cuts(cuts)
         new = slice(sets.n_cuts, None)
-        found = sets.lower_bound(grads[new], values[new] - grad_dot_anchor[new], ub)
-        if found is None:
-            return MilpResult(status=MilpStatus(StatusKind.INFEASIBLE, "empty domain"))
-        x, obj = found
+        x, obj = sets.lower_bound(grads[new], values[new] - grad_dot_anchor[new], ub)
         return MilpResult(
             status=_OPTIMAL,
             x=x,
@@ -266,24 +241,22 @@ class _LevelSets:
 
     theta[i] is the max over the first n_cuts cuts of the oracle of
     <grad, x_i> + intercept at the i-th held point, in lexicographic
-    order, or +inf where x_i violates a row of the domain; the first lower
-    bound that folds a cut in writes it. A point whose theta exceeds ub + FEAS_TOL is dead:
-    theta only grows and ub only falls during a run, so it can never again
-    be a lower-bound argmin or lie in a level set theta <= ub - tau. Only a
-    CutOracle, whose cuts can only be appended, has its state serve later
-    calls.
+    order; the first lower bound that folds a cut in writes it. A point
+    whose theta exceeds ub + FEAS_TOL is dead: theta only grows and ub only
+    falls during a run, so it can never again be a lower-bound argmin or lie
+    in a level set theta <= ub - tau. Only a CutOracle, whose cuts can only
+    be appended, has its state serve later calls.
 
     Points are held in one of two forms:
 
     - whole (table is None): a slice of several blocks starts with every
       point held, theta[r] at the point of lexicographic rank r, its values
       the tail sums of _tail_sums, and no point stored. A first lower bound
-      of one cut whose m cheapest coordinates meet the domain's rows is
-      answered by them, and leaves theta unwritten and n_cuts at 0; so the
-      next lower bound is fresh again, and a query in between reads no
-      theta. A fresh lower bound of several cuts with a ub walks the level
-      set of each cut (_walk); the first that fits one block, folded with
-      every cut and the domain's rows, makes the state the table of its
+      of one cut is answered by its m cheapest coordinates, and leaves theta
+      unwritten and n_cuts at 0; so the next lower bound is fresh again, and
+      a query in between reads no theta. A fresh lower bound of several cuts
+      with a ub walks the level set of each cut (_walk); the first that fits
+      one block, folded with every cut, makes the state the table of its
       survivors, unless its minimum is above ub, where the walk proves
       nothing. Else the lower bound sweeps: it writes theta, and dead points
       stay, since every answer masks by theta. The first lower bound with a
@@ -325,12 +298,7 @@ class _LevelSets:
     def reads(self, rows, dom: FeasibleDomain) -> bool:
         """Whether rows are a level set of theta: the cut rows of this run, of
         the cuts folded in so far, at a level no higher than ub."""
-        return (
-            isinstance(rows, CutRows)
-            and self.holds(rows.cuts, dom)
-            and len(rows) == self.n_cuts
-            and rows.level <= self.ub
-        )
+        return self.holds(rows.cuts, dom) and len(rows) == self.n_cuts and rows.level <= self.ub
 
     def point(self, i: int) -> np.ndarray:
         """The i-th held point, as 0/1 floats; unranked while the whole slice
@@ -341,20 +309,18 @@ class _LevelSets:
 
     def lower_bound(self, grads: np.ndarray, intercepts: np.ndarray, ub: Optional[float]):
         """Fold new cuts, given as gradient rows and intercepts, into theta,
-        and return (x, theta(x)) at its first minimizer, or None when every
-        theta is +inf: one _step on a table, one sweep over the blocks of the
-        whole state. The first lower bound that folds cuts in writes theta
-        from them and sets +inf where the domain's rows are violated, their
-        left-hand sides taken with the cuts' values.
+        and return (x, theta(x)) at its first minimizer: one _step on a
+        table, one sweep over the blocks of the whole state. The first lower
+        bound that folds cuts in writes theta from them.
 
         On the whole state, while no cut is folded in, a lower bound of one
-        cut is its m cheapest coordinates, ties to the lowest index, when
-        they meet the domain's rows: it folds nothing in and writes no
-        theta. A lower bound of several cuts with a ub first walks their
-        level sets (_walk); when one fits a block, it is the table the step
-        folds over, and the state becomes that table's survivors, as long as
-        its minimum is within ub: every point off the table is above ub, and
-        so above that minimum. Else the lower bound sweeps.
+        cut is its m cheapest coordinates, ties to the lowest index: it folds
+        nothing in and writes no theta. A lower bound of several cuts with a
+        ub first walks their level sets (_walk); when one fits a block, it is
+        the table the step folds over, and the state becomes that table's
+        survivors, as long as its minimum is within ub: every point off the
+        table is above ub, and so above that minimum. Else the lower bound
+        sweeps.
 
         With ub, lower the state's ub and drop dead points: a table drops
         them by its step's mask once they are an eighth of those held, and
@@ -372,17 +338,12 @@ class _LevelSets:
         walked = None
         if fresh and self.table is None:
             if new == 1:
-                x = _cheapest(grads[0], self.dom)
-                if x is not None:
-                    return x, float(grads[0] @ x) + float(intercepts[0])
-            elif limit is not None:
+                x = _cheapest(grads[0], m)
+                return x, float(grads[0] @ x) + float(intercepts[0])
+            if limit is not None:
                 walked = _walk(grads, intercepts, limit, n, m)
-        rows = self.dom.extra_rows if fresh else ()
-        if rows:
-            grads = np.vstack([grads, *(row.coeffs for row in rows)])
-            intercepts = np.concatenate([intercepts, np.zeros(len(rows))])
         if walked is not None and walked.shape[1]:
-            theta, best_i, best, alive = _fold(walked, grads, intercepts, rows, limit)
+            theta, best_i, best, alive = _fold(walked, grads, intercepts, limit)
             if best <= limit:
                 # every point off the table is above limit, and so above best
                 self.table, self.theta = walked.compress(alive, axis=1), theta.compress(alive)
@@ -390,12 +351,12 @@ class _LevelSets:
                 return _decode(walked[:, best_i], n), best
         if self.table is not None:
             values = [_scores(self.table, lut) for lut in _lut(grads, len(self.table), intercepts)]
-            best_i, best, alive = _step(self.theta, values, rows, fresh, limit)
+            best_i, best, alive = _step(self.theta, values, fresh, limit)
         else:
-            best_i, best, kept = self._sweep(grads, intercepts, rows, fresh, limit)
+            best_i, best, kept = self._sweep(grads, intercepts, fresh, limit)
         self.n_cuts += new
         self.theta_min = best
-        found = None if best == np.inf else (self.point(best_i), best)
+        found = self.point(best_i), best
         if ub is None or best > limit:
             return found
         if self.table is None:
@@ -407,7 +368,7 @@ class _LevelSets:
             self.theta = self.theta.compress(alive)
         return found
 
-    def _sweep(self, grads, intercepts, rows, fresh: bool, limit: Optional[float]):
+    def _sweep(self, grads, intercepts, fresh: bool, limit: Optional[float]):
         """lower_bound's pass over the whole state: _step on each block, fed
         by tail sums. Returns (i, theta[i]) at the first argmin and, with a
         limit, the ranks of the points within it while they number at most
@@ -419,7 +380,7 @@ class _LevelSets:
         count = 0
         for b in _blocks(len(self.theta)):
             values = [next(feed)[1] for feed in feeds]
-            i, low, alive = _step(self.theta[b], values, rows, fresh, limit)
+            i, low, alive = _step(self.theta[b], values, fresh, limit)
             if low < best:
                 best_i, best = b.start + i, low
             if alive is not None:
@@ -451,34 +412,27 @@ class _LevelSets:
         return None if found is None else (self.point(found[0]), found[1])
 
 
-def _step(theta, values, rows, fresh: bool, limit: Optional[float]):
-    """A lower bound's work on one block: fold values into theta, the block's
-    view of the state, and return (i, theta[i], alive), i the first argmin and
-    alive the mask of theta <= limit (None without a limit).
-
-    values holds, one array each, the new cuts' values at the block's points
-    and then the left-hand sides of rows, which set theta to +inf where they
-    are violated. With fresh, theta is written from the first cut instead of
-    raised by it."""
-    cuts = len(values) - len(rows)
+def _step(theta, values, fresh: bool, limit: Optional[float]):
+    """A lower bound's work on one block: fold values, the new cuts' values
+    at the block's points, one array each, into theta, the block's view of
+    the state, and return (i, theta[i], alive), i the first argmin and alive
+    the mask of theta <= limit (None without a limit). With fresh, theta is
+    written from the first cut instead of raised by it."""
     if fresh:
         theta[:] = values[0]
-    for v in values[int(fresh) : cuts]:
+    for v in values[int(fresh) :]:
         np.maximum(theta, v, out=theta)
-    for row, lhs in zip(rows, values[cuts:]):
-        np.putmask(theta, ~row.holds(lhs), np.inf)
     i = int(theta.argmin())
     return i, float(theta[i]), None if limit is None else theta <= limit
 
 
-def _fold(table, grads, intercepts, rows, limit: Optional[float]):
-    """A fresh _step over a table: theta of the cuts given as the first
-    gradient rows and their intercepts (None for none), at every point of
-    the table by byte lookup, with the coeffs of rows last in grads and
-    their intercepts 0. Returns (theta, i, theta[i], alive)."""
+def _fold(table, grads, intercepts, limit: Optional[float]):
+    """A fresh _step over a table: theta of the cuts given as gradient rows
+    and intercepts at every point of the table by byte lookup. Returns
+    (theta, i, theta[i], alive)."""
     theta = np.empty(table.shape[1])
     values = [_scores(table, lut) for lut in _lut(grads, len(table), intercepts)]
-    return (theta, *_step(theta, values, rows, True, limit))
+    return (theta, *_step(theta, values, True, limit))
 
 
 # points read at a time, so that no array the size of the slice is made
@@ -561,14 +515,14 @@ def _tail_sums(v: np.ndarray, n: int, m: int, base: float = 0.0):
         yield rank, sums[:filled]
 
 
-def _row_masked(scores, rows: Sequence[LinearRow], n: int, m: int):
+def _row_masked(scores, rows: CutRows, n: int, m: int):
     """scores, (start, block) pairs over the whole slice in rank order, with
     +inf at every point that violates one of rows; each row's left-hand
     sides are tail sums, computed in step with the blocks."""
-    feeds = [_tail_sums(row.coeffs, n, m) for row in rows]
+    feeds = [_tail_sums(g, n, m) for g in rows.coeffs]
     for start, block in scores:
-        for row, feed in zip(rows, feeds):
-            np.putmask(block, ~row.holds(next(feed)[1]), np.inf)
+        for limit, feed in zip(rows.limit, feeds):
+            np.putmask(block, next(feed)[1] > limit, np.inf)
         yield start, block
 
 
@@ -665,47 +619,39 @@ def _level_set(g: np.ndarray, c: float, limit: float, n: int, m: int):
     return prefixes[:, np.lexsort(prefixes[::-1])[::-1]]
 
 
-def _lagrangian(cost: np.ndarray, rows: Sequence[LinearRow], n: int, m: int):
+def _lagrangian(cost: np.ndarray, rows: CutRows, n: int, m: int):
     """min <cost, x> over the points x of the whole slice that satisfy rows,
     as (x, value) at the first minimizer in rank order, from the level set
     of one Lagrangian relaxation; None where it cannot tell: the m cheapest
     coordinates meet every row, no point it probes does, or the level set
     has more than _BLOCK points.
 
-    The first row that the m cheapest coordinates violate is taken as
-    <a, x> <= b. The m cheapest coordinates of cost + lam * a, ties to the
-    lowest index, change only where two coordinates swap order, at finitely
-    many lam > 0, and <a, x> at them never rises with lam. A binary search
-    over the gaps between those breakpoints, probing each at its middle,
-    finds the first gap whose point meets that row; lam is the breakpoint
-    that opens it (0 for the first gap), where the relaxation's bound is
-    the highest, and U is the least cost of the probed points that meet
-    every row. For any lam >= 0, a point that meets every row and costs at
-    most U, so the first minimizer, has <cost + lam * a, x> <= U + lam * (b
-    + FEAS_TOL): _level_set walks that level set, and the cost and every row
-    are folded over it (_fold). Breakpoints that repeat make a gap of one
-    point, probed where ties go to the lowest index; they leave the search
-    as it is.
+    The first row that the m cheapest coordinates violate is <a, x> <= b,
+    b + FEAS_TOL its limit. The m cheapest coordinates of cost + lam * a,
+    ties to the lowest index, change only where two coordinates swap order,
+    at finitely many lam > 0, and <a, x> at them never rises with lam. A
+    binary search over the gaps between those breakpoints, probing each at
+    its middle, finds the first gap whose point meets that row; lam is the
+    breakpoint that opens it (0 for the first gap), where the relaxation's
+    bound is the highest, and U is the least cost of the probed points that
+    meet every row. For any lam >= 0, a point that meets every row and costs
+    at most U, so the first minimizer, has <cost + lam * a, x> <= U + lam *
+    (b + FEAS_TOL): _level_set walks that level set, and the cost is folded
+    over it, masked where a row is violated. Breakpoints that repeat make a
+    gap of one point, probed where ties go to the lowest index; they leave
+    the search as it is.
     """
-    coeffs = np.array([row.coeffs for row in rows]).reshape(len(rows), n)
-    lows, highs = np.array([row.bounds for row in rows]).reshape(len(rows), 2).T
 
     def cheapest(v: np.ndarray):
-        """The m cheapest coordinates of v, ties to the lowest index, and
-        which rows they meet."""
-        x = np.zeros(n)
-        x[v.argsort(kind="stable")[:m]] = 1.0
-        lhs = coeffs @ x
-        return x, (lhs >= lows - FEAS_TOL) & (lhs <= highs + FEAS_TOL)
+        """The m cheapest coordinates of v and which rows they meet."""
+        x = _cheapest(v, m)
+        return x, rows.coeffs @ x <= rows.limit
 
     x, met = cheapest(cost)
     if met.all():
         return None
     r = int(met.argmin())
-    if coeffs[r] @ x > highs[r]:
-        a, b = coeffs[r], highs[r]
-    else:
-        a, b = -coeffs[r], -lows[r]
+    a = rows.coeffs[r]
     i, j = np.triu_indices(n, 1)
     keep = a[i] != a[j]
     swaps = (cost[j] - cost[i])[keep] / (a[i] - a[j])[keep]
@@ -724,10 +670,15 @@ def _lagrangian(cost: np.ndarray, rows: Sequence[LinearRow], n: int, m: int):
     if bound == np.inf:
         return None
     lam = float(edges[lo])
-    table = _level_set(cost + lam * a, 0.0, bound + lam * (b + FEAS_TOL), n, m)
+    table = _level_set(cost + lam * a, 0.0, bound + lam * rows.limit[r], n, m)
     if table is None:
         return None
-    _, best_i, best, _ = _fold(table, np.vstack([cost, coeffs]), None, rows, None)
+    luts = _lut(np.vstack([cost, rows.coeffs]), len(table))
+    values, *lhs = (_scores(table, lut) for lut in luts)
+    for row, limit in zip(lhs, rows.limit):
+        np.putmask(values, row > limit, np.inf)
+    best_i = int(values.argmin())
+    best = float(values[best_i])
     return None if best == np.inf else (_decode(table[:, best_i], n), best)
 
 
@@ -839,23 +790,12 @@ def _decode(row: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(row, count=n).astype(float)
 
 
-def _cheapest(cost: np.ndarray, dom: FeasibleDomain) -> Optional[np.ndarray]:
-    """The cardinality-only minimizer of <cost, x>, the m cheapest
-    coordinates with ties to the lowest index, as 0/1 floats; None when it
-    violates a row of the domain."""
-    x = np.zeros(dom.n)
-    x[cost.argsort(kind="stable")[: dom.m]] = 1.0
-    extra = dom.extra_rows
-    if not extra or all(row.satisfied_by(x) for row in extra):
-        return x
-    return None
-
-
-def _satisfied(rows: Sequence[LinearRow], x: np.ndarray) -> bool:
-    """Whether x satisfies every row; CutRows check theirs in one product."""
-    if isinstance(rows, CutRows):
-        return rows.satisfied_by(x)
-    return all(row.satisfied_by(x) for row in rows)
+def _cheapest(cost: np.ndarray, m: int) -> np.ndarray:
+    """The minimizer of <cost, x> on the slice, the m cheapest coordinates
+    with ties to the lowest index, as 0/1 floats."""
+    x = np.zeros(len(cost))
+    x[cost.argsort(kind="stable")[:m]] = 1.0
+    return x
 
 
 # fd 1 is pointed at fd 2 while any HiGHS solve runs: HiGHS prints stray
@@ -913,13 +853,16 @@ class HighsBackend(MilpBackend):
     optimal, infeasible or time limit (HiGHS reports "Solve error" when its
     presolved model's solution violates the original rows), or whose lower
     bound exceeds the caller's upper limit by more than BOUND_RTOL, is solved
-    once more with presolve off inside the remaining budget. If that answer is
-    also unusable, MilpSolveError names the subproblem kind and model size. A
-    tight lower-bound solve goes straight to that second solve, with
-    mip_feasibility_tolerance lowered from HIGHS_FEAS_TOL to
-    HIGHS_TIGHT_FEAS_TOL; an unusable answer there is solved once more at
-    FEAS_TOL, and then once with presolve on at HIGHS_TIGHT_FEAS_TOL. Other
-    options stay at solver defaults.
+    again inside the remaining budget, down one ladder of rungs: presolve
+    off at HIGHS_FEAS_TOL, then presolve off at HIGHS_TIGHT_FEAS_TOL, then
+    presolve off at FEAS_TOL, then presolve on at HIGHS_TIGHT_FEAS_TOL. A
+    tight lower-bound solve starts at the second rung. If the last rung's
+    answer is also unusable, MilpSolveError names the subproblem kind and
+    model size. Other options stay at solver defaults.
+
+    Each model is the cardinality row sum(x) == m followed by one stacked
+    block: the cut rows of a linear solve, or the theta-cuts of the
+    cutting-plane model.
     """
 
     name = "highs"
@@ -982,19 +925,24 @@ class HighsBackend(MilpBackend):
             np.concatenate([np.ones(n), np.full(n_free, np.inf)]),
         )
         deadline = time.perf_counter() + budget
+        # where the values are large, presolve off can end in a solve error at
+        # the default tolerance and at the least one, where presolve on at
+        # the least one certifies; FEAS_TOL is the tightest to try in between
+        rungs = (
+            (False, None),
+            (False, HIGHS_TIGHT_FEAS_TOL),
+            (False, FEAS_TOL),
+            (True, HIGHS_TIGHT_FEAS_TOL),
+        )
         if tight:
-            # the least tolerance can end in a solve error where the values
-            # are large, with presolve off at either tolerance and not with it
-            # on; FEAS_TOL is the tightest one to fall back on
             why = "a tight solve"
-            rungs = ((False, HIGHS_TIGHT_FEAS_TOL), (False, FEAS_TOL), (True, HIGHS_TIGHT_FEAS_TOL))
+            rungs = rungs[1:]
         else:
             res = self._solve_once(c, constraints, integrality, bounds, budget, n, presolve=True)
             reason = _unusable(res, upper_limit)
             if reason is None:
                 return res
             why = f"unusable: {reason}"
-            rungs = ((False, None),)
         for presolve, feas_tol in rungs:
             at = "" if feas_tol is None else f" at mip_feasibility_tolerance {feas_tol:g}"
             log.warning(
@@ -1015,30 +963,9 @@ class HighsBackend(MilpBackend):
             kind, a.shape[0], len(c), f"{reason}, also with presolve {'on' if presolve else 'off'}{at}"
         )
 
-    @staticmethod
-    def _stack_rows(dom: FeasibleDomain, rows: Sequence[LinearRow], n_cols: int):
-        """Cardinality equality, the domain's rows and rows as one (A, lb, ub)
-        block; CutRows fill theirs as one slice of it, from the oracle's stack."""
-        stacked = isinstance(rows, CutRows)
-        listed = list(dom.extra_rows) + ([] if stacked else list(rows))
-        size = 1 + len(listed) + (len(rows) if stacked else 0)
-        a = np.zeros((size, n_cols))
-        lo = np.empty(size)
-        hi = np.empty(size)
-        a[0, : dom.n] = 1.0
-        lo[0] = hi[0] = dom.m
-        for i, row in enumerate(listed, start=1):
-            a[i, : dom.n] = row.coeffs
-            lo[i], hi[i] = row.bounds
-        if stacked and len(rows):
-            cut = slice(1 + len(listed), None)
-            a[cut, : dom.n] = rows.coeffs
-            lo[cut] = -np.inf
-            hi[cut] = rows.rhs
-        return a, lo, hi
-
     def _solve_linear(self, cost, dom, rows, budget):
-        a, lo, hi = self._stack_rows(dom, rows, dom.n)
+        a = np.vstack([np.ones(dom.n), rows.coeffs.reshape(-1, dom.n)])
+        lo, hi = _cardinality_first(dom, rows.rhs)
         return self._run("linear", np.asarray(cost, dtype=float), a, lo, hi, dom.n, budget)
 
     def solve_cp(self, cuts, dom, budget, upper_limit=None, ub=None, tight=False):
@@ -1048,14 +975,20 @@ class HighsBackend(MilpBackend):
         n = dom.n
         c = np.zeros(n + 1)
         c[n] = 1.0
-        a_dom, lo_dom, hi_dom = self._stack_rows(dom, [], n + 1)
-        a_cut = np.empty((len(values), n + 1))
-        a_cut[:, :n] = grads
-        a_cut[:, n] = -1.0
-        a = np.vstack([a_dom, a_cut])
-        lo = np.concatenate([lo_dom, np.full(len(values), -np.inf)])
-        hi = np.concatenate([hi_dom, -(values - grad_dot_anchor)])
+        a = np.zeros((1 + len(values), n + 1))
+        a[0, :n] = 1.0
+        a[1:, :n] = grads
+        a[1:, n] = -1.0
+        lo, hi = _cardinality_first(dom, -(values - grad_dot_anchor))
         return self._run("cp", c, a, lo, hi, n, budget, upper_limit, tight)
+
+
+def _cardinality_first(dom: FeasibleDomain, rhs: np.ndarray) -> tuple:
+    """(lo, hi) of a HiGHS model's rows: sum(x) == m, then a block of rows
+    <= rhs."""
+    lo = np.full(1 + len(rhs), -np.inf)
+    lo[0] = dom.m
+    return lo, np.concatenate([[dom.m], rhs])
 
 
 class AutoBackend(MilpBackend):
@@ -1134,7 +1067,7 @@ def solve_cp_model(
 def project(
     z: np.ndarray,
     dom: FeasibleDomain,
-    cut_rows: Sequence[LinearRow],
+    cut_rows: CutRows,
     budget: float,
     backend: MilpBackend,
 ) -> MilpResult:
@@ -1153,7 +1086,7 @@ def project(
 
 def check_nonempty(
     dom: FeasibleDomain,
-    cut_rows: Sequence[LinearRow],
+    cut_rows: CutRows,
     budget: float,
     backend: MilpBackend,
     witness: Optional[np.ndarray] = None,
@@ -1165,15 +1098,14 @@ def check_nonempty(
     (the offset search treats that as "reduce the offset"); a failed solve
     raises MilpSolveError rather than passing for an empty set.
     """
-    if witness is not None and _satisfied(cut_rows, witness):
+    if witness is not None and cut_rows.satisfied_by(witness):
         return True
     if budget <= 0:
         log.warning("feasibility check hit the time budget; treating set as empty")
         return False
     res = backend.solve_linear(np.zeros(dom.n), dom, cut_rows, budget)
     if res.status.kind is StatusKind.ERROR:
-        n_rows = 1 + len(dom.extra_rows) + len(cut_rows)
-        raise MilpSolveError("linear", n_rows, dom.n, res.status.message)
+        raise MilpSolveError("linear", 1 + len(cut_rows), dom.n, res.status.message)
     if res.status.kind is StatusKind.TIME_LIMIT:
         log.warning("feasibility check hit the time budget; treating set as empty")
         return False

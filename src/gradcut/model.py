@@ -1,9 +1,9 @@
 """Problem data for binary quadratic minimization under a cardinality constraint.
 
 Objectives are dense symmetric quadratics f(x) = 0.5 * x'Qx. The feasible
-domain is {0,1}^n with sum(x) == m plus optional extra linear rows. Cuts are
-affine underestimators anchored at visited binary points; the oracle is the
-growing, deduplicated collection of them.
+domain is the slice {0,1}^n with sum(x) == m. Cuts are affine underestimators
+anchored at visited binary points; the oracle is the growing, deduplicated
+collection of them, and CutRows a level set of their model.
 """
 
 from __future__ import annotations
@@ -16,48 +16,13 @@ from typing import Optional
 
 import numpy as np
 
-SENSES = ("<=", ">=", "==")
-
-# LinearRow, QuadraticObjective and Cut hold arrays, whose == is elementwise;
-# they are dataclasses with eq=False, so == and hash are by identity, as a
-# run's state is keyed by the objects it was built from
+# QuadraticObjective and Cut hold arrays, whose == is elementwise; they are
+# dataclasses with eq=False, so == and hash are by identity, as a run's state
+# is keyed by the objects it was built from
 
 # the one absolute tolerance: slack on row and level-set membership, on the
 # criticality test of the local solver, and the default optimality gap
 FEAS_TOL = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class LinearRow:
-    """One linear constraint over the binary variables: <coeffs, x> sense rhs."""
-
-    coeffs: np.ndarray
-    sense: str
-    rhs: float
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        object.__setattr__(self, "coeffs", coeffs)
-        if self.sense not in SENSES:
-            raise ValueError(f"unknown row sense {self.sense!r}, expected one of {SENSES}")
-
-    @property
-    def bounds(self) -> tuple:
-        """(lo, hi) with the row asking lo <= <coeffs, x> <= hi."""
-        if self.sense == "<=":
-            return -np.inf, self.rhs
-        if self.sense == ">=":
-            return self.rhs, np.inf
-        return self.rhs, self.rhs
-
-    def holds(self, lhs, tol: float = FEAS_TOL):
-        """Whether left-hand sides lhs, one or an array of them, satisfy the
-        row within tol, elementwise."""
-        lo, hi = self.bounds
-        return (lhs >= lo - tol) & (lhs <= hi + tol)
-
-    def satisfied_by(self, x: np.ndarray, tol: float = FEAS_TOL) -> bool:
-        return bool(self.holds(float(self.coeffs @ x), tol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,20 +148,14 @@ def symmetrize(q: np.ndarray, tol: float = FEAS_TOL) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeasibleDomain:
-    """Binary points with sum(x) == m and any extra linear rows."""
+    """The binary points of length n with sum(x) == m."""
 
     n: int
     m: int
-    extra_rows: tuple = ()
 
     def __post_init__(self):
         if not (0 < self.m < self.n):
             raise ValueError(f"need 0 < m < n, got m={self.m}, n={self.n}")
-        rows = tuple(self.extra_rows)
-        for row in rows:
-            if row.coeffs.shape != (self.n,):
-                raise ValueError("extra row dimension does not match domain")
-        object.__setattr__(self, "extra_rows", rows)
 
 
 def is_feasible(dom: FeasibleDomain, x: np.ndarray, tol: float = FEAS_TOL) -> bool:
@@ -205,9 +164,7 @@ def is_feasible(dom: FeasibleDomain, x: np.ndarray, tol: float = FEAS_TOL) -> bo
         return False
     if (abs(x - x.round()) > tol).any() or (x < -tol).any() or (x > 1 + tol).any():
         return False
-    if abs(float(x.sum()) - dom.m) > tol:
-        return False
-    return all(row.satisfied_by(x, tol) for row in dom.extra_rows)
+    return abs(float(x.sum()) - dom.m) <= tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,17 +285,18 @@ def stack_cuts(cuts: Sequence[Cut]) -> tuple:
     return grads, values, grad_dot_anchor
 
 
-class CutRows(Sequence):
-    """The rows <grad, x> <= level - intercept, one per cut of an oracle.
+class CutRows:
+    """The rows <grad, x> <= level - intercept, one per cut of an oracle: the
+    one row type every linear subproblem takes.
 
     Together they cut out the level set {x : theta(x) <= level} of the cut
     model theta(x) = max over cuts of <grad, x> + intercept. The rows are a
     read-only view of the oracle's stack: coeffs is its gradient rows and rhs
     is level - value + <grad, anchor>, for the cuts present when the view was
-    made; len(rows) counts those cuts, and a LinearRow is built only when a
-    row is indexed or iterated. A MILP solver reads coeffs and rhs; an
-    enumerator that holds theta for the oracle's cuts reads `cuts` (the
-    oracle) and `level` instead.
+    made; len(rows) counts those cuts. A point meets a row when its
+    left-hand side is at most the row's entry of limit, rhs + FEAS_TOL. A
+    MILP solver reads coeffs and rhs; an enumerator that holds theta for the
+    oracle's cuts reads `cuts` (the oracle) and `level` instead.
     """
 
     def __init__(self, oracle: CutOracle, level: float):
@@ -348,19 +306,15 @@ class CutRows(Sequence):
         self.coeffs = grads
         self.rhs = level - values + grad_dot_anchor
         self.rhs.flags.writeable = False
-        self._limit = self.rhs + FEAS_TOL
+        self.limit = self.rhs + FEAS_TOL
+        self.limit.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.rhs)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        return LinearRow(self.coeffs[i], "<=", float(self.rhs[i]))
-
     def satisfied_by(self, x: np.ndarray) -> bool:
-        """Whether x satisfies every row, as LinearRow.satisfied_by judges each."""
-        return len(self) == 0 or bool((self.coeffs @ x <= self._limit).all())
+        """Whether x meets every row."""
+        return len(self) == 0 or bool((self.coeffs @ x <= self.limit).all())
 
 
 def _check_dim(obj: QuadraticObjective, x) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gradcut.milp import BruteForceBackend, HighsBackend
-from gradcut.model import FeasibleDomain, QuadraticObjective
+from gradcut.model import FEAS_TOL, Cut, CutOracle, CutRows, FeasibleDomain, QuadraticObjective
 
 # small worked instances used throughout: a diagonal quadratic and a dense one
 Q_DIAG = np.diag([2.0, 4.0, 6.0])
@@ -40,14 +40,32 @@ def brute_backend():
 
 
 def feasible_points(dom):
-    """All binary points of the cardinality slice satisfying the extra rows."""
+    """All binary points of the cardinality slice, in lexicographic order."""
     pts = []
     for idx in itertools.combinations(range(dom.n), dom.m):
         x = np.zeros(dom.n)
         x[list(idx)] = 1.0
-        if all(row.satisfied_by(x) for row in dom.extra_rows):
-            pts.append(x)
+        pts.append(x)
     return pts
+
+
+def rows_of(coeffs=(), rhs=(), level=0.0):
+    """CutRows whose k-th row is <coeffs[k], x> <= rhs[k], within rounding
+    (exactly, for whole-number data); rows_of() has no row. An oracle keeps
+    one cut per anchor, so cut k is anchored at its own point, k * e_0, with
+    the value g_k . a_k + level - rhs_k."""
+    oracle = CutOracle()
+    for k, (g, b) in enumerate(zip(coeffs, rhs)):
+        g = np.asarray(g, dtype=float)
+        anchor = np.zeros(len(g))
+        anchor[0] = k
+        oracle.add(Cut(anchor=anchor, grad=g, value=float(g @ anchor) + level - float(b)))
+    return CutRows(oracle, level)
+
+
+def meets(rows, x):
+    """Whether x meets every one of rows, checked one row at a time."""
+    return all(float(g @ x) <= float(b) + FEAS_TOL for g, b in zip(rows.coeffs, rows.rhs))
 
 
 def enumerate_min(q, dom):

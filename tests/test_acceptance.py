@@ -33,6 +33,8 @@ from gradcut.model import (
     make_cut,
 )
 
+from conftest import meets, rows_of
+
 GAP_TOL = 1e-9
 METRIC_TOL = 1e-12
 
@@ -184,12 +186,12 @@ def test_pgm_termination_suite():
         dom = FeasibleDomain(n=n, m=m)
         pts = all_points(n, m)
         x0 = pts[int(rng.integers(len(pts)))]
-        res = pgm_solve(obj, dom, [], x0, PgmParams(), backend)
+        res = pgm_solve(obj, dom, rows_of(), x0, PgmParams(), backend)
         assert res.critical, trial
         assert res.iters < PgmParams().max_iters
         assert is_feasible(dom, res.x_final)
         assert res.f_final <= eval_objective(obj, x0) + 1e-12
-        assert is_critical(obj, dom, [], res.x_final, res.eta, backend), trial
+        assert is_critical(obj, dom, rows_of(), res.x_final, res.eta, backend), trial
     report("finite critical termination (1000 PGM runs)")
 
 
@@ -230,7 +232,7 @@ def test_offset_backtracking_bound():
         assert backtracks <= bound, (trial, backtracks, bound)
         assert tau == 0.0
         assert increase is False
-        assert all(row.satisfied_by(x_star) for row in rows)
+        assert meets(rows, x_star)
         checked += 1
     assert checked == 20
     report("offset backtracking bound on optimal-incumbent fixtures")

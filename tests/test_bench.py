@@ -30,7 +30,7 @@ from gradcut.bench import (
     write_trace_json,
 )
 from gradcut.milp import BruteForceBackend
-from gradcut.model import FeasibleDomain, LinearRow, QuadraticObjective, slice_shift
+from gradcut.model import FeasibleDomain, QuadraticObjective, slice_shift
 
 from conftest import Q_DIAG
 
@@ -445,18 +445,10 @@ class TestSynthInstance:
 
 class TestDefaultX0:
     def test_first_m_ones(self):
-        x0 = default_x0(FeasibleDomain(n=5, m=2))
-        np.testing.assert_array_equal(x0, [1.0, 1.0, 0.0, 0.0, 0.0])
-
-    def test_extra_row_fallback_uses_backend(self):
-        # forbid the first coordinate so the naive start is infeasible
-        row = LinearRow(np.array([1.0, 0.0, 0.0, 0.0]), "<=", 0.0)
-        dom = FeasibleDomain(n=4, m=2, extra_rows=(row,))
-        with pytest.raises(ValueError):
-            default_x0(dom)
-        x0 = default_x0(dom, BruteForceBackend())
-        assert x0[0] == 0.0
-        assert np.sum(x0) == 2.0
+        dom = FeasibleDomain(n=5, m=2)
+        np.testing.assert_array_equal(default_x0(dom), [1.0, 1.0, 0.0, 0.0, 0.0])
+        # a caller may still hand it a backend, which it does not read
+        np.testing.assert_array_equal(default_x0(dom, BruteForceBackend()), default_x0(dom))
 
 
 def test_validate_trace_rejects_bad_sequences():

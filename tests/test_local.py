@@ -12,7 +12,6 @@ from gradcut.local import (
 from gradcut.milp import BruteForceBackend
 from gradcut.model import (
     FeasibleDomain,
-    LinearRow,
     QuadraticObjective,
     eval_gradient,
     eval_objective,
@@ -26,6 +25,7 @@ from conftest import (
     feasible_points,
     random_psd_objective,
     random_symmetric_objective,
+    rows_of,
 )
 
 
@@ -91,19 +91,19 @@ class TestIsCritical:
         self.backend = BruteForceBackend()
 
     def test_minimizer_is_critical_at_half_step(self):
-        assert is_critical(self.obj, self.dom, [], e(0), 0.5, self.backend) is True
+        assert is_critical(self.obj, self.dom, rows_of(), e(0), 0.5, self.backend) is True
 
     def test_non_minimizer_fails_at_unit_step(self):
-        assert is_critical(self.obj, self.dom, [], e(1), 1.0, self.backend) is False
+        assert is_critical(self.obj, self.dom, rows_of(), e(1), 1.0, self.backend) is False
 
     def test_zero_gradient_always_critical(self):
         obj = QuadraticObjective(np.zeros((3, 3)))
         for eta in (0.1, 1.0, 50.0):
-            assert is_critical(obj, self.dom, [], e(1), eta, self.backend) is True
+            assert is_critical(obj, self.dom, rows_of(), e(1), eta, self.backend) is True
 
     def test_eta_must_be_positive(self):
         with pytest.raises(ValueError):
-            is_critical(self.obj, self.dom, [], e(0), 0.0, self.backend)
+            is_critical(self.obj, self.dom, rows_of(), e(0), 0.0, self.backend)
 
 
 class TestPgmSolve:
@@ -112,7 +112,7 @@ class TestPgmSolve:
         # gamma halving (scores tie at gamma = 1/2)
         obj = QuadraticObjective(Q_FULL)
         dom = FeasibleDomain(n=3, m=1)
-        res = pgm_solve(obj, dom, [], e(1), PgmParams(), BruteForceBackend())
+        res = pgm_solve(obj, dom, rows_of(), e(1), PgmParams(), BruteForceBackend())
         assert res.critical is True
         np.testing.assert_array_equal(res.x_final, e(0))
         assert res.f_final == 1.0
@@ -122,7 +122,7 @@ class TestPgmSolve:
     def test_fixed_point_returns_immediately(self):
         obj = QuadraticObjective(Q_FULL)
         dom = FeasibleDomain(n=3, m=1)
-        res = pgm_solve(obj, dom, [], e(0), PgmParams(gamma0=0.5), BruteForceBackend())
+        res = pgm_solve(obj, dom, rows_of(), e(0), PgmParams(gamma0=0.5), BruteForceBackend())
         assert res.critical is True
         assert res.iters == 0
         np.testing.assert_array_equal(res.x_final, e(0))
@@ -131,7 +131,7 @@ class TestPgmSolve:
         # exclude the unconstrained minimizer e1; best remaining point is e3
         obj = QuadraticObjective(Q_FULL)
         dom = FeasibleDomain(n=3, m=1)
-        rows = [LinearRow(np.array([1.0, 0.0, 0.0]), "<=", 0.0)]
+        rows = rows_of([np.array([1.0, 0.0, 0.0])], [0.0])
         res = pgm_solve(obj, dom, rows, e(1), PgmParams(), BruteForceBackend())
         assert res.x_final[0] == 0.0
         assert res.f_final <= eval_objective(obj, e(1))
@@ -139,7 +139,7 @@ class TestPgmSolve:
     def test_budget_exhaustion_returns_start(self):
         obj = QuadraticObjective(Q_FULL)
         dom = FeasibleDomain(n=3, m=1)
-        res = pgm_solve(obj, dom, [], e(1), PgmParams(), BruteForceBackend(), budget=0.0)
+        res = pgm_solve(obj, dom, rows_of(), e(1), PgmParams(), BruteForceBackend(), budget=0.0)
         assert res.critical is False
         np.testing.assert_array_equal(res.x_final, e(1))
 
@@ -154,7 +154,7 @@ class TestPgmSolve:
         pts = feasible_points(dom)
         x0 = pts[int(rng.integers(len(pts)))]
         backend = RecordingBackend()
-        res = pgm_solve(obj, dom, [], x0, PgmParams(), backend)
+        res = pgm_solve(obj, dom, rows_of(), x0, PgmParams(), backend)
         assert res.critical is True
         assert is_feasible(dom, res.x_final)
         assert res.f_final <= eval_objective(obj, x0) + 1e-12
@@ -162,7 +162,7 @@ class TestPgmSolve:
         for x in backend.returned:
             assert is_feasible(dom, x)
         # the certificate survives independent re-verification
-        assert is_critical(obj, dom, [], res.x_final, res.eta, BruteForceBackend())
+        assert is_critical(obj, dom, rows_of(), res.x_final, res.eta, BruteForceBackend())
 
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=40, deadline=None)
@@ -178,7 +178,7 @@ class TestPgmSolve:
         grad = eval_gradient(obj, x)
         from gradcut.milp import project
 
-        res = project(x - gamma * grad, dom, [], 30.0, BruteForceBackend())
+        res = project(x - gamma * grad, dom, rows_of(), 30.0, BruteForceBackend())
 
         def model(y):
             return (
@@ -216,7 +216,7 @@ class TestBreakpointStep:
         results = []
         for q in (obj.q, obj.q * 2.0**k):
             backend = RecordingBackend()
-            res = pgm_solve(QuadraticObjective(q), dom, [], x0, params, backend)
+            res = pgm_solve(QuadraticObjective(q), dom, rows_of(), x0, params, backend)
             results.append((res.x_final.tolist(), res.iters, res.critical, len(backend.returned)))
         assert results[0] == results[1]
 
@@ -234,12 +234,12 @@ class TestBreakpointStep:
         x0 = pts[int(rng.integers(len(pts)))]
         assume(spread(obj, x0) > 0)
         backend = RecordingBackend()
-        pgm_solve(obj, dom, [], x0, PgmParams(), backend)
+        pgm_solve(obj, dom, rows_of(), x0, PgmParams(), backend)
         assert not np.array_equal(backend.returned[0], x0)
 
     def test_step_left_alone_where_x_minimizes_the_linearization(self):
         # at e2 the gradient of -Q_DIAG is (0, 0, -6), a spread of -6
         obj = QuadraticObjective(-Q_DIAG)
         dom = FeasibleDomain(n=3, m=1)
-        res = pgm_solve(obj, dom, [], e(2), PgmParams(gamma0=0.25), BruteForceBackend())
+        res = pgm_solve(obj, dom, rows_of(), e(2), PgmParams(gamma0=0.25), BruteForceBackend())
         assert (res.critical, res.iters, res.eta) == (True, 0, 0.25)

@@ -38,12 +38,20 @@ from gradcut.model import (
     CutOracle,
     CutRows,
     FeasibleDomain,
-    LinearRow,
     QuadraticObjective,
     make_cut,
 )
 
-from conftest import Q_DIAG, Q_FULL, e, enumerate_min, feasible_points, random_psd_objective
+from conftest import (
+    Q_DIAG,
+    Q_FULL,
+    e,
+    enumerate_min,
+    feasible_points,
+    meets,
+    random_psd_objective,
+    rows_of,
+)
 
 
 def oracle_at(q, anchors):
@@ -102,26 +110,25 @@ class TestSolveCpModel:
 class TestProject:
     def test_projection_picks_closest_vertex(self, backend):
         dom = FeasibleDomain(n=3, m=1)
-        res = project(np.array([0.9, 0.3, -0.1]), dom, [], 30.0, backend)
+        res = project(np.array([0.9, 0.3, -0.1]), dom, rows_of(), 30.0, backend)
         np.testing.assert_allclose(res.x, e(0), atol=1e-9)
 
     def test_member_point_attains_optimum(self, backend):
         dom = FeasibleDomain(n=3, m=1)
-        res = project(e(1), dom, [], 30.0, backend)
+        res = project(e(1), dom, rows_of(), 30.0, backend)
         assert res.objective == pytest.approx(-1.0, abs=1e-9)
 
     def test_cut_row_excludes_nearest(self, backend):
         # row 4 x2 <= 3.9 knocks out e2; remaining vertices tie at score 1
         dom = FeasibleDomain(n=3, m=1)
-        row = LinearRow(np.array([0.0, 4.0, 0.0]), "<=", 3.9)
-        res = project(np.array([0.0, 0.9, 0.0]), dom, [row], 30.0, backend)
+        rows = rows_of([[0.0, 4.0, 0.0]], [3.9])
+        res = project(np.array([0.0, 0.9, 0.0]), dom, rows, 30.0, backend)
         assert res.objective == pytest.approx(1.0, abs=1e-9)
         assert res.x[1] == 0.0
 
     def test_infeasible_rows_reported(self, backend):
         dom = FeasibleDomain(n=3, m=1)
-        row = LinearRow(np.ones(3), "<=", -1.0)
-        res = project(np.zeros(3), dom, [row], 30.0, backend)
+        res = project(np.zeros(3), dom, rows_of([np.ones(3)], [-1.0]), 30.0, backend)
         assert res.status.kind is StatusKind.INFEASIBLE
 
     @given(seed=st.integers(0, 10_000))
@@ -132,7 +139,7 @@ class TestProject:
         m = int(rng.integers(1, n))
         dom = FeasibleDomain(n=n, m=m)
         z = rng.uniform(-2.0, 2.0, size=n)
-        res = project(z, dom, [], 30.0, BruteForceBackend())
+        res = project(z, dom, rows_of(), 30.0, BruteForceBackend())
         best = min(float(np.sum((x - z) ** 2)) for x in feasible_points(dom))
         assert float(np.sum((res.x - z) ** 2)) <= best + 1e-9
 
@@ -149,10 +156,10 @@ class TestCheckNonempty:
         assert check_nonempty(dom, rows, 30.0, backend) is False
 
     def test_no_rows_trivially_nonempty(self, backend):
-        assert check_nonempty(FeasibleDomain(n=3, m=1), [], 30.0, backend) is True
+        assert check_nonempty(FeasibleDomain(n=3, m=1), rows_of(), 30.0, backend) is True
 
     def test_exhausted_budget_is_conservative(self, backend):
-        assert check_nonempty(FeasibleDomain(n=3, m=1), [], 0.0, backend) is False
+        assert check_nonempty(FeasibleDomain(n=3, m=1), rows_of(), 0.0, backend) is False
 
 
 @given(seed=st.integers(0, 10_000))
@@ -164,29 +171,10 @@ def test_backends_agree_on_linear_models(seed):
     dom = FeasibleDomain(n=n, m=m)
     cost = rng.uniform(-1.0, 1.0, size=n)
     # the solvers themselves: solve_linear would settle a rowless model by sorting
-    res_bf = BruteForceBackend()._solve_linear(cost, dom, [], 30.0)
-    res_hs = HighsBackend()._solve_linear(cost, dom, [], 30.0)
+    res_bf = BruteForceBackend()._solve_linear(cost, dom, rows_of(), 30.0)
+    res_hs = HighsBackend()._solve_linear(cost, dom, rows_of(), 30.0)
     assert res_bf.ok and res_hs.ok
     assert res_bf.objective == pytest.approx(res_hs.objective, abs=1e-7)
-
-
-def test_extra_domain_rows_respected(backend):
-    # forbid the first coordinate entirely
-    row = LinearRow(np.array([1.0, 0.0, 0.0]), "<=", 0.0)
-    dom = FeasibleDomain(n=3, m=1, extra_rows=(row,))
-    res = project(np.array([0.9, 0.3, -0.1]), dom, [], 30.0, backend)
-    np.testing.assert_allclose(res.x, e(1), atol=1e-9)
-
-
-def test_domain_with_no_feasible_point(backend):
-    # every point of the slice has x0 + x1 + x2 = 2
-    row = LinearRow(np.array([1.0, 1.0, 1.0]), "==", 1.0)
-    dom = FeasibleDomain(n=3, m=2, extra_rows=(row,))
-    oracle = oracle_at(Q_FULL, [np.array([1.0, 1.0, 0.0])])
-    assert solve_cp_model(oracle, dom, 30.0, backend).status.kind is StatusKind.INFEASIBLE
-    assert project(np.zeros(3), dom, [], 30.0, backend).status.kind is StatusKind.INFEASIBLE
-    with pytest.raises(ValueError, match="no feasible point"):
-        default_x0(dom, backend)
 
 
 class CountingBackend(BruteForceBackend):
@@ -202,7 +190,8 @@ class CountingBackend(BruteForceBackend):
 class TestCardinalityOptimumFirst:
     def test_no_solve_when_the_cheapest_coordinates_fit(self):
         backend = CountingBackend()
-        res = project(np.array([0.9, 0.3, -0.1]), FeasibleDomain(n=3, m=1), [], 30.0, backend)
+        dom = FeasibleDomain(n=3, m=1)
+        res = project(np.array([0.9, 0.3, -0.1]), dom, rows_of(), 30.0, backend)
         assert res.ok
         np.testing.assert_allclose(res.x, e(0))
         assert res.objective == pytest.approx(-0.8, abs=1e-12)
@@ -210,15 +199,8 @@ class TestCardinalityOptimumFirst:
 
     def test_solver_runs_when_a_row_cuts_them_off(self):
         backend = CountingBackend()
-        row = LinearRow(e(0), "<=", 0.0)
-        res = project(np.array([0.9, 0.3, -0.1]), FeasibleDomain(n=3, m=1), [row], 30.0, backend)
-        np.testing.assert_allclose(res.x, e(1))
-        assert backend.solves == 1
-
-    def test_domain_rows_count_too(self):
-        backend = CountingBackend()
-        dom = FeasibleDomain(n=3, m=1, extra_rows=(LinearRow(e(0), "<=", 0.0),))
-        res = project(np.array([0.9, 0.3, -0.1]), dom, [], 30.0, backend)
+        rows = rows_of([e(0)], [0.0])
+        res = project(np.array([0.9, 0.3, -0.1]), FeasibleDomain(n=3, m=1), rows, 30.0, backend)
         np.testing.assert_allclose(res.x, e(1))
         assert backend.solves == 1
 
@@ -230,16 +212,17 @@ class TestCardinalityOptimumFirst:
         m = int(rng.integers(1, n))
         dom = FeasibleDomain(n=n, m=m)
         cost = rng.uniform(-1.0, 1.0, size=n)
-        rows = [
-            LinearRow(rng.uniform(-1.0, 1.0, size=n), "<=", float(rng.uniform(-0.5, 1.0)))
+        terms = [
+            (rng.uniform(-1.0, 1.0, size=n), float(rng.uniform(-0.5, 1.0)))
             for _ in range(int(rng.integers(0, 4)))
         ]
+        rows = rows_of([g for g, _ in terms], [b for _, b in terms])
         got = BruteForceBackend().solve_linear(cost, dom, rows, 30.0)
         want = BruteForceBackend()._solve_linear(cost, dom, rows, 30.0)
         assert got.status.kind is want.status.kind
         if want.ok:
             assert got.objective == pytest.approx(want.objective, abs=1e-12)
-            assert all(row.satisfied_by(got.x) for row in rows)
+            assert meets(rows, got.x)
 
 
 class ScriptedMilp:
@@ -285,6 +268,23 @@ def scripted_highs(monkeypatch, *answers, delay=0.0, before=None):
     return backend, stub
 
 
+def rungs(stub):
+    """(presolve, mip_feasibility_tolerance) of each solve the stub answered,
+    None where the tolerance was left at HiGHS's default."""
+    return [(o["presolve"], o.get("mip_feasibility_tolerance")) for o in stub.options]
+
+
+# a first solve, and then every rung of the retry ladder
+LADDER = [
+    (True, None),
+    (False, None),
+    (False, HIGHS_TIGHT_FEAS_TOL),
+    (False, FEAS_TOL),
+    (True, HIGHS_TIGHT_FEAS_TOL),
+]
+LAST_RUNG = "also with presolve on at mip_feasibility_tolerance 1e-10"
+
+
 class TestHighsRetryLadder:
     # three cuts on Q_DIAG: the model optimum is theta = 1 at e(0), and the cut
     # model at the incumbent e(0) is f(e(0)) = 1, the upper limit
@@ -302,26 +302,26 @@ class TestHighsRetryLadder:
 
     def test_repeated_solve_error_names_kind_and_size(self, monkeypatch):
         backend, stub = scripted_highs(
-            monkeypatch,
-            cp_answer(4, 0.999999, message=SOLVE_ERROR),
-            cp_answer(4, 0.999999, message=SOLVE_ERROR),
+            monkeypatch, *(cp_answer(4, 0.999999, message=SOLVE_ERROR) for _ in LADDER)
         )
         # 1 cardinality row + 3 cut rows; 3 binaries + theta
         with pytest.raises(MilpSolveError, match=r"cp solve failed \(4 rows x 4 cols\)") as info:
             solve_cp_model(self.oracle, self.dom, 30.0, backend)
         assert SOLVE_ERROR in str(info.value)
-        assert str(info.value).endswith("also with presolve off")
+        assert str(info.value).endswith(LAST_RUNG)
         assert (info.value.kind, info.value.n_rows, info.value.n_cols) == ("cp", 4, 4)
-        assert len(stub.options) == 2
+        assert rungs(stub) == LADDER
 
     def test_linear_solve_error_named_linear(self, monkeypatch):
         err = SimpleNamespace(status=4, message=SOLVE_ERROR, x=None, fun=None, mip_dual_bound=None)
-        backend, stub = scripted_highs(monkeypatch, err, err)
+        backend, stub = scripted_highs(monkeypatch, *(err for _ in LADDER))
         # the row cuts off the cardinality-only optimum e0, so HiGHS must run
-        row = LinearRow(e(0), "<=", 0.0)
-        with pytest.raises(MilpSolveError, match=r"linear solve failed \(2 rows x 3 cols\)"):
-            project(np.zeros(3), self.dom, [row], 30.0, backend)
-        assert [o["presolve"] for o in stub.options] == [True, False]
+        rows = rows_of([e(0)], [0.0])
+        failed = r"linear solve failed \(2 rows x 3 cols\)"
+        with pytest.raises(MilpSolveError, match=failed) as info:
+            project(np.zeros(3), self.dom, rows, 30.0, backend)
+        assert str(info.value).endswith(LAST_RUNG)
+        assert rungs(stub) == LADDER
 
     def test_bound_above_limit_retried_once_without_presolve(self, monkeypatch):
         backend, stub = scripted_highs(monkeypatch, cp_answer(0, 1.5), cp_answer(0, 1.0))
@@ -331,10 +331,13 @@ class TestHighsRetryLadder:
         assert [o["presolve"] for o in stub.options] == [True, False]
 
     def test_repeated_impossible_bound_raises(self, monkeypatch):
-        backend, stub = scripted_highs(monkeypatch, cp_answer(0, 1.5), cp_answer(0, 1.25))
-        with pytest.raises(MilpSolveError, match="exceeds the upper limit"):
+        backend, stub = scripted_highs(
+            monkeypatch, cp_answer(0, 1.5), *(cp_answer(0, 1.25) for _ in LADDER[1:])
+        )
+        with pytest.raises(MilpSolveError, match="exceeds the upper limit") as info:
             solve_cp_model(self.oracle, self.dom, 30.0, backend, incumbent=e(0))
-        assert len(stub.options) == 2
+        assert str(info.value).endswith(LAST_RUNG)
+        assert rungs(stub) == LADDER
 
     def test_dual_bound_checked_not_only_theta(self, monkeypatch):
         backend, stub = scripted_highs(
@@ -403,17 +406,18 @@ class TestHighsRetryLadder:
             MilpSolveError, match="also with presolve on at mip_feasibility_tolerance 1e-10$"
         ):
             solve_cp_model(self.oracle, self.dom, 30.0, backend, tight=True)
-        assert len(stub.options) == 3
+        assert rungs(stub) == LADDER[2:]  # a tight solve starts at the second rung
 
 
 def rows_one_by_one(dom, rows, n_cols):
-    """The (A, lo, hi) of the cardinality row, the domain's rows and rows, one
-    row at a time: the block a HiGHS model is built from."""
+    """The (A, lo, hi) of the cardinality row and of rows, (coeffs, rhs) pairs
+    each asking <coeffs, x> <= rhs, one row at a time: the rows a HiGHS
+    model is built from."""
     a, lo, hi = [np.r_[np.ones(dom.n), np.zeros(n_cols - dom.n)]], [dom.m], [dom.m]
-    for coeffs, sense, rhs in rows:
+    for coeffs, rhs in rows:
         a.append(np.r_[coeffs, np.zeros(n_cols - dom.n)])
-        lo.append(-np.inf if sense == "<=" else rhs)
-        hi.append(np.inf if sense == ">=" else rhs)
+        lo.append(-np.inf)
+        hi.append(rhs)
     return np.array(a), np.array(lo), np.array(hi)
 
 
@@ -426,16 +430,8 @@ class TestHighsInputFromTheStack:
     """The model HiGHS is handed, built from the oracle's stack, equals the one
     written out cut by cut."""
 
-    dom = FeasibleDomain(
-        n=6,
-        m=2,
-        extra_rows=(
-            LinearRow(np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0]), "<=", 1.0),
-            LinearRow(np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0]), ">=", 0.0),
-        ),
-    )
+    dom = FeasibleDomain(n=6, m=2)
     cuts = cuts_on_six()
-    domain_terms = [(r.coeffs, r.sense, r.rhs) for r in dom.extra_rows]
 
     @staticmethod
     def handed(stub):
@@ -443,7 +439,7 @@ class TestHighsInputFromTheStack:
         return constraint.A, constraint.lb, constraint.ub
 
     def want_cp(self, cuts):
-        a, lo, hi = rows_one_by_one(self.dom, self.domain_terms, 7)
+        a, lo, hi = rows_one_by_one(self.dom, [], 7)
         for cut in cuts:
             a = np.vstack([a, np.r_[cut.grad, -1.0]])
             lo = np.r_[lo, -np.inf]
@@ -468,9 +464,7 @@ class TestHighsInputFromTheStack:
         answer.x = answer.x[:6]
         backend, stub = scripted_highs(monkeypatch, answer)
         project(z, self.dom, rows, 30.0, backend)
-        terms = self.domain_terms + [
-            (c.grad, "<=", level - c.value + float(c.grad @ c.anchor)) for c in self.cuts
-        ]
+        terms = [(c.grad, level - c.value + float(c.grad @ c.anchor)) for c in self.cuts]
         for got, want in zip(self.handed(stub), rows_one_by_one(self.dom, terms, 6), strict=True):
             np.testing.assert_array_equal(got, want)
 
@@ -675,32 +669,6 @@ class TestPointTable:
         points = np.array([milp._point(r, n, m) for r in range(comb(n, m))])
         np.testing.assert_array_equal(points, want)
 
-    def test_extra_rows_filter_in_order(self):
-        n, m = 5, 2
-        pts = slice_points(n, m)
-        # integer data, so each row's violations are exact
-        rows = [
-            LinearRow(np.array([1.0, 1.0, 0.0, 0.0, 0.0]), "<=", 1.0),
-            LinearRow(np.array([0.0, 1.0, 0.0, 1.0, 1.0]), ">=", 1.0),
-            LinearRow(np.array([1.0, 0.0, 1.0, 0.0, 1.0]), "==", 1.0),
-        ]
-        lhs = pts @ np.array([row.coeffs for row in rows]).T
-        violated = np.column_stack([lhs[:, 0] > 1.0, lhs[:, 1] < 1.0, lhs[:, 2] != 1.0])
-        # the first lower bound folds the rows in with two zero cuts (of one,
-        # the whole state could answer by the cheapest point alone): by tail
-        # sums in blocks of 3 points, so that the fold spans several, and by
-        # byte lookup on the table of a slice of one block
-        for block in (3, len(pts)):
-            with mock.patch.object(milp, "_BLOCK", block):
-                for fold in [[0], [1], [2], [0, 1, 2]]:
-                    dom = FeasibleDomain(n=n, m=m, extra_rows=tuple(rows[j] for j in fold))
-                    sets = milp._LevelSets(dom, [])
-                    assert (sets.table is None) == (block < len(pts))
-                    sets.lower_bound(np.zeros((2, n)), np.zeros(2), None)
-                    dropped = violated[:, fold].any(axis=1)
-                    assert 0 < np.count_nonzero(dropped) < len(pts)
-                    np.testing.assert_array_equal(sets.theta, np.where(dropped, np.inf, 0.0))
-
 
 class TestCutValueCache:
     def test_one_domain_held_and_answers_unchanged(self):
@@ -774,17 +742,16 @@ def plain_scan(cost, dom, rows):
     for idx in itertools.combinations(range(dom.n), dom.m):
         x = np.zeros(dom.n)
         x[list(idx)] = 1.0
-        if all(row.satisfied_by(x) for row in itertools.chain(dom.extra_rows, rows)):
+        if meets(rows, x):
             value = float(cost @ x)
             if best is None or value < best[1]:
                 best = (x, value)
     return best
 
 
-@pytest.mark.parametrize("with_domain_row", [False, True, "loose"])
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
-def test_level_sets_replay_an_engine_run_like_a_plain_scan(with_domain_row, seed):
+def test_level_sets_replay_an_engine_run_like_a_plain_scan(seed):
     """Lower bounds, projections and nonemptiness checks at levels ub - tau, as
     a run asks for them while cuts grow and ub falls, answered as a plain
     itertools scan answers them, with the points above ub dropped. Each level
@@ -792,39 +759,17 @@ def test_level_sets_replay_an_engine_run_like_a_plain_scan(with_domain_row, seed
     fold and compaction, latest first. Half the runs read blocks of a few
     points, so that the slice is held whole until its survivors fit one
     block; the other half hold the slice in one block, as its table from the
-    start. The state starts with every point, +inf at those a domain row
-    drops: a row at the median drops half the slice, and a loose one fewer
-    than an eighth, which no table prune counts enough to drop on their
-    own."""
+    start."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 11))
     m = int(rng.integers(1, n))
     obj = random_psd_objective(rng, n)
-    rows = ()
-    if with_domain_row:
-        coeffs = rng.uniform(-1.0, 1.0, size=n)
-        lhs = np.sort([coeffs @ x for x in slice_points(n, m)])
-        if with_domain_row == "loose":
-            # at most (len - 1) // 8 points lie above this rhs
-            rhs = lhs[len(lhs) - 1 - (len(lhs) - 1) // 8]
-        else:
-            rhs = np.median(lhs)
-        rows = (LinearRow(coeffs, "<=", float(rhs)),)
     size = comb(n, m)
     one_block = rng.random() < 0.5
     block = int(rng.integers(size, 2 * size + 1) if one_block else rng.integers(1, 5))
     with mock.patch.object(milp, "_BLOCK", block):
-        dom = FeasibleDomain(n=n, m=m, extra_rows=rows)
+        dom = FeasibleDomain(n=n, m=m)
         pts = feasible_points(dom)
-        if with_domain_row == "loose":
-            # the first lower bound, with no ub yet, drops no point; of two
-            # cuts, so that the whole state sweeps
-            probe = BruteForceBackend()
-            probe_cuts = CutOracle([make_cut(obj, pts[0]), make_cut(obj, pts[-1])])
-            assert probe.solve_cp(probe_cuts, dom, 30.0).ok
-            assert (probe._sets.table is None) == (size > block)
-            assert len(probe._sets.theta) == size
-            assert np.count_nonzero(probe._sets.theta == np.inf) == size - len(pts)
         backend = BruteForceBackend()
         oracle = CutOracle()
         x = pts[int(rng.integers(len(pts)))]
@@ -880,7 +825,7 @@ class TestCutRowsCheck:
         for level in rng.uniform(-1.0, 2.0, size=4):
             rows = CutRows(oracle, float(level))
             for x in points:
-                assert rows.satisfied_by(x) == all(row.satisfied_by(x) for row in rows)
+                assert rows.satisfied_by(x) == meets(rows, x)
 
     @pytest.mark.parametrize("slack, satisfied", [(-2.0, False), (-1.0, True), (0.0, True)])
     def test_agrees_with_each_row_at_the_tolerance(self, slack, satisfied):
@@ -892,29 +837,10 @@ class TestCutRowsCheck:
         theta = max(c.grad @ x + c.intercept for c in oracle)
         rows = CutRows(oracle, theta + slack * FEAS_TOL)
         assert rows.satisfied_by(x) is satisfied
-        assert all(row.satisfied_by(x) for row in rows) is satisfied
+        assert meets(rows, x) is satisfied
 
     def test_no_cuts_no_rows(self):
         assert CutRows(CutOracle(), 0.0).satisfied_by(np.zeros(3)) is True
-
-
-def test_runs_on_the_enumerator_build_no_linear_row(monkeypatch):
-    # every reader of the cut rows takes them from the oracle's stack
-    built = []
-    post_init = LinearRow.__post_init__
-
-    def counted(row):
-        built.append(row)
-        post_init(row)
-
-    monkeypatch.setattr(LinearRow, "__post_init__", counted)
-    inst = synth_instance(14, 4, "psd_random", 1)
-    for config in CONFIG_NAMES:
-        backend = AutoBackend()
-        out = run(inst.obj, inst.dom, default_x0(inst.dom, backend),
-                  SolverConfig.from_name(config), backend)
-        assert out.status.value == "eps_optimal"
-    assert built == []
 
 
 @pytest.mark.parametrize("n, m", [(10, 4), (9, 1), (9, 8), (17, 3)])
@@ -1088,41 +1014,49 @@ def test_walk_takes_the_first_cut_whose_level_set_fits():
 
 
 def random_row(rng, pts, whole_number):
-    """A <=, >= or == row over the slice's points pts, with its right-hand
-    side among or within the range of their left-hand sides."""
+    """A <=, >= or == constraint over the slice's points pts, with its
+    right-hand side among or within the range of their left-hand sides, as
+    the (coeffs, rhs) pairs of the <= rows that pose it: one for <= and >=,
+    two for ==."""
     n = pts.shape[1]
     coeffs = rng.integers(-3, 4, size=n).astype(float) if whole_number else rng.standard_normal(n)
     lhs = pts @ coeffs
     sense = ("<=", ">=", "==")[int(rng.integers(3))]
     if sense == "==":
-        return LinearRow(coeffs, sense, float(lhs[rng.integers(len(lhs))]))
+        rhs = float(lhs[rng.integers(len(lhs))])
+        return [(coeffs, rhs), (-coeffs, -rhs)]
     share = rng.uniform(0.02, 0.5) if sense == "<=" else rng.uniform(0.5, 0.98)
     rhs = float(np.quantile(lhs, share))
-    return LinearRow(coeffs, sense, float(np.round(rhs)) if whole_number else rhs)
+    if whole_number:
+        rhs = float(np.round(rhs))
+    return [(coeffs, rhs)] if sense == "<=" else [(-coeffs, -rhs)]
 
 
 @pytest.mark.parametrize("n, m", [(10, 4), (9, 8), (12, 6), (11, 2), (13, 10)])
 @pytest.mark.parametrize("whole_number", [True, False])
 def test_lagrangian_walk_matches_a_plain_scan(n, m, whole_number):
-    """A query on rows that no state reads, on a slice of more than a block,
-    answers from the level set of a Lagrangian relaxation where that can
-    tell, and else scans; either way as a plain scan of the slice: with
+    """A query on cut rows that no state reads, on a slice of more than a
+    block, answers from the level set of a Lagrangian relaxation where that
+    can tell, and else scans; either way as a plain scan of the slice: with
     whole-number data the same first minimizer and value, with float data a
     value within 1e-12, and INFEASIBLE where no point meets the rows. The
-    rows are <=, >= and == rows, plain, of the domain, or CutRows."""
+    rows pose one to three random <=, >= and == constraints, or are the
+    cut rows of an oracle of two cuts at a level of its cut model."""
     rng = np.random.default_rng(7 * n + m + whole_number)
     pts = slice_points(n, m)
     walked = 0
     for trial in range(24):
         cost = rng.integers(-5, 6, size=n).astype(float) if whole_number else rng.standard_normal(n)
-        domain_rows = (random_row(rng, pts, whole_number),) if trial % 3 == 1 else ()
+        terms = random_row(rng, pts, whole_number) if trial % 3 == 1 else []
         if trial % 3 == 2:
             oracle = CutOracle(whole_number_cut(rng, n) for _ in range(2))
             theta = np.max([pts @ c.grad + c.intercept for c in oracle], axis=0)
             rows = CutRows(oracle, float(np.quantile(theta, rng.uniform(0.05, 0.5))))
         else:
-            rows = [random_row(rng, pts, whole_number) for _ in range(int(rng.integers(1, 3)))]
-        dom = FeasibleDomain(n=n, m=m, extra_rows=domain_rows)
+            for _ in range(int(rng.integers(1, 3))):
+                terms += random_row(rng, pts, whole_number)
+            rows = rows_of([g for g, _ in terms], [b for _, b in terms])
+        dom = FeasibleDomain(n=n, m=m)
         want = plain_scan(cost, dom, rows)
         found = []
         with (
@@ -1142,7 +1076,7 @@ def test_lagrangian_walk_matches_a_plain_scan(n, m, whole_number):
             np.testing.assert_array_equal(found[0][0], got.x)
         assert got.objective == pytest.approx(want[1], abs=1e-12)
         assert got.x @ cost == pytest.approx(want[1], abs=1e-12)
-        assert all(row.satisfied_by(got.x) for row in [*domain_rows, *rows])
+        assert meets(rows, got.x)
         if whole_number:
             np.testing.assert_array_equal(got.x, want[0])
             assert got.objective == want[1]
@@ -1159,8 +1093,8 @@ def test_lagrangian_walk_falls_back_to_the_scan():
     # weighting the first row into the cost trades 3 and 2 for 4 and 5, then
     # 1 for 6, then 0 for 7: every point on that path that meets the first
     # row has both 4 and 5
-    rows = [LinearRow(np.r_[np.ones(4), np.zeros(6)], "<=", 2.0),
-            LinearRow(np.r_[np.zeros(4), np.ones(2), np.zeros(4)], "<=", 1.0)]
+    coeffs = [np.r_[np.ones(4), np.zeros(6)], np.r_[np.zeros(4), np.ones(2), np.zeros(4)]]
+    rows = rows_of(coeffs, [2.0, 1.0])
     dom = FeasibleDomain(n=n, m=m)
     want = plain_scan(cost, dom, rows)
     np.testing.assert_array_equal(want[0].nonzero()[0], [0, 1, 4, 6])
@@ -1177,7 +1111,7 @@ def test_lagrangian_walk_falls_back_to_the_scan():
     # one row, under a cost with ties: the probes meet it, and the walk of
     # its level set, which holds every tie, gives up at a cap one short
     cost = np.repeat([0.0, 1.0, 5.0], [4, 4, 2])
-    rows = rows[:1]
+    rows = rows_of(coeffs[:1], [2.0])
     want = plain_scan(cost, dom, rows)
     level_sets = []
     with mock.patch.object(milp, "_level_set", recording(milp._level_set, level_sets)):
@@ -1228,37 +1162,6 @@ def test_a_projection_onto_an_unwritten_theta_walks_a_lagrangian_level_set(confi
     assert [r.ub for r in walk.trace.records] == [r.ub for r in forced.trace.records]
     np.testing.assert_allclose([r.lb for r in walk.trace.records],
                                [r.lb for r in forced.trace.records], rtol=0.0, atol=1e-12)
-
-
-@pytest.mark.parametrize("cuts_off", [False, True])
-def test_a_first_bound_whose_cheapest_point_violates_a_row_sweeps(cuts_off):
-    """A whole state's first lower bound of one cut is the cut's m cheapest
-    coordinates when they meet the domain's row, with theta unwritten; when
-    the row cuts them off, it sweeps, and writes theta with +inf where the
-    row is violated. Either way it is the first minimizer of a plain scan."""
-    n, m = 10, 4
-    pts = slice_points(n, m)
-    cut = whole_number_cut(np.random.default_rng(5), n)
-    cheapest = np.zeros(n)
-    cheapest[cut.grad.argsort(kind="stable")[:m]] = 1.0
-    row = LinearRow(cheapest, "<=", m - 1.0 if cuts_off else float(m))
-    dom = FeasibleDomain(n=n, m=m, extra_rows=(row,))
-    violated = ~row.holds(pts @ row.coeffs)
-    assert bool(violated.any()) == cuts_off
-    theta = np.where(violated, np.inf, pts @ cut.grad + cut.intercept)
-    backend = BruteForceBackend()
-    with mock.patch.object(milp, "_BLOCK", 7):
-        res = backend.solve_cp(CutOracle([cut]), dom, 30.0)
-    i = int(theta.argmin())
-    np.testing.assert_array_equal(res.x, pts[i])
-    assert res.objective == theta[i]
-    sets = backend._sets
-    assert sets.table is None
-    if cuts_off:
-        assert sets.n_cuts == 1
-        np.testing.assert_array_equal(sets.theta, theta)
-    else:
-        assert sets.n_cuts == 0
 
 
 def test_a_slice_held_whole_answers_as_its_table():
@@ -1460,11 +1363,12 @@ def test_a_query_the_state_cannot_read_stays_within_the_state_budget():
     obj = random_psd_objective(rng, n)
     cut = make_cut(obj, default_x0(dom))
     other = make_cut(obj, np.r_[np.zeros(n - m), np.ones(m)])
-    row = LinearRow(rng.uniform(-1.0, 1.0, size=n), "<=", -0.5)
+    coeffs = rng.uniform(-1.0, 1.0, size=n)
+    rows = rows_of([coeffs], [-0.5])
     cost = rng.uniform(-1.0, 1.0, size=n)
     # the answer of a plain scan, over the points that satisfy the row
     pts = slice_points(n, m)
-    feasible = row.holds(pts @ row.coeffs)
+    feasible = pts @ coeffs <= -0.5 + FEAS_TOL
     want = np.where(feasible, pts @ cost, np.inf).min()
     backend = BruteForceBackend()
     oracle = CutOracle([cut, other])
@@ -1482,7 +1386,7 @@ def test_a_query_the_state_cannot_read_stays_within_the_state_budget():
                 with mock.patch.object(milp, "_level_set", recording(level_set, walked)):
                     tracemalloc.start()
                     try:
-                        got = backend._solve_linear(cost, dom, [row], 30.0)
+                        got = backend._solve_linear(cost, dom, rows, 30.0)
                         peak = tracemalloc.get_traced_memory()[1]
                     finally:
                         tracemalloc.stop()
@@ -1491,7 +1395,7 @@ def test_a_query_the_state_cannot_read_stays_within_the_state_budget():
                 assert peak + backend._sets.theta.nbytes <= ((n + 7) // 8 + 8) * size + 64_000
                 assert got.ok
                 assert got.objective == pytest.approx(want, abs=1e-12)
-                assert row.satisfied_by(got.x)
+                assert meets(rows, got.x)
                 assert got.x @ cost == pytest.approx(want, abs=1e-12)
 
 
@@ -1588,9 +1492,9 @@ def level_keeping(values, share):
 
 
 @pytest.mark.parametrize("keep", ["few", "many", "above"])
-@pytest.mark.parametrize("with_domain_row", [False, True])
+@pytest.mark.parametrize("two_first_cuts", [False, True])
 @pytest.mark.parametrize("seed", range(4))
-def test_lower_bound_sweep_matches_a_plain_scan(keep, with_domain_row, seed):
+def test_lower_bound_sweep_matches_a_plain_scan(keep, two_first_cuts, seed):
     """After every lower bound, theta, the first minimizer, whether the state
     is whole and its table are those of a plain scan over the slice, with
     blocks of 7 points and whole-number cuts, whose theta ties across
@@ -1600,21 +1504,13 @@ def test_lower_bound_sweep_matches_a_plain_scan(keep, with_domain_row, seed):
     held) and fewer than 1/32 after that; or one below the least theta,
     where nothing is dropped though every point is above ub. A table drops
     its dead points by a mask once they are an eighth of it. A first lower
-    bound of one cut whose cheapest point meets the domain row is that
-    point, and writes no theta; no walk of a level set fits, so that the
-    next lower bound sweeps."""
+    bound of one cut is that cut's cheapest point, and writes no theta; with
+    two_first_cuts the first lower bound has two, and sweeps. No walk of a
+    level set fits, so that the next lower bound sweeps."""
     rng = np.random.default_rng(seed)
     n, m = 10, 4
     pts = slice_points(n, m)
-    rows = ()
-    violated = np.zeros(len(pts), dtype=bool)
-    if with_domain_row:
-        coeffs = rng.integers(-2, 3, size=n).astype(float)
-        lhs = pts @ coeffs
-        rows = (LinearRow(coeffs, "<=", float(np.median(lhs))),)
-        violated = lhs > np.median(lhs)
-        assert 0 < np.count_nonzero(violated) < len(pts)
-    dom = FeasibleDomain(n=n, m=m, extra_rows=rows)
+    dom = FeasibleDomain(n=n, m=m)
     backend = BruteForceBackend()
     oracle = CutOracle()
     held = np.arange(len(pts))  # the plain scan's held points, as ranks
@@ -1622,10 +1518,9 @@ def test_lower_bound_sweep_matches_a_plain_scan(keep, with_domain_row, seed):
     ub = None
     with mock.patch.object(milp, "_BLOCK", 7), mock.patch.object(milp, "_walk", return_value=None):
         for step in range(6):
-            for _ in range(int(rng.integers(1, 3))):
+            for _ in range(2 if step == 0 and two_first_cuts else int(rng.integers(1, 3))):
                 oracle.add(whole_number_cut(rng, n))
             theta = np.max([pts @ c.grad + c.intercept for c in oracle], axis=0)
-            theta[violated] = np.inf
             live = theta[held]
             if step > 0:
                 if keep == "above":
@@ -1647,9 +1542,7 @@ def test_lower_bound_sweep_matches_a_plain_scan(keep, with_domain_row, seed):
                     held = held[alive]
             sets = backend._sets
             assert_whole_or_one_table(sets, len(pts))
-            # the rank of the first cut's m cheapest coordinates
-            cheapest = pts[:, oracle.cuts[0].grad.argsort(kind="stable")[:m]].all(axis=1).argmax()
-            closed = step == 0 and len(oracle) == 1 and not violated[cheapest]
+            closed = step == 0 and len(oracle) == 1
             assert (sets.n_cuts == 0) == closed
             if not closed:
                 np.testing.assert_array_equal(sets.theta, theta[held])
@@ -1719,16 +1612,19 @@ class TestAutoBackend:
     def test_small_slice_never_reaches_highs(self, monkeypatch):
         stub = scipy_milp(monkeypatch)  # no answers: a call would fail
         inst = synth_instance(8, 3, "nonconvex_random", 0)
-        # a domain row puts the linear solves past the cardinality shortcut
-        row = LinearRow(np.array([1.0, 1.0] + [0.0] * 6), "<=", 1.0)
-        for dom in (inst.dom, FeasibleDomain(n=8, m=3, extra_rows=(row,))):
-            f_star, _ = enumerate_min(inst.obj.q, dom)
-            for config in CONFIG_NAMES:
-                backend = make_backend("auto")
-                out = run(inst.obj, dom, default_x0(dom, backend),
-                          SolverConfig.from_name(config), backend)
-                assert out.status.value == "eps_optimal"
-                assert out.f_best == pytest.approx(f_star, abs=1e-9)
+        f_star, _ = enumerate_min(inst.obj.q, inst.dom)
+        for config in CONFIG_NAMES:
+            backend = make_backend("auto")
+            out = run(inst.obj, inst.dom, default_x0(inst.dom, backend),
+                      SolverConfig.from_name(config), backend)
+            assert out.status.value == "eps_optimal"
+            assert out.f_best == pytest.approx(f_star, abs=1e-9)
+        # a row that cuts off the cardinality-only optimum puts a projection
+        # past that shortcut
+        rows = rows_of([np.array([1.0, 1.0] + [0.0] * 6)], [1.0])
+        z = np.array([1.0, 0.9, 0.8] + [0.0] * 5)
+        res = project(z, inst.dom, rows, 30.0, make_backend("auto"))
+        np.testing.assert_array_equal(res.x, [1.0, 0.0, 1.0, 1.0] + [0.0] * 4)
         assert stub.options == []
 
     def test_large_slice_reaches_highs(self, monkeypatch):

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcut.model import (
+    FEAS_TOL,
     Cut,
     CutOracle,
     CutRows,
     FeasibleDomain,
-    LinearRow,
     QuadraticObjective,
     anchor_key,
     eval_gradient,
@@ -136,14 +136,12 @@ class TestCutRowsView:
         oracle = CutOracle(cuts)
         level = float(rng.uniform(-2.0, 2.0))
         rows = CutRows(oracle, level)
-        assert len(rows) == len(cuts)
-        for i, (cut, row) in enumerate(zip(cuts, rows, strict=True)):
+        assert len(rows) == len(rows.coeffs) == len(rows.limit) == len(cuts)
+        for i, cut in enumerate(cuts):
             rhs = level - cut.value + float(cut.grad @ cut.anchor)
-            assert row.sense == "<="
-            assert row.rhs == rhs and rows.rhs[i] == rhs
-            np.testing.assert_array_equal(row.coeffs, cut.grad)
+            assert rows.rhs[i] == rhs
+            assert rows.limit[i] == rhs + FEAS_TOL
             np.testing.assert_array_equal(rows.coeffs[i], cut.grad)
-            assert rows[i - len(cuts)].rhs == rhs
 
     def test_a_view_keeps_its_rows_while_the_oracle_grows(self):
         obj = random_psd_objective(np.random.default_rng(3), 10)
@@ -163,11 +161,13 @@ class TestCutRowsView:
             rows.coeffs[0, 0] = 1.0
         with pytest.raises(ValueError):
             rows.rhs[0] = 1.0
+        with pytest.raises(ValueError):
+            rows.limit[0] = 1.0
 
     def test_empty_oracle_gives_no_rows(self):
         rows = CutRows(CutOracle(), 0.0)
         assert len(rows) == 0
-        assert list(rows) == []
+        assert rows.coeffs.size == rows.rhs.size == rows.limit.size == 0
         assert rows.satisfied_by(np.ones(4)) is True
 
 
@@ -225,9 +225,9 @@ class TestDomainsAndValidation:
     "make",
     [
         lambda: QuadraticObjective(np.eye(3)),
-        lambda: LinearRow(np.ones(3), "<=", 1.0),
+        lambda: CutRows(CutOracle([Cut(np.array([1.0, 0.0, 0.0]), np.ones(3), 0.5)]), 1.0),
         lambda: Cut(np.array([1.0, 0.0, 0.0]), np.ones(3), 0.5),
-        lambda: FeasibleDomain(n=3, m=1, extra_rows=(LinearRow(np.ones(3), "<=", 1.0),)),
+        lambda: CutOracle([Cut(np.array([1.0, 0.0, 0.0]), np.ones(3), 0.5)]),
     ],
 )
 def test_equality_of_array_holders_is_identity_and_never_raises(make):
