@@ -8,13 +8,15 @@ concrete models (lower bound, projection, feasibility) so that engine and
 local-solver code never touches solver types.
 
 Three backends ship: a brute-force enumerator (exact, small slices, also the
-test oracle), which holds a slice whole or as a table of at most one block,
-walks the level set of a tight cut into that table once a run, and answers a
-lower bound by one step per block, a query on cut rows it has not folded from
-the level set of a Lagrangian relaxation where that fits one block, and every
-other query by one masked pass; an adapter to the HiGHS solver via
-scipy.optimize.milp; and the default, which picks one of the two from the
-size of the slice, once per engine run.
+test oracle), which holds a slice whole or as a table of at most one block.
+A fresh lower bound on a whole slice walks the level set under ub of a cut
+into that table, or else answers from the level set at its own minimum and
+writes nothing, each where it fits one block; every other lower bound takes
+one step per block. A query on cut rows it has not folded is answered from
+the level set of a Lagrangian relaxation where that fits one block, and
+every other query by one masked pass. The other two are an adapter to the
+HiGHS solver via scipy.optimize.milp, and the default, which picks one of
+the two from the size of the slice, once per engine run.
 """
 
 from __future__ import annotations
@@ -176,15 +178,16 @@ class BruteForceBackend(MilpBackend):
     Points are scanned in lexicographic order of their chosen index tuples, so
     ties always resolve to the first minimizer. The backend holds the
     _LevelSets of one run, theta at every held point of the slice, and
-    answers a lower bound from it by one step per block. A query on the cut
-    rows of the run (CutRows at a level no higher than its ub) is that level
-    set of theta: one pass over the cost's values, masked by theta. Cut rows
-    the state has not folded (between a run's closed-form first lower bound
-    and its second, or of another oracle) are, on a slice of several blocks,
-    first relaxed (_lagrangian), and the level set of the relaxation is
-    walked and folded over where it fits one block; else each row is
-    checked in each block against its own tail sums, taken in step with the
-    cost's.
+    answers a lower bound from it by one step per block; a fresh lower bound
+    on a whole slice, from a level set that fits a block where one does. A
+    query on the cut rows of the run (CutRows at a level no higher than its
+    ub) is that level set of theta: one pass over the cost's values, masked
+    by theta. Cut rows the state has not folded (while its lower bounds are
+    answered without writing theta, or of another oracle) are, on a slice of
+    several blocks, first relaxed (_lagrangian), and the level set of the
+    relaxation is walked and folded over where it fits one block; else each
+    row is checked in each block against its own tail sums, taken in step
+    with the cost's.
     """
 
     name = "bruteforce"
@@ -251,17 +254,16 @@ class _LevelSets:
 
     - whole (table is None): a slice of several blocks starts with every
       point held, theta[r] at the point of lexicographic rank r, its values
-      the tail sums of _tail_sums, and no point stored. A first lower bound
-      of one cut is answered by its m cheapest coordinates, and leaves theta
-      unwritten and n_cuts at 0; so the next lower bound is fresh again, and
-      a query in between reads no theta. A fresh lower bound of several cuts
-      with a ub walks the level set of each cut (_walk); the first that fits
-      one block, folded with every cut, makes the state the table of its
-      survivors, unless its minimum is above ub, where the walk proves
-      nothing. Else the lower bound sweeps: it writes theta, and dead points
-      stay, since every answer masks by theta. The first lower bound with a
-      ub whose survivors number at most _BLOCK makes the state their table,
-      _unrank of the ranks its sweep recorded, with theta cut to them.
+      the tail sums of _tail_sums, and no point stored. A fresh lower bound
+      (n_cuts is 0) of one cut, or one answered from the level set at its
+      own minimum, leaves theta unwritten and n_cuts at 0; so the next
+      lower bound is fresh again, and a query in between reads no theta. A
+      fresh lower bound whose level set under ub fits one block makes the
+      state the table of its survivors. Any other lower bound sweeps: it
+      writes theta, and dead points stay, since every answer masks by
+      theta. The first lower bound with a ub whose survivors number at most
+      _BLOCK makes the state their table, _unrank of the ranks its sweep
+      recorded, with theta cut to them.
     - as a table: packed bit rows (the np.packbits layout, ceil(n/8) bytes
       each) of at most _BLOCK points, one column per point, whose values
       come by byte lookup. A slice of at most _BLOCK points starts as its
@@ -274,10 +276,11 @@ class _LevelSets:
 
     The whole state holds 8 bytes a point once swept, and a sweep adds at
     most the int64 ranks of _BLOCK points; the table adds at most _BLOCK
-    columns, and so does a walk, whose prefixes never outnumber a block. So
-    the state stays within the ceil(n/8) + 8 bytes a point of the slice that
-    enumerable() admits. A pass adds block-sized buffers and, for each cost,
-    cut or row it sums by tails, one array of C(n - 1, m - 1) values.
+    columns, and so does a walk, under ub or at the minimum, whose prefixes
+    never outnumber a block. So the state stays within the ceil(n/8) + 8
+    bytes a point of the slice that enumerable() admits. A pass adds
+    block-sized buffers and, for each cost, cut or row it sums by tails, one
+    array of C(n - 1, m - 1) values.
     """
 
     def __init__(self, dom: FeasibleDomain, cuts: Sequence[Cut]):
@@ -316,11 +319,29 @@ class _LevelSets:
         On the whole state, while no cut is folded in, a lower bound of one
         cut is its m cheapest coordinates, ties to the lowest index: it folds
         nothing in and writes no theta. A lower bound of several cuts with a
-        ub first walks their level sets (_walk); when one fits a block, it is
-        the table the step folds over, and the state becomes that table's
-        survivors, as long as its minimum is within ub: every point off the
-        table is above ub, and so above that minimum. Else the lower bound
-        sweeps.
+        ub first walks a level set under ub (_walked); when it fits a block,
+        it is the table the step folds over, and the state becomes that
+        table's survivors, as long as its minimum is within ub: every point
+        off the table is above ub, and so above that minimum. Else, on a
+        slice of more than 2 (new + 1) blocks, it walks the level set at
+        theta at the end of a swap descent (_descend), as a rule a small
+        one; when that fits a block, with its minimum within the level, the
+        same proof makes that minimum the answer, which folds nothing in and
+        writes no theta. Else the lower bound sweeps.
+
+        The walk at the minimum only defers the sweep: it recurs, one cut
+        more each time, at every lower bound until one sweeps or walks under
+        ub into a table, and in between a query cannot read theta, and may
+        scan the slice once per cut row. With no size rule, rounds of the
+        five configurations on nonconvex_random 22/6 seed 0 (74,613 points,
+        2.3 blocks) took 7.1 s, not 72 ms. At more than new + 1 blocks, cpm
+        on psd_random 24/6 seed 0 (4.1 blocks) took 34.5 ms, not 30.5 (least
+        of 10 runs): its level sets at the minimum hold 13,000 to 19,000
+        points, whose walks cost more than the sweeps they defer, and its
+        fourth lower bound sweeps all the same. On mdp_like 30/6 seed 2
+        (18.1 blocks), cpm's second to fourth lower bounds walk 1,229, 554
+        and 5,346 points, and the fifth walks under ub into a table, so the
+        run never sweeps (2-core machine).
 
         With ub, lower the state's ub and drop dead points: a table drops
         them by its step's mask once they are an eighth of those held, and
@@ -335,20 +356,22 @@ class _LevelSets:
         fresh = self.n_cuts == 0
         n, m = self.dom.n, self.dom.m
         new = len(grads)
-        walked = None
         if fresh and self.table is None:
             if new == 1:
                 x = _cheapest(grads[0], m)
                 return x, float(grads[0] @ x) + float(intercepts[0])
-            if limit is not None:
-                walked = _walk(grads, intercepts, limit, n, m)
-        if walked is not None and walked.shape[1]:
-            theta, best_i, best, alive = _fold(walked, grads, intercepts, limit)
-            if best <= limit:
-                # every point off the table is above limit, and so above best
-                self.table, self.theta = walked.compress(alive, axis=1), theta.compress(alive)
+            walked = None if limit is None else _walked(grads, intercepts, limit, n, m)
+            if walked is not None:
+                table, theta, best_i, best, alive = walked
+                self.table, self.theta = table.compress(alive, axis=1), theta.compress(alive)
                 self.n_cuts, self.theta_min = new, best
-                return _decode(walked[:, best_i], n), best
+                return _decode(table[:, best_i], n), best
+            if total > 2 * _BLOCK * (new + 1):
+                level = _descend(grads, intercepts, m) + FEAS_TOL
+                walked = _walked(grads, intercepts, level, n, m)
+                if walked is not None:
+                    table, _, best_i, best, _ = walked
+                    return _decode(table[:, best_i], n), best
         if self.table is not None:
             values = [_scores(self.table, lut) for lut in _lut(grads, len(self.table), intercepts)]
             best_i, best, alive = _step(self.theta, values, fresh, limit)
@@ -547,28 +570,67 @@ def _first_minimum(scores):
 
 
 def _walk(grads: np.ndarray, intercepts: np.ndarray, limit: float, n: int, m: int):
-    """The level set where a cut, given as a gradient row and an intercept,
-    is at most limit, as _level_set makes it, of the first cut whose level
-    set fits; None when none does.
+    """The level set where one of the cuts, given as gradient rows and
+    intercepts, is at most limit, as _level_set makes it; None when its walk
+    gives up.
 
-    The cuts are walked in increasing order of how many standard deviations
-    of their values over the slice limit sits above their mean: the first
-    is the one whose level set is likely the least, which makes the
-    smallest table to fold the cuts over. Walked newest first instead, the
-    five configurations on mdp_like 24/6 seed 0 and 26/5 seed 1 fold over
-    tables of 30,890 and 6,025 points, not 1,431 and 423, and a round of
-    them takes 31.0 and 20.5 ms, not 17.2 and 17.6 (2-core machine). A walk
-    that gives up costs little, as it stops once it knows of more than
-    _BLOCK points."""
+    The cut walked is the one whose level set is likely the least: limit
+    sits the fewest standard deviations of its values over the slice above
+    its mean. That makes the smallest table to fold the cuts over. Walked
+    newest first instead, the five configurations on mdp_like 24/6 seed 0
+    and 26/5 seed 1 fold over tables of 30,890 and 6,025 points, not 1,431
+    and 423, and a round of them takes 31.0 and 20.5 ms, not 17.2 and 17.6
+    (2-core machine). No other cut is tried: a walk that gives up costs 0.1
+    to 0.4 ms on an n=30 m=6 slice, and where the likely least level set
+    holds more than _BLOCK points, so, as a rule, do the others. Of 38 walks
+    under ub that gave up on nine whole diversity, psd and nonconvex slices
+    under all five configurations, none had another cut whose level set
+    fit."""
     if limit == np.inf:
         return None  # the whole slice, which is more than a block
     spread = grads.std(axis=1)
     above = (limit - intercepts - m * grads.mean(axis=1)) / np.where(spread > 0, spread, np.inf)
-    for q in above.argsort(kind="stable"):
-        table = _level_set(grads[q], float(intercepts[q]), limit, n, m)
-        if table is not None:
-            return table
-    return None
+    q = int(above.argmin())
+    return _level_set(grads[q], float(intercepts[q]), limit, n, m)
+
+
+def _walked(grads: np.ndarray, intercepts: np.ndarray, level: float, n: int, m: int):
+    """The cuts, given as gradient rows and intercepts, folded over the
+    level set _walk makes at level, as (table, theta, i, theta[i], alive)
+    of _fold with level as its limit, where that minimum is within level;
+    else None. Every point off the table has a cut above level, and so
+    theta above that minimum, which is thus the least theta over the whole
+    slice, and i its first minimizer."""
+    table = _walk(grads, intercepts, level, n, m)
+    if table is None or not table.shape[1]:
+        return None
+    theta, best_i, best, alive = _fold(table, grads, intercepts, level)
+    return (table, theta, best_i, best, alive) if best <= level else None
+
+
+def _descend(grads: np.ndarray, intercepts: np.ndarray, m: int) -> float:
+    """theta of the cuts, given as gradient rows and intercepts, at a point
+    of the slice (0 < m < n) that no swap of one chosen coordinate for one
+    unchosen one lowers: a level at which the level set of theta is not
+    empty, and where it is the least, as a rule small.
+
+    The descent starts from the best of the cuts' m cheapest coordinates and
+    takes the best swap while it lowers theta, each step one array of every
+    cut at every swap."""
+    starts = np.array([_cheapest(g, m) for g in grads])
+    values = (starts @ grads.T + intercepts).max(axis=1)
+    x, best = starts[values.argmin()], float(values.min())
+    while True:
+        on, off = np.flatnonzero(x), np.flatnonzero(x == 0)
+        cuts = grads @ x + intercepts
+        swaps = (cuts[:, None, None] - grads[:, on, None] + grads[:, None, off]).max(axis=0)
+        i, j = np.unravel_index(swaps.argmin(), swaps.shape)
+        y = x.copy()
+        y[on[i]], y[off[j]] = 0.0, 1.0
+        theta = float((grads @ y + intercepts).max())
+        if theta >= best:
+            return best
+        x, best = y, theta
 
 
 def _level_set(g: np.ndarray, c: float, limit: float, n: int, m: int):
@@ -594,18 +656,22 @@ def _level_set(g: np.ndarray, c: float, limit: float, n: int, m: int):
     h = g[order]
     tails = np.concatenate([[0.0], np.cumsum(h)])
     room = limit - c + FEAS_TOL * (1.0 + abs(c) + m * np.abs(g).max())
+    # least[k - 1, j]: the least sum of a child at position j at depth k and
+    # its completion, the m - k + 1 coordinates from j on, inf past the end
+    ends = np.arange(n) + np.arange(m, 0, -1)[:, None]
+    least = np.where(ends <= n, tails.take(np.minimum(ends, n)) - tails[:n], np.inf)
+    np.maximum.accumulate(least, axis=1, out=least)  # sorted, where rounding is not
+    # within[r][j] = C(j + r, r + 1), each row the running sum of the last
+    within = [np.arange(n + 1, dtype=float)]
+    for _ in range(m - 1):
+        within.append(np.cumsum(within[-1]))
     prefixes = np.zeros(((n + 7) // 8, 1), dtype=np.uint8)
     sums = np.zeros(1)
     last = np.array([-1])  # the position in h of each prefix's last coordinate
     for k in range(1, m + 1):
-        # least[j]: the least sum of a child at position j and its completion
-        least = np.full(n, np.inf)
-        least[: n - m + k] = tails[m - k + 1 :] - tails[: n - m + k]
-        np.maximum.accumulate(least, out=least)  # sorted, where rounding is not
-        counts = np.searchsorted(least, room - sums, side="right") - last - 1
+        counts = np.searchsorted(least[k - 1], room - sums, side="right") - last - 1
         np.maximum(counts, 0, out=counts)
-        within = np.array([comb(j + m - k, m - k + 1) for j in range(n + 1)], dtype=float)
-        if within.take(counts).sum() > _BLOCK:
+        if within[m - k].take(counts).sum() > _BLOCK:
             return None
         size = int(counts.sum())
         parent = np.repeat(np.arange(len(counts)), counts)
@@ -613,7 +679,8 @@ def _level_set(g: np.ndarray, c: float, limit: float, n: int, m: int):
         sums = sums[parent] + h[last]
         coord = order.take(last)
         prefixes = prefixes.take(parent, axis=1)
-        prefixes[coord >> 3, np.arange(size)] |= _BIT[coord & 7]
+        # bit coord of column i, through the flat view: one index per column
+        prefixes.reshape(-1)[(coord >> 3) * size + np.arange(size)] |= _BIT[coord & 7]
     # rank order: the first point holds the lower coordinate where two differ,
     # so its packed bytes read as the larger number
     return prefixes[:, np.lexsort(prefixes[::-1])[::-1]]

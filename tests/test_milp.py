@@ -850,7 +850,8 @@ def test_whole_slice_fold_by_tails_matches_the_byte_lookup(n, m, seed):
     """With blocks of 7 points the whole slice spans several blocks; the
     lower bound's sweep folds every cut by tail sums, to the values the byte
     lookup of the packed table gives, and its argmin is the first minimizer
-    of a plain scan."""
+    of a plain scan. The walk is forced to give up, so that the lower bound
+    sweeps where its level set at the minimum would answer it."""
     rng = np.random.default_rng(seed)
     obj = random_psd_objective(rng, n)
     dom = FeasibleDomain(n=n, m=m)
@@ -861,7 +862,7 @@ def test_whole_slice_fold_by_tails_matches_the_byte_lookup(n, m, seed):
         [milp._scores(table, milp._lut(c.grad, len(table))) + c.intercept for c in oracle], axis=0
     )
     tails = BruteForceBackend()
-    with mock.patch.object(milp, "_BLOCK", 7):
+    with mock.patch.object(milp, "_BLOCK", 7), mock.patch.object(milp, "_walk", return_value=None):
         got = tails.solve_cp(oracle, dom, 30.0)
     assert tails._sets.table is None
     assert tails._sets.n_cuts == len(oracle)
@@ -882,27 +883,38 @@ def recording(fn, results):
 def test_whole_slice_builds_no_packed_table():
     """Every configuration on an n=30 m=6 diversity slice runs with no table of
     the whole slice. On this slice no cut's level set under the second ub
-    fits one block, so each run walks once in vain; the lower bounds and
-    level sets then read theta and tail sums until the survivors fit one
-    block, and unrank those survivors only, once, into the table that
-    serves the rest of the run."""
+    fits one block, so that walk gives up; the walk of the level set at the
+    lower bound's own minimum answers it and writes no theta, and the third
+    lower bound walks its level set under ub into the table that serves the
+    rest of the run: nothing is swept or unranked. With the walk at the
+    minimum forced to give up, the second lower bound sweeps; the lower
+    bounds and level sets then read theta and tail sums until the survivors
+    fit one block, and unrank those survivors only, once, into the table."""
     inst = synth_instance(30, 6, "mdp_like", 0)
     for config in CONFIG_NAMES:
-        backend = BruteForceBackend()
-        walked = []
-        with (
-            mock.patch.object(milp, "_unrank", wraps=milp._unrank) as unrank,
-            mock.patch.object(milp, "_walk", recording(milp._walk, walked)),
-        ):
-            out = run(inst.obj, inst.dom, default_x0(inst.dom, backend),
-                      SolverConfig.from_name(config), backend)
-        assert out.status.value == "eps_optimal"
-        assert walked == [None]
-        assert backend._sets.table is not None  # the run compacted
-        assert_whole_or_one_table(backend._sets, comb(30, 6))
-        assert unrank.call_count == 1
-        kept = len(unrank.call_args.args[0])
-        assert backend._sets.table.shape[1] <= kept <= milp._BLOCK
+        for forced in (False, True):
+            backend = BruteForceBackend()
+            walked = []
+            descend = (lambda *args: np.inf) if forced else milp._descend
+            with (
+                mock.patch.object(milp, "_unrank", wraps=milp._unrank) as unrank,
+                mock.patch.object(milp, "_walk", recording(milp._walk, walked)),
+                mock.patch.object(milp, "_descend", descend),
+            ):
+                out = run(inst.obj, inst.dom, default_x0(inst.dom, backend),
+                          SolverConfig.from_name(config), backend)
+            assert out.status.value == "eps_optimal"
+            assert backend._sets.table is not None  # the run compacted
+            assert_whole_or_one_table(backend._sets, comb(30, 6))
+            if forced:
+                assert walked == [None, None]
+                assert unrank.call_count == 1
+                kept = len(unrank.call_args.args[0])
+                assert backend._sets.table.shape[1] <= kept <= milp._BLOCK
+            else:
+                assert len(walked) == 3 and walked[0] is None
+                assert all(0 < w.shape[1] <= milp._BLOCK for w in walked[1:])
+                assert unrank.call_count == 0
 
 
 @pytest.mark.parametrize("config", CONFIG_NAMES)
@@ -910,9 +922,13 @@ def test_a_tight_cut_walks_its_level_set_into_the_table(config):
     """On the benchmark's n=30 m=6 diversity slice, the second lower bound
     of each pgm configuration walks the level set of the local point's cut
     into its table: no lower bound sweeps the slice, and nothing is
-    unranked. cpm's walk gives up, once, and it sweeps. Each run answers as
-    one whose walk is forced to give up: the same status, iterations,
-    incumbents and upper bounds, and lower bounds within rounding."""
+    unranked. cpm's walks under ub give up at its second, third and fourth
+    lower bounds, and the walks at their own minimum answer them; the fifth
+    walks under ub into its table, and cpm sweeps nothing either. Each run
+    answers as one whose walks are forced to give up, which walks under ub
+    and at the minimum of its second lower bound in vain and sweeps: the
+    same status, iterations, incumbents and upper bounds, and lower bounds
+    within rounding."""
     inst = synth_instance(30, 6, "mdp_like", 2)
     outs, walks, sweeps, unranks = [], [], [], []
     for forced in (False, True):
@@ -931,13 +947,14 @@ def test_a_tight_cut_walks_its_level_set_into_the_table(config):
         sweeps.append(sweep.call_count)
         unranks.append(unrank.call_count)
         assert outs[-1].status.value == "eps_optimal"
-        assert len(walked) == 1
     walked = walks[0]
     if config == "cpm":
-        assert walked == [None] and sweeps[0] > 0
+        assert [w is None for w in walked] == [True, False] * 3 + [False]
     else:
-        assert walked[0] is not None and 0 < walked[0].shape[1] <= milp._BLOCK
-        assert sweeps[0] == 0 and unranks[0] == 0
+        assert len(walked) == 1
+    assert all(0 < w.shape[1] <= milp._BLOCK for w in walked if w is not None)
+    assert sweeps[0] == 0 and unranks[0] == 0
+    assert walks[1] == [None, None]
     assert sweeps[1] > 0
     walk, forced = outs
     assert walk.status == forced.status
@@ -992,8 +1009,9 @@ def test_level_set_walk_matches_a_plain_scan(n, m, whole_number):
 
 
 def test_walk_takes_the_first_cut_whose_level_set_fits():
-    """_walk tries the cuts likely to have the least level set first and
-    returns the first level set that fits a block; None when none does."""
+    """_walk walks the cut likely to have the least level set and returns
+    that level set where it fits a block; None where it gives up, and then
+    no other cut is walked."""
     n, m = 12, 4
     pts = slice_points(n, m)
     rng = np.random.default_rng(11)
@@ -1008,9 +1026,171 @@ def test_walk_takes_the_first_cut_whose_level_set_fits():
         with mock.patch.object(milp, "_BLOCK", block):
             table = milp._walk(grads, intercepts, limit, n, m)
         np.testing.assert_array_equal(decoded(table, n), pts[values[:, 1] <= limit])
-    with mock.patch.object(milp, "_BLOCK", int(sizes.min()) - 1):
+    level_sets = []
+    with (
+        mock.patch.object(milp, "_BLOCK", int(sizes.min()) - 1),
+        mock.patch.object(milp, "_level_set", recording(milp._level_set, level_sets)),
+    ):
         assert milp._walk(grads, intercepts, limit, n, m) is None
+    assert level_sets == [None]
     assert milp._walk(grads, intercepts, np.inf, n, m) is None
+
+
+def random_cuts(rng, n, count, whole_number):
+    """count cuts on n coordinates: whole-number ones, whose theta ties
+    often, or float ones."""
+    if whole_number:
+        return [whole_number_cut(rng, n) for _ in range(count)]
+    return [Cut(anchor=rng.integers(0, 2, size=n).astype(float), grad=rng.standard_normal(n),
+                value=float(rng.standard_normal())) for _ in range(count)]
+
+
+# slices whose blocks, patched to a twelfth of the slice or less, still hold
+# more points than the ties of a minimum as a rule
+MINIMUM_GRID = [(10, 4), (17, 3), (12, 6), (20, 2), (14, 7), (13, 10)]
+
+
+def test_a_level_set_under_ub_above_the_minimum_proves_nothing():
+    """Where the walked level set under ub fits a block but theta exceeds ub
+    at all of its points, so that the model minimum is above ub, its
+    minimum is not the answer: the lower bound goes on, and answers as a
+    plain scan does. The cuts are a and c - a, with blocks of seven: the
+    level set under ub of either cut holds four points or fewer, and theta
+    is least at the one point where a is c / 2, above ub, where the level
+    set of a cut holds half the slice, so the walk there gives up too, and
+    the lower bound sweeps."""
+    n, m = 10, 4
+    pts = slice_points(n, m)
+    dom = FeasibleDomain(n=n, m=m)
+    g = np.random.default_rng(5).standard_normal(n)
+    a = pts @ g
+    ub = float(np.sort(a)[2])
+    c = 2.0 * float(np.sort(a)[len(a) // 2])
+    oracle = CutOracle([Cut(anchor=np.zeros(n), grad=g, value=0.0),
+                        Cut(anchor=np.ones(n), grad=-g, value=c - g.sum())])
+    theta = np.maximum(a, c - a)
+    assert theta.min() > ub
+    walked = []
+    backend = BruteForceBackend()
+    with (
+        mock.patch.object(milp, "_BLOCK", 7),
+        mock.patch.object(milp, "_walk", recording(milp._walk, walked)),
+    ):
+        got = backend.solve_cp(oracle, dom, 30.0, ub=ub)
+    assert 0 < walked[0].shape[1] <= 4 and walked[1:] == [None]
+    np.testing.assert_array_equal(got.x, pts[theta.argmin()])
+    assert got.objective == pytest.approx(theta.min(), abs=1e-12)
+    assert backend._sets.n_cuts == 2
+
+
+@pytest.mark.parametrize("n, m", MINIMUM_GRID)
+@pytest.mark.parametrize("whole_number", [True, False])
+def test_a_lower_bound_at_its_own_minimum_matches_a_plain_scan(n, m, whole_number):
+    """A fresh lower bound of two to five cuts on a whole slice of more
+    than twice as many blocks as cuts and one more, with no ub or one under
+    which no cut's level set fits, is the plain scan's first minimizer and
+    its theta, exactly with whole-number cuts. Where the walk of the level
+    set at theta of a swap descent fits, as it does in at least half the
+    trials, it answers without a sweep, and the state is left as it was: no
+    cut folded in, and so no theta written."""
+    rng = np.random.default_rng(11 * n + m + whole_number)
+    pts = slice_points(n, m)
+    dom = FeasibleDomain(n=n, m=m)
+    answered = 0
+    for trial in range(12):
+        oracle = CutOracle(random_cuts(rng, n, int(rng.integers(2, 6)), whole_number))
+        theta = np.max([pts @ c.grad + c.intercept for c in oracle], axis=0)
+        ub = None if trial % 2 else float(np.median(theta))
+        backend = BruteForceBackend()
+        with (
+            mock.patch.object(milp, "_BLOCK", (len(pts) - 1) // (2 * len(oracle) + 2)),
+            mock.patch.object(milp._LevelSets, "_sweep", autospec=True,
+                              side_effect=milp._LevelSets._sweep) as sweep,
+        ):
+            got = backend.solve_cp(oracle, dom, 30.0, ub=ub)
+        i = int(theta.argmin())
+        np.testing.assert_array_equal(got.x, pts[i])
+        assert got.objective == pytest.approx(theta[i], abs=1e-12)
+        if whole_number:
+            assert got.objective == theta[i]
+        if sweep.call_count == 0:
+            answered += 1
+            assert backend._sets.n_cuts == 0 and backend._sets.table is None
+    assert answered >= 6
+
+
+@pytest.mark.parametrize("n, m", WALK_GRID)
+@pytest.mark.parametrize("whole_number", [True, False])
+def test_descent_ends_at_a_point_between_the_minimum_and_its_start(n, m, whole_number):
+    """_descend returns theta at a point of the slice, no lower than the
+    plain scan's minimum and no higher than the best of the cuts' m
+    cheapest coordinates, where it starts."""
+    rng = np.random.default_rng(13 * n + m + whole_number)
+    pts = slice_points(n, m)
+    for _ in range(12):
+        cuts = random_cuts(rng, n, int(rng.integers(1, 6)), whole_number)
+        grads = np.array([c.grad for c in cuts])
+        intercepts = np.array([c.intercept for c in cuts])
+        theta = np.max(pts @ grads.T + intercepts, axis=1)
+        starts = [milp._cheapest(g, m) for g in grads]
+        start = min(float(np.max(grads @ x + intercepts)) for x in starts)
+        level = milp._descend(grads, intercepts, m)
+        assert np.abs(theta - level).min() <= 1e-12
+        assert theta.min() - 1e-12 <= level <= start + 1e-12
+
+
+@pytest.mark.parametrize("count", [2, 3, 5])
+def test_a_slice_of_at_most_twice_one_more_block_than_cuts_sweeps(count):
+    """On a whole slice of n=10 m=4 (210 points), a fresh lower bound of
+    count cuts sweeps where the slice holds at most 2 (count + 1) blocks,
+    and no descent runs; with blocks one point smaller, the walk at its own
+    minimum answers it, and nothing sweeps."""
+    n, m = 10, 4
+    pts = slice_points(n, m)
+    dom = FeasibleDomain(n=n, m=m)
+    oracle = CutOracle(random_cuts(np.random.default_rng(count), n, count, False))
+    theta = np.max([pts @ c.grad + c.intercept for c in oracle], axis=0)
+    most = -(-len(pts) // (2 * count + 2))  # the least block of which the slice holds 2 (count + 1)
+    for block, sweeps in ((most, 1), (most - 1, 0)):
+        backend = BruteForceBackend()
+        with (
+            mock.patch.object(milp, "_BLOCK", block),
+            mock.patch.object(milp, "_descend", wraps=milp._descend) as descend,
+            mock.patch.object(milp._LevelSets, "_sweep", autospec=True,
+                              side_effect=milp._LevelSets._sweep) as sweep,
+        ):
+            got = backend.solve_cp(oracle, dom, 30.0)
+        assert sweep.call_count == sweeps
+        assert descend.call_count == 1 - sweeps
+        assert backend._sets.n_cuts == (count if sweeps else 0)
+        np.testing.assert_array_equal(got.x, pts[theta.argmin()])
+        assert got.objective == pytest.approx(theta.min(), abs=1e-12)
+
+
+@pytest.mark.parametrize("config", CONFIG_NAMES)
+def test_whole_slices_answer_at_their_minimum_as_by_a_sweep(config):
+    """On four diversity slices of several blocks (n=30 m=6 seeds 0 and 2,
+    n=22 m=8 seed 3, n=28 m=6 seed 4), a run whose fresh lower bounds may
+    be answered by the walk at their own minimum answers as one where that
+    walk is forced to give up, so that they sweep: the same status,
+    iterations, incumbents and upper bounds, and lower bounds within
+    rounding."""
+    for n, m, seed in ((30, 6, 0), (30, 6, 2), (22, 8, 3), (28, 6, 4)):
+        inst = synth_instance(n, m, "mdp_like", seed)
+        outs = []
+        for descend in (milp._descend, lambda *args: np.inf):
+            backend = BruteForceBackend()
+            with mock.patch.object(milp, "_descend", descend):
+                outs.append(run(inst.obj, inst.dom, default_x0(inst.dom, backend),
+                                SolverConfig.from_name(config), backend))
+        walk, swept = outs
+        assert walk.status == swept.status
+        assert walk.iterations == swept.iterations
+        np.testing.assert_array_equal(walk.x_best, swept.x_best)
+        assert walk.f_best == swept.f_best
+        assert [r.ub for r in walk.trace.records] == [r.ub for r in swept.trace.records]
+        np.testing.assert_allclose([r.lb for r in walk.trace.records],
+                                   [r.lb for r in swept.trace.records], rtol=0.0, atol=1e-12)
 
 
 def random_row(rng, pts, whole_number):
@@ -1169,28 +1349,34 @@ def test_a_slice_held_whole_answers_as_its_table():
     blocks of 64 points, holds the slice whole and keeps most points for
     many lower bounds, and runs as it does on the one-block table: the same
     status, iterations, incumbents and upper bounds, and lower bounds within
-    rounding."""
+    rounding. The walk at a lower bound's own minimum is forced to give up,
+    so that those lower bounds sweep; a run where it may answer, which
+    writes no theta, answers the same."""
     inst = synth_instance(14, 4, "psd_random", 1)
     for config in CONFIG_NAMES:
         outs = []
-        for block in (milp._BLOCK, 64):
+        for block, forced in ((milp._BLOCK, False), (64, True), (64, False)):
             backend = BruteForceBackend()
+            descend = (lambda *args: np.inf) if forced else milp._descend
             with (
                 mock.patch.object(milp, "_BLOCK", block),
+                mock.patch.object(milp, "_descend", descend),
                 mock.patch.object(milp._LevelSets, "_sweep", autospec=True,
                                   side_effect=milp._LevelSets._sweep) as sweep,
             ):
                 outs.append(run(inst.obj, inst.dom, default_x0(inst.dom, backend),
                                 SolverConfig.from_name(config), backend))
-        table, whole = outs
-        assert sweep.call_count >= 8  # lower bounds on the whole state
-        assert whole.status == table.status
-        assert whole.iterations == table.iterations
-        np.testing.assert_array_equal(whole.x_best, table.x_best)
-        assert whole.f_best == table.f_best
-        assert [r.ub for r in whole.trace.records] == [r.ub for r in table.trace.records]
-        np.testing.assert_allclose([r.lb for r in whole.trace.records],
-                                   [r.lb for r in table.trace.records], rtol=0.0, atol=1e-12)
+            if forced:
+                assert sweep.call_count >= 8  # lower bounds on the whole state
+        table = outs[0]
+        for whole in outs[1:]:
+            assert whole.status == table.status
+            assert whole.iterations == table.iterations
+            np.testing.assert_array_equal(whole.x_best, table.x_best)
+            assert whole.f_best == table.f_best
+            assert [r.ub for r in whole.trace.records] == [r.ub for r in table.trace.records]
+            np.testing.assert_allclose([r.lb for r in whole.trace.records],
+                                       [r.lb for r in table.trace.records], rtol=0.0, atol=1e-12)
 
 
 def test_one_table_per_slice_shape():
@@ -1257,8 +1443,10 @@ def test_a_slice_of_one_block_starts_as_its_table():
     no tail sum, and drops its dead points by a mask. A slice of several
     blocks, n=30 m=6, starts whole: its first lower bound of one cut is the
     cut's m cheapest coordinates, which read no tail sum and write no
-    theta; a lower bound of two cuts and no ub then sums each of them by
-    tails."""
+    theta; a lower bound of two cuts and no ub is then answered by the walk
+    of the level set at its own minimum, which reads no tail sum and writes
+    no theta either. With that walk forced to give up, the lower bound
+    sweeps, and sums each of the two cuts by tails."""
     inst = synth_instance(12, 4, "nonconvex_random", 0)
     for config in CONFIG_NAMES:
         backend = BruteForceBackend()
@@ -1279,9 +1467,16 @@ def test_a_slice_of_one_block_starts_as_its_table():
         assert tails.call_count == 0
         assert backend._sets.table is None and backend._sets.n_cuts == 0
         oracle.add(make_cut(inst.obj, first.x))
-        assert backend.solve_cp(oracle, inst.dom, 30.0).ok
+        second = backend.solve_cp(oracle, inst.dom, 30.0)
+        assert second.ok
+        assert tails.call_count == 0
+        assert backend._sets.table is None and backend._sets.n_cuts == 0
+        with mock.patch.object(milp, "_descend", return_value=np.inf):
+            swept = backend.solve_cp(oracle, inst.dom, 30.0)
     assert tails.call_count == 2
     assert backend._sets.table is None and len(backend._sets.theta) == comb(30, 6)
+    np.testing.assert_array_equal(swept.x, second.x)
+    assert swept.objective == pytest.approx(second.objective, abs=1e-12)
     np.testing.assert_array_equal(first.x.nonzero()[0], np.sort(cut.grad.argsort()[:6]))
     assert first.objective == pytest.approx(cut.grad @ first.x + cut.intercept, abs=1e-12)
 
