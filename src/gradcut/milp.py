@@ -8,15 +8,18 @@ concrete models (lower bound, projection, feasibility) so that engine and
 local-solver code never touches solver types.
 
 Three backends ship: a brute-force enumerator (exact, small slices, also the
-test oracle), which holds a slice whole or as a table of at most one block.
-A fresh lower bound on a whole slice walks the level set under ub of a cut
-into that table, or else answers from the level set at its own minimum and
-writes nothing, each where it fits one block; every other lower bound takes
-one step per block. A query on cut rows it has not folded is answered from
-the level set of a Lagrangian relaxation where that fits one block, and
-every other query by one masked pass. The other two are an adapter to the
-HiGHS solver via scipy.optimize.milp, and the default, which picks one of
-the two from the size of the slice, once per engine run.
+test oracle), which holds a slice whole or as a table of at most one block,
+and reads values at its points from one block source: by byte lookup over
+the table, or by tail sums over the whole slice. Each lower bound is one
+fold over it, and each query one masked minimum; a lower bound under ub
+makes its survivors the table where they fit one block and are at most 7/8
+of the held points. A fresh lower bound on a whole slice first walks the
+level set under ub of a cut into that table, or answers from the level set
+at its own minimum and writes nothing, each where it fits one block, and a
+query on cut rows it has not folded takes its minimum over the level set of
+a Lagrangian relaxation where that fits one block. The other two are an
+adapter to the HiGHS solver via scipy.optimize.milp, and the default, which
+picks one of the two from the size of the slice, once per engine run.
 """
 
 from __future__ import annotations
@@ -45,10 +48,11 @@ log = get_logger(__name__)
 # the enumerator's state for a slice may take this many bytes, counted at
 # ceil(n/8) + 8 bytes a point, a packed bit row and a float64 cut value; the
 # count is conservative: the state writes 8 bytes a point only while it holds
-# the whole slice and a lower bound sweeps it, and else holds a table of at
-# most _BLOCK points, which is also the most the walk of a level set makes;
-# AutoBackend enumerates the slices within it and BruteForceBackend refuses
-# the others
+# the whole slice and a lower bound folds over it, with the compaction's mask
+# of 1 byte a point beside it, inside the ceil(n/8) bytes of the bit row, and
+# else holds a table of at most _BLOCK points, which is also the most the
+# walk of a level set makes; AutoBackend enumerates the slices within it and
+# BruteForceBackend refuses the others
 ENUM_STATE_BYTES = 16_000_000
 
 # HiGHS's default mip_feasibility_tolerance: a lower bound it reports may sit
@@ -178,16 +182,14 @@ class BruteForceBackend(MilpBackend):
     Points are scanned in lexicographic order of their chosen index tuples, so
     ties always resolve to the first minimizer. The backend holds the
     _LevelSets of one run, theta at every held point of the slice, and
-    answers a lower bound from it by one step per block; a fresh lower bound
-    on a whole slice, from a level set that fits a block where one does. A
-    query on the cut rows of the run (CutRows at a level no higher than its
-    ub) is that level set of theta: one pass over the cost's values, masked
-    by theta. Cut rows the state has not folded (while its lower bounds are
-    answered without writing theta, or of another oracle) are, on a slice of
-    several blocks, first relaxed (_lagrangian), and the level set of the
-    relaxation is walked and folded over where it fits one block; else each
-    row is checked in each block against its own tail sums, taken in step
-    with the cost's.
+    answers each lower bound from it (_LevelSets.lower_bound). Every query is
+    one masked minimum of its cost (_first_minimum). On the cut rows of the
+    run (CutRows at a level no higher than its ub) it is taken over the held
+    points, masked by theta. Cut rows the state has not folded (while its
+    lower bounds are answered without writing theta, or of another oracle)
+    mask it row by row instead: over the level set of a Lagrangian
+    relaxation (_lagrangian) on a slice of several blocks, where that fits
+    one block, and else over the whole slice.
     """
 
     name = "bruteforce"
@@ -203,11 +205,11 @@ class BruteForceBackend(MilpBackend):
         else:
             n, m = dom.n, dom.m
             _require_enumerable(n, m)
-            found = _lagrangian(cost, rows, n, m) if comb(n, m) > _BLOCK else None
+            v = np.vstack([cost, rows.coeffs.reshape(-1, n)])
+            table = _lagrangian(cost, rows, n, m) if comb(n, m) > _BLOCK else None
+            found = None if table is None else _first_minimum(table, v, rows.limit, n, m)
             if found is None:
-                found = _first_minimum(_row_masked(_tail_sums(cost, n, m), rows, n, m))
-                if found is not None:
-                    found = (_point(found[0], n, m), found[1])
+                found = _first_minimum(None, v, rows.limit, n, m)
         if found is None:
             return MilpResult(status=MilpStatus(StatusKind.INFEASIBLE, "no feasible point"))
         x, obj = found
@@ -227,9 +229,9 @@ class BruteForceBackend(MilpBackend):
         if sets is None or not sets.holds(cuts, dom) or (ub is not None and ub > sets.ub):
             sets = self._sets = None  # free the old state before building the new one
             sets = self._sets = _LevelSets(dom, cuts)
-        grads, values, grad_dot_anchor = stack_cuts(cuts)
+        grads, intercepts = stack_cuts(cuts)
         new = slice(sets.n_cuts, None)
-        x, obj = sets.lower_bound(grads[new], values[new] - grad_dot_anchor[new], ub)
+        x, obj = sets.lower_bound(grads[new], intercepts[new], ub)
         return MilpResult(
             status=_OPTIMAL,
             x=x,
@@ -250,37 +252,36 @@ class _LevelSets:
     in a level set theta <= ub - tau. Only a CutOracle, whose cuts can only
     be appended, has its state serve later calls.
 
-    Points are held in one of two forms:
+    Points are held in one of two forms, which only the block source
+    (_values), the one-point decoder (_at) and the compaction tell apart:
 
-    - whole (table is None): a slice of several blocks starts with every
-      point held, theta[r] at the point of lexicographic rank r, its values
-      the tail sums of _tail_sums, and no point stored. A fresh lower bound
-      (n_cuts is 0) of one cut, or one answered from the level set at its
-      own minimum, leaves theta unwritten and n_cuts at 0; so the next
-      lower bound is fresh again, and a query in between reads no theta. A
-      fresh lower bound whose level set under ub fits one block makes the
-      state the table of its survivors. Any other lower bound sweeps: it
-      writes theta, and dead points stay, since every answer masks by
-      theta. The first lower bound with a ub whose survivors number at most
-      _BLOCK makes the state their table, _unrank of the ranks its sweep
-      recorded, with theta cut to them.
+    - whole (table is None): a slice of more than _BLOCK points starts with
+      every point held, theta[r] at the point of lexicographic rank r, and
+      no point stored; its values are tail sums, a block at a time.
     - as a table: packed bit rows (the np.packbits layout, ceil(n/8) bytes
       each) of at most _BLOCK points, one column per point, whose values
-      come by byte lookup. A slice of at most _BLOCK points starts as its
-      table, built once per slice shape (n, m), read-only and shared by
-      every run on that shape, whose state only compresses it, which copies.
-      Each lower bound is one _step over the table, and each level set
-      theta <= level one masked lookup; the dead points are dropped by a
-      boolean mask once they are an eighth of those held, which copies the
-      survivors beside them for a moment.
+      come by byte lookup, in one block. A slice of at most _BLOCK points
+      starts as its table, built once per slice shape (n, m), read-only and
+      shared by every run on that shape, whose state only compacts it,
+      which copies.
 
-    The whole state holds 8 bytes a point once swept, and a sweep adds at
-    most the int64 ranks of _BLOCK points; the table adds at most _BLOCK
-    columns, and so does a walk, under ub or at the minimum, whose prefixes
-    never outnumber a block. So the state stays within the ceil(n/8) + 8
-    bytes a point of the slice that enumerable() admits. A pass adds
-    block-sized buffers and, for each cost, cut or row it sums by tails, one
-    array of C(n - 1, m - 1) values.
+    Each lower bound is one fold over the block source, and each level set
+    theta <= level one masked minimum over it. Dead points stay, since every
+    answer masks by theta, until one rule compacts them: a lower bound under
+    ub whose survivors number at most _BLOCK and at most 7/8 of the held
+    points makes the state their table, _unrank of their ranks or a take of
+    their columns, with theta cut to them. So a table drops its dead points
+    once they are an eighth of it, and a whole slice of fewer than 8/7
+    _BLOCK points stays whole while more than 7/8 of it survives.
+
+    The whole state holds 8 bytes a point once a lower bound folds over it,
+    and the compaction's mask 1 byte a point beside it, within the ceil(n/8)
+    bytes that the budget reserves for a bit row; a table holds at most
+    _BLOCK columns, and so does a walk, under ub or at the minimum, whose
+    prefixes never outnumber a block. So the state stays within the
+    ceil(n/8) + 8 bytes a point of the slice that enumerable() admits. A
+    pass adds block-sized buffers and, for each cost, cut or row it sums by
+    tails, one array of C(n - 1, m - 1) values.
     """
 
     def __init__(self, dom: FeasibleDomain, cuts: Sequence[Cut]):
@@ -303,31 +304,24 @@ class _LevelSets:
         the cuts folded in so far, at a level no higher than ub."""
         return self.holds(rows.cuts, dom) and len(rows) == self.n_cuts and rows.level <= self.ub
 
-    def point(self, i: int) -> np.ndarray:
-        """The i-th held point, as 0/1 floats; unranked while the whole slice
-        is held."""
-        if self.table is None:
-            return _point(i, self.dom.n, self.dom.m)
-        return _decode(self.table[:, i], self.dom.n)
-
     def lower_bound(self, grads: np.ndarray, intercepts: np.ndarray, ub: Optional[float]):
         """Fold new cuts, given as gradient rows and intercepts, into theta,
-        and return (x, theta(x)) at its first minimizer: one _step on a
-        table, one sweep over the blocks of the whole state. The first lower
-        bound that folds cuts in writes theta from them.
+        and return (x, theta(x)) at its first minimizer: one _step per block
+        of the block source. The first lower bound that folds cuts in writes
+        theta from them.
 
         On the whole state, while no cut is folded in, a lower bound of one
         cut is its m cheapest coordinates, ties to the lowest index: it folds
         nothing in and writes no theta. A lower bound of several cuts with a
         ub first walks a level set under ub (_walked); when it fits a block,
-        it is the table the step folds over, and the state becomes that
-        table's survivors, as long as its minimum is within ub: every point
-        off the table is above ub, and so above that minimum. Else, on a
-        slice of more than 2 (new + 1) blocks, it walks the level set at
-        theta at the end of a swap descent (_descend), as a rule a small
-        one; when that fits a block, with its minimum within the level, the
-        same proof makes that minimum the answer, which folds nothing in and
-        writes no theta. Else the lower bound sweeps.
+        with its minimum within ub, the state becomes that table, the cuts
+        folded over it: every point off the table is above ub, and so above
+        that minimum. Else, on a slice of more than 2 (new + 1) blocks, it
+        walks the level set at theta at the end of a swap descent
+        (_descend), as a rule a small one; when that fits a block, with its
+        minimum within the level, the same proof makes that minimum the
+        answer, which folds nothing in and writes no theta. Else the lower
+        bound sweeps: it folds over the whole slice.
 
         The walk at the minimum only defers the sweep: it recurs, one cut
         more each time, at every lower bound until one sweeps or walks under
@@ -343,80 +337,55 @@ class _LevelSets:
         and 5,346 points, and the fifth walks under ub into a table, so the
         run never sweeps (2-core machine).
 
-        With ub, lower the state's ub and drop dead points: a table drops
-        them by its step's mask once they are an eighth of those held, and
-        the whole state becomes the table of its survivors once they fit one
-        block. A minimum above ub + FEAS_TOL (rounding) drops nothing, which
-        is always valid.
+        With ub, lower the state's ub, and where the minimum is within ub +
+        FEAS_TOL compact by the one rule of the class. A minimum above it
+        (rounding) drops nothing, which is always valid.
         """
-        total = len(self.theta)
         limit = None if ub is None else ub + FEAS_TOL
         if ub is not None:
             self.ub = ub
         fresh = self.n_cuts == 0
         n, m = self.dom.n, self.dom.m
         new = len(grads)
+        walked = None
         if fresh and self.table is None:
             if new == 1:
                 x = _cheapest(grads[0], m)
                 return x, float(grads[0] @ x) + float(intercepts[0])
-            walked = None if limit is None else _walked(grads, intercepts, limit, n, m)
-            if walked is not None:
-                table, theta, best_i, best, alive = walked
-                self.table, self.theta = table.compress(alive, axis=1), theta.compress(alive)
-                self.n_cuts, self.theta_min = new, best
-                return _decode(table[:, best_i], n), best
-            if total > 2 * _BLOCK * (new + 1):
+            if limit is not None:
+                walked = _walked(grads, intercepts, limit, n, m)
+            if walked is None and len(self.theta) > 2 * _BLOCK * (new + 1):
                 level = _descend(grads, intercepts, m) + FEAS_TOL
-                walked = _walked(grads, intercepts, level, n, m)
-                if walked is not None:
-                    table, _, best_i, best, _ = walked
+                at_minimum = _walked(grads, intercepts, level, n, m)
+                if at_minimum is not None:
+                    table, _, best_i, best = at_minimum
                     return _decode(table[:, best_i], n), best
-        if self.table is not None:
-            values = [_scores(self.table, lut) for lut in _lut(grads, len(self.table), intercepts)]
-            best_i, best, alive = _step(self.theta, values, fresh, limit)
+        if walked is not None:
+            self.table, self.theta, best_i, best = walked
         else:
-            best_i, best, kept = self._sweep(grads, intercepts, fresh, limit)
+            best_i, best = 0, np.inf
+            for b, values in _values(self.table, grads, n, m, intercepts):
+                i, low = _step(self.theta[b], values, fresh)
+                if low < best:
+                    best_i, best = b.start + i, low
         self.n_cuts += new
         self.theta_min = best
-        found = self.point(best_i), best
-        if ub is None or best > limit:
-            return found
-        if self.table is None:
-            if kept is not None:
-                self.table = _unrank(kept, n, m)
+        x = _at(self.table, best_i, n, m)
+        if limit is not None and best <= limit:
+            alive = self.theta <= limit
+            count = np.count_nonzero(alive)
+            if count <= _BLOCK and 8 * count <= 7 * len(alive):
+                kept = np.flatnonzero(alive)
+                del alive  # not held beside _unrank's table
+                table = self.table
+                self.table = _unrank(kept, n, m) if table is None else table.take(kept, axis=1)
                 self.theta = self.theta[kept]
-        elif 8 * (total - np.count_nonzero(alive)) >= total:
-            self.table = self.table.compress(alive, axis=1)
-            self.theta = self.theta.compress(alive)
-        return found
-
-    def _sweep(self, grads, intercepts, fresh: bool, limit: Optional[float]):
-        """lower_bound's pass over the whole state: _step on each block, fed
-        by tail sums. Returns (i, theta[i]) at the first argmin and, with a
-        limit, the ranks of the points within it while they number at most
-        _BLOCK (None past that, or without a limit)."""
-        n, m = self.dom.n, self.dom.m
-        feeds = [_tail_sums(g, n, m, c) for g, c in zip(grads, intercepts)]
-        best_i, best = 0, np.inf
-        kept = None if limit is None else []
-        count = 0
-        for b in _blocks(len(self.theta)):
-            values = [next(feed)[1] for feed in feeds]
-            i, low, alive = _step(self.theta[b], values, fresh, limit)
-            if low < best:
-                best_i, best = b.start + i, low
-            if alive is not None:
-                ranks = alive.nonzero()[0]
-                count += len(ranks)
-                if count <= _BLOCK:
-                    kept.append(ranks + b.start)
-                else:
-                    kept = limit = None  # too many: the rest needs no mask
-        return best_i, best, None if kept is None else np.concatenate(kept)
+        return x, best
 
     def argmin(self, cost: np.ndarray, level: float):
-        """min <cost, x> over the level set theta <= level, or None when empty.
+        """min <cost, x> over the level set theta <= level, as (x, value) at
+        its first minimizer, or None when empty: the masked minimum of cost
+        over the held points.
 
         The set is empty exactly when the model minimum exceeds the level, and
         then no point is read.
@@ -424,49 +393,33 @@ class _LevelSets:
         limit = level + FEAS_TOL
         if self.theta_min > limit:
             return None
-        if self.table is None:
-            blocks = _tail_sums(cost, self.dom.n, self.dom.m)
-            found = _first_minimum(_masked(blocks, self.theta, limit))
-        else:
-            values = _scores(self.table, _lut(cost, len(self.table)))
-            np.putmask(values, self.theta > limit, np.inf)
-            i = int(values.argmin())
-            found = None if values[i] == np.inf else (i, float(values[i]))
-        return None if found is None else (self.point(found[0]), found[1])
+        n, m = self.dom.n, self.dom.m
+        return _first_minimum(self.table, cost[None], (), n, m, self.theta, limit)
 
 
-def _step(theta, values, fresh: bool, limit: Optional[float]):
+def _step(theta, values, fresh: bool):
     """A lower bound's work on one block: fold values, the new cuts' values
     at the block's points, one array each, into theta, the block's view of
-    the state, and return (i, theta[i], alive), i the first argmin and alive
-    the mask of theta <= limit (None without a limit). With fresh, theta is
-    written from the first cut instead of raised by it."""
+    the state, and return (i, theta[i]), i the first argmin. With fresh,
+    theta is written from the first cut instead of raised by it."""
     if fresh:
         theta[:] = values[0]
     for v in values[int(fresh) :]:
         np.maximum(theta, v, out=theta)
     i = int(theta.argmin())
-    return i, float(theta[i]), None if limit is None else theta <= limit
-
-
-def _fold(table, grads, intercepts, limit: Optional[float]):
-    """A fresh _step over a table: theta of the cuts given as gradient rows
-    and intercepts at every point of the table by byte lookup. Returns
-    (theta, i, theta[i], alive)."""
-    theta = np.empty(table.shape[1])
-    values = [_scores(table, lut) for lut in _lut(grads, len(table), intercepts)]
-    return (theta, *_step(theta, values, True, limit))
+    return i, float(theta[i])
 
 
 # points read at a time, so that no array the size of the slice is made
-# besides theta, and the most points a table holds: a slice of at most this
-# many points is its table from the start, a whole state becomes the table
-# of its survivors once they number at most this many, and a walk of a level
-# set gives up once it knows of more points in it than this. On a 2-core
-# machine, rounds of the five configurations on an n=30 m=6 slice took 33.2,
-# 32.2 and 31.4 ms (least of 10) at 16k, 32k and 64k points, and 33.2, 32.5
-# and 32.4 ms in a second pass of 16: past 32k the gain is within the noise,
-# for twice the block buffers
+# besides theta and the compaction's mask of 1 byte a point, and the most
+# points a table holds: a slice of at most this many points is its table
+# from the start, the state becomes the table of its survivors only once
+# they number at most this many, and a walk of a level set gives up once it
+# knows of more points in it than this. On a 2-core machine, rounds of the
+# five configurations on an n=30 m=6 slice took 33.2, 32.2 and 31.4 ms
+# (least of 10) at 16k, 32k and 64k points, and 33.2, 32.5 and 32.4 ms in a
+# second pass of 16: past 32k the gain is within the noise, for twice the
+# block buffers
 _BLOCK = 32768
 
 # _BITS[:, b] is the byte b unpacked, most significant bit first: np.packbits
@@ -478,9 +431,11 @@ _BIT = np.array([128 >> k for k in range(8)], dtype=np.uint8)
 def enumerable(n: int, m: int) -> bool:
     """Whether the slice, counted at a packed bit row and a float64 cut value
     per point, fits in ENUM_STATE_BYTES. The count is conservative: the
-    enumerator's state writes 8 bytes a point only while whole and swept by
-    a lower bound, and holds a table of at most _BLOCK points after that, or
-    from a walk of a level set, which makes at most one block of candidates."""
+    enumerator's state writes 8 bytes a point only while whole and folded
+    over by a lower bound, whose compaction adds a mask of 1 byte a point,
+    inside the ceil(n/8) bytes counted for the bit row; it holds a table of
+    at most _BLOCK points after that, or from a walk of a level set, which
+    makes at most one block of candidates."""
     return comb(n, m) * ((n + 7) // 8 + 8) <= ENUM_STATE_BYTES
 
 
@@ -538,35 +493,39 @@ def _tail_sums(v: np.ndarray, n: int, m: int, base: float = 0.0):
         yield rank, sums[:filled]
 
 
-def _row_masked(scores, rows: CutRows, n: int, m: int):
-    """scores, (start, block) pairs over the whole slice in rank order, with
-    +inf at every point that violates one of rows; each row's left-hand
-    sides are tail sums, computed in step with the blocks."""
-    feeds = [_tail_sums(g, n, m) for g in rows.coeffs]
-    for start, block in scores:
-        for limit, feed in zip(rows.limit, feeds):
-            np.putmask(block, next(feed)[1] > limit, np.inf)
-        yield start, block
+def _values(table, v: np.ndarray, n: int, m: int, base=None):
+    """The block source: (b, values) pairs over the held points in index
+    order, b a slice of them and values[k] <v[k], x> + base[k] (base 0 when
+    None) at each point x of b, for the rows v[k] of a matrix. Over a table,
+    one pair, by byte lookup, in a list, which costs less per call than a
+    generator; over the whole slice (table is None), one pair per block of
+    _blocks, by tail sums, each array a buffer that the next block
+    overwrites."""
+    if table is not None:
+        return [(slice(0, table.shape[1]), _scores(table, _lut(v, len(table), base)))]
+    base = np.zeros(len(v)) if base is None else base
+    feeds = [_tail_sums(g, n, m, c) for g, c in zip(v, base)]
+    return ((b, [next(feed)[1] for feed in feeds]) for b in _blocks(comb(n, m)))
 
 
-def _masked(scores, theta: np.ndarray, limit: float):
-    """scores, (start, block) pairs in index order, with +inf at the indices
-    i with theta[i] > limit."""
-    for start, block in scores:
-        np.putmask(block, theta[start : start + len(block)] > limit, np.inf)
-        yield start, block
-
-
-def _first_minimum(scores):
-    """(i, s): s is the least of scores, and i the first index that reaches
-    it; None when every score is +inf. scores come as (start, block) pairs in
-    index order, block holding scores[start : start + len(block)]."""
+def _first_minimum(table, v: np.ndarray, limits, n: int, m: int, theta=None, limit=np.inf):
+    """The masked minimum: (x, <v[0], x>) at the first point x of the block
+    source over table that minimizes <v[0], x> among those where <v[k], x>
+    is at most limits[k - 1] for every later row k of v and, with theta, the
+    held theta is at most limit; None when no point is left. Every point
+    masked reads +inf."""
     best_i, best = None, np.inf
-    for start, block in scores:
-        i = int(block.argmin())
-        if block[i] < best:
-            best_i, best = start + i, float(block[i])
-    return None if best_i is None else (best_i, best)
+    for b, values in _values(table, v, n, m):
+        scores = values[0]
+        for k, most in enumerate(limits, 1):
+            np.putmask(scores, values[k] > most, np.inf)
+        if theta is not None:
+            np.putmask(scores, theta[b] > limit, np.inf)
+        i = int(scores.argmin())
+        low = float(scores[i])
+        if low < best:
+            best_i, best = b.start + i, low
+    return None if best_i is None else (_at(table, best_i, n, m), best)
 
 
 def _walk(grads: np.ndarray, intercepts: np.ndarray, limit: float, n: int, m: int):
@@ -596,16 +555,18 @@ def _walk(grads: np.ndarray, intercepts: np.ndarray, limit: float, n: int, m: in
 
 def _walked(grads: np.ndarray, intercepts: np.ndarray, level: float, n: int, m: int):
     """The cuts, given as gradient rows and intercepts, folded over the
-    level set _walk makes at level, as (table, theta, i, theta[i], alive)
-    of _fold with level as its limit, where that minimum is within level;
-    else None. Every point off the table has a cut above level, and so
-    theta above that minimum, which is thus the least theta over the whole
-    slice, and i its first minimizer."""
+    level set _walk makes at level, as (table, theta, i, theta[i]), i the
+    first argmin, where that minimum is within level; else None. Every
+    point off the table has a cut above level, and so theta above that
+    minimum, which is thus the least theta over the whole slice, and i its
+    first minimizer."""
     table = _walk(grads, intercepts, level, n, m)
     if table is None or not table.shape[1]:
         return None
-    theta, best_i, best, alive = _fold(table, grads, intercepts, level)
-    return (table, theta, best_i, best, alive) if best <= level else None
+    theta = np.empty(table.shape[1])
+    [(_, values)] = _values(table, grads, n, m, intercepts)
+    best_i, best = _step(theta, values, True)
+    return (table, theta, best_i, best) if best <= level else None
 
 
 def _descend(grads: np.ndarray, intercepts: np.ndarray, m: int) -> float:
@@ -687,11 +648,11 @@ def _level_set(g: np.ndarray, c: float, limit: float, n: int, m: int):
 
 
 def _lagrangian(cost: np.ndarray, rows: CutRows, n: int, m: int):
-    """min <cost, x> over the points x of the whole slice that satisfy rows,
-    as (x, value) at the first minimizer in rank order, from the level set
-    of one Lagrangian relaxation; None where it cannot tell: the m cheapest
-    coordinates meet every row, no point it probes does, or the level set
-    has more than _BLOCK points.
+    """A table that holds the first minimizer in rank order of <cost, x>
+    over the points x of the whole slice that satisfy rows: the level set of
+    one Lagrangian relaxation, over which the masked minimum answers; None
+    where it cannot tell: the m cheapest coordinates meet every row, no
+    point it probes does, or the level set has more than _BLOCK points.
 
     The first row that the m cheapest coordinates violate is <a, x> <= b,
     b + FEAS_TOL its limit. The m cheapest coordinates of cost + lam * a,
@@ -703,8 +664,8 @@ def _lagrangian(cost: np.ndarray, rows: CutRows, n: int, m: int):
     bound is the highest, and U is the least cost of the probed points that
     meet every row. For any lam >= 0, a point that meets every row and costs
     at most U, so the first minimizer, has <cost + lam * a, x> <= U + lam *
-    (b + FEAS_TOL): _level_set walks that level set, and the cost is folded
-    over it, masked where a row is violated. Breakpoints that repeat make a
+    (b + FEAS_TOL): _level_set walks that level set, which holds that
+    point, and the probed point that costs U. Breakpoints that repeat make a
     gap of one point, probed where ties go to the lowest index; they leave
     the search as it is.
     """
@@ -737,16 +698,7 @@ def _lagrangian(cost: np.ndarray, rows: CutRows, n: int, m: int):
     if bound == np.inf:
         return None
     lam = float(edges[lo])
-    table = _level_set(cost + lam * a, 0.0, bound + lam * rows.limit[r], n, m)
-    if table is None:
-        return None
-    luts = _lut(np.vstack([cost, rows.coeffs]), len(table))
-    values, *lhs = (_scores(table, lut) for lut in luts)
-    for row, limit in zip(lhs, rows.limit):
-        np.putmask(values, row > limit, np.inf)
-    best_i = int(values.argmin())
-    best = float(values[best_i])
-    return None if best == np.inf else (_decode(table[:, best_i], n), best)
+    return _level_set(cost + lam * a, 0.0, bound + lam * rows.limit[r], n, m)
 
 
 def _unrank(ranks: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -846,15 +798,23 @@ def _lut(v: np.ndarray, n_bytes: int, base=None) -> np.ndarray:
 
 
 def _scores(packed: np.ndarray, lut: np.ndarray) -> np.ndarray:
-    """<v, x> for every packed point (column) x, from the lookup tables of v."""
-    s = lut[0].take(packed[0])
-    for j in range(1, len(lut)):
-        s += lut[j].take(packed[j])
+    """<v, x> for every packed point (column) x, from the lookup tables of v;
+    from those of the rows of a matrix, one row of scores per row of it,
+    each summed byte by byte as for its row alone, but in one take a byte."""
+    s = lut[..., 0, :].take(packed[0], axis=-1)
+    for j in range(1, len(packed)):
+        s += lut[..., j, :].take(packed[j], axis=-1)
     return s
 
 
 def _decode(row: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(row, count=n).astype(float)
+
+
+def _at(table, i: int, n: int, m: int) -> np.ndarray:
+    """The i-th held point of table as 0/1 floats; of the whole slice,
+    unranked, when table is None."""
+    return _point(i, n, m) if table is None else _decode(table[:, i], n)
 
 
 def _cheapest(cost: np.ndarray, m: int) -> np.ndarray:
@@ -1038,15 +998,15 @@ class HighsBackend(MilpBackend):
     def solve_cp(self, cuts, dom, budget, upper_limit=None, ub=None, tight=False):
         if len(cuts) == 0:
             raise ValueError("cutting-plane model requires a nonempty oracle")
-        grads, values, grad_dot_anchor = stack_cuts(cuts)
+        grads, intercepts = stack_cuts(cuts)
         n = dom.n
         c = np.zeros(n + 1)
         c[n] = 1.0
-        a = np.zeros((1 + len(values), n + 1))
+        a = np.zeros((1 + len(intercepts), n + 1))
         a[0, :n] = 1.0
         a[1:, :n] = grads
         a[1:, n] = -1.0
-        lo, hi = _cardinality_first(dom, -(values - grad_dot_anchor))
+        lo, hi = _cardinality_first(dom, -intercepts)
         return self._run("cp", c, a, lo, hi, n, budget, upper_limit, tight)
 
 
@@ -1115,7 +1075,7 @@ def solve_cp_model(
     """Lower-bound problem: min theta subject to every cut in the oracle.
 
     With an incumbent, the cut model evaluated there -- max over cuts of
-    value + <grad, incumbent - anchor> -- bounds the model optimum from above
+    <grad, incumbent> + intercept -- bounds the model optimum from above
     and is handed to a backend that is not exact as its upper limit. ub and
     tight are handed on as MilpBackend.solve_cp describes them.
     """
@@ -1125,9 +1085,8 @@ def solve_cp_model(
         return _timeout_result()
     upper_limit = None
     if incumbent is not None and not backend.exact:
-        grads, values, grad_dot_anchor = stack_cuts(oracle)
-        x = np.asarray(incumbent, dtype=float)
-        upper_limit = float(np.max(values + (grads @ x - grad_dot_anchor)))
+        grads, intercepts = stack_cuts(oracle)
+        upper_limit = float(np.max(grads @ np.asarray(incumbent, dtype=float) + intercepts))
     return backend.solve_cp(oracle, dom, budget, upper_limit, ub, tight)
 
 

@@ -201,19 +201,19 @@ def anchor_key(x) -> tuple:
 class CutOracle:
     """Ordered, anchor-deduplicated cut collection.
 
-    Each cut is stacked once, as it is added: its gradient row, its value and
-    <grad, anchor>, in arrays that double when full. Growth allocates new
-    arrays and never writes to the rows already stacked, so the views that
-    stacked() hands out (and the CutRows built on them) keep reading the same
-    cuts while the oracle grows. One read-only view of each whole array is
-    made when it is allocated; stacked() slices those.
+    Each cut is stacked once, as it is added: its gradient row and its
+    intercept, in arrays that double when full. Growth allocates new arrays
+    and never writes to the rows already stacked, so the views that
+    stacked() hands out (and the CutRows built on them) keep reading the
+    same cuts while the oracle grows. One read-only view of each whole array
+    is made when it is allocated; stacked() slices those.
     """
 
     def __init__(self, cuts: Sequence[Cut] = ()):
         self.cuts: list[Cut] = []
         self._seen: set[tuple] = set()
-        self._grads = self._values = self._grad_dot_anchor = np.empty(0)
-        self._views = (_read_only(self._grads),) * 3
+        self._grads = self._intercepts = np.empty(0)
+        self._views = (_read_only(self._grads),) * 2
         for cut in cuts:
             self.add(cut)
 
@@ -225,27 +225,23 @@ class CutOracle:
         if key in self._seen:
             return False
         k = len(self.cuts)
-        if k == len(self._values):
+        if k == len(self._intercepts):
             size = max(8, 2 * k)
             self._grads = _grown(self._grads, k, (size, len(cut.grad)))
-            self._values = _grown(self._values, k, (size,))
-            self._grad_dot_anchor = _grown(self._grad_dot_anchor, k, (size,))
-            self._views = tuple(
-                _read_only(a) for a in (self._grads, self._values, self._grad_dot_anchor)
-            )
+            self._intercepts = _grown(self._intercepts, k, (size,))
+            self._views = (_read_only(self._grads), _read_only(self._intercepts))
         self._grads[k] = cut.grad
-        self._values[k] = cut.value
-        self._grad_dot_anchor[k] = float(cut.grad @ cut.anchor)
+        self._intercepts[k] = cut.intercept
         self._seen.add(key)
         self.cuts.append(cut)
         return True
 
     def stacked(self) -> tuple:
-        """(grads, values, grad_dot_anchor) of the cuts added so far, one row or
-        entry per cut, as read-only views of the stack."""
+        """(grads, intercepts) of the cuts added so far, one row or entry per
+        cut, as read-only views of the stack."""
         k = len(self.cuts)
-        grads, values, grad_dot_anchor = self._views
-        return grads[:k], values[:k], grad_dot_anchor[:k]
+        grads, intercepts = self._views
+        return grads[:k], intercepts[:k]
 
     def __contains__(self, anchor) -> bool:
         """Whether a cut at anchor is held; anchor is a point, or the tuple
@@ -274,15 +270,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def stack_cuts(cuts: Sequence[Cut]) -> tuple:
-    """(grads, values, grad_dot_anchor) of cuts, as CutOracle.stacked gives
-    them: the oracle's own views, or arrays stacked afresh from any other
-    sequence of cuts."""
+    """(grads, intercepts) of cuts, as CutOracle.stacked gives them: the
+    oracle's own views, or arrays stacked afresh from any other sequence of
+    cuts."""
     if isinstance(cuts, CutOracle):
         return cuts.stacked()
     grads = np.array([cut.grad for cut in cuts], dtype=float).reshape(len(cuts), -1)
-    values = np.array([cut.value for cut in cuts], dtype=float)
-    grad_dot_anchor = np.array([float(cut.grad @ cut.anchor) for cut in cuts])
-    return grads, values, grad_dot_anchor
+    return grads, np.array([cut.intercept for cut in cuts], dtype=float)
 
 
 class CutRows:
@@ -292,19 +286,19 @@ class CutRows:
     Together they cut out the level set {x : theta(x) <= level} of the cut
     model theta(x) = max over cuts of <grad, x> + intercept. The rows are a
     read-only view of the oracle's stack: coeffs is its gradient rows and rhs
-    is level - value + <grad, anchor>, for the cuts present when the view was
-    made; len(rows) counts those cuts. A point meets a row when its
+    is level - intercept, for the cuts present when the view was made;
+    len(rows) counts those cuts. A point meets a row when its
     left-hand side is at most the row's entry of limit, rhs + FEAS_TOL. A
     MILP solver reads coeffs and rhs; an enumerator that holds theta for the
     oracle's cuts reads `cuts` (the oracle) and `level` instead.
     """
 
     def __init__(self, oracle: CutOracle, level: float):
-        grads, values, grad_dot_anchor = oracle.stacked()
+        grads, intercepts = oracle.stacked()
         self.cuts = oracle
         self.level = level
         self.coeffs = grads
-        self.rhs = level - values + grad_dot_anchor
+        self.rhs = level - intercepts
         self.rhs.flags.writeable = False
         self.limit = self.rhs + FEAS_TOL
         self.limit.flags.writeable = False

@@ -464,7 +464,7 @@ class TestHighsInputFromTheStack:
         answer.x = answer.x[:6]
         backend, stub = scripted_highs(monkeypatch, answer)
         project(z, self.dom, rows, 30.0, backend)
-        terms = [(c.grad, level - c.value + float(c.grad @ c.anchor)) for c in self.cuts]
+        terms = [(c.grad, level - c.intercept) for c in self.cuts]
         for got, want in zip(self.handed(stub), rows_one_by_one(self.dom, terms, 6), strict=True):
             np.testing.assert_array_equal(got, want)
 
@@ -726,7 +726,7 @@ class TestCutValueCache:
             backend.solve_cp(oracle, dom, 30.0, ub=ub)
             theta = {tuple(p): max(c.grad @ p + c.intercept for c in oracle) for p in pts}
             held = backend._sets
-            kept = {tuple(held.point(i)): t for i, t in enumerate(held.theta)}
+            kept = {tuple(milp._at(held.table, i, n, m)): t for i, t in enumerate(held.theta)}
             alive = {p for p, t in theta.items() if t <= ub + FEAS_TOL}
             # every live point is held; the dead ones go once they are an eighth
             assert alive <= set(kept)
@@ -880,6 +880,19 @@ def recording(fn, results):
     return call
 
 
+def counting_sweeps(sweeps):
+    """A patch of the block source, milp._values, that appends to sweeps the
+    number of cuts of each lower bound that folds over the whole slice:
+    each call with no table and the cuts' intercepts as base."""
+    values = milp._values
+
+    def counted(table, v, n, m, base=None):
+        if table is None and base is not None:
+            sweeps.append(len(v))
+        return values(table, v, n, m, base)
+    return mock.patch.object(milp, "_values", counted)
+
+
 def test_whole_slice_builds_no_packed_table():
     """Every configuration on an n=30 m=6 diversity slice runs with no table of
     the whole slice. On this slice no cut's level set under the second ub
@@ -933,18 +946,17 @@ def test_a_tight_cut_walks_its_level_set_into_the_table(config):
     outs, walks, sweeps, unranks = [], [], [], []
     for forced in (False, True):
         backend = BruteForceBackend()
-        walked = []
+        walked, swept = [], []
         walk = (lambda *args: None) if forced else milp._walk
         with (
             mock.patch.object(milp, "_walk", recording(walk, walked)),
             mock.patch.object(milp, "_unrank", wraps=milp._unrank) as unrank,
-            mock.patch.object(milp._LevelSets, "_sweep", autospec=True,
-                              side_effect=milp._LevelSets._sweep) as sweep,
+            counting_sweeps(swept),
         ):
             outs.append(run(inst.obj, inst.dom, default_x0(inst.dom, backend),
                             SolverConfig.from_name(config), backend))
         walks.append(walked)
-        sweeps.append(sweep.call_count)
+        sweeps.append(len(swept))
         unranks.append(unrank.call_count)
         assert outs[-1].status.value == "eps_optimal"
     walked = walks[0]
@@ -1102,10 +1114,10 @@ def test_a_lower_bound_at_its_own_minimum_matches_a_plain_scan(n, m, whole_numbe
         theta = np.max([pts @ c.grad + c.intercept for c in oracle], axis=0)
         ub = None if trial % 2 else float(np.median(theta))
         backend = BruteForceBackend()
+        sweep = []
         with (
             mock.patch.object(milp, "_BLOCK", (len(pts) - 1) // (2 * len(oracle) + 2)),
-            mock.patch.object(milp._LevelSets, "_sweep", autospec=True,
-                              side_effect=milp._LevelSets._sweep) as sweep,
+            counting_sweeps(sweep),
         ):
             got = backend.solve_cp(oracle, dom, 30.0, ub=ub)
         i = int(theta.argmin())
@@ -1113,7 +1125,7 @@ def test_a_lower_bound_at_its_own_minimum_matches_a_plain_scan(n, m, whole_numbe
         assert got.objective == pytest.approx(theta[i], abs=1e-12)
         if whole_number:
             assert got.objective == theta[i]
-        if sweep.call_count == 0:
+        if not sweep:
             answered += 1
             assert backend._sets.n_cuts == 0 and backend._sets.table is None
     assert answered >= 6
@@ -1153,14 +1165,14 @@ def test_a_slice_of_at_most_twice_one_more_block_than_cuts_sweeps(count):
     most = -(-len(pts) // (2 * count + 2))  # the least block of which the slice holds 2 (count + 1)
     for block, sweeps in ((most, 1), (most - 1, 0)):
         backend = BruteForceBackend()
+        sweep = []
         with (
             mock.patch.object(milp, "_BLOCK", block),
             mock.patch.object(milp, "_descend", wraps=milp._descend) as descend,
-            mock.patch.object(milp._LevelSets, "_sweep", autospec=True,
-                              side_effect=milp._LevelSets._sweep) as sweep,
+            counting_sweeps(sweep),
         ):
             got = backend.solve_cp(oracle, dom, 30.0)
-        assert sweep.call_count == sweeps
+        assert len(sweep) == sweeps
         assert descend.call_count == 1 - sweeps
         assert backend._sets.n_cuts == (count if sweeps else 0)
         np.testing.assert_array_equal(got.x, pts[theta.argmin()])
@@ -1252,8 +1264,10 @@ def test_lagrangian_walk_matches_a_plain_scan(n, m, whole_number):
         assert got.ok
         if found[0] is not None:
             walked += 1
-            assert found[0][1] == got.objective
-            np.testing.assert_array_equal(found[0][0], got.x)
+            # the answer folded over the relaxation's table
+            folded = milp._first_minimum(found[0], np.vstack([cost, rows.coeffs]), rows.limit, n, m)
+            assert folded[1] == got.objective
+            np.testing.assert_array_equal(folded[0], got.x)
         assert got.objective == pytest.approx(want[1], abs=1e-12)
         assert got.x @ cost == pytest.approx(want[1], abs=1e-12)
         assert meets(rows, got.x)
@@ -1358,16 +1372,16 @@ def test_a_slice_held_whole_answers_as_its_table():
         for block, forced in ((milp._BLOCK, False), (64, True), (64, False)):
             backend = BruteForceBackend()
             descend = (lambda *args: np.inf) if forced else milp._descend
+            sweep = []
             with (
                 mock.patch.object(milp, "_BLOCK", block),
                 mock.patch.object(milp, "_descend", descend),
-                mock.patch.object(milp._LevelSets, "_sweep", autospec=True,
-                                  side_effect=milp._LevelSets._sweep) as sweep,
+                counting_sweeps(sweep),
             ):
                 outs.append(run(inst.obj, inst.dom, default_x0(inst.dom, backend),
                                 SolverConfig.from_name(config), backend))
             if forced:
-                assert sweep.call_count >= 8  # lower bounds on the whole state
+                assert len(sweep) >= 8  # lower bounds on the whole state
         table = outs[0]
         for whole in outs[1:]:
             assert whole.status == table.status
@@ -1489,8 +1503,8 @@ def test_first_compaction_stays_within_the_state_budget():
     beside them. The first lower bound has two cuts, so that it sweeps.
     Under a ub that keeps about 86 % of a multi-block slice, the state stays
     whole, its dead points held; under one that keeps 0.2 %, fewer than a
-    block, it becomes the table of the survivors, unranked from the ranks
-    the lower bound's sweep recorded. A run whose first lower bound has one
+    block, it becomes the table of the survivors, unranked from their
+    ranks. A run whose first lower bound has one
     cut, and whose second one, under a ub that keeps 0.2 % of the slice,
     walks the first cut's level set into its table instead, sweeps nothing
     and stays within the same bytes; its second cut is the first one less
@@ -1513,11 +1527,8 @@ def test_first_compaction_stays_within_the_state_budget():
         ub = float(np.quantile(theta, 0.002 if share == "walk" else share))
         backend = BruteForceBackend()
         oracle = CutOracle([cut] if share == "walk" else [cut, second])
-        with (
-            mock.patch.object(milp, "_BLOCK", 256),
-            mock.patch.object(milp._LevelSets, "_sweep", autospec=True,
-                              side_effect=milp._LevelSets._sweep) as sweep,
-        ):
+        sweep = []
+        with mock.patch.object(milp, "_BLOCK", 256), counting_sweeps(sweep):
             tracemalloc.start()
             try:
                 backend.solve_cp(oracle, dom, 30.0)
@@ -1537,7 +1548,7 @@ def test_first_compaction_stays_within_the_state_budget():
             assert backend._sets.table is None
         else:
             assert backend._sets.table.shape[1] == kept <= 256
-        assert sweep.call_count == (0 if share == "walk" else 2)
+        assert len(sweep) == (0 if share == "walk" else 2)
         assert peak <= ((n + 7) // 8 + 8) * size + 64_000
 
 
@@ -1753,6 +1764,97 @@ def test_lower_bound_sweep_matches_a_plain_scan(keep, two_first_cuts, seed):
         assert len(sets.theta) == len(pts) and ub < sets.theta.min()
     else:
         assert compacted == (2 if keep == "many" else 1)
+
+
+@pytest.mark.parametrize("form, block", [("table", 256), ("whole", 64), ("whole", 200)])
+@pytest.mark.parametrize("seed", range(3))
+def test_one_compaction_rule_on_both_forms(form, block, seed):
+    """A lower bound under ub whose survivors, the points with theta <= ub +
+    FEAS_TOL, number at most _BLOCK and at most 7/8 of the held points makes
+    the state the table of exactly those points; under any other ub the
+    state stays as it was, dead points and all. The n=10 m=4 slice (210
+    points) is one table with blocks of 256, and whole with blocks of 64 or
+    of 200, the latter fewer than 8/7 of the slice, so that survivors that
+    fit one block may still be more than 7/8 of it. Each ub keeps one more
+    point than 7/8 of those held ("stay"), one more than a block where that
+    is fewer ("over"), as many as the rule takes ("compact"), or none, below
+    the minimum ("below"). Every lower bound and every query at levels up to
+    ub matches a plain scan. No walk of a level set fits, so that every
+    lower bound folds over the state."""
+    rng = np.random.default_rng(seed)
+    n, m = 10, 4
+    pts = slice_points(n, m)
+    dom = FeasibleDomain(n=n, m=m)
+    obj = random_psd_objective(rng, n)
+    backend = BruteForceBackend()
+    oracle = CutOracle()
+    held = np.arange(len(pts))  # the plain scan's held points, as ranks
+    ub = None
+    outcomes = set()  # (form, compacted, fits a block, at most 7/8 of those held)
+    with (
+        mock.patch.object(milp, "_BLOCK", block),
+        mock.patch.object(milp, "_walk", return_value=None),
+    ):
+        for target in [None, "stay", "over", "compact", "stay", "compact", "stay", "compact",
+                       "below"]:
+            # a new cut before a compaction only: with none before a stay,
+            # every held point is still within the last ub, so the next ub
+            # can keep one more than 7/8 of them
+            wanted = 2 if target is None else len(oracle) + (target == "compact")
+            while len(oracle) < wanted:
+                oracle.add(make_cut(obj, pts[int(rng.integers(len(pts)))]))
+            theta = np.max([pts @ c.grad + c.intercept for c in oracle], axis=0)
+            live = theta[held]
+            most = 7 * len(live) // 8
+            if target == "below":
+                ub = float(live.min()) - 1.0
+            elif target is not None:
+                keep = {"stay": most + 1, "over": min(most, block + 1)}.get(target, min(most, block))
+                ub = min(x for x in (ub, float(np.sort(live)[keep - 1])) if x is not None)
+            before = backend._sets.table if backend._sets else None
+            res = backend.solve_cp(oracle, dom, 30.0, ub=ub)
+            i = int(np.argmin(live))
+            np.testing.assert_array_equal(res.x, pts[held[i]])
+            assert res.objective == pytest.approx(live[i], abs=1e-12)
+            if target is not None:
+                alive = live <= ub + FEAS_TOL
+                count = np.count_nonzero(alive)
+                fits, few = bool(count <= block), bool(count <= most)
+                compacts = bool(alive[i]) and fits and few
+                whole = form == "whole" and len(live) == len(pts)
+                outcomes.add(("whole" if whole else "table", compacts, fits, few))
+                if compacts:
+                    held = held[alive]
+                else:
+                    assert backend._sets.table is before
+            sets = backend._sets
+            assert_whole_or_one_table(sets, len(pts))
+            np.testing.assert_allclose(sets.theta, theta[held], rtol=0.0, atol=1e-12)
+            if sets.table is None:
+                assert form == "whole" and len(held) == len(pts)
+            else:
+                np.testing.assert_array_equal(decoded(sets.table, n), pts[held])
+            for level in [] if ub is None else [ub, 0.5 * (ub + res.objective)]:
+                rows = CutRows(oracle, level)
+                for cost in (1.0 - 2.0 * rng.uniform(-1.0, 2.0, size=n),
+                             rng.integers(-1, 2, size=n).astype(float)):
+                    got = backend._solve_linear(cost, dom, rows, 30.0)
+                    want = plain_scan(cost, dom, rows)
+                    assert got.ok == (want is not None)
+                    if want is not None:
+                        np.testing.assert_array_equal(got.x, want[0])
+                        assert got.objective == pytest.approx(want[1], abs=1e-12)
+    # each arm of the rule is taken on the form the state starts in, and
+    # on the table it makes
+    start = "whole" if form == "whole" else "table"
+    assert (start, True, True, True) in outcomes
+    if block == 64:
+        assert ("whole", False, False, True) in outcomes  # past a block alone
+    else:
+        assert (start, False, True, False) in outcomes  # past 7/8 alone
+    assert ("table", True, True, True) in outcomes
+    assert ("table", False, True, False) in outcomes
+    assert ("table", False, True, True) in outcomes  # the minimum above ub
 
 
 def cp_answer_at(n, m, theta):

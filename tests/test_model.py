@@ -138,7 +138,7 @@ class TestCutRowsView:
         rows = CutRows(oracle, level)
         assert len(rows) == len(rows.coeffs) == len(rows.limit) == len(cuts)
         for i, cut in enumerate(cuts):
-            rhs = level - cut.value + float(cut.grad @ cut.anchor)
+            rhs = level - cut.intercept
             assert rows.rhs[i] == rhs
             assert rows.limit[i] == rhs + FEAS_TOL
             np.testing.assert_array_equal(rows.coeffs[i], cut.grad)
