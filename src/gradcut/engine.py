@@ -2,10 +2,19 @@
 
 Each iteration solves the MILP cutting-plane relaxation for a lower bound,
 stops when the UB-LB gap closes, and otherwise generates the next cut anchor:
-either the relaxation solution itself, or the output of the projected-gradient
-local solver (local.pgm_solve) run on the feasible set tightened by offset cut
-rows. An extra cut at the relaxation solution is added when the angle
+either the relaxation solution x_lb itself, or the output of the
+projected-gradient local solver (local.pgm_solve) run on the feasible set
+tightened by offset cut rows. An extra cut at x_lb is added when the angle
 condition suggests the two points straddle the optimum.
+
+Each point is evaluated, and tested against the tightened rows, once per
+iteration. x_lb's cut is made once and serves as the plain step's cut, the
+extra cut and the local solver's start. The local phase starts at x_lb
+itself when x_lb meets the rows, as a binary point with m ones is its own
+projection onto any set it belongs to; only a point off the rows (a lower
+bound within a solver's tolerance) is projected first. The local solver
+returns its final point's cut, which the engine adds without evaluating the
+point again.
 
 With all three feature flags off this reduces exactly to the classical
 cutting-plane method.
@@ -185,8 +194,10 @@ def select_offset(
     backtracks by ceil(log(tau_init/eps) / log(1/kappa_tau)) + 1. A witness
     point of the domain that satisfies the rows settles a check without a
     solve; the lower-bound solution is one whenever tau stays below the gap.
+    The witness is tested once against each set of rows, and the last test
+    is returned: whether it meets the rows chosen (False without a witness).
 
-    Returns (tau, rows, increase_offset, n_backtracks).
+    Returns (tau, rows, increase_offset, n_backtracks, witness_meets).
     """
     deadline = time.perf_counter() + budget
     tau = min(state.tau, cfg.kappa_g * (state.ub - state.lb))
@@ -195,11 +206,14 @@ def select_offset(
     while True:
         if tau < cfg.epsilon:
             tau = 0.0
-            rows = build_cut_constraints(state.oracle, state.ub, tau)
-            return tau, rows, increase, backtracks
         rows = build_cut_constraints(state.oracle, state.ub, tau)
-        if check_nonempty(dom, rows, deadline - time.perf_counter(), backend, witness):
-            return tau, rows, increase, backtracks
+        meets = witness is not None and rows.satisfied_by(witness)
+        if (
+            tau == 0.0
+            or meets
+            or check_nonempty(dom, rows, deadline - time.perf_counter(), backend)
+        ):
+            return tau, rows, increase, backtracks, meets
         tau *= cfg.kappa_tau
         increase = False
         backtracks += 1
@@ -328,35 +342,45 @@ def _run(
             record()
             status = SolveStatus.EPS_OPTIMAL
             break
+        lb_cut = make_cut(work, x_lb)
         lb_key = anchor_key(x_lb)
-        x_next, next_key = x_lb, lb_key  # the plain step, unless a local point replaces it
+        cut, next_key = lb_cut, lb_key  # the plain step, unless a local point replaces it
 
         if cfg.use_local_solver:
             if cfg.use_offset:
-                tau, rows, state.increase_offset, n_bt = select_offset(
+                tau, rows, state.increase_offset, n_bt, meets = select_offset(
                     state, cfg, dom, backend, remaining(), witness=x_lb
                 )
                 state.tau = tau
                 offset_backtracks += n_bt
             else:
                 rows = build_cut_constraints(oracle, state.ub, 0.0)
+                meets = rows.satisfied_by(x_lb)
             tau_used = state.tau if cfg.use_offset else 0.0
-            start = project(x_lb, dom, rows, remaining(), backend)
+            # x_lb is binary with m ones, so it is its own projection when it
+            # meets the rows; a lower bound within a solver's tolerance may not
+            start = None
+            if remaining() > 0 and meets:
+                start = lb_cut
+            else:
+                projected = project(x_lb, dom, rows, remaining(), backend)
+                if projected.ok:
+                    start = make_cut(work, projected.x)
             # the plain step stays where the tightened set is unavailable, or
             # where the local point's cut exists and x_lb's does not: the
             # iteration would be a no-op, and the relaxation must tighten
-            if start.ok:
-                local = pgm_solve(work, dom, rows, start.x, cfg.pgm_params, backend, remaining())
+            if start is not None:
+                local = pgm_solve(work, dom, rows, start, cfg.pgm_params, backend, remaining())
                 local_steps += local.iters
-                key = anchor_key(local.x_final)
+                key = lb_key if local.cut is lb_cut else anchor_key(local.x_final)
                 if key not in oracle or lb_key in oracle:
-                    x_next, next_key = local.x_final, key
+                    cut, next_key = local.cut, key
             if state.increase_offset:
                 state.tau = state.tau / cfg.kappa_tau
         else:
             tau_used = 0.0
 
-        cut = make_cut(work, x_next)
+        x_next = cut.anchor
         if cut.value <= state.ub:
             state.x_ub = x_next
             state.ub = cut.value
@@ -369,7 +393,7 @@ def _run(
             predicate = lb_cut_condition(ip, anchors_equal)
             already_present = lb_key in oracle
             if predicate:
-                added_lb_cut = oracle.add(make_cut(work, x_lb), lb_key)
+                added_lb_cut = oracle.add(lb_cut, lb_key)
             lb_cut_events.append(
                 LbCutEvent(
                     k=state.k,

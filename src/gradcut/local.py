@@ -11,6 +11,11 @@ x - gamma * grad f(x), where spread(x) is the largest gradient entry on the
 support of x less the smallest one off it: every point is a fixed point at
 such a step (Beck and Eldar, SIAM J. Optim. 23(3), 2013). So each iteration
 starts its step just past that first breakpoint.
+
+The solver starts from a point's cut, whose f and gradient it reads, and
+returns the cut at its final point, built from the values it evaluated
+there: each point is evaluated once. The engine starts it at the lower
+bound's point when that point meets the rows.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import numpy as np
 from .milp import MilpBackend, project
 from .model import (
     FEAS_TOL,
+    Cut,
     CutRows,
     FeasibleDomain,
     QuadraticObjective,
@@ -55,11 +61,21 @@ class PgmParams:
 
 @dataclass(frozen=True)
 class LocalResult:
-    x_final: np.ndarray
-    f_final: float
+    """How a local solve ended: cut is the tangent data at its final point,
+    built from the f and gradient the solve evaluated there."""
+
+    cut: Cut
     iters: int
     critical: bool
     eta: float
+
+    @property
+    def x_final(self) -> np.ndarray:
+        return self.cut.anchor
+
+    @property
+    def f_final(self) -> float:
+        return self.cut.value
 
 
 def sufficient_decrease(
@@ -123,54 +139,64 @@ def pgm_solve(
     obj: QuadraticObjective,
     dom: FeasibleDomain,
     cut_rows: CutRows,
-    x0: np.ndarray,
+    start: Cut,
     params: PgmParams,
     backend: MilpBackend,
     budget: float = float("inf"),
 ) -> LocalResult:
-    """Projected gradient descent from a feasible x0; monotone, finite.
+    """Projected gradient descent from a feasible point; monotone, finite.
 
-    Each iteration's step is the one carried over from the last iteration
-    (gamma0 for the first), raised to PAST_BREAKPOINT / spread(x) when the
-    spread is positive, and halved on failed decrease tests. A spread of zero
-    or less means x already minimizes the linearization on the slice, and the
-    step is left as it is. Termination fires when the current point itself
-    attains the projection optimum (criticality), or on iteration/backtrack/
-    time caps, in which case the best iterate so far is returned with
-    critical=False.
+    start is make_cut(obj, x0) at the start point x0, whose f and gradient
+    the solve reads instead of evaluating them. Each iteration's step is the
+    one carried over from the last iteration (gamma0 for the first), raised
+    to PAST_BREAKPOINT / spread(x) when the spread is positive, and halved on
+    failed decrease tests. A spread of zero or less means x already minimizes
+    the linearization on the slice, and the step is left as it is.
+    Termination fires when the current point itself attains the projection
+    optimum (criticality), or on iteration/backtrack/time caps, in which case
+    the best iterate so far is returned with critical=False.
+
+    Each point is evaluated once: f when it is first a candidate, the
+    gradient once it is accepted. A candidate met before, the start or one
+    a failed decrease test turned down, reads the f kept for it. The
+    result's cut is the final point's, from those values; it is start itself
+    when no step was accepted.
     """
-    x = np.asarray(x0, dtype=float)
-    fx = eval_objective(obj, x)
+    x, fx, grad = start.anchor, start.value, start.grad
+    cut = start
+    f_at = {x.tobytes(): fx}
     gamma = params.gamma0
     deadline = time.perf_counter() + budget
     iters = 0
     while iters < params.max_iters:
-        grad = eval_gradient(obj, x)
         spread = _spread(x, grad)
         if spread > 0:
             gamma = max(gamma, PAST_BREAKPOINT / spread)
         accepted = False
-        x_new = x
-        f_new = fx
         for _ in range(params.max_backtracks + 1):
             remaining = deadline - time.perf_counter()
             z = x - gamma * grad
             res = project(z, dom, cut_rows, remaining, backend)
             if not res.ok:
-                return LocalResult(x, fx, iters, critical=False, eta=gamma)
+                return LocalResult(cut, iters, critical=False, eta=gamma)
             if _attains_projection(x, z, res.objective):
-                return LocalResult(x, fx, iters, critical=True, eta=gamma)
+                return LocalResult(cut, iters, critical=True, eta=gamma)
             x_new = res.x
-            f_new = eval_objective(obj, x_new)
+            seen = x_new.tobytes()
+            f_new = f_at.get(seen)
+            if f_new is None:
+                f_new = f_at[seen] = eval_objective(obj, x_new)
             if sufficient_decrease(fx, f_new, x, x_new, grad, gamma, params):
                 accepted = True
                 break
             gamma *= params.beta
         if not accepted:
-            return LocalResult(x, fx, iters, critical=False, eta=gamma)
+            return LocalResult(cut, iters, critical=False, eta=gamma)
         x, fx = x_new, f_new
+        grad = eval_gradient(obj, x)
+        cut = Cut(anchor=x, grad=grad, value=fx)
         iters += 1
-    return LocalResult(x, fx, iters, critical=False, eta=gamma)
+    return LocalResult(cut, iters, critical=False, eta=gamma)
 
 
 def _spread(x: np.ndarray, grad: np.ndarray) -> float:

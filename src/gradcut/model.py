@@ -331,7 +331,9 @@ def eval_gradient(obj: QuadraticObjective, x) -> np.ndarray:
 
 
 def make_cut(obj: QuadraticObjective, x_a) -> Cut:
-    """Tangent plane of the quadratic at a binary anchor."""
+    """Tangent plane of the quadratic at a binary anchor: f and its gradient
+    there, as eval_objective and eval_gradient give them, with the point's
+    shape checked once."""
     x_a = _check_dim(obj, x_a)
-    return Cut(anchor=x_a, grad=eval_gradient(obj, x_a), value=eval_objective(obj, x_a))
+    return Cut(anchor=x_a, grad=obj.q @ x_a, value=0.5 * float(x_a @ obj.q @ x_a))
 

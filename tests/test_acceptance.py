@@ -186,7 +186,7 @@ def test_pgm_termination_suite():
         dom = FeasibleDomain(n=n, m=m)
         pts = all_points(n, m)
         x0 = pts[int(rng.integers(len(pts)))]
-        res = pgm_solve(obj, dom, rows_of(), x0, PgmParams(), backend)
+        res = pgm_solve(obj, dom, rows_of(), make_cut(obj, x0), PgmParams(), backend)
         assert res.critical, trial
         assert res.iters < PgmParams().max_iters
         assert is_feasible(dom, res.x_final)
@@ -227,7 +227,7 @@ def test_offset_backtracking_bound():
             oracle=oracle,
             trace=RunTrace(records=[], config_name="pgm-tau", instance_name="", f0=f_star),
         )
-        tau, rows, increase, backtracks = select_offset(state, cfg, dom, backend)
+        tau, rows, increase, backtracks, _ = select_offset(state, cfg, dom, backend)
         bound = math.ceil(math.log(tau_init / cfg.epsilon) / math.log(1 / cfg.kappa_tau)) + 1
         assert backtracks <= bound, (trial, backtracks, bound)
         assert tau == 0.0

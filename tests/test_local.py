@@ -9,13 +9,14 @@ from gradcut.local import (
     pgm_solve,
     sufficient_decrease,
 )
-from gradcut.milp import BruteForceBackend
+from gradcut.milp import BruteForceBackend, MilpResult, MilpStatus, StatusKind
 from gradcut.model import (
     FeasibleDomain,
     QuadraticObjective,
     eval_gradient,
     eval_objective,
     is_feasible,
+    make_cut,
 )
 
 from conftest import (
@@ -112,7 +113,7 @@ class TestPgmSolve:
         # gamma halving (scores tie at gamma = 1/2)
         obj = QuadraticObjective(Q_FULL)
         dom = FeasibleDomain(n=3, m=1)
-        res = pgm_solve(obj, dom, rows_of(), e(1), PgmParams(), BruteForceBackend())
+        res = pgm_solve(obj, dom, rows_of(), make_cut(obj, e(1)), PgmParams(), BruteForceBackend())
         assert res.critical is True
         np.testing.assert_array_equal(res.x_final, e(0))
         assert res.f_final == 1.0
@@ -122,7 +123,9 @@ class TestPgmSolve:
     def test_fixed_point_returns_immediately(self):
         obj = QuadraticObjective(Q_FULL)
         dom = FeasibleDomain(n=3, m=1)
-        res = pgm_solve(obj, dom, rows_of(), e(0), PgmParams(gamma0=0.5), BruteForceBackend())
+        res = pgm_solve(
+            obj, dom, rows_of(), make_cut(obj, e(0)), PgmParams(gamma0=0.5), BruteForceBackend()
+        )
         assert res.critical is True
         assert res.iters == 0
         np.testing.assert_array_equal(res.x_final, e(0))
@@ -132,14 +135,16 @@ class TestPgmSolve:
         obj = QuadraticObjective(Q_FULL)
         dom = FeasibleDomain(n=3, m=1)
         rows = rows_of([np.array([1.0, 0.0, 0.0])], [0.0])
-        res = pgm_solve(obj, dom, rows, e(1), PgmParams(), BruteForceBackend())
+        res = pgm_solve(obj, dom, rows, make_cut(obj, e(1)), PgmParams(), BruteForceBackend())
         assert res.x_final[0] == 0.0
         assert res.f_final <= eval_objective(obj, e(1))
 
     def test_budget_exhaustion_returns_start(self):
         obj = QuadraticObjective(Q_FULL)
         dom = FeasibleDomain(n=3, m=1)
-        res = pgm_solve(obj, dom, rows_of(), e(1), PgmParams(), BruteForceBackend(), budget=0.0)
+        res = pgm_solve(
+            obj, dom, rows_of(), make_cut(obj, e(1)), PgmParams(), BruteForceBackend(), budget=0.0
+        )
         assert res.critical is False
         np.testing.assert_array_equal(res.x_final, e(1))
 
@@ -154,7 +159,7 @@ class TestPgmSolve:
         pts = feasible_points(dom)
         x0 = pts[int(rng.integers(len(pts)))]
         backend = RecordingBackend()
-        res = pgm_solve(obj, dom, rows_of(), x0, PgmParams(), backend)
+        res = pgm_solve(obj, dom, rows_of(), make_cut(obj, x0), PgmParams(), backend)
         assert res.critical is True
         assert is_feasible(dom, res.x_final)
         assert res.f_final <= eval_objective(obj, x0) + 1e-12
@@ -191,6 +196,47 @@ class TestPgmSolve:
         assert model(res.x) <= best + 1e-9
 
 
+class FailingAfter(BruteForceBackend):
+    """Answers the first `answers` linear solves, then fails every one."""
+
+    def __init__(self, answers):
+        super().__init__()
+        self.answers = answers
+
+    def solve_linear(self, cost, dom, rows, budget):
+        if self.answers == 0:
+            return MilpResult(status=MilpStatus(StatusKind.ERROR, "scripted failure"))
+        self.answers -= 1
+        return super().solve_linear(cost, dom, rows, budget)
+
+
+@pytest.mark.parametrize(
+    "params, backend, budget, way",
+    [
+        (PgmParams(), BruteForceBackend, float("inf"), (4, True)),
+        (PgmParams(max_iters=1), BruteForceBackend, float("inf"), (1, False)),
+        (PgmParams(max_backtracks=0), BruteForceBackend, float("inf"), (4, False)),
+        (PgmParams(), BruteForceBackend, 0.0, (0, False)),
+        (PgmParams(), lambda: FailingAfter(2), float("inf"), (2, False)),
+    ],
+    ids=["critical", "iteration-cap", "backtrack-cap", "no-budget", "failed-projection"],
+)
+def test_the_returned_cut_is_the_final_points_bit_for_bit(params, backend, budget, way):
+    # the solve builds its final cut from the f and gradient it evaluated
+    rng = np.random.default_rng(0)
+    obj = random_symmetric_objective(rng, 9)
+    dom = FeasibleDomain(n=9, m=3)
+    pts = feasible_points(dom)
+    x0 = pts[int(rng.integers(len(pts)))]
+    res = pgm_solve(obj, dom, rows_of(), make_cut(obj, x0), params, backend(), budget)
+    assert (res.iters, res.critical) == way
+    ref = make_cut(obj, res.x_final)
+    assert res.cut.anchor.tobytes() == ref.anchor.tobytes()
+    assert res.cut.grad.tobytes() == ref.grad.tobytes()
+    assert np.float64(res.cut.value).tobytes() == np.float64(ref.value).tobytes()
+    assert res.f_final == ref.value
+
+
 def spread(obj, x):
     """The largest gradient entry on the support of x less the smallest off it."""
     g = eval_gradient(obj, x)
@@ -216,7 +262,8 @@ class TestBreakpointStep:
         results = []
         for q in (obj.q, obj.q * 2.0**k):
             backend = RecordingBackend()
-            res = pgm_solve(QuadraticObjective(q), dom, rows_of(), x0, params, backend)
+            obj_q = QuadraticObjective(q)
+            res = pgm_solve(obj_q, dom, rows_of(), make_cut(obj_q, x0), params, backend)
             results.append((res.x_final.tolist(), res.iters, res.critical, len(backend.returned)))
         assert results[0] == results[1]
 
@@ -234,12 +281,14 @@ class TestBreakpointStep:
         x0 = pts[int(rng.integers(len(pts)))]
         assume(spread(obj, x0) > 0)
         backend = RecordingBackend()
-        pgm_solve(obj, dom, rows_of(), x0, PgmParams(), backend)
+        pgm_solve(obj, dom, rows_of(), make_cut(obj, x0), PgmParams(), backend)
         assert not np.array_equal(backend.returned[0], x0)
 
     def test_step_left_alone_where_x_minimizes_the_linearization(self):
         # at e2 the gradient of -Q_DIAG is (0, 0, -6), a spread of -6
         obj = QuadraticObjective(-Q_DIAG)
         dom = FeasibleDomain(n=3, m=1)
-        res = pgm_solve(obj, dom, rows_of(), e(2), PgmParams(gamma0=0.25), BruteForceBackend())
+        res = pgm_solve(
+            obj, dom, rows_of(), make_cut(obj, e(2)), PgmParams(gamma0=0.25), BruteForceBackend()
+        )
         assert (res.critical, res.iters, res.eta) == (True, 0, 0.25)

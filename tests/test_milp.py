@@ -611,15 +611,6 @@ def test_check_nonempty_raises_on_any_backend_error():
         check_nonempty(dom, rows, 30.0, ErroringBackend())
 
 
-def test_check_nonempty_witness_settles_without_a_solve():
-    dom = FeasibleDomain(n=3, m=1)
-    # the single row 4 x1 <= 3.9 admits e0 and cuts off e1
-    rows = build_cut_constraints(oracle_at(Q_DIAG, [e(1)]), ub=2.0, tau=0.1)
-    assert check_nonempty(dom, rows, 30.0, ErroringBackend(), witness=e(0)) is True
-    with pytest.raises(MilpSolveError):
-        check_nonempty(dom, rows, 30.0, ErroringBackend(), witness=e(1))
-
-
 def test_bruteforce_ignores_the_upper_limit():
     oracle = oracle_at(Q_DIAG, [e(0), e(1), e(2)])
     res = BruteForceBackend().solve_cp(list(oracle), FeasibleDomain(n=3, m=1), 30.0, -10.0)
