@@ -36,7 +36,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -329,13 +329,14 @@ class _LevelSets:
         scan the slice once per cut row. With no size rule, rounds of the
         five configurations on nonconvex_random 22/6 seed 0 (74,613 points,
         2.3 blocks) took 7.1 s, not 72 ms. At more than new + 1 blocks, cpm
-        on psd_random 24/6 seed 0 (4.1 blocks) took 34.5 ms, not 30.5 (least
-        of 10 runs): its level sets at the minimum hold 13,000 to 19,000
-        points, whose walks cost more than the sweeps they defer, and its
-        fourth lower bound sweeps all the same. On mdp_like 30/6 seed 2
-        (18.1 blocks), cpm's second to fourth lower bounds walk 1,229, 554
-        and 5,346 points, and the fifth walks under ub into a table, so the
-        run never sweeps (2-core machine).
+        on psd_random 24/6 seed 0 (4.1 blocks) took 29.6 to 32.2 ms, not
+        26.9 to 28.9 (least of 20 runs, in each of five processes): its
+        level sets at the minimum hold 13,000 to 19,000 points, whose walks
+        cost more than the sweeps they defer, and its fourth lower bound
+        sweeps all the same. On mdp_like 30/6 seed 2 (18.1 blocks), cpm's
+        second to fourth lower bounds walk 1,229, 554 and 5,346 points, and
+        the fifth walks under ub into a table, so the run never sweeps
+        (2-core machine).
 
         With ub, lower the state's ub, and where the minimum is within ub +
         FEAS_TOL compact by the one rule of the class. A minimum above it
@@ -541,12 +542,12 @@ def _walk(grads: np.ndarray, intercepts: np.ndarray, limit: float, n: int, m: in
     newest first instead, the five configurations on mdp_like 24/6 seed 0
     and 26/5 seed 1 fold over tables of 30,890 and 6,025 points, not 1,431
     and 423, and a round of them takes 31.0 and 20.5 ms, not 17.2 and 17.6
-    (2-core machine). No other cut is tried: a walk that gives up costs 0.1
-    to 0.4 ms on an n=30 m=6 slice, and where the likely least level set
-    holds more than _BLOCK points, so, as a rule, do the others. Of 38 walks
-    under ub that gave up on nine whole diversity, psd and nonconvex slices
-    under all five configurations, none had another cut whose level set
-    fit."""
+    (2-core machine). No other cut is tried: a walk that gives up costs
+    0.02 to 0.14 ms on an n=30 m=6 slice, and where the likely least level
+    set holds more than _BLOCK points, so, as a rule, do the others. Of 38
+    walks under ub that gave up on nine whole diversity, psd and nonconvex
+    slices under all five configurations, none had another cut whose level
+    set fit."""
     if limit == np.inf:
         return None  # the whole slice, which is more than a block
     spread = grads.std(axis=1)
@@ -614,39 +615,88 @@ def _level_set(g: np.ndarray, c: float, limit: float, n: int, m: int):
     last child completes. So the walk gives up at the first depth whose
     prefixes have more than _BLOCK such points, no later than at one of
     more than _BLOCK prefixes. limit is finite.
+
+    Each prefix is one key, the bits of its coordinates in ceil(n/64)
+    unsigned 64-bit words (_shape), which a child makes from its parent's
+    by one or. The keys of two points compare as their ranks do, reversed,
+    so one sort of the keys puts the points in rank order (_in_rank_order).
     """
+    shape = _shape(n, m)
     order = g.argsort(kind="stable")
     h = g[order]
-    tails = np.concatenate([[0.0], np.cumsum(h)])
+    tails = np.concatenate([[0.0], h.cumsum()])
     room = limit - c + FEAS_TOL * (1.0 + abs(c) + m * np.abs(g).max())
     # least[k - 1, j]: the least sum of a child at position j at depth k and
     # its completion, the m - k + 1 coordinates from j on, inf past the end
-    ends = np.arange(n) + np.arange(m, 0, -1)[:, None]
-    least = np.where(ends <= n, tails.take(np.minimum(ends, n)) - tails[:n], np.inf)
+    least = np.where(shape.inside, tails.take(shape.ends) - tails[:n], np.inf)
     np.maximum.accumulate(least, axis=1, out=least)  # sorted, where rounding is not
-    # within[r][j] = C(j + r, r + 1), each row the running sum of the last
-    within = [np.arange(n + 1, dtype=float)]
-    for _ in range(m - 1):
-        within.append(np.cumsum(within[-1]))
-    prefixes = np.zeros(((n + 7) // 8, 1), dtype=np.uint8)
+    bits = shape.bits.take(order, axis=0)  # the key of each position in h
+    keys = np.zeros((1, bits.shape[1]), dtype=np.uint64)
     sums = np.zeros(1)
     last = np.array([-1])  # the position in h of each prefix's last coordinate
     for k in range(1, m + 1):
         counts = np.searchsorted(least[k - 1], room - sums, side="right") - last - 1
         np.maximum(counts, 0, out=counts)
-        if within[m - k].take(counts).sum() > _BLOCK:
+        if shape.within[m - k].take(counts).sum() > _BLOCK:
             return None
-        size = int(counts.sum())
-        parent = np.repeat(np.arange(len(counts)), counts)
-        last = np.arange(size) + np.repeat(last + 1 - (np.cumsum(counts) - counts), counts)
-        sums = sums[parent] + h[last]
-        coord = order.take(last)
-        prefixes = prefixes.take(parent, axis=1)
-        # bit coord of column i, through the flat view: one index per column
-        prefixes.reshape(-1)[(coord >> 3) * size + np.arange(size)] |= _BIT[coord & 7]
-    # rank order: the first point holds the lower coordinate where two differ,
-    # so its packed bytes read as the larger number
-    return prefixes[:, np.lexsort(prefixes[::-1])[::-1]]
+        starts = counts.cumsum() - counts  # where each prefix's children start
+        parent = np.arange(len(counts)).repeat(counts)
+        # a prefix's children follow its last coordinate, in order
+        last = np.arange(len(parent)) + (last + 1 - starts).take(parent)
+        sums = sums.take(parent) + h.take(last)
+        keys = keys.take(parent, axis=0) | bits.take(last, axis=0)
+    return _in_rank_order(keys, n)
+
+
+def _in_rank_order(keys: np.ndarray, n: int) -> np.ndarray:
+    """The points of keys, one row of words each (_shape), as packed bit rows
+    in rank order, one column per point. The first of two points holds the
+    lower coordinate where they differ, so its key reads as the larger
+    number: one sort of one word, a lexsort of the words past 64
+    coordinates. Each word, big-endian, is the packed bytes of its 64
+    coordinates."""
+    if keys.shape[1] == 1:
+        keys = np.sort(keys, axis=0)[::-1]
+    else:
+        keys = keys[np.lexsort(keys.T[::-1])[::-1]]
+    return np.ascontiguousarray(keys.astype(">u8").view(np.uint8)[:, : (n + 7) // 8].T)
+
+
+class _Shape(NamedTuple):
+    """The constants of level-set walks and Lagrangian relaxations on the
+    slice of shape (n, m), read-only (_shape)."""
+
+    # within[r, j] = C(j + r, r + 1), each row the running sum of the last
+    within: np.ndarray
+    # ends[k - 1, j]: the index, in the n + 1 running sums of a walk, of the
+    # sum up to the end of the completion of a child at position j at depth
+    # k, cut at n; inside[k - 1, j]: whether that completion fits in n
+    ends: np.ndarray
+    inside: np.ndarray
+    # bits[c]: the key of coordinate c, bit 63 - c % 64 of word c // 64
+    bits: np.ndarray
+    # every pair i < j of coordinates, as np.triu_indices(n, 1) gives them
+    pairs: tuple
+
+
+# a shape holds C(n, 2) pairs of indices, 3 MB at n=614 m=2, the widest
+# enumerable slice of more than one block, and so the widest that walks
+@functools.lru_cache(maxsize=4)
+def _shape(n: int, m: int) -> _Shape:
+    """The constants of the slice of shape (n, m), built on first use and
+    shared by every walk on it, on any thread."""
+    within = np.empty((m, n + 1))
+    within[0] = np.arange(n + 1)
+    for r in range(1, m):
+        np.cumsum(within[r - 1], out=within[r])
+    ends = np.arange(n) + np.arange(m, 0, -1)[:, None]
+    coord = np.arange(n)
+    bits = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
+    bits[coord, coord >> 6] = np.left_shift(np.uint64(1), (63 - (coord & 63)).astype(np.uint64))
+    shape = _Shape(within, np.minimum(ends, n), ends <= n, bits, np.triu_indices(n, 1))
+    for array in (within, shape.ends, shape.inside, bits, *shape.pairs):
+        array.flags.writeable = False
+    return shape
 
 
 def _lagrangian(cost: np.ndarray, rows: CutRows, n: int, m: int):
@@ -682,7 +732,7 @@ def _lagrangian(cost: np.ndarray, rows: CutRows, n: int, m: int):
         return None
     r = int(met.argmin())
     a = rows.coeffs[r]
-    i, j = np.triu_indices(n, 1)
+    i, j = _shape(n, m).pairs
     keep = a[i] != a[j]
     swaps = (cost[j] - cost[i])[keep] / (a[i] - a[j])[keep]
     edges = np.concatenate([[0.0], np.sort(swaps[swaps > 0])])

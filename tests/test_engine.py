@@ -880,12 +880,36 @@ BENCHMARK_CELLS = {
 }
 
 
-@pytest.mark.parametrize("config", CONFIG_NAMES)
-@pytest.mark.parametrize("cell", list(BENCHMARK_CELLS), ids=["mdp30", "nonconvex12", "psd14"])
-def test_benchmark_cells_keep_their_results(cell, config):
+# the same for mdp_like slices held whole, of 65,780 to 593,775 points,
+# whose lower bounds and queries the enumerator answers by level-set walks
+WHOLE_SLICE_CELLS = {
+    ("mdp_like", 24, 6, 0): (
+        -126.60246142522712,
+        {"cpm": (11, 0), "pgm": (10, 9), "pgm-tau": (8, 4), "pgm-lb": (10, 9), "pgm-tau-lb": (6, 4)},
+    ),
+    ("mdp_like", 26, 5, 1): (
+        -73.72150114712757,
+        {"cpm": (13, 0), "pgm": (11, 7), "pgm-tau": (10, 4), "pgm-lb": (8, 5), "pgm-tau-lb": (8, 4)},
+    ),
+    ("mdp_like", 22, 8, 3): (
+        -195.52648949078073,
+        {"cpm": (6, 0), "pgm": (5, 6), "pgm-tau": (5, 4), "pgm-lb": (5, 6), "pgm-tau-lb": (4, 4)},
+    ),
+    ("mdp_like", 30, 6, 0): (
+        -130.38597332061863,
+        {"cpm": (9, 0), "pgm": (11, 7), "pgm-tau": (8, 3), "pgm-lb": (8, 4), "pgm-tau-lb": (8, 1)},
+    ),
+    ("mdp_like", 28, 6, 4): (
+        -113.99069420525834,
+        {"cpm": (12, 0), "pgm": (10, 8), "pgm-tau": (11, 12), "pgm-lb": (9, 7), "pgm-tau-lb": (8, 11)},
+    ),
+}
+
+
+def assert_cell_keeps_its_results(cell, config, pinned):
     kind, n, m, seed = cell
     inst = synth_instance(n, m, kind, seed)
-    f_best, counts = BENCHMARK_CELLS[cell]
+    f_best, counts = pinned[cell]
     backend = AutoBackend()
     out = run(
         inst.obj, inst.dom, default_x0(inst.dom, backend), SolverConfig.from_name(config), backend
@@ -893,6 +917,18 @@ def test_benchmark_cells_keep_their_results(cell, config):
     assert out.status is SolveStatus.EPS_OPTIMAL
     assert (out.iterations, out.local_steps) == counts[config]
     assert out.f_best == pytest.approx(f_best, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("config", CONFIG_NAMES)
+@pytest.mark.parametrize("cell", list(BENCHMARK_CELLS), ids=["mdp30", "nonconvex12", "psd14"])
+def test_benchmark_cells_keep_their_results(cell, config):
+    assert_cell_keeps_its_results(cell, config, BENCHMARK_CELLS)
+
+
+@pytest.mark.parametrize("config", CONFIG_NAMES)
+@pytest.mark.parametrize("cell", list(WHOLE_SLICE_CELLS), ids=lambda c: f"{c[1]}-{c[2]}-s{c[3]}")
+def test_whole_slice_cells_keep_their_results(cell, config):
+    assert_cell_keeps_its_results(cell, config, WHOLE_SLICE_CELLS)
 
 
 class WarningBackend(BruteForceBackend):

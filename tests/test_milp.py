@@ -969,7 +969,7 @@ def test_a_tight_cut_walks_its_level_set_into_the_table(config):
                                [r.lb for r in forced.trace.records], rtol=0.0, atol=1e-12)
 
 
-WALK_GRID = [(10, 4), (9, 1), (9, 8), (17, 3), (12, 6), (20, 2)]
+WALK_GRID = [(10, 4), (9, 1), (9, 8), (17, 3), (12, 6), (20, 2), (64, 2), (66, 2)]
 
 
 @pytest.mark.parametrize("n, m", WALK_GRID)
@@ -1009,6 +1009,74 @@ def test_level_set_walk_matches_a_plain_scan(n, m, whole_number):
                 assert milp._level_set(g, c, float(limit), n, m) is None
             with mock.patch.object(milp, "_BLOCK", len(ranks)):
                 np.testing.assert_array_equal(milp._level_set(g, c, float(limit), n, m), table)
+
+
+def reference_level_set(g, c, limit, n, m):
+    """The level-set walk as it was before each prefix became one key: the
+    prefixes are columns of packed bytes, each depth sets a coordinate's bit
+    through a flat index, and a lexsort of the bytes gives rank order. The
+    oracle of _level_set, which must give the same table or None."""
+    order = g.argsort(kind="stable")
+    h = g[order]
+    tails = np.concatenate([[0.0], np.cumsum(h)])
+    room = limit - c + FEAS_TOL * (1.0 + abs(c) + m * np.abs(g).max())
+    ends = np.arange(n) + np.arange(m, 0, -1)[:, None]
+    least = np.where(ends <= n, tails.take(np.minimum(ends, n)) - tails[:n], np.inf)
+    np.maximum.accumulate(least, axis=1, out=least)
+    within = [np.arange(n + 1, dtype=float)]
+    for _ in range(m - 1):
+        within.append(np.cumsum(within[-1]))
+    prefixes = np.zeros(((n + 7) // 8, 1), dtype=np.uint8)
+    sums = np.zeros(1)
+    last = np.array([-1])
+    for k in range(1, m + 1):
+        counts = np.searchsorted(least[k - 1], room - sums, side="right") - last - 1
+        np.maximum(counts, 0, out=counts)
+        if within[m - k].take(counts).sum() > milp._BLOCK:
+            return None
+        size = int(counts.sum())
+        parent = np.repeat(np.arange(len(counts)), counts)
+        last = np.arange(size) + np.repeat(last + 1 - (np.cumsum(counts) - counts), counts)
+        sums = sums[parent] + h[last]
+        coord = order.take(last)
+        prefixes = prefixes.take(parent, axis=1)
+        prefixes.reshape(-1)[(coord >> 3) * size + np.arange(size)] |= milp._BIT[coord & 7]
+    return prefixes[:, np.lexsort(prefixes[::-1])[::-1]]
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 70])
+@pytest.mark.parametrize("whole_number", [True, False])
+def test_level_set_walk_matches_the_byte_walk(n, whole_number):
+    """_level_set gives the reference walk's table, bytes, shape, dtype and
+    C order alike, or None on exactly the same draws: on either side of 64
+    coordinates, at m = 1, 2, 3 and n - 1, at limits from below the least
+    value to above the largest, with blocks of the default size and of 500
+    points, so that both give up on some draws and not on others."""
+    rng = np.random.default_rng(n + 1000 * whole_number)
+    outcomes = set()
+    for m in (1, 2, 3, n - 1):
+        for _ in range(3):
+            if whole_number:
+                cut = whole_number_cut(rng, n)
+                g, c = cut.grad, cut.intercept
+            else:
+                g, c = rng.standard_normal(n), float(rng.standard_normal())
+            h = np.sort(g)
+            low, high = h[:m].sum() + c, h[n - m :].sum() + c
+            for limit in np.linspace(low - 1.0, high + 1.0, 9):
+                for block in (milp._BLOCK, 500):
+                    with mock.patch.object(milp, "_BLOCK", block):
+                        want = reference_level_set(g, c, float(limit), n, m)
+                        got = milp._level_set(g, c, float(limit), n, m)
+                    outcomes.add(got is None)
+                    if want is None:
+                        assert got is None
+                        continue
+                    assert got.dtype == want.dtype == np.uint8
+                    assert got.shape == want.shape
+                    assert got.flags.c_contiguous
+                    assert got.tobytes() == want.tobytes()
+    assert outcomes == {True, False}
 
 
 def test_walk_takes_the_first_cut_whose_level_set_fits():
@@ -1425,6 +1493,54 @@ def test_one_table_per_slice_shape_on_several_threads():
     for table in tables:
         assert not table.flags.writeable
         np.testing.assert_array_equal(decoded(table, 11), slice_points(11, 3))
+
+
+def test_one_set_of_walk_constants_per_slice_shape_on_several_threads():
+    """Walks on several threads at once, from a cold cache, all read the same
+    constants of their slice shape, read-only, and make the same table. On
+    n=70, keys take two words, and coordinate c is bit 63 - c % 64 of word
+    c // 64."""
+    n, m = 70, 3
+    g = np.random.default_rng(3).standard_normal(n)
+    limit = float(np.sort(g)[:m].sum() + 1.0)
+    milp._shape.cache_clear()
+    start = threading.Barrier(4, timeout=30.0)
+    shapes, tables = [], []
+
+    def walk():
+        start.wait()
+        tables.append(milp._level_set(g, 0.0, limit, n, m))
+        shapes.append(milp._shape(n, m))
+
+    threads = [threading.Thread(target=walk) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(shapes) == len(tables) == 4
+    coord = np.arange(n)
+    i, j = np.triu_indices(n, 1)
+    ends = np.arange(n) + np.arange(m, 0, -1)[:, None]
+    for shape, table in zip(shapes, tables):
+        arrays = (shape.within, shape.ends, shape.inside, shape.bits, *shape.pairs)
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 1
+        within = [[comb(j + r, r + 1) for j in range(n + 1)] for r in range(m)]
+        np.testing.assert_array_equal(shape.within, within)
+        np.testing.assert_array_equal(shape.ends, np.minimum(ends, n))
+        np.testing.assert_array_equal(shape.inside, ends <= n)
+        assert shape.bits.dtype == np.uint64 and shape.bits.shape == (n, 2)
+        bit = np.uint64(1) << (63 - coord % 64).astype(np.uint64)
+        assert np.all(shape.bits[coord, coord // 64] == bit)
+        assert np.count_nonzero(shape.bits) == n
+        np.testing.assert_array_equal(shape.pairs[0], i)
+        np.testing.assert_array_equal(shape.pairs[1], j)
+        assert table.tobytes() == tables[0].tobytes() and table.shape[1] > 0
+    for field in range(len(shapes[0])):
+        for shape in shapes[1:]:
+            np.testing.assert_array_equal(shape[field], shapes[0][field])
 
 
 def test_one_dispatch_per_run():
