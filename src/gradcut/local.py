@@ -114,10 +114,13 @@ def is_critical(
     backend: MilpBackend,
     budget: float = float("inf"),
 ) -> bool:
-    """Whether x attains the projection optimum of x - eta * grad f(x).
+    """Whether x attains the projection optimum of x - eta * grad f(x), within
+    FEAS_TOL.
 
     Membership in the argmin set, checked by comparing objective values rather
-    than point identity, so backend tie-breaking cannot flip the answer.
+    than point identity, so backend tie-breaking cannot flip the answer. The
+    full projection is posed, with no point handed in, so this is the oracle
+    for pgm_solve's stopping test, which hands its point to the projection.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -126,13 +129,7 @@ def is_critical(
     res = project(z, dom, cut_rows, budget, backend)
     if not res.ok:
         raise RuntimeError(f"projection failed during criticality check: {res.status}")
-    return _attains_projection(x, z, res.objective)
-
-
-def _attains_projection(x: np.ndarray, z: np.ndarray, optimum: float) -> bool:
-    """Whether x scores the projection optimum of z, the least (1 - 2z)'y over
-    the binary points y of the projection's domain, within FEAS_TOL."""
-    return float((1.0 - 2.0 * z) @ x) <= optimum + FEAS_TOL
+    return float((1.0 - 2.0 * z) @ x) <= res.objective + FEAS_TOL
 
 
 def pgm_solve(
@@ -154,7 +151,11 @@ def pgm_solve(
     the linearization on the slice, and the step is left as it is.
     Termination fires when the current point itself attains the projection
     optimum (criticality), or on iteration/backtrack/time caps, in which case
-    the best iterate so far is returned with critical=False.
+    the best iterate so far is returned with critical=False. Each trial
+    hands x to project, whose answer is x itself exactly when x scores
+    within FEAS_TOL of the optimum, as is_critical tests; the slice's two
+    least costs often settle that before any enumerator pass or MILP
+    (MilpBackend.solve_linear).
 
     Each point is evaluated once: f when it is first a candidate, the
     gradient once it is accepted. A candidate met before, the start or one
@@ -175,11 +176,10 @@ def pgm_solve(
         accepted = False
         for _ in range(params.max_backtracks + 1):
             remaining = deadline - time.perf_counter()
-            z = x - gamma * grad
-            res = project(z, dom, cut_rows, remaining, backend)
+            res = project(x - gamma * grad, dom, cut_rows, remaining, backend, x)
             if not res.ok:
                 return LocalResult(cut, iters, critical=False, eta=gamma)
-            if _attains_projection(x, z, res.objective):
+            if res.x is x:
                 return LocalResult(cut, iters, critical=True, eta=gamma)
             x_new = res.x
             seen = x_new.tobytes()

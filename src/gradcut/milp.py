@@ -67,6 +67,12 @@ HIGHS_TIGHT_FEAS_TOL = 1e-10
 # the model optimum before it counts as impossible
 BOUND_RTOL = 1e-9
 
+# the rounding that a sum of m costs may carry, relative to m times the
+# largest cost magnitude, as a dot product, the enumerator's tail sums or its
+# byte lookups compute it: thousands of ulps, past what the additions of any
+# slice the enumerator holds can reach
+SUM_RTOL = 1e-12
+
 
 class StatusKind(Enum):
     OPTIMAL = "optimal"
@@ -129,25 +135,50 @@ class MilpBackend(abc.ABC):
         return self
 
     def solve_linear(
-        self, cost: np.ndarray, dom: FeasibleDomain, rows: CutRows, budget: float
+        self,
+        cost: np.ndarray,
+        dom: FeasibleDomain,
+        rows: CutRows,
+        budget: float,
+        x: Optional[np.ndarray] = None,
     ) -> MilpResult:
-        """min <cost, x> over binary x in dom satisfying all rows.
+        """min <cost, y> over binary y in dom satisfying all rows.
 
         The cardinality-only optimum -- the m cheapest coordinates, ties to the
         lowest index -- is tried first. When it satisfies every row it is
         optimal for the full problem, and no solver runs.
+
+        x, when given, is a point of dom on the rows, and the answer is x
+        itself, with its cost, whenever that cost is at most the optimum's
+        plus FEAS_TOL; else, as without it, the first minimizer. An exchange
+        bound may settle this before any solver runs. With s the cost sorted
+        and c1 the cost of the m cheapest, every other point of the slice
+        costs at least c2 = c1 + s[m] - s[m-1], since it swaps k >= 1 of them
+        for coordinates that cost at least s[m] each. So when the m cheapest
+        miss a row, the optimum is at least c2, and x is the answer whenever
+        it costs at most c2 + FEAS_TOL, less a slack for the rounding of the
+        two sums and of a solver's value of the optimum (SUM_RTOL).
         """
         cost = np.asarray(cost, dtype=float)
-        x = _cheapest(cost, dom.m)
-        if rows.satisfied_by(x):
-            obj = float(cost @ x)
-            return MilpResult(
-                status=_OPTIMAL,
-                x=x,
-                objective=obj,
-                dual_bound=obj,
-            )
-        return self._solve_linear(cost, dom, rows, budget)
+        m = dom.m
+        order = cost.argsort(kind="stable")
+        cheapest = np.zeros(len(cost))
+        cheapest[order[:m]] = 1.0
+        at = None if x is None else float(cost @ x)
+        if rows.satisfied_by(cheapest):
+            obj = float(cost @ cheapest)
+            res = MilpResult(status=_OPTIMAL, x=cheapest, objective=obj, dual_bound=obj)
+        else:
+            if at is not None:
+                c2 = float(cost @ cheapest) + (cost[order[m]] - cost[order[m - 1]])
+                if at <= c2 + FEAS_TOL:
+                    slack = SUM_RTOL * (1.0 + m * max(-cost[order[0]], cost[order[-1]]))
+                    if at <= c2 + FEAS_TOL - slack:
+                        return MilpResult(status=_OPTIMAL, x=x, objective=at)
+            res = self._solve_linear(cost, dom, rows, budget)
+        if at is not None and res.ok and at <= res.objective + FEAS_TOL:
+            return MilpResult(status=_OPTIMAL, x=x, objective=at)
+        return res
 
     @abc.abstractmethod
     def _solve_linear(
@@ -1150,18 +1181,22 @@ def project(
     cut_rows: CutRows,
     budget: float,
     backend: MilpBackend,
+    x: Optional[np.ndarray] = None,
 ) -> MilpResult:
     """Euclidean projection of z onto dom intersected with the cut rows.
 
-    For binary x, argmin ||x - z||^2 = argmin <1 - 2z, x>; the returned
-    objective carries <1 - 2z, x> so callers can detect argmin ties.
+    For binary y, argmin ||y - z||^2 = argmin <1 - 2z, y>; the returned
+    objective carries <1 - 2z, y> so callers can detect argmin ties. x, when
+    given, is a point of dom on the rows, handed to solve_linear: the answer
+    is x itself whenever it attains the projection optimum within FEAS_TOL,
+    which the slice's two least costs often settle without a solver.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (dom.n,):
         raise ValueError(f"point has shape {z.shape}, domain dimension is {dom.n}")
     if budget <= 0:
         return _timeout_result()
-    return backend.solve_linear(1.0 - 2.0 * z, dom, cut_rows, budget)
+    return backend.solve_linear(1.0 - 2.0 * z, dom, cut_rows, budget, x)
 
 
 def check_nonempty(

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from gradcut.milp import BruteForceBackend, HighsBackend
-from gradcut.model import FEAS_TOL, Cut, CutOracle, CutRows, FeasibleDomain, QuadraticObjective
+from gradcut.model import (
+    FEAS_TOL,
+    Cut,
+    CutOracle,
+    CutRows,
+    FeasibleDomain,
+    QuadraticObjective,
+    make_cut,
+)
 
 # small worked instances used throughout: a diagonal quadratic and a dense one
 Q_DIAG = np.diag([2.0, 4.0, 6.0])
@@ -61,6 +69,27 @@ def rows_of(coeffs=(), rhs=(), level=0.0):
         anchor[0] = k
         oracle.add(Cut(anchor=anchor, grad=g, value=float(g @ anchor) + level - float(b)))
     return CutRows(oracle, level)
+
+
+def random_cut_model(rng, obj, dom):
+    """(oracle, pts, theta): one to three cuts of obj at random points of the
+    slice, the slice's points in lexicographic order, and the cut model's
+    value at each."""
+    pts = np.array(feasible_points(dom))
+    picks = rng.choice(len(pts), size=min(len(pts), int(rng.integers(1, 4))), replace=False)
+    oracle = CutOracle(make_cut(obj, pts[i]) for i in picks)
+    grads, intercepts = oracle.stacked()
+    return oracle, pts, (pts @ grads.T + intercepts).max(axis=1)
+
+
+def random_cut_rows(rng, obj, dom):
+    """(rows, x): the cut rows of random_cut_model at a level drawn between
+    the least and the greatest value of the cut model on the slice, and a
+    random point of the slice that meets them."""
+    oracle, pts, theta = random_cut_model(rng, obj, dom)
+    rows = CutRows(oracle, float(rng.uniform(theta.min(), theta.max())))
+    on = [p for p in pts if rows.satisfied_by(p)]
+    return rows, on[int(rng.integers(len(on)))]
 
 
 def meets(rows, x):

@@ -33,7 +33,13 @@ from gradcut.model import (
     make_cut,
 )
 
-from conftest import meets, rows_of
+from conftest import (
+    meets,
+    random_cut_rows,
+    random_psd_objective,
+    random_symmetric_objective,
+    rows_of,
+)
 
 GAP_TOL = 1e-9
 METRIC_TOL = 1e-12
@@ -193,6 +199,29 @@ def test_pgm_termination_suite():
         assert res.f_final <= eval_objective(obj, x0) + 1e-12
         assert is_critical(obj, dom, rows_of(), res.x_final, res.eta, backend), trial
     report("finite critical termination (1000 PGM runs)")
+
+
+def test_pgm_termination_suite_with_rows():
+    """200 projected-gradient runs from points on the cut rows of random
+    oracles, at levels between the least and the greatest value of the cut
+    model on the slice, terminate finitely on the rows at critical points
+    that is_critical certifies there, without ascending."""
+    rng = np.random.default_rng(78)
+    backend = BruteForceBackend()
+    for trial in range(200):
+        n = int(rng.integers(3, 11))
+        m = int(rng.integers(1, n))
+        obj = (random_psd_objective if trial % 2 else random_symmetric_objective)(rng, n)
+        dom = FeasibleDomain(n=n, m=m)
+        rows, x0 = random_cut_rows(rng, obj, dom)
+        res = pgm_solve(obj, dom, rows, make_cut(obj, x0), PgmParams(), backend)
+        assert res.critical, trial
+        assert res.iters < PgmParams().max_iters
+        assert is_feasible(dom, res.x_final)
+        assert meets(rows, res.x_final), trial
+        assert res.f_final <= eval_objective(obj, x0) + 1e-12
+        assert is_critical(obj, dom, rows, res.x_final, res.eta, backend), trial
+    report("finite critical termination on cut rows (200 PGM runs)")
 
 
 def test_offset_backtracking_bound():

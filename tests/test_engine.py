@@ -166,9 +166,9 @@ class CountingLinearSolves(BruteForceBackend):
         super().__init__()
         self.solves = 0
 
-    def solve_linear(self, cost, dom, rows, budget):
+    def solve_linear(self, cost, dom, rows, budget, x=None):
         self.solves += 1
-        return super().solve_linear(cost, dom, rows, budget)
+        return super().solve_linear(cost, dom, rows, budget, x)
 
 
 class NoLinearSolves(BruteForceBackend):

@@ -9,8 +9,9 @@ from gradcut.local import (
     pgm_solve,
     sufficient_decrease,
 )
-from gradcut.milp import BruteForceBackend, MilpResult, MilpStatus, StatusKind
+from gradcut.milp import BruteForceBackend, HighsBackend, MilpResult, MilpStatus, StatusKind
 from gradcut.model import (
+    FEAS_TOL,
     FeasibleDomain,
     QuadraticObjective,
     eval_gradient,
@@ -24,6 +25,7 @@ from conftest import (
     Q_FULL,
     e,
     feasible_points,
+    random_cut_rows,
     random_psd_objective,
     random_symmetric_objective,
     rows_of,
@@ -37,8 +39,8 @@ class RecordingBackend(BruteForceBackend):
         super().__init__()
         self.returned = []
 
-    def solve_linear(self, cost, dom, rows, budget):
-        res = super().solve_linear(cost, dom, rows, budget)
+    def solve_linear(self, cost, dom, rows, budget, x=None):
+        res = super().solve_linear(cost, dom, rows, budget, x)
         if res.ok:
             self.returned.append(res.x)
         return res
@@ -196,6 +198,55 @@ class TestPgmSolve:
         assert model(res.x) <= best + 1e-9
 
 
+class QueryThenTest:
+    """A backend that answers a linear solve handed a point as solve_linear
+    did before it took one, with no exchange bound: the query first, then the
+    stopping test pgm_solve made on its answer, that the point scores within
+    FEAS_TOL of the optimum."""
+
+    def solve_linear(self, cost, dom, rows, budget, x=None):
+        res = super().solve_linear(cost, dom, rows, budget)
+        if x is not None and res.ok and float(cost @ x) <= res.objective + FEAS_TOL:
+            return MilpResult(res.status, x, float(cost @ x))
+        return res
+
+
+class BruteForceQueryThenTest(QueryThenTest, BruteForceBackend):
+    pass
+
+
+class HighsQueryThenTest(QueryThenTest, HighsBackend):
+    pass
+
+
+def assert_same_local_solve(seed, n_most, scale, backend, reference):
+    """pgm_solve from a random point on random cut rows ends as it does on the
+    reference backend, which has no exchange bound."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, n_most + 1))
+    m = int(rng.integers(1, n))
+    base = (random_psd_objective if seed % 2 else random_symmetric_objective)(rng, n)
+    obj = QuadraticObjective(base.q * scale)
+    dom = FeasibleDomain(n=n, m=m)
+    rows, x0 = random_cut_rows(rng, obj, dom)
+    got, want = (
+        pgm_solve(obj, dom, rows, make_cut(obj, x0), PgmParams(), b) for b in (backend, reference)
+    )
+    assert got.cut.anchor.tobytes() == want.cut.anchor.tobytes()
+    assert (got.iters, got.critical, got.eta) == (want.iters, want.critical, want.eta)
+
+
+@given(seed=st.integers(0, 100_000), scale=st.sampled_from([2.0**-20, 1.0, 2.0**22, 1e6]))
+@settings(max_examples=150, deadline=None)
+def test_handing_the_point_to_the_projection_keeps_every_local_solve(seed, scale):
+    assert_same_local_solve(seed, 10, scale, BruteForceBackend(), BruteForceQueryThenTest())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_handing_the_point_to_highs_keeps_every_local_solve(seed):
+    assert_same_local_solve(seed, 8, 1.0, HighsBackend(), HighsQueryThenTest())
+
+
 class FailingAfter(BruteForceBackend):
     """Answers the first `answers` linear solves, then fails every one."""
 
@@ -203,11 +254,11 @@ class FailingAfter(BruteForceBackend):
         super().__init__()
         self.answers = answers
 
-    def solve_linear(self, cost, dom, rows, budget):
+    def solve_linear(self, cost, dom, rows, budget, x=None):
         if self.answers == 0:
             return MilpResult(status=MilpStatus(StatusKind.ERROR, "scripted failure"))
         self.answers -= 1
-        return super().solve_linear(cost, dom, rows, budget)
+        return super().solve_linear(cost, dom, rows, budget, x)
 
 
 @pytest.mark.parametrize(

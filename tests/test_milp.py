@@ -12,13 +12,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradcut import milp
 from gradcut.bench import default_x0, synth_instance
 from gradcut.cli import make_backend
 from gradcut.engine import CONFIG_NAMES, SolverConfig, build_cut_constraints, run
+from gradcut.local import PAST_BREAKPOINT
 from gradcut.milp import (
     HIGHS_TIGHT_FEAS_TOL,
     AutoBackend,
@@ -39,6 +40,7 @@ from gradcut.model import (
     CutRows,
     FeasibleDomain,
     QuadraticObjective,
+    eval_gradient,
     make_cut,
 )
 
@@ -49,7 +51,9 @@ from conftest import (
     enumerate_min,
     feasible_points,
     meets,
+    random_cut_model,
     random_psd_objective,
+    random_symmetric_objective,
     rows_of,
 )
 
@@ -223,6 +227,120 @@ class TestCardinalityOptimumFirst:
         if want.ok:
             assert got.objective == pytest.approx(want.objective, abs=1e-12)
             assert meets(rows, got.x)
+
+
+class TestExchangeBound:
+    """solve_linear handed a point x of dom on the rows answers with x itself
+    when x costs at most the optimum plus FEAS_TOL. Where the m cheapest
+    coordinates miss a row, the slice's two least costs settle that with no
+    solve when x costs at most c2 + FEAS_TOL less the rounding slack, c2 the
+    least cost of every other point."""
+
+    @given(
+        seed=st.integers(0, 100_000),
+        shape=st.integers(3, 10).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+        convex=st.booleans(),
+        scale=st.sampled_from([2.0**-20, 1.0, 2.0**22, 1e6]),
+        past_breakpoint=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_the_point_is_the_answer_exactly_where_it_attains_the_optimum(
+        self, seed, shape, convex, scale, past_breakpoint
+    ):
+        # a projected-gradient trial at x: the step just past the first
+        # breakpoint, where the bound settles most, or gamma0 = 1; the level
+        # lies between the cut model at x and at the m cheapest coordinates
+        rng = np.random.default_rng(seed)
+        n, m = shape
+        base = (random_psd_objective if convex else random_symmetric_objective)(rng, n)
+        obj = QuadraticObjective(base.q * scale)
+        dom = FeasibleDomain(n=n, m=m)
+        oracle, pts, theta = random_cut_model(rng, obj, dom)
+        grads, intercepts = oracle.stacked()
+        for i in rng.permutation(len(pts)):
+            x = pts[i]
+            grad = eval_gradient(obj, x)
+            spread = grad[x > 0.5].max() - grad[x < 0.5].min()
+            gamma = PAST_BREAKPOINT / spread if past_breakpoint and spread > 0 else 1.0
+            cost = 1.0 - 2.0 * (x - gamma * grad)
+            cheapest = np.zeros(n)
+            cheapest[cost.argsort(kind="stable")[:m]] = 1.0
+            above = float((grads @ cheapest + intercepts).max())
+            if above > theta[i]:
+                break
+        assume(above > theta[i])
+        rows = CutRows(oracle, float(rng.uniform(theta[i], above)))
+        assume(rows.satisfied_by(x) and not rows.satisfied_by(cheapest))
+        backend = CountingBackend()
+        got = backend.solve_linear(cost, dom, rows, 30.0, x)
+        at = float(cost @ x)
+        assert got.ok
+        if backend.solves == 0:
+            # settled: the full enumeration's optimum over the rows
+            optimum = min(float(cost @ p) for p in feasible_points(dom) if rows.satisfied_by(p))
+            assert optimum >= at - FEAS_TOL
+            assert got.x is x
+        else:
+            # the query as it runs without a point, and the stopping test on it
+            want = BruteForceBackend()._solve_linear(cost, dom, rows, 30.0)
+            assert (got.x is x) == (at <= want.objective + FEAS_TOL)
+            if got.x is not x:
+                np.testing.assert_array_equal(got.x, want.x)
+                assert got.objective == want.objective
+        if got.x is x:
+            assert got.objective == at
+
+    # one row, (coefficients, right-hand side), cuts off the m cheapest; where
+    # the bound does not settle, the query's answer is the optimum, not x
+    @pytest.mark.parametrize(
+        "cost, m, row, x, settled, answer",
+        [
+            # m = 1: c2 = 0.5, met by e1; e2 costs more, and the query finds e1
+            ([0.0, 0.5, 2.0], 1, ([1, 0, 0], 0.0), [0, 1, 0], True, None),
+            ([0.0, 0.5, 2.0], 1, ([1, 0, 0], 0.0), [0, 0, 1], False, [0, 1, 0]),
+            # m = n - 1: c2 = 0.5 + 2.0 - 0.5, met by {0, 2}
+            ([0.0, 0.5, 2.0], 2, ([1, 1, 0], 1.0), [1, 0, 1], True, None),
+            ([0.0, 0.5, 2.0], 2, ([1, 1, 0], 1.0), [0, 1, 1], False, [1, 0, 1]),
+            # a tie s[m] = s[m-1]: c2 = c1 = 1, met by {0, 2}
+            ([0.0, 1.0, 1.0, 3.0], 2, ([0, 1, 0, 0], 0.0), [1, 0, 1, 0], True, None),
+            ([0.0, 1.0, 1.0, 3.0], 2, ([0, 1, 0, 0], 0.0), [1, 0, 0, 1], False, [1, 0, 1, 0]),
+        ],
+        ids=["m1", "m1-query", "n-1", "n-1-query", "tie", "tie-query"],
+    )
+    def test_edges(self, cost, m, row, x, settled, answer):
+        cost, x = np.array(cost), np.array(x, dtype=float)
+        backend = CountingBackend()
+        rows = rows_of([row[0]], [row[1]])
+        got = backend.solve_linear(cost, FeasibleDomain(n=len(cost), m=m), rows, 30.0, x)
+        assert backend.solves == (0 if settled else 1)
+        if answer is None:
+            assert got.x is x
+            assert got.objective == float(cost @ x)
+        else:
+            np.testing.assert_array_equal(got.x, answer)
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_a_cost_inside_the_slack_falls_back_to_the_query(self, inside):
+        # c2 = 1, met by e1; e2 costs within FEAS_TOL of it, inside the slack
+        # or past it
+        slack = milp.SUM_RTOL * (1.0 + (1.0 + FEAS_TOL))
+        cost = np.array([0.0, 1.0, 1.0 + FEAS_TOL - (0.5 if inside else 2.0) * slack])
+        backend = CountingBackend()
+        rows = rows_of([e(0)], [0.0])
+        got = backend.solve_linear(cost, FeasibleDomain(n=3, m=1), rows, 30.0, e(2))
+        assert backend.solves == (1 if inside else 0)
+        np.testing.assert_array_equal(got.x, e(2))
+
+    def test_without_a_point_the_answer_is_the_first_minimizer(self):
+        # e1 and e2 both cost c2 = 1 under a row that cuts off e0: handed e2,
+        # the answer is e2, settled; with no point, the query's first, e1
+        cost = np.array([0.0, 1.0, 1.0])
+        dom, rows = FeasibleDomain(n=3, m=1), rows_of([e(0)], [0.0])
+        backend = CountingBackend()
+        np.testing.assert_array_equal(backend.solve_linear(cost, dom, rows, 30.0).x, e(1))
+        x = e(2)
+        assert backend.solve_linear(cost, dom, rows, 30.0, x).x is x
+        assert backend.solves == 1
 
 
 class ScriptedMilp:
@@ -481,7 +599,7 @@ def test_highs_points_carry_no_negative_zero(monkeypatch):
 
 
 class ErroringBackend(BruteForceBackend):
-    def solve_linear(self, cost, dom, rows, budget):
+    def solve_linear(self, cost, dom, rows, budget, x=None):
         return MilpResult(status=MilpStatus(StatusKind.ERROR, "scripted failure"))
 
 
@@ -882,6 +1000,56 @@ def counting_sweeps(sweeps):
             sweeps.append(len(v))
         return values(table, v, n, m, base)
     return mock.patch.object(milp, "_values", counted)
+
+
+def counting_queries(queries):
+    """A patch of BruteForceBackend._solve_linear, the enumerator's linear
+    query, that appends to queries the number of rows of each call."""
+    solve = BruteForceBackend._solve_linear
+
+    def counted(self, cost, dom, rows, budget):
+        queries.append(len(rows))
+        return solve(self, cost, dom, rows, budget)
+    return mock.patch.object(BruteForceBackend, "_solve_linear", counted)
+
+
+@pytest.mark.parametrize(
+    "cell, most",
+    [(("psd_random", 14, 4, 1), 10), (("nonconvex_random", 12, 4, 0), 80)],
+    ids=["psd14", "nonconvex12"],
+)
+def test_the_exchange_bound_spares_the_enumerators_queries(cell, most):
+    """Over the five configurations, the local solver's stopping tests that
+    the slice's two least costs settle reach no enumerator query: 8 and 76 of
+    them are left, where handing no point to the projection leaves 89 and
+    106. Each run keeps its results (test_benchmark_cells_keep_their_results)."""
+    kind, n, m, seed = cell
+    inst = synth_instance(n, m, kind, seed)
+    queries = []
+    with counting_queries(queries):
+        for config in CONFIG_NAMES:
+            backend = AutoBackend()
+            cfg = SolverConfig.from_name(config)
+            run(inst.obj, inst.dom, default_x0(inst.dom, backend), cfg, backend)
+    assert 0 < len(queries) <= most
+
+
+def test_the_exchange_bound_spares_highs_linear_solves(monkeypatch):
+    """On a forced HighsBackend, pgm on psd_random 14/4 seed 1 poses 2 linear
+    MILPs, where handing no point to the projection poses 22; the run keeps
+    its status, iterations and optimum."""
+    inst = synth_instance(14, 4, "psd_random", 1)
+    backend = HighsBackend()
+    milp_solve, sizes = backend._milp, []
+
+    def counted(c, *args, **kwargs):
+        sizes.append(len(c))
+        return milp_solve(c, *args, **kwargs)
+    monkeypatch.setattr(backend, "_milp", counted)
+    out = run(inst.obj, inst.dom, default_x0(inst.dom), SolverConfig.from_name("pgm"), backend)
+    assert (out.status.value, out.iterations, out.local_steps) == ("eps_optimal", 32, 8)
+    assert out.f_best == pytest.approx(0.06697391784352494, rel=1e-9)
+    assert 0 < sizes.count(inst.dom.n) <= 4
 
 
 def test_whole_slice_builds_no_packed_table():
