@@ -1,8 +1,13 @@
 """Command-line entry point: solve one instance, run benchmark sweeps over the
 five solver configurations, and turn trace files into residue reports.
 
-Exit codes: 0 success / eps-optimal, 2 stopped uncertified (time or iteration
-limit, or stalled), 1 usage or data error.
+solve and bench solve a cell the same way, through solve_cell; bench makes an
+error row of a cell that raises or an instance it cannot read, and goes on.
+
+Exit codes: 0 success / eps-optimal (bench: at least one cell solved), 2
+stopped uncertified (time or iteration limit, or stalled), 1 usage or data
+error (argparse's own usage code 2 is sent to 1 too) or every bench cell
+failed.
 """
 
 from __future__ import annotations
@@ -35,6 +40,29 @@ def make_backend(name: str):
     if name not in BACKENDS:
         raise ValueError(f"unknown backend {name!r} (choose {', '.join(BACKENDS)})")
     return BACKENDS[name]()
+
+
+def solve_cell(inst: Instance, config: str, backend="auto", x0=None, **overrides):
+    """One (instance, configuration) cell, as solve and bench both run it:
+    engine.run with a fresh backend called backend, SolverConfig.from_name(
+    config, **overrides) and the start x0, default_x0 when None. Returns the
+    outcome and the backend that answered it."""
+    solver = make_backend(backend)
+    cfg = SolverConfig.from_name(config, **overrides)
+    x0 = default_x0(inst.dom) if x0 is None else x0
+    outcome = run(
+        inst.obj, inst.dom, x0, cfg, solver, instance_name=inst.name, config_name=config
+    )
+    return outcome, solver
+
+
+class _UsageErrorExitsOne(argparse.ArgumentParser):
+    """Exits 1 on a usage error, not argparse's 2, which means stopped
+    uncertified here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 class _StderrHandler(logging.StreamHandler):
@@ -93,7 +121,7 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _UsageErrorExitsOne(
         prog="gradcut",
         description="Cutting planes with gradient-based local search for binary "
         "quadratic problems under a cardinality constraint.",
@@ -144,13 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_solve(args) -> int:
     inst = parse_instance(args.instance, args.input_format, args.cardinality)
-    backend = make_backend(args.backend)
-    cfg = SolverConfig.from_name(
-        args.config, epsilon=args.epsilon, time_limit=args.time_limit
-    )
-    x0 = _parse_x0(args.x0, inst.dom.n) if args.x0 else default_x0(inst.dom)
-    outcome = run(
-        inst.obj, inst.dom, x0, cfg, backend, instance_name=inst.name, config_name=args.config
+    x0 = _parse_x0(args.x0, inst.dom.n) if args.x0 else None
+    outcome, backend = solve_cell(
+        inst, args.config, args.backend, x0, epsilon=args.epsilon, time_limit=args.time_limit
     )
     print(f"instance   {inst.name} (n={inst.dom.n}, m={inst.dom.m})")
     print(f"config     {args.config}")
@@ -169,6 +193,15 @@ def cmd_solve(args) -> int:
     return 0 if outcome.status is SolveStatus.EPS_OPTIMAL else 2
 
 
+def _error_row(instance: str, config: str | None, exc: Exception) -> dict:
+    return {
+        "instance": instance,
+        "config": config,
+        "status": "error",
+        "error": f"{type(exc).__name__}: {exc}",
+    }
+
+
 def _bench_instances(args) -> tuple[list[Instance], list[dict]]:
     instances = []
     failures = []
@@ -176,41 +209,12 @@ def _bench_instances(args) -> tuple[list[Instance], list[dict]]:
         try:
             instances.append(parse_instance(path, args.input_format, args.cardinality))
         except Exception as exc:
-            failures.append(
-                {
-                    "instance": str(path),
-                    "config": None,
-                    "status": "error",
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            )
+            failures.append(_error_row(str(path), None, exc))
     if args.synthetic:
         m = args.synth_m if args.synth_m is not None else max(1, args.synth_n // 5)
         for i in range(args.synth_count):
             instances.append(synth_instance(args.synth_n, m, args.synthetic, args.seed + i))
     return instances, failures
-
-
-def _run_cell(inst: Instance, config: str, args) -> dict:
-    backend = make_backend(args.backend)
-    cfg = SolverConfig.from_name(config, epsilon=args.epsilon, time_limit=args.time_limit)
-    x0 = default_x0(inst.dom)
-    outcome = run(
-        inst.obj, inst.dom, x0, cfg, backend, instance_name=inst.name, config_name=config
-    )
-    return {
-        "instance": inst.name,
-        "config": config,
-        "status": outcome.status.value,
-        "f_best": outcome.f_best,
-        "gap": outcome.gap,
-        "iterations": outcome.iterations,
-        "local_steps": outcome.local_steps,
-        "runtime": outcome.runtime,
-        "f0": outcome.trace.f0,
-        "trace": f"{_safe(inst.name)}__{config}.csv",
-        "_trace_obj": outcome.trace,
-    }
 
 
 def _safe(name: str) -> str:
@@ -221,35 +225,40 @@ def cmd_bench(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     configs = args.config or list(CONFIG_NAMES)
-    instances, load_failures = _bench_instances(args)
-    if not instances and not load_failures:
+    instances, results = _bench_instances(args)
+    if not instances and not results:
         print("error: no instances given (paths or --synthetic)", file=sys.stderr)
         return 1
     cells = [(inst, config) for inst in instances for config in configs]
 
-    def solve_cell(cell):
+    def solve_row(cell):
         inst, config = cell
         try:
-            return _run_cell(inst, config, args)
+            outcome, _ = solve_cell(
+                inst, config, args.backend, epsilon=args.epsilon, time_limit=args.time_limit
+            )
         except Exception as exc:  # cell isolation: record and continue
-            return {
-                "instance": inst.name,
-                "config": config,
-                "status": "error",
-                "error": f"{type(exc).__name__}: {exc}",
-            }
+            return _error_row(inst.name, config, exc)
+        trace = f"{_safe(inst.name)}__{config}.csv"
+        bench.write_trace_csv(outcome.trace, out_dir / trace)
+        return {
+            "instance": inst.name,
+            "config": config,
+            "status": outcome.status.value,
+            "f_best": outcome.f_best,
+            "gap": outcome.gap,
+            "iterations": outcome.iterations,
+            "local_steps": outcome.local_steps,
+            "runtime": outcome.runtime,
+            "f0": outcome.trace.f0,
+            "trace": trace,
+        }
 
     if args.parallel > 1:
         with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            results = list(pool.map(solve_cell, cells))
+            results += pool.map(solve_row, cells)
     else:
-        results = [solve_cell(cell) for cell in cells]
-    results = load_failures + results
-
-    for res in results:
-        trace = res.pop("_trace_obj", None)
-        if trace is not None:
-            bench.write_trace_csv(trace, out_dir / res["trace"])
+        results += map(solve_row, cells)
     manifest = {
         "params": {
             "epsilon": args.epsilon,
@@ -346,7 +355,10 @@ def cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "bench" and args.parallel < 1:
+        parser.error(f"argument --parallel: must be at least 1, not {args.parallel}")
     _log_to_stderr()
     try:
         if args.command == "solve":

@@ -118,7 +118,8 @@ def is_critical(
     FEAS_TOL.
 
     Membership in the argmin set, checked by comparing objective values rather
-    than point identity, so backend tie-breaking cannot flip the answer. The
+    than point identity, so backend tie-breaking cannot flip the answer; an
+    optimum found at x itself counts whatever rounding parts the two. The
     full projection is posed, with no point handed in, so this is the oracle
     for pgm_solve's stopping test, which hands its point to the projection.
     """
@@ -129,7 +130,7 @@ def is_critical(
     res = project(z, dom, cut_rows, budget, backend)
     if not res.ok:
         raise RuntimeError(f"projection failed during criticality check: {res.status}")
-    return float((1.0 - 2.0 * z) @ x) <= res.objective + FEAS_TOL
+    return float((1.0 - 2.0 * z) @ x) <= res.objective + FEAS_TOL or np.array_equal(res.x, x)
 
 
 def pgm_solve(
@@ -153,9 +154,9 @@ def pgm_solve(
     optimum (criticality), or on iteration/backtrack/time caps, in which case
     the best iterate so far is returned with critical=False. Each trial
     hands x to project, whose answer is x itself exactly when x scores
-    within FEAS_TOL of the optimum, as is_critical tests; the slice's two
-    least costs often settle that before any enumerator pass or MILP
-    (MilpBackend.solve_linear).
+    within FEAS_TOL of the optimum or is the optimum found, as is_critical
+    tests; the slice's two least costs often settle that before any
+    enumerator pass or MILP (MilpBackend.solve_linear).
 
     Each point is evaluated once: f when it is first a candidate, the
     gradient once it is accepted. A candidate met before, the start or one

@@ -150,7 +150,8 @@ class MilpBackend(abc.ABC):
 
         x, when given, is a point of dom on the rows, and the answer is x
         itself, with its cost, whenever that cost is at most the optimum's
-        plus FEAS_TOL; else, as without it, the first minimizer. An exchange
+        plus FEAS_TOL, or x is the optimum found, whatever rounding parts the
+        two sums; else, as without it, the first minimizer. An exchange
         bound may settle this before any solver runs. With s the cost sorted
         and c1 the cost of the m cheapest, every other point of the slice
         costs at least c2 = c1 + s[m] - s[m-1], since it swaps k >= 1 of them
@@ -176,7 +177,10 @@ class MilpBackend(abc.ABC):
                     if at <= c2 + FEAS_TOL - slack:
                         return MilpResult(status=_OPTIMAL, x=x, objective=at)
             res = self._solve_linear(cost, dom, rows, budget)
-        if at is not None and res.ok and at <= res.objective + FEAS_TOL:
+        # x's own point compared by its bytes, as pgm_solve keys its points
+        if at is not None and res.ok and (
+            at <= res.objective + FEAS_TOL or res.x.tobytes() == x.tobytes()
+        ):
             return MilpResult(status=_OPTIMAL, x=x, objective=at)
         return res
 

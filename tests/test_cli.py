@@ -8,7 +8,15 @@ import pytest
 from gradcut import cli, milp
 from gradcut.bench import Instance, read_trace_json, synth_instance, write_instance_json
 from gradcut.cli import main, make_backend
-from gradcut.milp import AutoBackend, BruteForceBackend, HighsBackend
+from gradcut.engine import CONFIG_NAMES
+from gradcut.milp import (
+    AutoBackend,
+    BruteForceBackend,
+    HighsBackend,
+    MilpResult,
+    MilpStatus,
+    StatusKind,
+)
 from gradcut.model import FeasibleDomain, QuadraticObjective
 
 from conftest import Q_DIAG
@@ -219,6 +227,127 @@ class TestReport:
 def test_unknown_config_rejected(e1_json):
     with pytest.raises(SystemExit):
         main(["solve", str(e1_json), "--config", "bogus"])
+
+
+class TestUsageErrors:
+    """A usage error exits 1, as a data error does; 2 means stopped uncertified."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve"],
+            ["solve", "{e1}", "--config", "nope"],
+            ["solve", "{e1}", "--no-such-flag"],
+            ["bench", "{e1}", "--parallel", "two"],
+            [],
+        ],
+        ids=["no-instance", "unknown-config", "unknown-flag", "parallel-nan", "no-command"],
+    )
+    def test_exits_one(self, argv, e1_json, capsys):
+        argv = [a.format(e1=e1_json) for a in argv]
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 1
+        assert "usage: gradcut" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("parallel", ["0", "-1"])
+    def test_parallel_below_one_is_a_usage_error(self, parallel, e1_json, tmp_path, capsys):
+        out_dir = tmp_path / "sweep"
+        with pytest.raises(SystemExit) as stop:
+            main(["bench", str(e1_json), "--parallel", parallel, "--out", str(out_dir)])
+        assert stop.value.code == 1
+        assert f"argument --parallel: must be at least 1, not {parallel}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"], ["bench", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 0
+        assert "usage: gradcut" in capsys.readouterr().out
+
+
+def printed(out: str) -> dict:
+    return dict(line.split(None, 1) for line in out.splitlines())
+
+
+def test_solve_and_bench_report_a_cell_alike(tmp_path, capsys):
+    inst = synth_instance(9, 3, "nonconvex_random", 4)
+    path = tmp_path / "inst.json"
+    write_instance_json(inst, path)
+    assert main(["bench", str(path), "--out", str(tmp_path / "sweep")]) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "sweep" / "manifest.json").read_text())
+    rows = {row["config"]: row for row in manifest["cells"]}
+    assert sorted(rows) == sorted(CONFIG_NAMES)
+    for config in CONFIG_NAMES:
+        code = main(["solve", str(path), "--config", config])
+        solved, row = printed(capsys.readouterr().out), rows[config]
+        assert code == (0 if row["status"] == "eps_optimal" else 2)
+        assert solved["status"] == row["status"]
+        assert solved["f_best"] == f"{row['f_best']:.12g}"
+        assert solved["gap"] == f"{row['gap']:.6g}"
+        assert int(solved["iterations"]) == row["iterations"]
+        assert int(solved["local_steps"]) == row["local_steps"]
+
+
+class FailingOn(BruteForceBackend):
+    """Answers every subproblem, but fails the second lower bound on an
+    n-dimensional slice, so a cell there raises mid-run."""
+
+    def __init__(self, n):
+        super().__init__()
+        self.n = n
+        self.lower_bounds = 0
+
+    def solve_cp(self, cuts, dom, budget, *args):
+        if dom.n == self.n:
+            self.lower_bounds += 1
+            if self.lower_bounds == 2:
+                return MilpResult(status=MilpStatus(StatusKind.ERROR, "scripted failure"))
+        return super().solve_cp(cuts, dom, budget, *args)
+
+
+def sweep(tmp_path, tag, paths, parallel):
+    out_dir = tmp_path / tag
+    code = main(
+        ["bench", *paths, "--config", "cpm", "--config", "pgm", "--parallel", str(parallel),
+         "--out", str(out_dir)]
+    )
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    for row in manifest["cells"]:
+        row.pop("runtime", None)
+    traces = {}
+    for path in out_dir.glob("*.csv"):
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        traces[path.name] = [row[:1] + row[2:] for row in rows]  # less the wall-clock t
+    return code, manifest["cells"], traces
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_a_cell_that_raises_mid_run_leaves_the_others_alone(tmp_path, monkeypatch, parallel):
+    paths = []
+    for n, m, seed in ((6, 2, 0), (7, 3, 1)):
+        inst = synth_instance(n, m, "nonconvex_random", seed)
+        paths.append(str(tmp_path / f"{inst.name}.json"))
+        write_instance_json(inst, paths[-1])
+    # each cell builds its own backend; the n = 7 ones fail their second lower bound
+    monkeypatch.setattr(cli, "make_backend", lambda name: FailingOn(7))
+    code, rows, traces = sweep(tmp_path, "with", paths, parallel)
+    _, rows_without, traces_without = sweep(tmp_path, "without", paths[:1], parallel)
+    assert code == 0
+    failed = "nonconvex_random-n7-m3-s1"
+    assert [(r["instance"], r["config"], r["status"]) for r in rows[2:]] == [
+        (failed, "cpm", "error"),
+        (failed, "pgm", "error"),
+    ]
+    for row in rows[2:]:
+        assert row["error"].startswith("RuntimeError: lower-bound solve failed")
+        assert "scripted failure" in row["error"]
+    assert rows[:2] == rows_without
+    assert all(row["status"] == "eps_optimal" for row in rows_without)
+    assert traces == traces_without
+    assert not any(name.startswith(failed) for name in traces)
 
 
 def test_solve_agrees_with_enumeration(tmp_path, capsys):

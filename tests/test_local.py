@@ -150,6 +150,23 @@ class TestPgmSolve:
         assert res.critical is False
         np.testing.assert_array_equal(res.x_final, e(1))
 
+    # draws where the projection's optimum is x's own point yet x's cost
+    # rounds more than FEAS_TOL above the enumerator's value of that point
+    @pytest.mark.parametrize("seed, scale", [(121, 2.0**22), (9, 1e9)])
+    def test_a_step_to_its_own_point_is_critical_at_any_scale(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 11))
+        m = int(rng.integers(1, n))
+        a = rng.standard_normal((n, n))
+        obj = QuadraticObjective((a + a.T) / 2.0 * scale)
+        dom = FeasibleDomain(n=n, m=m)
+        rows, x0 = random_cut_rows(rng, obj, dom)
+        backend = BruteForceBackend()
+        res = pgm_solve(obj, dom, rows, make_cut(obj, x0), PgmParams(), backend)
+        assert res.critical
+        assert res.iters < 10
+        assert is_critical(obj, dom, rows, res.x_final, res.eta, backend)
+
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=60, deadline=None)
     def test_terminates_critical_feasible_and_monotone(self, seed):
@@ -200,13 +217,17 @@ class TestPgmSolve:
 
 class QueryThenTest:
     """A backend that answers a linear solve handed a point as solve_linear
-    did before it took one, with no exchange bound: the query first, then the
-    stopping test pgm_solve made on its answer, that the point scores within
-    FEAS_TOL of the optimum."""
+    did before it took one, with no exchange bound: the query first, then
+    pgm_solve's stopping test on its answer, that the point scores within
+    FEAS_TOL of the optimum or is the optimum found."""
 
     def solve_linear(self, cost, dom, rows, budget, x=None):
         res = super().solve_linear(cost, dom, rows, budget)
-        if x is not None and res.ok and float(cost @ x) <= res.objective + FEAS_TOL:
+        if (
+            x is not None
+            and res.ok
+            and (float(cost @ x) <= res.objective + FEAS_TOL or np.array_equal(res.x, x))
+        ):
             return MilpResult(res.status, x, float(cost @ x))
         return res
 

@@ -231,7 +231,8 @@ class TestCardinalityOptimumFirst:
 
 class TestExchangeBound:
     """solve_linear handed a point x of dom on the rows answers with x itself
-    when x costs at most the optimum plus FEAS_TOL. Where the m cheapest
+    when x costs at most the optimum plus FEAS_TOL or is the optimum found.
+    Where the m cheapest
     coordinates miss a row, the slice's two least costs settle that with no
     solve when x costs at most c2 + FEAS_TOL less the rounding slack, c2 the
     least cost of every other point."""
@@ -283,7 +284,8 @@ class TestExchangeBound:
         else:
             # the query as it runs without a point, and the stopping test on it
             want = BruteForceBackend()._solve_linear(cost, dom, rows, 30.0)
-            assert (got.x is x) == (at <= want.objective + FEAS_TOL)
+            stops = at <= want.objective + FEAS_TOL or np.array_equal(want.x, x)
+            assert (got.x is x) == stops
             if got.x is not x:
                 np.testing.assert_array_equal(got.x, want.x)
                 assert got.objective == want.objective
