@@ -6,8 +6,8 @@ error row of a cell that raises or an instance it cannot read, and goes on.
 
 Exit codes: 0 success / eps-optimal (bench: at least one cell solved), 2
 stopped uncertified (time or iteration limit, or stalled), 1 usage or data
-error (argparse's own usage code 2 is sent to 1 too) or every bench cell
-failed.
+error (argparse's own usage code 2 is sent to 1 too), a subproblem the
+solver could not solve (MilpSolveError), or every bench cell failed.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from . import bench
 from .bench import Instance, ParseError, RunTrace, default_x0, parse_instance, synth_instance
 from .engine import CONFIG_NAMES, SolveStatus, SolverConfig, run
 from .logs import NO_CELL
-from .milp import ENUM_STATE_BYTES, AutoBackend, BruteForceBackend, HighsBackend
+from .milp import ENUM_STATE_BYTES, AutoBackend, BruteForceBackend, HighsBackend, MilpSolveError
 
 BACKEND_ENV = "GRADCUT_BACKEND"
 BACKENDS = {"auto": AutoBackend, "highs": HighsBackend, "bruteforce": BruteForceBackend}
@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cutting planes with gradient-based local search for binary "
         "quadratic problems under a cardinality constraint.",
         epilog="Exit codes: 0 success/eps-optimal, 2 stopped uncertified (time or "
-        "iteration limit, or stalled), 1 usage or data error. Env: "
+        "iteration limit, or stalled), 1 usage, data or solver error. Env: "
         f"{BACKEND_ENV} (auto, highs or bruteforce) replaces the default backend, "
         "auto, which enumerates a slice whose enumerator state (a packed bit row "
         "and a cut value per point) fits in 16 MB and uses HiGHS on the rest.",
@@ -366,7 +366,9 @@ def main(argv=None) -> int:
         if args.command == "bench":
             return cmd_bench(args)
         return cmd_report(args)
-    except (FileNotFoundError, ParseError, ValueError, json.JSONDecodeError) as exc:
+    except (
+        FileNotFoundError, ParseError, ValueError, json.JSONDecodeError, MilpSolveError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

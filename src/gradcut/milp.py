@@ -63,8 +63,8 @@ HIGHS_FEAS_TOL = 1e-6
 # bound that may sit FEAS_TOL below the optimum cannot close a FEAS_TOL gap
 HIGHS_TIGHT_FEAS_TOL = 1e-10
 
-# relative slack by which a reported lower bound may exceed the upper limit on
-# the model optimum before it counts as impossible
+# relative slack by which a reported lower bound may exceed ub, the cut model
+# at the incumbent, before it counts as impossible
 BOUND_RTOL = 1e-9
 
 # the rounding that a sum of m costs may carry, relative to m times the
@@ -78,7 +78,6 @@ class StatusKind(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     TIME_LIMIT = "time_limit"
-    ERROR = "error"
 
 
 @dataclass(frozen=True)
@@ -128,7 +127,6 @@ class MilpBackend(abc.ABC):
     """One handle per engine run; a handle performs one solve at a time."""
 
     name: str  # as chosen on the command line
-    exact = False  # an exact backend's bounds need no upper limit to check them
 
     def for_domain(self, dom: FeasibleDomain) -> "MilpBackend":
         """The backend that answers the subproblems posed on dom."""
@@ -196,17 +194,18 @@ class MilpBackend(abc.ABC):
         cuts: Sequence[Cut],
         dom: FeasibleDomain,
         budget: float,
-        upper_limit: Optional[float] = None,
         ub: Optional[float] = None,
         tight: bool = False,
     ) -> MilpResult:
         """min theta over x in dom, theta >= <grad, x> + intercept for each cut.
 
-        upper_limit, when given, is a value the model optimum cannot exceed; a
-        backend may use it to reject a bound that is provably wrong. ub, when
-        given, is the incumbent value of the run whose oracle cuts is; it never
-        rises during a run, and a backend may forget every point whose cut
-        model exceeds it. tight asks for the solve at the backend's tightest
+        The answer is optimal or a time limit; a model that cannot be solved
+        raises MilpSolveError. ub, when given, is the incumbent value of the
+        run whose oracle cuts is. The incumbent is an anchor of the oracle,
+        so the cut model there is ub, give or take rounding, and no model
+        optimum exceeds it: a backend may reject a bound above it, and may
+        forget every point whose cut model exceeds it, as ub never rises
+        during a run. tight asks for the solve at the backend's tightest
         feasibility tolerance.
         """
 
@@ -228,7 +227,6 @@ class BruteForceBackend(MilpBackend):
     """
 
     name = "bruteforce"
-    exact = True
 
     def __init__(self):
         self._sets: Optional[_LevelSets] = None
@@ -255,9 +253,8 @@ class BruteForceBackend(MilpBackend):
             dual_bound=obj,
         )
 
-    def solve_cp(self, cuts, dom, budget, upper_limit=None, ub=None, tight=False):
-        # exact: the limit can never be violated and there is no tolerance to
-        # tighten, so neither upper_limit nor tight is consulted
+    def solve_cp(self, cuts, dom, budget, ub=None, tight=False):
+        # exact: there is no tolerance to tighten, so tight is not consulted
         if len(cuts) == 0:
             raise ValueError("cutting-plane model requires a nonempty oracle")
         sets = self._sets
@@ -958,6 +955,10 @@ def _stdout_to_stderr():
                 os.close(_stdout_saved)
 
 
+# the statuses of scipy.optimize.milp a HighsBackend can answer with
+_MILP_STATUS = {0: StatusKind.OPTIMAL, 1: StatusKind.TIME_LIMIT, 2: StatusKind.INFEASIBLE}
+
+
 class HighsBackend(MilpBackend):
     """HiGHS via scipy.optimize.milp.
 
@@ -965,16 +966,18 @@ class HighsBackend(MilpBackend):
     the exact model optimum whenever HiGHS claims optimality; this is what
     makes 1e-9 outer gaps closable.
 
-    No answer is trusted blindly. A solve that ends in any status other than
-    optimal, infeasible or time limit (HiGHS reports "Solve error" when its
-    presolved model's solution violates the original rows), or whose lower
-    bound exceeds the caller's upper limit by more than BOUND_RTOL, is solved
-    again inside the remaining budget, down one ladder of rungs: presolve
-    off at HIGHS_FEAS_TOL, then presolve off at HIGHS_TIGHT_FEAS_TOL, then
-    presolve off at FEAS_TOL, then presolve on at HIGHS_TIGHT_FEAS_TOL. A
-    tight lower-bound solve starts at the second rung. If the last rung's
-    answer is also unusable, MilpSolveError names the subproblem kind and
-    model size. Other options stay at solver defaults.
+    No answer is trusted blindly. An answer is unusable when its solve ends
+    in any status other than optimal, infeasible or time limit (HiGHS
+    reports "Solve error" when its presolved model's solution violates the
+    original rows), when a cutting-plane model is infeasible (no theta model
+    of a nonempty slice is), or when its lower bound exceeds ub by more than
+    BOUND_RTOL. It is solved again inside the remaining budget, down one
+    ladder of rungs: presolve off at HIGHS_FEAS_TOL, then presolve off at
+    HIGHS_TIGHT_FEAS_TOL, then presolve off at FEAS_TOL, then presolve on at
+    HIGHS_TIGHT_FEAS_TOL; a tight lower-bound solve starts at the second
+    rung, and a budget spent before a rung ends the solve on the time limit.
+    If the last rung's answer is also unusable, MilpSolveError names the
+    subproblem kind and model size. Other options stay at solver defaults.
 
     Each model is the cardinality row sum(x) == m followed by one stacked
     block: the cut rows of a linear solve, or the theta-cuts of the
@@ -989,6 +992,8 @@ class HighsBackend(MilpBackend):
         self._milp = milp
 
     def _solve_once(self, c, constraints, integrality, bounds, budget, n, presolve, feas_tol=None):
+        """One milp call: its answer, or, for a status other than optimal,
+        infeasible or time limit, the solver's message."""
         options = {
             "time_limit": float(budget),
             "presolve": presolve,
@@ -1008,14 +1013,9 @@ class HighsBackend(MilpBackend):
                     bounds=bounds,
                     options=options,
                 )
-        if res.status == 0:
-            kind = StatusKind.OPTIMAL
-        elif res.status == 2:
-            kind = StatusKind.INFEASIBLE
-        elif res.status == 1:
-            kind = StatusKind.TIME_LIMIT
-        else:
-            kind = StatusKind.ERROR
+        kind = _MILP_STATUS.get(res.status)
+        if kind is None:
+            return str(res.message)
         x = obj = None
         if res.x is not None:
             # + 0.0 turns the -0.0 that rounding a slightly negative value gives into 0.0
@@ -1029,7 +1029,7 @@ class HighsBackend(MilpBackend):
             dual_bound=float(dual) if dual is not None else None,
         )
 
-    def _run(self, kind, c, a, lo, hi, n, budget, upper_limit=None, tight=False) -> MilpResult:
+    def _run(self, kind, c, a, lo, hi, n, budget, ub=None, tight=False) -> MilpResult:
         """Solve with binary x[:n] and free continuous columns after it."""
         from scipy.optimize import Bounds, LinearConstraint
 
@@ -1055,23 +1055,23 @@ class HighsBackend(MilpBackend):
             rungs = rungs[1:]
         else:
             res = self._solve_once(c, constraints, integrality, bounds, budget, n, presolve=True)
-            reason = _unusable(res, upper_limit)
+            reason = _unusable(res, kind, ub)
             if reason is None:
                 return res
             why = f"unusable: {reason}"
         for presolve, feas_tol in rungs:
+            remaining = deadline - time.perf_counter()
+            if remaining <= 0:
+                return _timeout_result(f"budget exhausted before re-solving; {why}")
             at = "" if feas_tol is None else f" at mip_feasibility_tolerance {feas_tol:g}"
             log.warning(
                 "HiGHS %s solve (%d rows x %d cols) re-solving with presolve %s%s; %s",
                 kind, a.shape[0], len(c), "on" if presolve else "off", at, why,
             )
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                return _timeout_result(f"budget exhausted before re-solving; {why}")
             res = self._solve_once(
                 c, constraints, integrality, bounds, remaining, n, presolve, feas_tol
             )
-            reason = _unusable(res, upper_limit)
+            reason = _unusable(res, kind, ub)
             if reason is None:
                 return res
             why = f"unusable: {reason}"
@@ -1084,7 +1084,7 @@ class HighsBackend(MilpBackend):
         lo, hi = _cardinality_first(dom, rows.rhs)
         return self._run("linear", np.asarray(cost, dtype=float), a, lo, hi, dom.n, budget)
 
-    def solve_cp(self, cuts, dom, budget, upper_limit=None, ub=None, tight=False):
+    def solve_cp(self, cuts, dom, budget, ub=None, tight=False):
         if len(cuts) == 0:
             raise ValueError("cutting-plane model requires a nonempty oracle")
         grads, intercepts = stack_cuts(cuts)
@@ -1096,7 +1096,7 @@ class HighsBackend(MilpBackend):
         a[1:, :n] = grads
         a[1:, n] = -1.0
         lo, hi = _cardinality_first(dom, -intercepts)
-        return self._run("cp", c, a, lo, hi, n, budget, upper_limit, tight)
+        return self._run("cp", c, a, lo, hi, n, budget, ub, tight)
 
 
 def _cardinality_first(dom: FeasibleDomain, rhs: np.ndarray) -> tuple:
@@ -1134,21 +1134,19 @@ class AutoBackend(MilpBackend):
     def _solve_linear(self, cost, dom, rows, budget):
         return self.for_domain(dom)._solve_linear(cost, dom, rows, budget)
 
-    def solve_cp(self, cuts, dom, budget, upper_limit=None, ub=None, tight=False):
-        return self.for_domain(dom).solve_cp(cuts, dom, budget, upper_limit, ub, tight)
+    def solve_cp(self, cuts, dom, budget, ub=None, tight=False):
+        return self.for_domain(dom).solve_cp(cuts, dom, budget, ub, tight)
 
 
-def _unusable(res: MilpResult, upper_limit: Optional[float]) -> Optional[str]:
-    """Why a solver answer cannot be used as it is, or None when it can."""
-    if res.status.kind is StatusKind.ERROR:
+def _unusable(res, kind: str, ub: Optional[float]) -> Optional[str]:
+    """Why _solve_once's answer to a kind solve is unusable, or None."""
+    if isinstance(res, str):
+        return res
+    if kind == "cp" and res.status.kind is StatusKind.INFEASIBLE:
         return res.status.message
     bound = res.bound
-    if (
-        upper_limit is not None
-        and bound is not None
-        and bound > upper_limit + BOUND_RTOL * max(1.0, abs(upper_limit))
-    ):
-        return f"lower bound {bound!r} exceeds the upper limit {upper_limit!r}"
+    if ub is not None and bound is not None and bound > ub + BOUND_RTOL * max(1.0, abs(ub)):
+        return f"lower bound {bound!r} exceeds the upper limit ub = {ub!r}"
     return None
 
 
@@ -1157,26 +1155,20 @@ def solve_cp_model(
     dom: FeasibleDomain,
     budget: float,
     backend: MilpBackend,
-    incumbent: Optional[np.ndarray] = None,
     ub: Optional[float] = None,
     tight: bool = False,
 ) -> MilpResult:
     """Lower-bound problem: min theta subject to every cut in the oracle.
 
-    With an incumbent, the cut model evaluated there -- max over cuts of
-    <grad, incumbent> + intercept -- bounds the model optimum from above
-    and is handed to a backend that is not exact as its upper limit. ub and
-    tight are handed on as MilpBackend.solve_cp describes them.
+    The answer is optimal or a time limit, or the backend raises
+    MilpSolveError. ub, the run's incumbent value, and tight are handed on
+    as MilpBackend.solve_cp describes them.
     """
     if len(oracle) == 0:
         raise ValueError("cutting-plane model requires a nonempty oracle")
     if budget <= 0:
         return _timeout_result()
-    upper_limit = None
-    if incumbent is not None and not backend.exact:
-        grads, intercepts = stack_cuts(oracle)
-        upper_limit = float(np.max(grads @ np.asarray(incumbent, dtype=float) + intercepts))
-    return backend.solve_cp(oracle, dom, budget, upper_limit, ub, tight)
+    return backend.solve_cp(oracle, dom, budget, ub, tight)
 
 
 def project(
@@ -1219,9 +1211,7 @@ def check_nonempty(
         log.warning("feasibility check hit the time budget; treating set as empty")
         return False
     res = backend.solve_linear(np.zeros(dom.n), dom, cut_rows, budget)
-    if res.status.kind is StatusKind.ERROR:
-        raise MilpSolveError("linear", 1 + len(cut_rows), dom.n, res.status.message)
     if res.status.kind is StatusKind.TIME_LIMIT:
         log.warning("feasibility check hit the time budget; treating set as empty")
         return False
-    return res.status.kind is StatusKind.OPTIMAL
+    return res.ok

@@ -1,6 +1,7 @@
 import json
 import logging
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,14 +10,7 @@ from gradcut import cli, milp
 from gradcut.bench import Instance, read_trace_json, synth_instance, write_instance_json
 from gradcut.cli import main, make_backend
 from gradcut.engine import CONFIG_NAMES
-from gradcut.milp import (
-    AutoBackend,
-    BruteForceBackend,
-    HighsBackend,
-    MilpResult,
-    MilpStatus,
-    StatusKind,
-)
+from gradcut.milp import AutoBackend, BruteForceBackend, HighsBackend, MilpSolveError
 from gradcut.model import FeasibleDomain, QuadraticObjective
 
 from conftest import Q_DIAG
@@ -304,7 +298,7 @@ class FailingOn(BruteForceBackend):
         if dom.n == self.n:
             self.lower_bounds += 1
             if self.lower_bounds == 2:
-                return MilpResult(status=MilpStatus(StatusKind.ERROR, "scripted failure"))
+                raise MilpSolveError("cp", 1 + len(cuts), dom.n + 1, "scripted failure")
         return super().solve_cp(cuts, dom, budget, *args)
 
 
@@ -342,12 +336,77 @@ def test_a_cell_that_raises_mid_run_leaves_the_others_alone(tmp_path, monkeypatc
         (failed, "pgm", "error"),
     ]
     for row in rows[2:]:
-        assert row["error"].startswith("RuntimeError: lower-bound solve failed")
-        assert "scripted failure" in row["error"]
+        assert row["error"] == (
+            "MilpSolveError: cp solve failed (3 rows x 8 cols): scripted failure"
+        )
     assert rows[:2] == rows_without
     assert all(row["status"] == "eps_optimal" for row in rows_without)
     assert traces == traces_without
     assert not any(name.startswith(failed) for name in traces)
+
+
+def highs_failing_from_its_second_lower_bound():
+    """A HighsBackend whose milp is HiGHS's for the first lower bound and
+    answers every later lower-bound solve infeasible, so that the second
+    lower bound fails down the whole retry ladder."""
+    backend = HighsBackend()
+    solve, lower_bound_solves = backend._milp, 0
+    infeasible = SimpleNamespace(
+        status=2, message="scripted infeasible", x=None, fun=None, mip_dual_bound=None
+    )
+
+    def scripted(c, integrality, **kwargs):
+        nonlocal lower_bound_solves
+        if integrality[-1] == 0:  # the continuous theta of a lower bound
+            lower_bound_solves += 1
+            if lower_bound_solves > 1:
+                return infeasible
+        return solve(c, integrality=integrality, **kwargs)
+
+    backend._milp = scripted
+    return backend
+
+
+# the second lower bound of cpm on nonconvex_random 7/3 seed 1 from the default
+# start holds two cuts, and fails on the last rung of the ladder
+FAILED_LOWER_BOUND = (
+    "cp solve failed (3 rows x 8 cols): scripted infeasible, "
+    "also with presolve on at mip_feasibility_tolerance 1e-10"
+)
+
+
+def failing_highs_cell(tmp_path, monkeypatch):
+    inst = synth_instance(7, 3, "nonconvex_random", 1)
+    path = str(tmp_path / f"{inst.name}.json")
+    write_instance_json(inst, path)
+    monkeypatch.setattr(
+        cli, "make_backend", lambda name: highs_failing_from_its_second_lower_bound()
+    )
+    return inst, path
+
+
+def test_a_failed_highs_lower_bound_is_named_in_its_bench_row(tmp_path, monkeypatch):
+    inst, path = failing_highs_cell(tmp_path, monkeypatch)
+    out_dir = tmp_path / "sweep"
+    assert main(["bench", path, "--config", "cpm", "--out", str(out_dir)]) == 1
+    (row,) = json.loads((out_dir / "manifest.json").read_text())["cells"]
+    assert row == {
+        "instance": inst.name,
+        "config": "cpm",
+        "status": "error",
+        "error": f"MilpSolveError: {FAILED_LOWER_BOUND}",
+    }
+
+
+def test_solve_reports_a_failed_highs_lower_bound_in_one_line(tmp_path, monkeypatch, capsys):
+    _, path = failing_highs_cell(tmp_path, monkeypatch)
+    assert main(["solve", path, "--config", "cpm"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if not line.startswith("gradcut WARNING")] == [
+        f"error: {FAILED_LOWER_BOUND}"
+    ]
 
 
 def test_solve_agrees_with_enumeration(tmp_path, capsys):

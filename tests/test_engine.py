@@ -1,8 +1,11 @@
 import dataclasses
 import functools
+import importlib
+import inspect
 import itertools
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -603,8 +606,8 @@ class ToleranceBackend(BruteForceBackend):
         super().__init__()
         self.tight_solves = 0
 
-    def solve_cp(self, cuts, dom, budget, upper_limit=None, ub=None, tight=False):
-        res = super().solve_cp(cuts, dom, budget, upper_limit, ub, tight)
+    def solve_cp(self, cuts, dom, budget, ub=None, tight=False):
+        res = super().solve_cp(cuts, dom, budget, ub, tight)
         if tight:
             self.tight_solves += 1
             return res
@@ -653,8 +656,8 @@ class NearMinimumBackend(BruteForceBackend):
     value within HIGHS_FEAS_TOL of the model optimum, and reports the bound
     HIGHS_FEAS_TOL low."""
 
-    def solve_cp(self, cuts, dom, budget, upper_limit=None, ub=None, tight=False):
-        res = super().solve_cp(cuts, dom, budget, upper_limit, ub, tight)
+    def solve_cp(self, cuts, dom, budget, ub=None, tight=False):
+        res = super().solve_cp(cuts, dom, budget, ub, tight)
         if tight:
             return res
         pts = np.array(feasible_points(dom))
@@ -1001,6 +1004,15 @@ def test_every_layer_seam_is_called_through_its_module_attribute(monkeypatch):
     assert all(args[0] is out.oracle for args, _ in calls[("engine", "solve_cp_model")])
     assert sum(r.iters for _, r in calls[("engine", "pgm_solve")]) == out.local_steps
     assert all(isinstance(r.critical, bool) for _, r in calls[("engine", "pgm_solve")])
+
+
+@pytest.mark.parametrize("module", ["engine", "local"])
+def test_the_loop_and_the_local_solver_name_no_highs_detail(module):
+    # how far a HiGHS answer can be trusted, its tolerances and its failures
+    # are HighsBackend's to decide; the engine hands every backend the same
+    # cuts and ub, and the local solver the same projections
+    source = inspect.getsource(importlib.import_module(f"gradcut.{module}"))
+    assert re.findall(r"\bHIGHS_\w*|\bHighsBackend\b", source) == []
 
 
 def test_each_anchor_evaluated_once(monkeypatch):

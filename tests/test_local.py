@@ -269,7 +269,7 @@ def test_handing_the_point_to_highs_keeps_every_local_solve(seed):
 
 
 class FailingAfter(BruteForceBackend):
-    """Answers the first `answers` linear solves, then fails every one."""
+    """Answers the first `answers` linear solves, then times out every one."""
 
     def __init__(self, answers):
         super().__init__()
@@ -277,7 +277,7 @@ class FailingAfter(BruteForceBackend):
 
     def solve_linear(self, cost, dom, rows, budget, x=None):
         if self.answers == 0:
-            return MilpResult(status=MilpStatus(StatusKind.ERROR, "scripted failure"))
+            return MilpResult(status=MilpStatus(StatusKind.TIME_LIMIT, "scripted failure"))
         self.answers -= 1
         return super().solve_linear(cost, dom, rows, budget, x)
 

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import os
 import subprocess
 import sys
@@ -25,9 +26,7 @@ from gradcut.milp import (
     AutoBackend,
     BruteForceBackend,
     HighsBackend,
-    MilpResult,
     MilpSolveError,
-    MilpStatus,
     StatusKind,
     check_nonempty,
     project,
@@ -407,7 +406,7 @@ LAST_RUNG = "also with presolve on at mip_feasibility_tolerance 1e-10"
 
 class TestHighsRetryLadder:
     # three cuts on Q_DIAG: the model optimum is theta = 1 at e(0), and the cut
-    # model at the incumbent e(0) is f(e(0)) = 1, the upper limit
+    # model at the incumbent e(0) is its value f(e(0)) = 1, the run's ub
     oracle = oracle_at(Q_DIAG, [e(0), e(1), e(2)])
     dom = FeasibleDomain(n=3, m=1)
 
@@ -445,7 +444,7 @@ class TestHighsRetryLadder:
 
     def test_bound_above_limit_retried_once_without_presolve(self, monkeypatch):
         backend, stub = scripted_highs(monkeypatch, cp_answer(0, 1.5), cp_answer(0, 1.0))
-        res = solve_cp_model(self.oracle, self.dom, 30.0, backend, incumbent=e(0))
+        res = solve_cp_model(self.oracle, self.dom, 30.0, backend, ub=1.0)
         assert res.ok
         assert res.bound == 1.0
         assert [o["presolve"] for o in stub.options] == [True, False]
@@ -455,7 +454,7 @@ class TestHighsRetryLadder:
             monkeypatch, cp_answer(0, 1.5), *(cp_answer(0, 1.25) for _ in LADDER[1:])
         )
         with pytest.raises(MilpSolveError, match="exceeds the upper limit") as info:
-            solve_cp_model(self.oracle, self.dom, 30.0, backend, incumbent=e(0))
+            solve_cp_model(self.oracle, self.dom, 30.0, backend, ub=1.0)
         assert str(info.value).endswith(LAST_RUNG)
         assert rungs(stub) == LADDER
 
@@ -463,19 +462,21 @@ class TestHighsRetryLadder:
         backend, stub = scripted_highs(
             monkeypatch, cp_answer(0, 1.0, dual=1.5), cp_answer(0, 1.0)
         )
-        res = solve_cp_model(self.oracle, self.dom, 30.0, backend, incumbent=e(0))
+        res = solve_cp_model(self.oracle, self.dom, 30.0, backend, ub=1.0)
         assert res.bound == 1.0
         assert len(stub.options) == 2
 
     def test_rounding_above_limit_accepted_without_retry(self, monkeypatch):
         backend, stub = scripted_highs(monkeypatch, cp_answer(0, 1.0 + 1e-13))
-        res = solve_cp_model(self.oracle, self.dom, 30.0, backend, incumbent=e(0))
+        res = solve_cp_model(self.oracle, self.dom, 30.0, backend, ub=1.0)
         assert res.ok
         assert len(stub.options) == 1
 
-    def test_spent_budget_gives_bound_free_timeout(self, monkeypatch):
-        # the failed first attempt uses up the whole budget: no re-solve, and
-        # no bound from the unusable answer leaks out
+    def test_spent_budget_gives_bound_free_timeout(self, monkeypatch, caplog):
+        # the failed first attempt uses up the whole budget: no re-solve, none
+        # logged, and no bound from the unusable answer leaks out; the reason
+        # for the re-solve stays in the message
+        caplog.set_level(logging.WARNING, logger="gradcut")
         backend, stub = scripted_highs(
             monkeypatch, cp_answer(4, 0.999999, message=SOLVE_ERROR), delay=0.05
         )
@@ -483,6 +484,20 @@ class TestHighsRetryLadder:
         assert res.status.kind is StatusKind.TIME_LIMIT
         assert res.bound is None
         assert len(stub.options) == 1
+        assert res.status.message == f"budget exhausted before re-solving; unusable: {SOLVE_ERROR}"
+        assert not [r for r in caplog.records if "re-solving" in r.getMessage()]
+
+    def test_infeasible_lower_bound_retried_once_without_presolve(self, monkeypatch):
+        # the theta model of a nonempty slice always has a solution, so an
+        # infeasible answer is unusable, not an answer to hand the engine
+        infeasible = SimpleNamespace(
+            status=2, message="scripted infeasible", x=None, fun=None, mip_dual_bound=None
+        )
+        backend, stub = scripted_highs(monkeypatch, infeasible, cp_answer(0, 1.0))
+        res = solve_cp_model(self.oracle, self.dom, 30.0, backend, ub=1.0)
+        assert res.ok
+        assert res.bound == 1.0
+        assert rungs(stub) == LADDER[:2]
 
     def test_tight_solve_falls_back_to_feas_tol(self, monkeypatch):
         # the least tolerance HiGHS accepts can end in a solve error at large
@@ -602,7 +617,7 @@ def test_highs_points_carry_no_negative_zero(monkeypatch):
 
 class ErroringBackend(BruteForceBackend):
     def solve_linear(self, cost, dom, rows, budget, x=None):
-        return MilpResult(status=MilpStatus(StatusKind.ERROR, "scripted failure"))
+        raise MilpSolveError("linear", 1 + len(rows), dom.n, "scripted failure")
 
 
 def test_highs_output_lands_on_stderr(monkeypatch, capfd):
@@ -619,12 +634,25 @@ def test_highs_output_lands_on_stderr(monkeypatch, capfd):
     assert err == "stray solver line\n"
 
 
+def run_script(script):
+    """Run script in a fresh Python process that imports this gradcut, with
+    stdout a pipe and not unbuffered, as when a run's output is captured;
+    returns the finished process."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = os.path.dirname(os.path.dirname(milp.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        env=env, capture_output=True, timeout=120, check=True,
+    )
+
+
 @pytest.mark.skipif(os.name != "posix", reason="prints through the C library's stdout")
 def test_buffered_c_output_of_a_solve_lands_on_stderr():
     # C stdio holds what it prints to a pipe in a buffer (unless Python runs
     # unbuffered, so a fresh process runs the check): that buffer is flushed
     # onto stderr before fd 1 is restored, not later onto stdout
-    script = textwrap.dedent(
+    done = run_script(
         """
         import ctypes
         from gradcut import milp
@@ -635,14 +663,28 @@ def test_buffered_c_output_of_a_solve_lands_on_stderr():
         print("after")
         """
     )
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    src = os.path.dirname(os.path.dirname(milp.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, timeout=60, check=True
-    )
     assert done.stdout == b"after\n"
     assert done.stderr == b"stray buffered line\n"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="HiGHS prints through the C library's stdout")
+def test_no_stray_highs_output_reaches_stdout():
+    # HiGHS prints a line of its own during one of this cell's lower bounds,
+    # whatever its output options say (scipy 1.17.1, HiGHS 1.12.0): it must
+    # land on stderr, and stdout hold only what the program prints
+    done = run_script(
+        """
+        from gradcut.bench import default_x0, synth_instance
+        from gradcut.engine import SolverConfig, run
+        from gradcut.milp import HighsBackend
+        inst = synth_instance(9, 4, "psd_random", 2)
+        cfg = SolverConfig.from_name("cpm")
+        out = run(inst.obj, inst.dom, default_x0(inst.dom), cfg, HighsBackend())
+        print(out.status.value)
+        """
+    )
+    assert done.stdout == b"eps_optimal\n"
+    assert b"HighsMipSolverData::transformNewIntegerFeasibleSolution" in done.stderr
 
 
 def test_overlapping_highs_solves_restore_stdout(monkeypatch, capfd):
@@ -732,8 +774,10 @@ def test_check_nonempty_raises_on_any_backend_error():
 
 
 def test_bruteforce_ignores_the_upper_limit():
+    # a ub below the model optimum, which no run hands it: the enumerator
+    # rejects no bound, and its answer is the optimum all the same
     oracle = oracle_at(Q_DIAG, [e(0), e(1), e(2)])
-    res = BruteForceBackend().solve_cp(list(oracle), FeasibleDomain(n=3, m=1), 30.0, -10.0)
+    res = BruteForceBackend().solve_cp(list(oracle), FeasibleDomain(n=3, m=1), 30.0, ub=-10.0)
     assert res.ok
     assert res.bound == pytest.approx(1.0, abs=1e-12)
 
