@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
@@ -29,14 +28,11 @@ from .engine import CONFIG_NAMES, SolveStatus, SolverConfig, run
 from .logs import NO_CELL
 from .milp import ENUM_STATE_BYTES, AutoBackend, BruteForceBackend, HighsBackend, MilpSolveError
 
-BACKEND_ENV = "GRADCUT_BACKEND"
 BACKENDS = {"auto": AutoBackend, "highs": HighsBackend, "bruteforce": BruteForceBackend}
 
 
 def make_backend(name: str):
-    """The backend called name; "auto" defers to GRADCUT_BACKEND when it is set."""
-    if name == "auto":
-        name = os.environ.get(BACKEND_ENV, "auto")
+    """The backend called name."""
     if name not in BACKENDS:
         raise ValueError(f"unknown backend {name!r} (choose {', '.join(BACKENDS)})")
     return BACKENDS[name]()
@@ -111,7 +107,7 @@ def _add_common(p: argparse.ArgumentParser):
         default="auto",
         help="MILP backend: auto enumerates a slice when its C(n,m) points, at "
         f"ceil(n/8)+8 bytes each, fit in {ENUM_STATE_BYTES:,} bytes and uses HiGHS "
-        f"otherwise; highs or bruteforce forces one (env {BACKEND_ENV} overrides auto)",
+        "otherwise; highs or bruteforce forces one",
     )
     p.add_argument(
         "--input-format",
@@ -126,10 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cutting planes with gradient-based local search for binary "
         "quadratic problems under a cardinality constraint.",
         epilog="Exit codes: 0 success/eps-optimal, 2 stopped uncertified (time or "
-        "iteration limit, or stalled), 1 usage, data or solver error. Env: "
-        f"{BACKEND_ENV} (auto, highs or bruteforce) replaces the default backend, "
-        "auto, which enumerates a slice whose enumerator state (a packed bit row "
-        "and a cut value per point) fits in 16 MB and uses HiGHS on the rest.",
+        "iteration limit, or stalled), 1 usage, data or solver error.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

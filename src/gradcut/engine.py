@@ -39,7 +39,7 @@ import numpy as np
 from . import logs
 from .bench import RunTrace, TraceRecord
 from .local import PgmParams, pgm_solve
-from .milp import MilpBackend, StatusKind, check_nonempty, project, solve_cp_model
+from .milp import AutoBackend, MilpBackend, StatusKind, check_nonempty, project, solve_cp_model
 from .model import (
     FEAS_TOL,
     CutOracle,
@@ -239,7 +239,7 @@ def run(
     dom: FeasibleDomain,
     x0: np.ndarray,
     cfg: SolverConfig,
-    backend: MilpBackend,
+    backend: MilpBackend | AutoBackend,
     instance_name: str = "",
     config_name: str = "",
 ) -> SolveOutcome:
@@ -262,7 +262,7 @@ def _run(
     dom: FeasibleDomain,
     x0: np.ndarray,
     cfg: SolverConfig,
-    backend: MilpBackend,
+    backend: MilpBackend | AutoBackend,
     instance_name: str,
     config_name: str,
 ) -> SolveOutcome:
@@ -334,7 +334,7 @@ def _run(
                     res.bound, state.ub,
                 )
             state.lb = max(state.lb, min(res.bound, state.ub))
-        if res.status.kind is StatusKind.TIME_LIMIT:
+        if res.kind is StatusKind.TIME_LIMIT:
             status = SolveStatus.TIME_LIMIT
             break
         state.k += 1

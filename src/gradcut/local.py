@@ -129,7 +129,9 @@ def is_critical(
     z = x - eta * eval_gradient(obj, x)
     res = project(z, dom, cut_rows, budget, backend)
     if not res.ok:
-        raise RuntimeError(f"projection failed during criticality check: {res.status}")
+        raise RuntimeError(
+            f"projection failed during criticality check: {res.kind.value} {res.message!r}"
+        )
     return float((1.0 - 2.0 * z) @ x) <= res.objective + FEAS_TOL or np.array_equal(res.x, x)
 
 

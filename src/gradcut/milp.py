@@ -2,12 +2,14 @@
 
 Every subproblem the solver needs boils down to one of two primitives over
 the cardinality slice: minimizing a linear objective under a set of CutRows,
-or minimizing the epigraph variable theta of the cutting-plane model.
-Backends implement exactly those two; the module-level functions pose the
-concrete models (lower bound, projection, feasibility) so that engine and
+or minimizing the epigraph variable theta of the cutting-plane model of the
+run's CutOracle. Backends implement exactly those two, and answer each with
+a MilpResult that carries its own status kind and message. The module-level
+functions pose the concrete models (lower bound, projection, feasibility),
+and alone turn away an empty oracle or a spent budget, so that engine and
 local-solver code never touches solver types.
 
-Three backends ship: a brute-force enumerator (exact, small slices, also the
+Two backends ship: a brute-force enumerator (exact, small slices, also the
 test oracle), which holds a slice whole or as a table of at most one block,
 and reads values at its points from one block source: by byte lookup over
 the table, or by tail sums over the whole slice. Each lower bound is one
@@ -17,9 +19,11 @@ of the held points. A fresh lower bound on a whole slice first walks the
 level set under ub of a cut into that table, or answers from the level set
 at its own minimum and writes nothing, each where it fits one block, and a
 query on cut rows it has not folded takes its minimum over the level set of
-a Lagrangian relaxation where that fits one block. The other two are an
-adapter to the HiGHS solver via scipy.optimize.milp, and the default, which
-picks one of the two from the size of the slice, once per engine run.
+a Lagrangian relaxation where that fits one block. The other is an adapter
+to the HiGHS solver via scipy.optimize.milp, which solves each model down
+one ladder of five rungs until an answer is usable. The default,
+AutoBackend, solves nothing itself: it picks one of the two from the size
+of the slice, once per engine run.
 """
 
 from __future__ import annotations
@@ -36,12 +40,12 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .logs import get_logger
-from .model import FEAS_TOL, Cut, CutOracle, CutRows, FeasibleDomain, stack_cuts
+from .model import FEAS_TOL, CutOracle, CutRows, FeasibleDomain
 
 log = get_logger(__name__)
 
@@ -54,10 +58,6 @@ log = get_logger(__name__)
 # walk of a level set makes; AutoBackend enumerates the slices within it and
 # BruteForceBackend refuses the others
 ENUM_STATE_BYTES = 16_000_000
-
-# HiGHS's default mip_feasibility_tolerance: a lower bound it reports may sit
-# this far below the model optimum
-HIGHS_FEAS_TOL = 1e-6
 
 # the least mip_feasibility_tolerance HiGHS accepts, used by tight solves: a
 # bound that may sit FEAS_TOL below the optimum cannot close a FEAS_TOL gap
@@ -81,21 +81,16 @@ class StatusKind(Enum):
 
 
 @dataclass(frozen=True)
-class MilpStatus:
-    kind: StatusKind
-    message: str = ""
-
-
-@dataclass(frozen=True)
 class MilpResult:
-    status: MilpStatus
+    kind: StatusKind
     x: Optional[np.ndarray] = None
     objective: Optional[float] = None
     dual_bound: Optional[float] = None
+    message: str = ""
 
     @property
     def ok(self) -> bool:
-        return self.status.kind is StatusKind.OPTIMAL
+        return self.kind is StatusKind.OPTIMAL
 
     @property
     def bound(self) -> Optional[float]:
@@ -115,12 +110,8 @@ class MilpSolveError(RuntimeError):
         self.n_cols = n_cols
 
 
-# the status of every optimal answer; MilpStatus is frozen, so one is shared
-_OPTIMAL = MilpStatus(StatusKind.OPTIMAL)
-
-
 def _timeout_result(message: str = "budget exhausted before solve") -> MilpResult:
-    return MilpResult(status=MilpStatus(StatusKind.TIME_LIMIT, message))
+    return MilpResult(StatusKind.TIME_LIMIT, message=message)
 
 
 class MilpBackend(abc.ABC):
@@ -166,20 +157,20 @@ class MilpBackend(abc.ABC):
         at = None if x is None else float(cost @ x)
         if rows.satisfied_by(cheapest):
             obj = float(cost @ cheapest)
-            res = MilpResult(status=_OPTIMAL, x=cheapest, objective=obj, dual_bound=obj)
+            res = MilpResult(StatusKind.OPTIMAL, x=cheapest, objective=obj, dual_bound=obj)
         else:
             if at is not None:
                 c2 = float(cost @ cheapest) + (cost[order[m]] - cost[order[m - 1]])
                 if at <= c2 + FEAS_TOL:
                     slack = SUM_RTOL * (1.0 + m * max(-cost[order[0]], cost[order[-1]]))
                     if at <= c2 + FEAS_TOL - slack:
-                        return MilpResult(status=_OPTIMAL, x=x, objective=at)
+                        return MilpResult(StatusKind.OPTIMAL, x=x, objective=at)
             res = self._solve_linear(cost, dom, rows, budget)
         # x's own point compared by its bytes, as pgm_solve keys its points
         if at is not None and res.ok and (
             at <= res.objective + FEAS_TOL or res.x.tobytes() == x.tobytes()
         ):
-            return MilpResult(status=_OPTIMAL, x=x, objective=at)
+            return MilpResult(StatusKind.OPTIMAL, x=x, objective=at)
         return res
 
     @abc.abstractmethod
@@ -191,22 +182,25 @@ class MilpBackend(abc.ABC):
     @abc.abstractmethod
     def solve_cp(
         self,
-        cuts: Sequence[Cut],
+        cuts: CutOracle,
         dom: FeasibleDomain,
         budget: float,
         ub: Optional[float] = None,
         tight: bool = False,
     ) -> MilpResult:
-        """min theta over x in dom, theta >= <grad, x> + intercept for each cut.
+        """min theta over x in dom, theta >= <grad, x> + intercept for each
+        cut of the run's CutOracle cuts, which holds at least one, within a
+        positive budget (solve_cp_model turns away the rest).
 
         The answer is optimal or a time limit; a model that cannot be solved
-        raises MilpSolveError. ub, when given, is the incumbent value of the
-        run whose oracle cuts is. The incumbent is an anchor of the oracle,
-        so the cut model there is ub, give or take rounding, and no model
-        optimum exceeds it: a backend may reject a bound above it, and may
-        forget every point whose cut model exceeds it, as ub never rises
-        during a run. tight asks for the solve at the backend's tightest
-        feasibility tolerance.
+        raises MilpSolveError. The oracle only grows during a run, so a
+        backend may keep state for it between calls, keyed by its identity.
+        ub, when given, is the incumbent value of the run. The incumbent is
+        an anchor of the oracle, so the cut model there is ub, give or take
+        rounding, and no model optimum exceeds it: a backend may reject a
+        bound above it, and may forget every point whose cut model exceeds
+        it, as ub never rises during a run. tight asks for the solve at the
+        backend's tightest feasibility tolerance.
         """
 
 
@@ -244,32 +238,20 @@ class BruteForceBackend(MilpBackend):
             if found is None:
                 found = _first_minimum(None, v, rows.limit, n, m)
         if found is None:
-            return MilpResult(status=MilpStatus(StatusKind.INFEASIBLE, "no feasible point"))
+            return MilpResult(StatusKind.INFEASIBLE, message="no feasible point")
         x, obj = found
-        return MilpResult(
-            status=_OPTIMAL,
-            x=x,
-            objective=obj,
-            dual_bound=obj,
-        )
+        return MilpResult(StatusKind.OPTIMAL, x=x, objective=obj, dual_bound=obj)
 
     def solve_cp(self, cuts, dom, budget, ub=None, tight=False):
         # exact: there is no tolerance to tighten, so tight is not consulted
-        if len(cuts) == 0:
-            raise ValueError("cutting-plane model requires a nonempty oracle")
         sets = self._sets
         if sets is None or not sets.holds(cuts, dom) or (ub is not None and ub > sets.ub):
             sets = self._sets = None  # free the old state before building the new one
             sets = self._sets = _LevelSets(dom, cuts)
-        grads, intercepts = stack_cuts(cuts)
+        grads, intercepts = cuts.stacked()
         new = slice(sets.n_cuts, None)
         x, obj = sets.lower_bound(grads[new], intercepts[new], ub)
-        return MilpResult(
-            status=_OPTIMAL,
-            x=x,
-            objective=obj,
-            dual_bound=obj,
-        )
+        return MilpResult(StatusKind.OPTIMAL, x=x, objective=obj, dual_bound=obj)
 
 
 class _LevelSets:
@@ -281,8 +263,7 @@ class _LevelSets:
     order; the first lower bound that folds a cut in writes it. A point
     whose theta exceeds ub + FEAS_TOL is dead: theta only grows and ub only
     falls during a run, so it can never again be a lower-bound argmin or lie
-    in a level set theta <= ub - tau. Only a CutOracle, whose cuts can only
-    be appended, has its state serve later calls.
+    in a level set theta <= ub - tau.
 
     Points are held in one of two forms, which only the block source
     (_values), the one-point decoder (_at) and the compaction tell apart:
@@ -316,10 +297,10 @@ class _LevelSets:
     tails, one array of C(n - 1, m - 1) values.
     """
 
-    def __init__(self, dom: FeasibleDomain, cuts: Sequence[Cut]):
+    def __init__(self, dom: FeasibleDomain, oracle: CutOracle):
         _require_enumerable(dom.n, dom.m)
         self.dom = dom
-        self.oracle = cuts if isinstance(cuts, CutOracle) else None
+        self.oracle = oracle
         total = comb(dom.n, dom.m)
         self.table = _slice_table(dom.n, dom.m) if total <= _BLOCK else None
         self.theta = np.empty(total)  # written by the first lower bound
@@ -329,7 +310,7 @@ class _LevelSets:
 
     def holds(self, cuts, dom: FeasibleDomain) -> bool:
         """Whether this is the state of the run whose oracle is cuts, on dom."""
-        return self.oracle is not None and cuts is self.oracle and dom is self.dom
+        return cuts is self.oracle and dom is self.dom
 
     def reads(self, rows, dom: FeasibleDomain) -> bool:
         """Whether rows are a level set of theta: the cut rows of this run, of
@@ -971,13 +952,16 @@ class HighsBackend(MilpBackend):
     reports "Solve error" when its presolved model's solution violates the
     original rows), when a cutting-plane model is infeasible (no theta model
     of a nonempty slice is), or when its lower bound exceeds ub by more than
-    BOUND_RTOL. It is solved again inside the remaining budget, down one
-    ladder of rungs: presolve off at HIGHS_FEAS_TOL, then presolve off at
-    HIGHS_TIGHT_FEAS_TOL, then presolve off at FEAS_TOL, then presolve on at
-    HIGHS_TIGHT_FEAS_TOL; a tight lower-bound solve starts at the second
-    rung, and a budget spent before a rung ends the solve on the time limit.
-    If the last rung's answer is also unusable, MilpSolveError names the
-    subproblem kind and model size. Other options stay at solver defaults.
+    BOUND_RTOL. Each model is solved down one ladder of five rungs until an
+    answer is usable: the first solve, presolve on at HiGHS's default
+    mip_feasibility_tolerance, then four re-solves inside the remaining
+    budget, presolve off at the default, at HIGHS_TIGHT_FEAS_TOL and at
+    FEAS_TOL, then presolve on at HIGHS_TIGHT_FEAS_TOL. A tight lower-bound
+    solve starts at the third rung. Each re-solve, and each rung of a tight
+    solve, logs one warning that names the rung and why it runs; a budget
+    spent before one ends the solve on the time limit. If the last rung's
+    answer is also unusable, MilpSolveError names the subproblem kind and
+    model size. Other options stay at solver defaults.
 
     Each model is the cardinality row sum(x) == m followed by one stacked
     block: the cut rows of a linear solve, or the theta-cuts of the
@@ -991,8 +975,9 @@ class HighsBackend(MilpBackend):
 
         self._milp = milp
 
-    def _solve_once(self, c, constraints, integrality, bounds, budget, n, presolve, feas_tol=None):
-        """One milp call: its answer, or, for a status other than optimal,
+    def _solve_once(self, c, constraints, integrality, bounds, budget, n, presolve, feas_tol):
+        """One milp call, at HiGHS's default mip_feasibility_tolerance where
+        feas_tol is None: its answer, or, for a status other than optimal,
         infeasible or time limit, the solver's message."""
         options = {
             "time_limit": float(budget),
@@ -1023,10 +1008,11 @@ class HighsBackend(MilpBackend):
             obj = float(res.fun)
         dual = getattr(res, "mip_dual_bound", None)
         return MilpResult(
-            status=MilpStatus(kind, str(res.message)),
+            kind,
             x=x,
             objective=obj,
             dual_bound=float(dual) if dual is not None else None,
+            message=str(res.message),
         )
 
     def _run(self, kind, c, a, lo, hi, n, budget, ub=None, tight=False) -> MilpResult:
@@ -1041,35 +1027,30 @@ class HighsBackend(MilpBackend):
             np.concatenate([np.ones(n), np.full(n_free, np.inf)]),
         )
         deadline = time.perf_counter() + budget
+        # (presolve, mip_feasibility_tolerance), None for HiGHS's default:
         # where the values are large, presolve off can end in a solve error at
         # the default tolerance and at the least one, where presolve on at
         # the least one certifies; FEAS_TOL is the tightest to try in between
         rungs = (
+            (True, None),
             (False, None),
             (False, HIGHS_TIGHT_FEAS_TOL),
             (False, FEAS_TOL),
             (True, HIGHS_TIGHT_FEAS_TOL),
         )
-        if tight:
-            why = "a tight solve"
-            rungs = rungs[1:]
-        else:
-            res = self._solve_once(c, constraints, integrality, bounds, budget, n, presolve=True)
-            reason = _unusable(res, kind, ub)
-            if reason is None:
-                return res
-            why = f"unusable: {reason}"
-        for presolve, feas_tol in rungs:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                return _timeout_result(f"budget exhausted before re-solving; {why}")
+        why = "a tight solve" if tight else None  # why the next rung runs
+        for presolve, feas_tol in rungs[2:] if tight else rungs:
             at = "" if feas_tol is None else f" at mip_feasibility_tolerance {feas_tol:g}"
-            log.warning(
-                "HiGHS %s solve (%d rows x %d cols) re-solving with presolve %s%s; %s",
-                kind, a.shape[0], len(c), "on" if presolve else "off", at, why,
-            )
+            if why is not None:  # a re-solve, or a tight solve: within what is left
+                budget = deadline - time.perf_counter()
+                if budget <= 0:
+                    return _timeout_result(f"budget exhausted before re-solving; {why}")
+                log.warning(
+                    "HiGHS %s solve (%d rows x %d cols) re-solving with presolve %s%s; %s",
+                    kind, a.shape[0], len(c), "on" if presolve else "off", at, why,
+                )
             res = self._solve_once(
-                c, constraints, integrality, bounds, remaining, n, presolve, feas_tol
+                c, constraints, integrality, bounds, budget, n, presolve, feas_tol
             )
             reason = _unusable(res, kind, ub)
             if reason is None:
@@ -1085,9 +1066,7 @@ class HighsBackend(MilpBackend):
         return self._run("linear", np.asarray(cost, dtype=float), a, lo, hi, dom.n, budget)
 
     def solve_cp(self, cuts, dom, budget, ub=None, tight=False):
-        if len(cuts) == 0:
-            raise ValueError("cutting-plane model requires a nonempty oracle")
-        grads, intercepts = stack_cuts(cuts)
+        grads, intercepts = cuts.stacked()
         n = dom.n
         c = np.zeros(n + 1)
         c[n] = 1.0
@@ -1107,15 +1086,15 @@ def _cardinality_first(dom: FeasibleDomain, rhs: np.ndarray) -> tuple:
     return lo, np.concatenate([[dom.m], rhs])
 
 
-class AutoBackend(MilpBackend):
+class AutoBackend:
     """Enumeration on small slices, HiGHS on the rest; the default backend.
 
-    for_domain chooses from the domain: a slice whose enumerator state fits
-    in ENUM_STATE_BYTES (see enumerable) is answered exactly by a
-    BruteForceBackend, whose level sets cost a fraction of a HiGHS call. Larger
-    slices go to a HighsBackend, constructed on first use. An engine run
-    makes that choice once, as its domain is fixed, and calls the chosen
-    backend from then on; called directly, this backend chooses per call.
+    It solves nothing itself; for_domain chooses from the domain: a slice
+    whose enumerator state fits in ENUM_STATE_BYTES (see enumerable) is
+    answered exactly by a BruteForceBackend, whose level sets cost a
+    fraction of a HiGHS call. Larger slices go to a HighsBackend,
+    constructed on first use. An engine run makes that choice once, as its
+    domain is fixed, and calls the chosen backend from then on.
     """
 
     name = "auto"
@@ -1131,19 +1110,13 @@ class AutoBackend(MilpBackend):
             self._highs = HighsBackend()
         return self._highs
 
-    def _solve_linear(self, cost, dom, rows, budget):
-        return self.for_domain(dom)._solve_linear(cost, dom, rows, budget)
-
-    def solve_cp(self, cuts, dom, budget, ub=None, tight=False):
-        return self.for_domain(dom).solve_cp(cuts, dom, budget, ub, tight)
-
 
 def _unusable(res, kind: str, ub: Optional[float]) -> Optional[str]:
     """Why _solve_once's answer to a kind solve is unusable, or None."""
     if isinstance(res, str):
         return res
-    if kind == "cp" and res.status.kind is StatusKind.INFEASIBLE:
-        return res.status.message
+    if kind == "cp" and res.kind is StatusKind.INFEASIBLE:
+        return res.message
     bound = res.bound
     if ub is not None and bound is not None and bound > ub + BOUND_RTOL * max(1.0, abs(ub)):
         return f"lower bound {bound!r} exceeds the upper limit ub = {ub!r}"
@@ -1160,9 +1133,11 @@ def solve_cp_model(
 ) -> MilpResult:
     """Lower-bound problem: min theta subject to every cut in the oracle.
 
-    The answer is optimal or a time limit, or the backend raises
-    MilpSolveError. ub, the run's incumbent value, and tight are handed on
-    as MilpBackend.solve_cp describes them.
+    An empty oracle raises ValueError, and a spent budget answers a time
+    limit, before any backend is asked. Else the answer is the backend's,
+    optimal or a time limit, or it raises MilpSolveError. The run's oracle
+    itself, ub, the run's incumbent value, and tight are handed on as
+    MilpBackend.solve_cp describes them.
     """
     if len(oracle) == 0:
         raise ValueError("cutting-plane model requires a nonempty oracle")
@@ -1207,11 +1182,11 @@ def check_nonempty(
     treats that as "reduce the offset"); a failed solve raises MilpSolveError
     rather than passing for an empty set.
     """
-    if budget <= 0:
-        log.warning("feasibility check hit the time budget; treating set as empty")
-        return False
-    res = backend.solve_linear(np.zeros(dom.n), dom, cut_rows, budget)
-    if res.status.kind is StatusKind.TIME_LIMIT:
+    if budget > 0:
+        res = backend.solve_linear(np.zeros(dom.n), dom, cut_rows, budget)
+    else:
+        res = _timeout_result()
+    if res.kind is StatusKind.TIME_LIMIT:
         log.warning("feasibility check hit the time budget; treating set as empty")
         return False
     return res.ok

@@ -269,16 +269,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
-def stack_cuts(cuts: Sequence[Cut]) -> tuple:
-    """(grads, intercepts) of cuts, as CutOracle.stacked gives them: the
-    oracle's own views, or arrays stacked afresh from any other sequence of
-    cuts."""
-    if isinstance(cuts, CutOracle):
-        return cuts.stacked()
-    grads = np.array([cut.grad for cut in cuts], dtype=float).reshape(len(cuts), -1)
-    return grads, np.array([cut.intercept for cut in cuts], dtype=float)
-
-
 class CutRows:
     """The rows <grad, x> <= level - intercept, one per cut of an oracle: the
     one row type every linear subproblem takes.

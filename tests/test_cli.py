@@ -434,30 +434,21 @@ def test_solve_agrees_with_enumeration(tmp_path, capsys):
 
 
 class TestBackendChoice:
-    def test_auto_is_the_default(self, monkeypatch):
-        monkeypatch.delenv("GRADCUT_BACKEND", raising=False)
+    def test_auto_is_the_default(self):
         assert type(make_backend("auto")) is AutoBackend
 
     @pytest.mark.parametrize("name, cls", [("highs", HighsBackend), ("bruteforce", BruteForceBackend)])
-    def test_env_and_flag_force_one_backend(self, monkeypatch, name, cls):
-        monkeypatch.setenv("GRADCUT_BACKEND", name)
-        assert type(make_backend("auto")) is cls
-        monkeypatch.delenv("GRADCUT_BACKEND")
+    def test_flag_forces_one_backend(self, name, cls):
         assert type(make_backend(name)) is cls
 
-    def test_unknown_env_backend_rejected(self, monkeypatch):
-        monkeypatch.setenv("GRADCUT_BACKEND", "cplex")
+    def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend 'cplex'"):
-            make_backend("auto")
+            make_backend("cplex")
 
-    def test_solve_prints_the_backend_used(self, e1_json, monkeypatch, capsys):
-        monkeypatch.delenv("GRADCUT_BACKEND", raising=False)
+    def test_solve_prints_the_backend_used(self, e1_json, capsys):
         assert main(["solve", str(e1_json), "--config", "cpm"]) == 0
         assert "backend    bruteforce (auto)" in capsys.readouterr().out
         assert main(["solve", str(e1_json), "--config", "cpm", "--backend", "highs"]) == 0
-        assert "backend    highs\n" in capsys.readouterr().out
-        monkeypatch.setenv("GRADCUT_BACKEND", "highs")
-        assert main(["solve", str(e1_json), "--config", "cpm"]) == 0
         assert "backend    highs\n" in capsys.readouterr().out
 
 

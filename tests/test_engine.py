@@ -652,21 +652,19 @@ def test_highs_stall_at_its_feasibility_tolerance_mended(caplog):
 
 class NearMinimumBackend(BruteForceBackend):
     """Exact when asked for a tight solve. Otherwise it returns, as HiGHS may
-    at its default feasibility tolerance, the point of largest cut model
-    value within HIGHS_FEAS_TOL of the model optimum, and reports the bound
-    HIGHS_FEAS_TOL low."""
+    at its default feasibility tolerance of 1e-6, the point of largest cut
+    model value within 1e-6 of the model optimum, and reports the bound 1e-6
+    low."""
 
     def solve_cp(self, cuts, dom, budget, ub=None, tight=False):
         res = super().solve_cp(cuts, dom, budget, ub, tight)
         if tight:
             return res
         pts = np.array(feasible_points(dom))
-        grads, intercepts = model.stack_cuts(cuts)
+        grads, intercepts = cuts.stacked()
         theta = (pts @ grads.T + intercepts).max(axis=1)
-        near = np.where(theta <= res.objective + milp.HIGHS_FEAS_TOL, theta, -np.inf)
-        return dataclasses.replace(
-            res, x=pts[int(near.argmax())], dual_bound=res.dual_bound - milp.HIGHS_FEAS_TOL
-        )
+        near = np.where(theta <= res.objective + 1e-6, theta, -np.inf)
+        return dataclasses.replace(res, x=pts[int(near.argmax())], dual_bound=res.dual_bound - 1e-6)
 
 
 # f(e0) = 1 and f(e1) = 1 + 1e-7: started at e1, a NearMinimumBackend run

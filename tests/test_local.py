@@ -9,7 +9,7 @@ from gradcut.local import (
     pgm_solve,
     sufficient_decrease,
 )
-from gradcut.milp import BruteForceBackend, HighsBackend, MilpResult, MilpStatus, StatusKind
+from gradcut.milp import BruteForceBackend, HighsBackend, MilpResult, StatusKind
 from gradcut.model import (
     FEAS_TOL,
     FeasibleDomain,
@@ -228,7 +228,7 @@ class QueryThenTest:
             and res.ok
             and (float(cost @ x) <= res.objective + FEAS_TOL or np.array_equal(res.x, x))
         ):
-            return MilpResult(res.status, x, float(cost @ x))
+            return MilpResult(res.kind, x, float(cost @ x))
         return res
 
 
@@ -277,7 +277,7 @@ class FailingAfter(BruteForceBackend):
 
     def solve_linear(self, cost, dom, rows, budget, x=None):
         if self.answers == 0:
-            return MilpResult(status=MilpStatus(StatusKind.TIME_LIMIT, "scripted failure"))
+            return MilpResult(StatusKind.TIME_LIMIT, message="scripted failure")
         self.answers -= 1
         return super().solve_linear(cost, dom, rows, budget, x)
 

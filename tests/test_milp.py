@@ -91,7 +91,7 @@ class TestSolveCpModel:
 
     def test_nonpositive_budget_short_circuits(self, backend):
         res = solve_cp_model(oracle_at(Q_DIAG, [e(0)]), FeasibleDomain(n=3, m=1), 0.0, backend)
-        assert res.status.kind is StatusKind.TIME_LIMIT
+        assert res.kind is StatusKind.TIME_LIMIT
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -132,7 +132,7 @@ class TestProject:
     def test_infeasible_rows_reported(self, backend):
         dom = FeasibleDomain(n=3, m=1)
         res = project(np.zeros(3), dom, rows_of([np.ones(3)], [-1.0]), 30.0, backend)
-        assert res.status.kind is StatusKind.INFEASIBLE
+        assert res.kind is StatusKind.INFEASIBLE
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -222,7 +222,7 @@ class TestCardinalityOptimumFirst:
         rows = rows_of([g for g, _ in terms], [b for _, b in terms])
         got = BruteForceBackend().solve_linear(cost, dom, rows, 30.0)
         want = BruteForceBackend()._solve_linear(cost, dom, rows, 30.0)
-        assert got.status.kind is want.status.kind
+        assert got.kind is want.kind
         if want.ok:
             assert got.objective == pytest.approx(want.objective, abs=1e-12)
             assert meets(rows, got.x)
@@ -481,11 +481,38 @@ class TestHighsRetryLadder:
             monkeypatch, cp_answer(4, 0.999999, message=SOLVE_ERROR), delay=0.05
         )
         res = solve_cp_model(self.oracle, self.dom, 0.01, backend)
-        assert res.status.kind is StatusKind.TIME_LIMIT
+        assert res.kind is StatusKind.TIME_LIMIT
         assert res.bound is None
         assert len(stub.options) == 1
-        assert res.status.message == f"budget exhausted before re-solving; unusable: {SOLVE_ERROR}"
+        assert res.message == f"budget exhausted before re-solving; unusable: {SOLVE_ERROR}"
         assert not [r for r in caplog.records if "re-solving" in r.getMessage()]
+
+    def test_each_re_solve_logs_its_rung_and_the_reason_before_it(self, monkeypatch, caplog):
+        # the first solve logs nothing; each re-solve logs one warning, naming
+        # its rung and why the answer before it was unusable, and each rung of
+        # a tight solve one, the first one because the solve is tight
+        caplog.set_level(logging.WARNING, logger="gradcut")
+        errors = [f"scripted solve error {k}" for k in range(len(LADDER))]
+        logged = [
+            "presolve off",
+            "presolve off at mip_feasibility_tolerance 1e-10",
+            "presolve off at mip_feasibility_tolerance 1e-09",
+            "presolve on at mip_feasibility_tolerance 1e-10",
+        ]
+        line = "HiGHS cp solve (4 rows x 4 cols) re-solving with {}; {}"
+        for tight, whys in (
+            (False, [f"unusable: {m}" for m in errors[:4]]),
+            (True, ["a tight solve"] + [f"unusable: {m}" for m in errors[:2]]),
+        ):
+            caplog.clear()
+            answers = [cp_answer(4, 0.999999, message=m) for m in errors]
+            backend, _ = scripted_highs(monkeypatch, *answers[: 3 if tight else 5])
+            with pytest.raises(MilpSolveError):
+                solve_cp_model(self.oracle, self.dom, 30.0, backend, tight=tight)
+            want = [line.format(rung, why) for rung, why in zip(logged[-len(whys):], whys)]
+            assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+                (logging.WARNING, w) for w in want
+            ]
 
     def test_infeasible_lower_bound_retried_once_without_presolve(self, monkeypatch):
         # the theta model of a nonempty slice always has a solution, so an
@@ -541,7 +568,7 @@ class TestHighsRetryLadder:
             MilpSolveError, match="also with presolve on at mip_feasibility_tolerance 1e-10$"
         ):
             solve_cp_model(self.oracle, self.dom, 30.0, backend, tight=True)
-        assert rungs(stub) == LADDER[2:]  # a tight solve starts at the second rung
+        assert rungs(stub) == LADDER[2:]  # a tight solve starts at rung 2
 
 
 def rows_one_by_one(dom, rows, n_cols):
@@ -581,11 +608,17 @@ class TestHighsInputFromTheStack:
             hi = np.r_[hi, -(cut.value - float(cut.grad @ cut.anchor))]
         return a, lo, hi
 
-    @pytest.mark.parametrize("as_oracle", [True, False])
-    def test_cp_model(self, monkeypatch, as_oracle):
-        backend, stub = scripted_highs(monkeypatch, cp_answer_at(6, 2, 0.0))
-        cuts = CutOracle(self.cuts) if as_oracle else list(self.cuts)
-        backend.solve_cp(cuts, self.dom, 30.0)
+    @pytest.mark.parametrize("grown", [True, False])
+    def test_cp_model(self, monkeypatch, grown):
+        # grown: the oracle held three of the cuts at an earlier solve, and
+        # the model of the next one holds all six
+        backend, stub = scripted_highs(monkeypatch, *[cp_answer_at(6, 2, 0.0)] * 2)
+        oracle = CutOracle(self.cuts[:3] if grown else self.cuts)
+        if grown:
+            backend.solve_cp(oracle, self.dom, 30.0)
+            for cut in self.cuts[3:]:
+                oracle.add(cut)
+        backend.solve_cp(oracle, self.dom, 30.0)
         for got, want in zip(self.handed(stub), self.want_cp(self.cuts), strict=True):
             np.testing.assert_array_equal(got, want)
 
@@ -610,7 +643,7 @@ def test_highs_points_carry_no_negative_zero(monkeypatch):
     answer = cp_answer(0, 1.0)
     answer.x = np.array([1.0 + 1e-10, -1e-10, -3e-12, 1.0])
     backend, _ = scripted_highs(monkeypatch, answer)
-    res = backend.solve_cp(list(oracle_at(Q_DIAG, [e(0)])), FeasibleDomain(n=3, m=1), 30.0)
+    res = backend.solve_cp(oracle_at(Q_DIAG, [e(0)]), FeasibleDomain(n=3, m=1), 30.0)
     np.testing.assert_array_equal(res.x, e(0))
     assert not np.signbit(res.x).any()
 
@@ -777,7 +810,7 @@ def test_bruteforce_ignores_the_upper_limit():
     # a ub below the model optimum, which no run hands it: the enumerator
     # rejects no bound, and its answer is the optimum all the same
     oracle = oracle_at(Q_DIAG, [e(0), e(1), e(2)])
-    res = BruteForceBackend().solve_cp(list(oracle), FeasibleDomain(n=3, m=1), 30.0, ub=-10.0)
+    res = BruteForceBackend().solve_cp(oracle, FeasibleDomain(n=3, m=1), 30.0, ub=-10.0)
     assert res.ok
     assert res.bound == pytest.approx(1.0, abs=1e-12)
 
@@ -839,7 +872,7 @@ class TestCutValueCache:
             for oracle, cuts, dom in ((oracle_a, cuts_a, dom_a), (oracle_b, cuts_b, dom_b)):
                 oracle.add(cuts[k])
                 got = backend.solve_cp(oracle, dom, 30.0)
-                want = BruteForceBackend().solve_cp(cuts[: k + 1], dom, 30.0)
+                want = BruteForceBackend().solve_cp(CutOracle(cuts[: k + 1]), dom, 30.0)
                 assert got.objective == want.objective
                 np.testing.assert_array_equal(got.x, want.x)
                 assert backend._sets.holds(oracle, dom)
@@ -1532,7 +1565,7 @@ def test_lagrangian_walk_matches_a_plain_scan(n, m, whole_number):
         assert len(found) == 1
         if want is None:
             assert found == [None]
-            assert got.status.kind is StatusKind.INFEASIBLE
+            assert got.kind is StatusKind.INFEASIBLE
             continue
         assert got.ok
         if found[0] is not None:
@@ -1839,11 +1872,11 @@ def test_first_compaction_stays_within_the_state_budget():
     below = Cut(anchor=other.anchor, grad=cut.grad,
                 value=cut.intercept - 1.0 + cut.grad @ other.anchor)
     whole = BruteForceBackend()
-    whole.solve_cp([cut, other], dom, 30.0)  # theta of two cuts, by a sweep
+    whole.solve_cp(CutOracle([cut, other]), dom, 30.0)  # theta of two cuts, by a sweep
     for share in (0.86, 0.002, "walk"):
         second = below if share == "walk" else other
         if share == "walk":
-            whole.solve_cp([cut, below], dom, 30.0)
+            whole.solve_cp(CutOracle([cut, below]), dom, 30.0)
         theta = whole._sets.theta
         ub = float(np.quantile(theta, 0.002 if share == "walk" else share))
         backend = BruteForceBackend()
@@ -2188,12 +2221,11 @@ def cp_answer_at(n, m, theta):
 
 def scipy_milp(monkeypatch, *answers):
     """A ScriptedMilp in place of scipy.optimize.milp, which a HighsBackend
-    binds when it is constructed, and the default backend choice restored."""
+    binds when it is constructed."""
     import scipy.optimize
 
     stub = ScriptedMilp(*answers)
     monkeypatch.setattr(scipy.optimize, "milp", stub)
-    monkeypatch.delenv("GRADCUT_BACKEND", raising=False)
     return stub
 
 
@@ -2241,7 +2273,7 @@ class TestAutoBackend:
         # past that shortcut
         rows = rows_of([np.array([1.0, 1.0] + [0.0] * 6)], [1.0])
         z = np.array([1.0, 0.9, 0.8] + [0.0] * 5)
-        res = project(z, inst.dom, rows, 30.0, make_backend("auto"))
+        res = project(z, inst.dom, rows, 30.0, make_backend("auto").for_domain(inst.dom))
         np.testing.assert_array_equal(res.x, [1.0, 0.0, 1.0, 1.0] + [0.0] * 4)
         assert stub.options == []
 
@@ -2251,6 +2283,6 @@ class TestAutoBackend:
         obj = QuadraticObjective(np.eye(30))
         oracle = CutOracle()
         oracle.add(make_cut(obj, default_x0(dom)))
-        res = solve_cp_model(oracle, dom, 30.0, make_backend("auto"))
+        res = solve_cp_model(oracle, dom, 30.0, make_backend("auto").for_domain(dom))
         assert res.objective == -2.5
         assert len(stub.options) == 1
